@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import agsp, glue, modular, prep, statevec as sv, zxcat
-from .reports import dump_state, render_csv, sanitize, write_csv, write_json
+from .reports import CheckReport, dump_state, render_csv, sanitize, write_csv, write_json
 from .suites import SUITES, agsp_sweep, run_suite
 
 
@@ -23,13 +23,25 @@ def _get(args, name, default=None):
     return getattr(args, name, default)
 
 
-def _emit(args, payload) -> None:
+def _emit(args, report, state=None, **extra) -> int:
+    """Print (or write with --out) one report record followed by `extra`.
+
+    A given `state` goes to the --dump-state path, when there is one, and
+    the record names that path under "dumped".  Returns the exit code of
+    the report's verdict.
+    """
+    if state is not None:
+        extra["dumped"] = _get(args, "dump_state")
+        if extra["dumped"]:
+            dump_state(extra["dumped"], state)
+    payload = {**report.to_dict(), **extra}
     out = _get(args, "out")
     if out:
         write_json(out, payload)
         print(f"wrote {out}")
     else:
         print(json.dumps(sanitize(payload), indent=2))
+    return 0 if report.passed else 1
 
 
 def _int_list(text: str) -> list:
@@ -51,49 +63,25 @@ def _suite_cmd(args) -> int:
 def _zxcat_mi(args) -> int:
     n = _get(args, "n", 10)
     value = zxcat.mi_numeric(n)
-    _emit(
-        args,
-        {
-            "check": "mi-numeric",
-            "params": {"n": n},
-            "observed": {"mi": value, "asymptote": zxcat.mi_asymptote()},
-            "bound": {"positive": 0.0},
-            "pass": value > 0.0,
-        },
-    )
-    return 0 if value > 0.0 else 1
+    observed = {"mi": value, "asymptote": zxcat.mi_asymptote()}
+    report = CheckReport("mi-numeric", {"n": n}, observed, {"positive": 0.0}, value > 0.0)
+    return _emit(args, report)
 
 
 def _zxcat_witness_cu(args) -> int:
-    report = zxcat.cu_correlation_witness(_get(args, "n", 10))
-    _emit(args, report.to_dict())
-    return 0 if report.passed else 1
+    return _emit(args, zxcat.cu_correlation_witness(_get(args, "n", 10)))
 
 
 def _zxcat_witness_uc(args) -> int:
-    report = zxcat.uc_sign_witness(_get(args, "n", 10))
-    _emit(args, report.to_dict())
-    return 0 if report.passed else 1
+    return _emit(args, zxcat.uc_sign_witness(_get(args, "n", 10)))
 
 
 def _zxcat_build(args) -> int:
     n = _get(args, "n", 8)
     state = zxcat.build(n, args.variant)
-    dumped = _get(args, "dump_state")
-    if dumped:
-        dump_state(dumped, state)
-    _emit(
-        args,
-        {
-            "check": "build",
-            "params": {"n": n, "variant": args.variant},
-            "observed": {"norm": float(np.linalg.norm(state.amps))},
-            "bound": None,
-            "pass": True,
-            "dumped": dumped,
-        },
-    )
-    return 0
+    observed = {"norm": float(np.linalg.norm(state.amps))}
+    report = CheckReport("build", {"n": n, "variant": args.variant}, observed, None, True)
+    return _emit(args, report, state)
 
 
 def _agsp_sweep(args) -> int:
@@ -107,125 +95,66 @@ def _agsp_sweep(args) -> int:
     return 0
 
 
+def _overlap_report(args, check, params, state, target) -> int:
+    dev = 1.0 - sv.pure_overlap(state, target)
+    bound = {"overlap_deviation": 1e-12}
+    report = CheckReport(check, params, {"overlap_deviation": dev}, bound, dev <= 1e-12)
+    return _emit(args, report, state)
+
+
 def _prep_sandwich(args) -> int:
     n = _get(args, "n", 8)
     state = prep.prepare_sandwich(n)
-    dev = 1.0 - sv.pure_overlap(state, zxcat.build(n, "i"))
-    dumped = _get(args, "dump_state")
-    if dumped:
-        dump_state(dumped, state)
-    _emit(
-        args,
-        {
-            "check": "sandwich",
-            "params": {"n": n},
-            "observed": {"overlap_deviation": dev},
-            "bound": {"overlap_deviation": 1e-12},
-            "pass": dev <= 1e-12,
-            "dumped": dumped,
-        },
-    )
-    return 0 if dev <= 1e-12 else 1
-
-
-def _prep_adaptive(args) -> int:
-    n = _get(args, "n", 6)
-    trials = _get(args, "trials", 50)
-    seed = _get(args, "seed", 0)
-    plus = zxcat.build(n, "plus")
-    minus = zxcat.build(n, "minus")
-    runs = []
-    record = None
-    for t in range(trials):
-        record = prep.adaptive_run(n, seed=seed + t)
-        target = plus if record.accepted else minus
-        runs.append(
-            {
-                "outcomes": list(record.outcomes),
-                "parity": record.parity,
-                "accepted": record.accepted,
-                "target_overlap": sv.pure_overlap(record.post_state, target),
-            }
-        )
-    dumped = _get(args, "dump_state")
-    if dumped and record is not None:
-        dump_state(dumped, record.post_state)
-    accepted = sum(r["accepted"] for r in runs)
-    worst = max(1.0 - r["target_overlap"] for r in runs)
-    _emit(
-        args,
-        {
-            "check": "adaptive-runs",
-            "params": {"n": n, "trials": trials, "seed": seed},
-            "observed": {
-                "accept_rate": accepted / trials,
-                "expected_rate": prep.adaptive_success_probability(n),
-                "worst_overlap_deviation": worst,
-            },
-            "bound": {"worst_overlap_deviation": 1e-10},
-            "pass": worst <= 1e-10,
-            "runs": runs,
-            "dumped": dumped,
-        },
-    )
-    return 0 if worst <= 1e-10 else 1
+    return _overlap_report(args, "sandwich", {"n": n}, state, zxcat.build(n, "i"))
 
 
 def _prep_mps(args) -> int:
     n = _get(args, "n", 10)
     state = prep.mps_contract(n, boundary=args.boundary)
-    dev = 1.0 - sv.pure_overlap(state, zxcat.build(n, "plus"))
-    dumped = _get(args, "dump_state")
-    if dumped:
-        dump_state(dumped, state)
-    _emit(
-        args,
+    params = {"n": n, "boundary": args.boundary}
+    return _overlap_report(args, "mps-contract", params, state, zxcat.build(n, "plus"))
+
+
+def _prep_adaptive(args) -> int:
+    n = _get(args, "n", 6)
+    params = {"n": n, "trials": _get(args, "trials", 50), "seed": _get(args, "seed", 0)}
+    shots = prep.adaptive_shots(**params)
+    runs = [
         {
-            "check": "mps-contract",
-            "params": {"n": n, "boundary": args.boundary},
-            "observed": {"overlap_deviation": dev},
-            "bound": {"overlap_deviation": 1e-12},
-            "pass": dev <= 1e-12,
-            "dumped": dumped,
-        },
-    )
-    return 0 if dev <= 1e-12 else 1
+            "outcomes": list(record.outcomes),
+            "parity": record.parity,
+            "accepted": record.accepted,
+            "target_overlap": overlap,
+        }
+        for record, overlap in shots
+    ]
+    worst = max(1.0 - overlap for _, overlap in shots)
+    observed = {
+        "accept_rate": sum(record.accepted for record, _ in shots) / len(shots),
+        "expected_rate": prep.adaptive_success_probability(n),
+        "worst_overlap_deviation": worst,
+    }
+    bound = {"worst_overlap_deviation": 1e-10}
+    report = CheckReport("adaptive-runs", params, observed, bound, worst <= 1e-10)
+    return _emit(args, report, shots[-1][0].post_state, runs=runs)
 
 
 def _prep_bell(args) -> int:
     n = _get(args, "n", 4)
-    trials = _get(args, "trials", 50)
-    seed = _get(args, "seed", 0)
-    target = zxcat.build(n, "plus")
-    runs = []
-    state = None
-    worst = 0.0
-    for t in range(trials):
-        accepted, state = prep.bell_protocol_run(n, seed=seed + t)
-        entry = {"accepted": accepted}
-        if accepted:
-            entry["target_overlap"] = sv.pure_overlap(state, target)
-            worst = max(worst, 1.0 - entry["target_overlap"])
-        runs.append(entry)
-    dumped = _get(args, "dump_state")
-    if dumped and state is not None:
-        dump_state(dumped, state)
-    _emit(
-        args,
-        {
-            "check": "bell-runs",
-            "params": {"n": n, "trials": trials, "seed": seed},
-            "observed": {
-                "accept_rate": sum(r["accepted"] for r in runs) / trials,
-                "worst_accepted_deviation": worst,
-            },
-            "bound": {"worst_accepted_deviation": 1e-10},
-            "pass": worst <= 1e-10,
-            "runs": runs,
-            "dumped": dumped,
-        },
-    )
-    return 0 if worst <= 1e-10 else 1
+    params = {"n": n, "trials": _get(args, "trials", 50), "seed": _get(args, "seed", 0)}
+    shots = prep.bell_shots(**params)
+    runs = [
+        {"accepted": True, "target_overlap": overlap} if accepted else {"accepted": False}
+        for accepted, _, overlap in shots
+    ]
+    worst = max([0.0] + [1.0 - overlap for accepted, _, overlap in shots if accepted])
+    observed = {
+        "accept_rate": sum(accepted for accepted, _, _ in shots) / len(shots),
+        "worst_accepted_deviation": worst,
+    }
+    bound = {"worst_accepted_deviation": 1e-10}
+    report = CheckReport("bell-runs", params, observed, bound, worst <= 1e-10)
+    return _emit(args, report, shots[-1][1], runs=runs)
 
 
 def _modular_lpu(args) -> int:
@@ -240,41 +169,22 @@ def _modular_lpu(args) -> int:
     only_identity = len(survivors) > 0 and all(
         c.is_identity(1e-9) for c in survivors
     )
-    _emit(
-        args,
-        {
-            "check": "lpu-search",
-            "params": {"labels": data.k, "source": source},
-            "observed": {
-                "survivors": [
-                    {"permutation": list(c.permutation), "phases": list(c.phases)}
-                    for c in survivors
-                ]
-            },
-            "bound": None,
-            "pass": only_identity,
-        },
-    )
-    return 0 if only_identity else 1
+    observed = {
+        "survivors": [
+            {"permutation": list(c.permutation), "phases": list(c.phases)}
+            for c in survivors
+        ]
+    }
+    params = {"labels": data.k, "source": source}
+    return _emit(args, CheckReport("lpu-search", params, observed, None, only_identity))
 
 
 def _modular_verlinde(args) -> int:
     data = modular.double_fibonacci()
     value = modular.verlinde_dim(data.dims, args.genus)
-    _emit(
-        args,
-        {
-            "check": "verlinde-dimension",
-            "params": {"genus": args.genus},
-            "observed": {
-                "value": float(value),
-                "golden": {"a": str(value.a), "b": str(value.b)},
-            },
-            "bound": None,
-            "pass": True,
-        },
-    )
-    return 0
+    observed = {"value": float(value), "golden": {"a": str(value.a), "b": str(value.b)}}
+    params = {"genus": args.genus}
+    return _emit(args, CheckReport("verlinde-dimension", params, observed, None, True))
 
 
 def _glue_run(args) -> int:
@@ -285,45 +195,15 @@ def _glue_run(args) -> int:
     worst = 0.0
     for t in range(trials):
         inst = glue.generate_gluable_instance(sizes, seed=seed + t)
-        glued = glue.glue_states(inst)
-        part = inst.partition
-        abc, bcd = part.qubits("A", "B", "C"), part.qubits("B", "C", "D")
-        conclusions = {
-            "abc_marginal": float(
-                np.abs(
-                    sv.reduced_density(glued, abc).mat
-                    - sv.reduced_density(inst.psi, abc).mat
-                ).max()
-            ),
-            "bcd_marginal": float(
-                np.abs(
-                    sv.reduced_density(glued, bcd).mat
-                    - sv.reduced_density(inst.psi_prime, bcd).mat
-                ).max()
-            ),
-            "mi_a_cd": sv.mutual_information(
-                glued, part.qubits("A"), part.qubits("C", "D")
-            ),
-            "mi_ab_d": sv.mutual_information(
-                glued, part.qubits("A", "B"), part.qubits("D")
-            ),
-        }
-        worst = max(worst, *conclusions.values())
+        residuals = glue.conclusions(inst, glue.glue_states(inst))
+        worst = max(worst, *residuals.values())
         records.append(
-            {"seed": seed + t, "premises": inst.residuals, "conclusions": conclusions}
+            {"seed": seed + t, "premises": inst.residuals, "conclusions": residuals}
         )
-    _emit(
-        args,
-        {
-            "check": "glue-run",
-            "params": {"dims": list(sizes), "trials": trials, "seed": seed},
-            "observed": {"worst_conclusion": worst},
-            "bound": {"worst_conclusion": 1e-8},
-            "pass": worst <= 1e-8,
-            "instances": records,
-        },
-    )
-    return 0 if worst <= 1e-8 else 1
+    params = {"dims": list(sizes), "trials": trials, "seed": seed}
+    observed, bound = {"worst_conclusion": worst}, {"worst_conclusion": 1e-8}
+    report = CheckReport("glue-run", params, observed, bound, worst <= 1e-8)
+    return _emit(args, report, instances=records)
 
 
 def _common_flags() -> argparse.ArgumentParser:

@@ -22,6 +22,7 @@ import numpy as np
 from .statevec import (
     Gate,
     StateVector,
+    _sqrt_psd,
     apply_gate,
     entropy,
     haar_unitary,
@@ -237,38 +238,46 @@ def matching_unitary(inst: GluableInstance, attempts: int = 16) -> np.ndarray:
     return best[1]
 
 
+def conclusions(inst: GluableInstance, glued: StateVector) -> dict:
+    """Residuals of the four gluing conclusions for a merged state.
+
+    The ABC marginal against psi and the BCD marginal against psi'
+    (max-entry deviations), plus I(A,CD) and I(AB,D) of the merged state
+    in bits; all four vanish for a correct merge.
+    """
+    part = inst.partition
+    abc = part.qubits("A", "B", "C")
+    bcd = part.qubits("B", "C", "D")
+    return {
+        "abc_marginal": float(
+            np.abs(
+                reduced_density(glued, abc).mat - reduced_density(inst.psi, abc).mat
+            ).max()
+        ),
+        "bcd_marginal": float(
+            np.abs(
+                reduced_density(glued, bcd).mat - reduced_density(inst.psi_prime, bcd).mat
+            ).max()
+        ),
+        "mi_a_cd": mutual_information(glued, part.qubits("A"), part.qubits("C", "D")),
+        "mi_ab_d": mutual_information(glued, part.qubits("A", "B"), part.qubits("D")),
+    }
+
+
 def glue_states(inst: GluableInstance) -> StateVector:
     """Merge the pair into one state matching psi on ABC and psi' on BCD.
 
     Checks the premises, builds the matching unitary on A, applies it to
-    psi', and asserts all four conclusions: the two marginal matches plus
-    vanishing I(A,CD) and I(AB,D) of the merged state.
+    psi', and raises AssertionError when any of the four conclusions
+    misses by more than 1e-8.
     """
     check_premises(inst)
     u_a = matching_unitary(inst)
-    part = inst.partition
-    glued = apply_gate(inst.psi_prime, Gate(part.qubits("A"), u_a))
-    abc = part.qubits("A", "B", "C")
-    bcd = part.qubits("B", "C", "D")
-    dev_abc = np.abs(
-        reduced_density(glued, abc).mat - reduced_density(inst.psi, abc).mat
-    ).max()
-    dev_bcd = np.abs(
-        reduced_density(glued, bcd).mat - reduced_density(inst.psi_prime, bcd).mat
-    ).max()
-    assert dev_abc <= 1e-8, f"ABC marginal off by {dev_abc:.3e}"
-    assert dev_bcd <= 1e-8, f"BCD marginal off by {dev_bcd:.3e}"
-    mi_a = mutual_information(glued, part.qubits("A"), part.qubits("C", "D"))
-    mi_d = mutual_information(glued, part.qubits("A", "B"), part.qubits("D"))
-    assert mi_a <= 1e-8, f"merged state correlates A with CD: {mi_a:.3e} bits"
-    assert mi_d <= 1e-8, f"merged state correlates AB with D: {mi_d:.3e} bits"
+    glued = apply_gate(inst.psi_prime, Gate(inst.partition.qubits("A"), u_a))
+    for name, residual in conclusions(inst, glued).items():
+        if residual > 1e-8:
+            raise AssertionError(f"merged state misses {name} by {residual:.3e}")
     return glued
-
-
-def _sqrt_psd(mat: np.ndarray) -> np.ndarray:
-    w, u = np.linalg.eigh(mat)
-    w = np.clip(w, 0.0, None)
-    return (u * np.sqrt(w)) @ u.conj().T
 
 
 def _invsqrt_psd(mat: np.ndarray, cutoff: float) -> np.ndarray:

@@ -211,6 +211,22 @@ def adaptive_run(n: int, seed: int = 0) -> AdaptiveRunRecord:
     )
 
 
+def adaptive_shots(n: int, trials: int, seed: int = 0) -> list:
+    """Shots of the adaptive protocol at seeds seed .. seed + trials - 1.
+
+    Returns (record, overlap) pairs; the overlap is taken against the cat
+    the shot should have collapsed to: plus when accepted, minus otherwise.
+    """
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    targets = {True: build(n, "plus"), False: build(n, "minus")}
+    shots = []
+    for t in range(trials):
+        record = adaptive_run(n, seed=seed + t)
+        shots.append((record, pure_overlap(record.post_state, targets[record.accepted])))
+    return shots
+
+
 def adaptive_success_probability(n: int) -> float:
     """Exact acceptance probability of the adaptive protocol.
 
@@ -469,3 +485,19 @@ def bell_protocol_run(n, seed=0, bonds=None, boundaries=None):
                 f"accepted run is off target (overlap {overlap})"
             )
     return accepted, v
+
+
+def bell_shots(n: int, trials: int, seed: int = 0) -> list:
+    """Shots of the Bell protocol at seeds seed .. seed + trials - 1.
+
+    Returns (accepted, state, overlap) triples; the overlap with the plus
+    cat is None for rejected shots.
+    """
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    target = build(n, "plus")
+    shots = []
+    for t in range(trials):
+        accepted, state = bell_protocol_run(n, seed=seed + t)
+        shots.append((accepted, state, pure_overlap(state, target) if accepted else None))
+    return shots

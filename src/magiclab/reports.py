@@ -3,11 +3,14 @@
 import csv
 import io
 import json
+import numbers
 import os
 import tempfile
 from dataclasses import dataclass
 
 import numpy as np
+
+from .statevec import StateVector
 
 
 def sanitize(value):
@@ -37,9 +40,11 @@ def sanitize(value):
 class CheckReport:
     """One named check with its observed value, bound, and verdict.
 
-    Where `bound` is not None the verdict is exactly `observed <= bound`;
+    Where `bound` is a number the verdict is exactly `observed <= bound`;
     lower-bounded quantities are therefore reported as violations or
-    deviations so that smaller is always better.
+    deviations so that smaller is always better.  A dict-valued `bound`
+    (the witnesses mix lower and upper limits) or a None bound keeps the
+    verdict it was given.  A None `runtime_ms` is left out of the record.
     """
 
     check: str
@@ -47,21 +52,25 @@ class CheckReport:
     observed: object
     bound: object
     passed: bool
-    runtime_ms: int
+    runtime_ms: int | None = None
 
     def __post_init__(self):
-        if self.bound is not None and self.passed != bool(self.observed <= self.bound):
+        if isinstance(self.bound, numbers.Real) and self.passed != bool(
+            self.observed <= self.bound
+        ):
             raise ValueError("verdict must follow from observed <= bound")
 
     def to_dict(self) -> dict:
-        return {
+        record = {
             "check": self.check,
             "params": sanitize(self.params),
             "observed": sanitize(self.observed),
             "bound": sanitize(self.bound),
             "pass": bool(self.passed),
-            "runtime_ms": int(self.runtime_ms),
         }
+        if self.runtime_ms is not None:
+            record["runtime_ms"] = int(self.runtime_ms)
+        return record
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -113,3 +122,12 @@ def dump_state(path: str, state) -> None:
     interleaved[0::2] = state.amps.real
     interleaved[1::2] = state.amps.imag
     write_json(path, {"n": state.n, "amps": interleaved.tolist()})
+
+
+def load_state(path: str) -> StateVector:
+    """Read a dump_state snapshot; the legacy "amplitudes" key loads too."""
+    with open(path) as handle:
+        payload = json.load(handle)
+    key = "amps" if "amps" in payload else "amplitudes"
+    flat = np.asarray(payload[key], dtype=float)
+    return StateVector(int(payload["n"]), flat[0::2] + 1j * flat[1::2])

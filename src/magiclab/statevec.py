@@ -13,9 +13,7 @@ qubits.
 
 from __future__ import annotations
 
-import json
 import os
-import tempfile
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -241,12 +239,19 @@ def backward_cone(circ: LayeredCircuit, seeds: Iterable[int]) -> LightCone:
 
 
 def haar_unitary(dim: int, rng) -> np.ndarray:
-    """Haar-random unitary matrix; `rng` is a Generator or an int seed."""
+    """Haar-random unitary matrix; `rng` is a Generator or an int seed.
+
+    QR of a complex Gaussian matrix with the phases of R's diagonal moved
+    into Q (Mezzadri, math-ph/0609050): the same draws and the same matrix
+    as scipy.stats.unitary_group.rvs, without importing scipy.stats.
+    """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    from scipy.stats import unitary_group
-
-    return unitary_group.rvs(dim, random_state=rng)
+    z = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) / np.sqrt(2)
+    q, r = np.linalg.qr(z)
+    d = r.diagonal()
+    q *= d / np.abs(d)
+    return q
 
 
 def random_brickwork(n: int, depth: int, rng) -> LayeredCircuit:
@@ -431,30 +436,3 @@ def project_out(
     remaining = v.n - len(tuple(targets))
     return StateVector(remaining, post / np.sqrt(prob)), prob
 
-
-# -- snapshots ---------------------------------------------------------------
-
-def save_snapshot(v: StateVector, path: str) -> None:
-    """Write {"n": ..., "amplitudes": [re, im, ...]} atomically."""
-    inter = np.empty(2 * v.amps.size)
-    inter[0::2] = v.amps.real
-    inter[1::2] = v.amps.imag
-    payload = {"n": v.n, "amplitudes": inter.tolist()}
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
-
-
-def load_snapshot(path: str) -> StateVector:
-    with open(path) as fh:
-        payload = json.load(fh)
-    inter = np.asarray(payload["amplitudes"], dtype=float)
-    amps = inter[0::2] + 1j * inter[1::2]
-    return StateVector(int(payload["n"]), amps)

@@ -7,7 +7,7 @@ randomized check derives its randomness from the `seed` argument, so a
 rerun with the same parameters reproduces the same numbers.
 """
 
-import json
+import functools
 import sys
 import time
 
@@ -17,11 +17,30 @@ from . import agsp, glue, modular, prep, symplectic as sp, statevec as sv, zxcat
 from .reports import CheckReport, render_reports, write_reports
 
 
-def _finish(check, params, observed, bound, started, passed=None):
-    runtime = int(round((time.perf_counter() - started) * 1000))
-    if passed is None:
-        passed = bool(observed <= bound)
-    return CheckReport(check, params, float(observed), bound, passed, runtime)
+def _timed(checks):
+    """Suite function that turns the yields of `checks` into CheckReports.
+
+    `checks` yields (check, params, observed, bound) and the verdict is
+    observed <= bound.  Each check is timed from the previous yield (the
+    first from the suite's start); the clock is read once per check and
+    runtime_ms is the difference of whole elapsed milliseconds, so the
+    reports of one suite add up to no more than its wall time.
+    """
+
+    @functools.wraps(checks)
+    def suite(n=None, seed=0, tol=None, trials=None):
+        clock = time.perf_counter
+        start, billed, reports = clock(), 0, []
+        for check, params, observed, bound in checks(n, seed, tol, trials):
+            elapsed = int((clock() - start) * 1000)
+            passed = bool(observed <= bound)
+            reports.append(
+                CheckReport(check, params, float(observed), bound, passed, elapsed - billed)
+            )
+            billed = elapsed
+        return reports
+
+    return suite
 
 
 def _random_pauli_text(n, rng) -> str:
@@ -29,20 +48,17 @@ def _random_pauli_text(n, rng) -> str:
     return sign + "".join("IXYZ"[i] for i in rng.integers(0, 4, size=n))
 
 
+@_timed
 def suite_symplectic(n=None, seed=0, tol=None, trials=None):
     n = 6 if n is None else n
     trials = 40 if trials is None else trials
     tol = 1e-10 if tol is None else tol
     rng = np.random.default_rng(seed)
-    out = []
+    sampled = {"n": n, "trials": trials, "seed": seed}
 
-    t0 = time.perf_counter()
-    dev = abs(
-        symplectic_overlap_zero_plus(n) - 2.0 ** (-n / 2.0)
-    )
-    out.append(_finish("zero-plus-overlap", {"n": n}, dev, 1e-12, t0))
+    dev = abs(symplectic_overlap_zero_plus(n) - 2.0 ** (-n / 2.0))
+    yield "zero-plus-overlap", {"n": n}, dev, 1e-12
 
-    t0 = time.perf_counter()
     worst = 0.0
     for _ in range(trials):
         c1, c2 = sp.random_clifford(n, rng), sp.random_clifford(n, rng)
@@ -50,11 +66,8 @@ def suite_symplectic(n=None, seed=0, tol=None, trials=None):
         s2 = sp.apply_clifford(c2, sp.StabilizerState.zero_state(n))
         dense = abs(np.vdot(sv.to_statevector(s1).amps, sv.to_statevector(s2).amps))
         worst = max(worst, abs(sp.stabilizer_overlap(s1, s2) - dense))
-    out.append(
-        _finish("overlap-vs-dense", {"n": n, "trials": trials, "seed": seed}, worst, tol, t0)
-    )
+    yield "overlap-vs-dense", sampled, worst, tol
 
-    t0 = time.perf_counter()
     worst = 0.0
     for _ in range(trials):
         c = sp.random_clifford(n, rng)
@@ -64,11 +77,8 @@ def suite_symplectic(n=None, seed=0, tol=None, trials=None):
         v1, v2 = sv.to_statevector(s1), sv.to_statevector(s2)
         dense = abs(np.vdot(v2.amps, sv.apply_pauli(v1, p).amps))
         worst = max(worst, abs(sp.pauli_sandwich(s2, p, s1) - dense))
-    out.append(
-        _finish("sandwich-vs-dense", {"n": n, "trials": trials, "seed": seed}, worst, tol, t0)
-    )
+    yield "sandwich-vs-dense", sampled, worst, tol
 
-    t0 = time.perf_counter()
     worst = 0.0
     for _ in range(trials):
         c = sp.random_clifford(n, rng)
@@ -76,11 +86,8 @@ def suite_symplectic(n=None, seed=0, tol=None, trials=None):
         back = sp.apply_clifford(c.adjoint(), s)
         ref = sv.to_statevector(sp.StabilizerState.zero_state(n))
         worst = max(worst, 1.0 - abs(np.vdot(sv.to_statevector(back).amps, ref.amps)))
-    out.append(
-        _finish("clifford-roundtrip", {"n": n, "trials": trials, "seed": seed}, worst, tol, t0)
-    )
+    yield "clifford-roundtrip", sampled, worst, tol
 
-    t0 = time.perf_counter()
     mismatches = 0
     for _ in range(trials):
         a = sp.PauliString.from_text(_random_pauli_text(n, rng))
@@ -89,13 +96,7 @@ def suite_symplectic(n=None, seed=0, tol=None, trials=None):
         left = sp.pauli_product(sp.pauli_product(a, b), c)
         right = sp.pauli_product(a, sp.pauli_product(b, c))
         mismatches += left != right
-    out.append(
-        _finish(
-            "product-associativity", {"n": n, "trials": trials, "seed": seed},
-            mismatches, 0, t0,
-        )
-    )
-    return out
+    yield "product-associativity", sampled, mismatches, 0
 
 
 def symplectic_overlap_zero_plus(n: int) -> float:
@@ -104,105 +105,57 @@ def symplectic_overlap_zero_plus(n: int) -> float:
     )
 
 
+@_timed
 def suite_zxcat(n=None, seed=0, tol=None, trials=None):
     n = 10 if n is None else n
     trials = 150 if trials is None else trials
-    out = []
 
-    t0 = time.perf_counter()
     dev = abs(zxcat.mi_asymptote() - 0.390473948926579)
-    out.append(_finish("mi-asymptote", {}, dev, 1e-12, t0))
+    yield "mi-asymptote", {}, dev, 1e-12
 
-    t0 = time.perf_counter()
     n_mi = min(12, sv.max_qubits())
     drift = abs(zxcat.mi_numeric(n_mi) - zxcat.mi_asymptote())
-    out.append(_finish("mi-near-asymptote", {"n": n_mi}, drift, 0.02, t0))
+    yield "mi-near-asymptote", {"n": n_mi}, drift, 0.02
 
-    t0 = time.perf_counter()
     wr = zxcat.crossterm_bound_check(n=n, seed=seed, trials=trials)
-    out.append(
-        _finish(
-            "crossterm-bound",
-            {**wr.params, "violations": wr.observed["violations"]},
-            wr.observed["worst_ratio"],
-            1.0 + 1e-9,
-            t0,
-        )
-    )
+    params = {**wr.params, "violations": wr.observed["violations"]}
+    yield "crossterm-bound", params, wr.observed["worst_ratio"], 1.0 + 1e-9
 
-    t0 = time.perf_counter()
     wr = zxcat.cu_correlation_witness(n)
     violation = max(
         wr.bound["gap_min"] - wr.observed["gap"],
         wr.observed["max_half_dev"] - wr.bound["half_dev_limit"],
     )
-    out.append(
-        _finish(
-            "cu-correlation-witness",
-            {"n": n, "gap": wr.observed["gap"], "max_half_dev": wr.observed["max_half_dev"]},
-            violation,
-            0.0,
-            t0,
-        )
-    )
+    params = {"n": n, **{k: wr.observed[k] for k in ("gap", "max_half_dev")}}
+    yield "cu-correlation-witness", params, violation, 0.0
 
-    t0 = time.perf_counter()
     wr = zxcat.uc_sign_witness(n)
     violation = max(
         wr.bound[f"dpi_{label}"] - wr.observed[f"fidelity_{label}"]
         for label in ("i", "j")
     )
-    out.append(
-        _finish(
-            "uc-sign-witness",
-            {"n": n, **{k: v for k, v in wr.observed.items() if "fidelity" in k}},
-            violation,
-            1e-9,
-            t0,
-        )
-    )
-    return out
+    params = {"n": n, **{k: v for k, v in wr.observed.items() if "fidelity" in k}}
+    yield "uc-sign-witness", params, violation, 1e-9
 
 
+@_timed
 def suite_agsp(n=None, seed=0, tol=None, trials=None):
     n = 16 if n is None else n
     trials = 60 if trials is None else trials
-    out = []
 
-    t0 = time.perf_counter()
     poly = agsp.build_polynomial(n, max(1, round(n**0.5)))
     sup = agsp.step_error_sup(poly)
-    out.append(
-        _finish("step-error", {"n": n, "m": poly.m}, sup, poly.error_bound(), t0)
-    )
+    yield "step-error", {"n": n, "m": poly.m}, sup, poly.error_bound()
 
-    t0 = time.perf_counter()
     total, p_minus_n = agsp.coeff_sum_identity(poly)
     rel = abs(total - p_minus_n) / max(abs(total), 1.0)
-    out.append(
-        _finish(
-            "coefficient-mass-identity",
-            {"n": n, "m": poly.m, "coeff_sum": total},
-            rel,
-            1e-9,
-            t0,
-        )
-    )
+    yield "coefficient-mass-identity", {"n": n, "m": poly.m, "coeff_sum": total}, rel, 1e-9
 
-    t0 = time.perf_counter()
     n_op = min(10, sv.max_qubits())
     dev = agsp.agsp_operator_check(n_op, 3)
-    out.append(
-        _finish(
-            "operator-vs-step",
-            {"n": n_op, "m": 3},
-            dev,
-            agsp.build_polynomial(n_op, 3).error_bound(),
-            t0,
-        )
-    )
+    bound = agsp.build_polynomial(n_op, 3).error_bound()
+    yield "operator-vs-step", {"n": n_op, "m": 3}, dev, bound
 
-    t0 = time.perf_counter()
     table = [
         agsp.complexity_bound(size, size // 3, 0.0, 0.01).depth_threshold
         for size in (64, 256, 1024, 4096)
@@ -210,174 +163,90 @@ def suite_agsp(n=None, seed=0, tol=None, trials=None):
     violations = sum(b < a for a, b in zip(table, table[1:])) + sum(
         t <= 0 for t in table
     )
-    out.append(
-        _finish(
-            "depth-threshold-growth",
-            {"n_list": [64, 256, 1024, 4096], "thresholds": table},
-            violations,
-            0,
-            t0,
-        )
-    )
+    params = {"n_list": [64, 256, 1024, 4096], "thresholds": table}
+    yield "depth-threshold-growth", params, violations, 0
 
-    t0 = time.perf_counter()
     n_scan = min(10, sv.max_qubits())
     word_max = agsp.local_indist_scan(n_scan, 2)
     word_limit = 1.0 / (2.0 * (1.0 - 2.0**-n_scan)) + 1e-9
-    out.append(
-        _finish(
-            "indist-word-ratio",
-            {"n": n_scan, "max_support": 2},
-            word_max,
-            word_limit,
-            t0,
-        )
-    )
+    yield "indist-word-ratio", {"n": n_scan, "max_support": 2}, word_max, word_limit
 
-    t0 = time.perf_counter()
     worst = agsp.local_indist_scan(n_scan, 2, random_trials=trials, seed=seed)
-    out.append(
-        _finish(
-            "indist-random-hermitian",
-            {"n": n_scan, "max_support": 2, "random_trials": trials, "seed": seed},
-            worst,
-            8.0,
-            t0,
-        )
-    )
-    return out
+    params = {"n": n_scan, "max_support": 2, "random_trials": trials, "seed": seed}
+    yield "indist-random-hermitian", params, worst, 8.0
 
 
+@_timed
 def suite_prep(n=None, seed=0, tol=None, trials=None):
     n = 8 if n is None else n
     trials = 120 if trials is None else trials
     tol = 1e-12 if tol is None else tol
-    out = []
 
-    t0 = time.perf_counter()
-    state = prep.prepare_sandwich(n)
-    dev = 1.0 - sv.pure_overlap(state, zxcat.build(n, "i"))
-    out.append(_finish("sandwich-overlap", {"n": n}, dev, tol, t0))
+    dev = 1.0 - sv.pure_overlap(prep.prepare_sandwich(n), zxcat.build(n, "i"))
+    yield "sandwich-overlap", {"n": n}, dev, tol
 
-    t0 = time.perf_counter()
     ok = prep.verify_global_clifford(64)
-    out.append(
-        _finish("global-clifford-certificate", {"n": 64}, 0.0 if ok else 1.0, 0.0, t0)
-    )
+    yield "global-clifford-certificate", {"n": 64}, 0.0 if ok else 1.0, 0.0
 
-    t0 = time.perf_counter()
     n_run = min(n, sv.max_qubits() // 2, 12)
     p_exact = prep.adaptive_success_probability(n_run)
     closed = (1.0 + 2.0 ** (-n_run / 2.0)) / 2.0
-    out.append(
-        _finish("adaptive-success-probability", {"n": n_run}, abs(p_exact - closed), tol, t0)
-    )
+    yield "adaptive-success-probability", {"n": n_run}, abs(p_exact - closed), tol
 
-    t0 = time.perf_counter()
-    plus = zxcat.build(n_run, "plus")
-    minus = zxcat.build(n_run, "minus")
-    accepted = 0
-    fid_dev = 0.0
-    for t in range(trials):
-        record = prep.adaptive_run(n_run, seed=seed + t)
-        accepted += record.accepted
-        target = plus if record.accepted else minus
-        fid_dev = max(fid_dev, 1.0 - sv.pure_overlap(record.post_state, target))
+    shots = prep.adaptive_shots(n_run, trials, seed)
+    accepted = sum(record.accepted for record, _ in shots)
     rate_dev = abs(accepted / trials - p_exact)
     sigma = (p_exact * (1.0 - p_exact) / trials) ** 0.5
-    out.append(
-        _finish(
-            "adaptive-sampled-rate",
-            {"n": n_run, "trials": trials, "seed": seed, "accepted": accepted},
-            rate_dev,
-            5.0 * sigma,
-            t0,
-        )
-    )
-    out.append(
-        _finish(
-            "adaptive-collapse-fidelity",
-            {"n": n_run, "trials": trials, "seed": seed},
-            fid_dev,
-            1e-10,
-            t0,
-        )
-    )
+    params = {"n": n_run, "trials": trials, "seed": seed, "accepted": accepted}
+    yield "adaptive-sampled-rate", params, rate_dev, 5.0 * sigma
 
-    t0 = time.perf_counter()
+    fid_dev = max([0.0] + [1.0 - overlap for _, overlap in shots])
+    params = {"n": n_run, "trials": trials, "seed": seed}
+    yield "adaptive-collapse-fidelity", params, fid_dev, 1e-10
+
     n_mps = min(10, sv.max_qubits())
     target = zxcat.build(n_mps, "plus")
     dev = max(
         1.0 - sv.pure_overlap(prep.mps_contract(n_mps, boundary=b), target)
         for b in ("open", "periodic")
     )
-    out.append(_finish("mps-overlap", {"n": n_mps}, dev, tol, t0))
+    yield "mps-overlap", {"n": n_mps}, dev, tol
 
-    t0 = time.perf_counter()
     n_bell = min(4, sv.max_qubits() // 3)
-    bell_accept = 0
-    bell_dev = 0.0
-    target = zxcat.build(n_bell, "plus")
-    for t in range(trials):
-        accepted_run, state = prep.bell_protocol_run(n_bell, seed=seed + t)
-        if accepted_run:
-            bell_accept += 1
-            bell_dev = max(bell_dev, 1.0 - sv.pure_overlap(state, target))
-    out.append(
-        _finish(
-            "bell-accepted-fidelity",
-            {"n": n_bell, "trials": trials, "seed": seed, "accepted": bell_accept},
-            bell_dev,
-            1e-10,
-            t0,
-        )
-    )
-    return out
+    shots = prep.bell_shots(n_bell, trials, seed)
+    overlaps = [overlap for accepted, _, overlap in shots if accepted]
+    bell_dev = max([0.0] + [1.0 - overlap for overlap in overlaps])
+    params = {"n": n_bell, "trials": trials, "seed": seed, "accepted": len(overlaps)}
+    yield "bell-accepted-fidelity", params, bell_dev, 1e-10
 
 
+@_timed
 def suite_modular(n=None, seed=0, tol=None, trials=None):
     trials = 1500 if trials is None else trials
     data = modular.double_fibonacci()
-    out = []
 
-    t0 = time.perf_counter()
     s = data.s_numeric()
     dev = np.abs(s @ s - np.eye(data.k)).max()
-    out.append(_finish("s-squared-identity", {}, dev, 1e-12, t0))
+    yield "s-squared-identity", {}, dev, 1e-12
 
-    t0 = time.perf_counter()
     st = s @ data.t_numeric()
     dev = np.abs(np.linalg.matrix_power(st, 3) - s @ s).max()
-    out.append(_finish("st-cubed-relation", {}, dev, 1e-9, t0))
+    yield "st-cubed-relation", {}, dev, 1e-9
 
-    t0 = time.perf_counter()
     genus2 = float(modular.verlinde_dim(data.dims, 2))
-    out.append(_finish("genus-two-dimension", {"genus": 2}, abs(genus2 - 25.0), 1e-12, t0))
+    yield "genus-two-dimension", {"genus": 2}, abs(genus2 - 25.0), 1e-12
 
-    t0 = time.perf_counter()
     survivors = modular.lpu_search(data)
     stray = len(survivors) - sum(c.is_identity(1e-9) for c in survivors)
     bad = stray + (not survivors)
-    out.append(
-        _finish("lpu-search-identity-only", {"survivors": len(survivors)}, bad, 0, t0)
-    )
+    yield "lpu-search-identity-only", {"survivors": len(survivors)}, bad, 0
 
-    t0 = time.perf_counter()
     worst = max(
         modular.offdiag_modulus_scan(data, perm, samples=trials, seed=seed)
         for perm in modular.dim_preserving_perms(data.dims)
     )
-    out.append(
-        _finish(
-            "off-pattern-moduli",
-            {"samples": trials, "seed": seed},
-            worst,
-            1.0 - 1e-6,
-            t0,
-        )
-    )
+    yield "off-pattern-moduli", {"samples": trials, "seed": seed}, worst, 1.0 - 1e-6
 
-    t0 = time.perf_counter()
     scalar_hit = modular.scalar_rigidity_trial(3, 2.0 * np.eye(9), attempts=40, seed=seed)
     swap = np.zeros((9, 9))
     for i in range(3):
@@ -385,78 +254,38 @@ def suite_modular(n=None, seed=0, tol=None, trials=None):
             swap[3 * i + j, 3 * j + i] = 1.0
     swap_hit = modular.scalar_rigidity_trial(3, swap, attempts=40, seed=seed)
     failures = (scalar_hit is not None) + (swap_hit is None)
-    out.append(
-        _finish(
-            "scalar-rigidity",
-            {"attempts": 40, "seed": seed, "swap_witnessed": swap_hit is not None},
-            failures,
-            0,
-            t0,
-        )
-    )
-    return out
+    params = {"attempts": 40, "seed": seed, "swap_witnessed": swap_hit is not None}
+    yield "scalar-rigidity", params, failures, 0
 
 
+@_timed
 def suite_glue(n=None, seed=0, tol=None, trials=None):
     trials = 20 if trials is None else trials
     sizes = (1, 1, 1, 1, 1, 1)
-    out = []
+    params = {"sizes": sizes, "trials": trials, "seed": seed}
 
-    t0 = time.perf_counter()
     instances = [
         glue.generate_gluable_instance(sizes, seed=seed + t) for t in range(trials)
     ]
     worst = max(abs(v) for inst in instances for v in inst.residuals.values())
-    out.append(
-        _finish("premises", {"sizes": sizes, "trials": trials, "seed": seed}, worst, 1e-10, t0)
-    )
+    yield "premises", params, worst, 1e-10
 
-    t0 = time.perf_counter()
-    worst = 0.0
-    for inst in instances:
-        glued = glue.glue_states(inst)
-        part = inst.partition
-        abc, bcd = part.qubits("A", "B", "C"), part.qubits("B", "C", "D")
-        worst = max(
-            worst,
-            np.abs(
-                sv.reduced_density(glued, abc).mat
-                - sv.reduced_density(inst.psi, abc).mat
-            ).max(),
-            np.abs(
-                sv.reduced_density(glued, bcd).mat
-                - sv.reduced_density(inst.psi_prime, bcd).mat
-            ).max(),
-            sv.mutual_information(glued, part.qubits("A"), part.qubits("C", "D")),
-            sv.mutual_information(glued, part.qubits("A", "B"), part.qubits("D")),
-        )
-    out.append(
-        _finish("conclusions", {"sizes": sizes, "trials": trials, "seed": seed}, worst, 1e-8, t0)
+    glued = [glue.glue_states(inst) for inst in instances]
+    worst = max(
+        max(glue.conclusions(inst, state).values())
+        for inst, state in zip(instances, glued)
     )
+    yield "conclusions", params, worst, 1e-8
 
-    t0 = time.perf_counter()
     worst = max(abs(glue.shared_factor_entropy(inst)) for inst in instances)
-    out.append(
-        _finish("middle-factor-purity", {"sizes": sizes, "trials": trials}, worst, 1e-8, t0)
-    )
+    yield "middle-factor-purity", {"sizes": sizes, "trials": trials}, worst, 1e-8
 
-    t0 = time.perf_counter()
     worst = 0.0
-    for inst in instances[: min(8, trials)]:
+    for inst, state in zip(instances[:8], glued):
         rho = glue.petz_glue(inst)
-        glued = glue.glue_states(inst)
-        proj = np.outer(glued.amps, glued.amps.conj())
-        worst = max(worst, np.abs(rho - proj).max())
-    out.append(
-        _finish(
-            "petz-matches-unitary",
-            {"sizes": sizes, "instances": min(8, trials), "seed": seed},
-            worst,
-            1e-7,
-            t0,
-        )
-    )
-    return out
+        worst = max(worst, np.abs(rho - np.outer(state.amps, state.amps.conj())).max())
+    params = {"sizes": sizes, "instances": min(8, trials), "seed": seed}
+    yield "petz-matches-unitary", params, worst, 1e-7
 
 
 SUITES = {

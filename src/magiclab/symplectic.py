@@ -13,9 +13,10 @@ Conventions used throughout the package:
   a separate sign per generator; overlap magnitudes are returned as
   floats, global phases are never exposed.
 
-The module is intentionally numpy-free: everything is exact integer
-arithmetic, so results like overlaps are powers of sqrt(2) with no
-rounding. Dense cross-checks live in ``magiclab.statevec``.
+All tableau work is exact integer arithmetic, so results like overlaps
+are powers of sqrt(2) with no rounding; numpy appears only as the random
+Generator that drives ``random_clifford``. Dense cross-checks live in
+``magiclab.statevec``.
 """
 
 from __future__ import annotations

@@ -33,6 +33,7 @@ import numpy as np
 from . import _f2
 from . import statevec as sv
 from . import symplectic as sp
+from .reports import CheckReport
 
 _VARIANTS = ("plus", "minus", "i")
 
@@ -131,26 +132,6 @@ def mi_numeric(n: int, pair=None) -> float:
     return val
 
 
-@dataclass(frozen=True)
-class WitnessReport:
-    """Named diagnostics with every bound next to its observed value."""
-
-    check: str
-    params: dict
-    observed: dict
-    bound: dict
-    passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "params": dict(self.params),
-            "observed": dict(self.observed),
-            "bound": dict(self.bound),
-            "pass": bool(self.passed),
-        }
-
-
 def _random_bounded_hermitian(dim: int, rng) -> np.ndarray:
     """Gaussian Hermitian matrix rescaled to unit spectral norm."""
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -160,7 +141,7 @@ def _random_bounded_hermitian(dim: int, rng) -> np.ndarray:
 
 def crossterm_bound_check(
     n: int = 10, seed: int = 0, trials: int = 500, max_support: int = 4
-) -> WitnessReport:
+) -> CheckReport:
     """Check |<phi1|V|phi2>| <= 2^{a - n/2} over random Clifford branches.
 
     Each trial draws a random Clifford C, forms the rotated branches
@@ -196,7 +177,7 @@ def crossterm_bound_check(
         if val > limit + 1e-9:
             violations += 1
         worst_ratio = max(worst_ratio, ratio)
-    return WitnessReport(
+    return CheckReport(
         check="crossterm-bound",
         params={
             "n": n,
@@ -267,7 +248,7 @@ def cu_correlation_witness(
     circuit: sv.LayeredCircuit | None = None,
     qubits=None,
     gap_min: float = 0.1,
-) -> WitnessReport:
+) -> CheckReport:
     """Correlation witness against plus = C (shallow circuit) |0^n>.
 
     Writes phi = C^dag psi and looks for stabilizers g, g' of the branch
@@ -326,7 +307,7 @@ def cu_correlation_witness(
     gap = abs(vp - vi * vj)
     dev_limit = 2.0 ** (1 - n / 2.0)
     max_dev = max(abs(vi - 0.5), abs(vj - 0.5), abs(vp - 0.5))
-    return WitnessReport(
+    return CheckReport(
         check="correlation-witness",
         params={
             "n": n,
@@ -353,7 +334,7 @@ def cu_correlation_witness(
 
 def uc_sign_witness(
     n: int, circuit: sv.LayeredCircuit | None = None, qubit=None
-) -> WitnessReport:
+) -> CheckReport:
     """Fidelity witness against plus = (shallow circuit) Clifford |0^n>.
 
     Rotates both branches back through the circuit, phi1 = U^dag|0^n> and
@@ -406,7 +387,7 @@ def uc_sign_witness(
     observed["fidelity_product"] = (
         observed["fidelity_i"] * observed["fidelity_j"]
     )
-    return WitnessReport(
+    return CheckReport(
         check="sign-witness",
         params={"n": n, "depth": circuit.depth},
         observed=observed,

@@ -2,13 +2,15 @@
 
 import json
 import os
+import time
 
 import numpy as np
 import pytest
 
+from magiclab import prep
 from magiclab.cli import main
 from magiclab.modular import double_fibonacci
-from magiclab.reports import CheckReport, dump_state, sanitize, write_reports
+from magiclab.reports import CheckReport, dump_state, load_state, sanitize, write_reports
 from magiclab.statevec import StateVector
 from magiclab.suites import SUITES, agsp_sweep, run_suite
 from magiclab.zxcat import build
@@ -183,3 +185,56 @@ def test_cli_writes_suite_file(tmp_path, capsys):
     assert "0 failed" in capsys.readouterr().out
     parsed = json.loads(out.read_text())
     assert all(r["pass"] for r in parsed)
+
+
+def test_check_report_optional_runtime_and_dict_bounds():
+    record = CheckReport("w", {}, {"gap": 0.2}, {"gap_min": 0.1}, True).to_dict()
+    assert "runtime_ms" not in record and record["pass"] is True
+    # a dict bound mixes lower and upper limits, so the verdict is kept as given
+    assert CheckReport("w", {}, {"gap": 0.0}, {"gap_min": 0.1}, False).passed is False
+    with pytest.raises(ValueError):
+        CheckReport("x", {}, 2.0, 1.0, True)
+
+
+def test_load_state_reads_legacy_amplitudes_key(tmp_path):
+    state = build(3, "plus")
+    flat = np.empty(16)
+    flat[0::2], flat[1::2] = state.amps.real, state.amps.imag
+    path = tmp_path / "legacy.json"
+    path.write_text(json.dumps({"n": 3, "amplitudes": flat.tolist()}))
+    assert np.abs(load_state(str(path)).amps - state.amps).max() <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["zxcat", "build", "--n", "5", "--variant", "i"], lambda: build(5, "i")),
+        (["prep", "sandwich", "--n", "6"], lambda: prep.prepare_sandwich(6)),
+        (["prep", "mps", "--n", "5", "--boundary", "periodic"],
+         lambda: prep.mps_contract(5, boundary="periodic")),
+        (["prep", "adaptive", "--n", "3", "--trials", "4", "--seed", "2"],
+         lambda: prep.adaptive_run(3, seed=5).post_state),
+        (["prep", "bell", "--n", "2", "--trials", "3", "--seed", "1"],
+         lambda: prep.bell_protocol_run(2, seed=3)[1]),
+    ],
+)
+def test_dump_state_loads_back(tmp_path, capsys, argv, expected):
+    path = tmp_path / "state.json"
+    assert main([*argv, "--dump-state", str(path)]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["dumped"] == str(path)
+    assert "runtime_ms" not in record
+    loaded = load_state(str(path))
+    reference = expected()
+    assert loaded.n == reference.n
+    assert np.abs(loaded.amps - reference.amps).max() <= 1e-15
+
+
+def test_suite_runtimes_add_up_to_at_most_wall_time(tmp_path):
+    out = tmp_path / "all.json"
+    start = time.perf_counter()
+    assert run_suite("all", seed=0, out=str(out)) == 0
+    wall_ms = (time.perf_counter() - start) * 1000
+    reports = json.loads(out.read_text())
+    assert len(reports) == 33
+    assert sum(r["runtime_ms"] for r in reports) <= wall_ms

@@ -10,6 +10,7 @@ from magiclab.glue import (
     Partition,
     PremiseViolation,
     check_premises,
+    conclusions,
     generate_gluable_instance,
     glue_states,
     matching_unitary,
@@ -171,3 +172,12 @@ def test_instance_validation():
     good = StateVector.basis_state(6, 0)
     with pytest.raises(ValueError, match="partition"):
         GluableInstance(part, wrong, good)
+
+
+def test_conclusions_residuals():
+    inst = generate_gluable_instance((2, 1, 1, 1, 1, 1), seed=4)
+    residuals = conclusions(inst, glue_states(inst))
+    assert set(residuals) == {"abc_marginal", "bcd_marginal", "mi_a_cd", "mi_ab_d"}
+    assert max(residuals.values()) <= 1e-8
+    # psi' itself carries the wrong A rotation, so its ABC marginal is off
+    assert conclusions(inst, inst.psi_prime)["abc_marginal"] > 1e-3

@@ -9,8 +9,10 @@ from magiclab.prep import (
     AdaptiveRunRecord,
     adaptive_circuit,
     adaptive_run,
+    adaptive_shots,
     adaptive_success_probability,
     bell_protocol_run,
+    bell_shots,
     mps_contract,
     mps_tensors,
     MpsTensor,
@@ -295,3 +297,19 @@ def test_bell_validation():
         bell_protocol_run(3, bonds="IQ")  # not a Pauli label
     with pytest.raises(ValueError):
         bell_protocol_run(0)
+
+
+def test_shot_loops_follow_consecutive_seeds():
+    shots = adaptive_shots(3, trials=5, seed=7)
+    assert len(shots) == 5
+    for t, (record, overlap) in enumerate(shots):
+        single = adaptive_run(3, seed=7 + t)
+        assert record.outcomes == single.outcomes
+        assert overlap >= 1.0 - 1e-10  # collapsed onto the plus or minus cat
+    for t, (accepted, state, overlap) in enumerate(bell_shots(2, trials=6, seed=4)):
+        single_accepted, single_state = bell_protocol_run(2, seed=4 + t)
+        assert accepted == single_accepted
+        assert np.array_equal(state.amps, single_state.amps)
+        assert (overlap is None) == (not accepted)
+    with pytest.raises(ValueError):
+        adaptive_shots(3, trials=0)

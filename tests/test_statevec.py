@@ -1,8 +1,13 @@
 """Dense engine checks: gate action, cones, entropies, conversions."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+from magiclab import reports
 from magiclab import statevec as sv
 from magiclab import symplectic as sp
 
@@ -192,8 +197,8 @@ def test_snapshot_roundtrip(tmp_path):
         rng.normal(size=8) + 1j * rng.normal(size=8)
     )
     path = tmp_path / "state.json"
-    sv.save_snapshot(v, str(path))
-    w = sv.load_snapshot(str(path))
+    reports.dump_state(str(path), v)
+    w = reports.load_state(str(path))
     assert w.n == v.n
     assert np.abs(w.amps - v.amps).max() < 1e-15
 
@@ -205,3 +210,29 @@ def test_max_qubits_env(monkeypatch):
         sv.StateVector.basis_state(4, 0)
     monkeypatch.delenv("MAGICLAB_MAX_N")
     assert sv.max_qubits() == 14
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4, 8, 16])
+@pytest.mark.parametrize("seed", [0, 5, 31])
+def test_haar_unitary_matches_scipy_draws(dim, seed):
+    unitary_group = pytest.importorskip("scipy.stats").unitary_group
+    ours = sv.haar_unitary(dim, np.random.default_rng(seed))
+    ref = unitary_group.rvs(dim, random_state=np.random.default_rng(seed))
+    assert np.array_equal(ours, ref)
+    assert np.abs(ours.conj().T @ ours - np.eye(dim)).max() <= 1e-12
+    # an int seed is the same stream as a Generator built from it
+    assert np.array_equal(sv.haar_unitary(dim, seed), ours)
+
+
+def test_haar_unitary_leaves_scipy_stats_unimported():
+    code = (
+        "import sys\n"
+        "from magiclab import statevec\n"
+        "statevec.haar_unitary(4, 0)\n"
+        "print('scipy.stats' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert out.stdout.strip() == "False"
