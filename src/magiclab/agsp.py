@@ -134,7 +134,10 @@ def step_error_sup(poly: AgspPolynomial) -> float:
     """
     worst = max(abs(poly.evaluate(x)) for x in range(1, poly.n + 1))
     val = float(worst)
-    assert val <= poly.error_bound() + 1e-15, "step-error bound violated"
+    if not val <= poly.error_bound() + 1e-15:
+        raise AssertionError(
+            f"step-error bound violated at n={poly.n}, m={poly.m}: sup {val:.3e}"
+        )
     return val
 
 
@@ -153,9 +156,11 @@ def coeff_sum_identity(poly: AgspPolynomial) -> tuple:
         chebyshev(m, Fraction(3 * n + 1, n - 1))
         / chebyshev(m, Fraction(n + 1, n - 1))
     )
-    assert abs(total - p_minus_n) <= 1e-9 * max(abs(total), 1.0), (
-        "coefficient-mass identity violated"
-    )
+    if not abs(total - p_minus_n) <= 1e-9 * max(abs(total), 1.0):
+        raise AssertionError(
+            f"coefficient-mass identity violated at n={n}, m={m}: "
+            f"{total!r} vs {p_minus_n!r}"
+        )
     return total, p_minus_n
 
 
@@ -174,7 +179,10 @@ def agsp_operator_check(n: int, m: int) -> float:
     weights = np.bitwise_count(np.arange(1 << n, dtype=np.uint64))
     diag_dev = np.asarray(dev)[weights]
     val = float(diag_dev.max())
-    assert val <= poly.error_bound() + 1e-15
+    if not val <= poly.error_bound() + 1e-15:
+        raise AssertionError(
+            f"operator step-error bound violated at n={n}, m={m}: {val:.3e}"
+        )
     return val
 
 

@@ -166,9 +166,7 @@ def _modular_lpu(args) -> int:
         data = modular.double_fibonacci()
         source = "double-fibonacci"
     survivors = modular.lpu_search(data)
-    only_identity = len(survivors) > 0 and all(
-        c.is_identity(1e-9) for c in survivors
-    )
+    only_identity = modular.identity_only_misses(survivors) == 0
     observed = {
         "survivors": [
             {"permutation": list(c.permutation), "phases": list(c.phases)}
@@ -195,7 +193,7 @@ def _glue_run(args) -> int:
     worst = 0.0
     for t in range(trials):
         inst = glue.generate_gluable_instance(sizes, seed=seed + t)
-        residuals = glue.conclusions(inst, glue.glue_states(inst))
+        _, residuals = glue._merge(inst)
         worst = max(worst, *residuals.values())
         records.append(
             {"seed": seed + t, "premises": inst.residuals, "conclusions": residuals}

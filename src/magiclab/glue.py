@@ -264,17 +264,26 @@ def conclusions(inst: GluableInstance, glued: StateVector) -> dict:
     }
 
 
-def glue_states(inst: GluableInstance) -> StateVector:
-    """Merge the pair into one state matching psi on ABC and psi' on BCD.
+def _merge(inst: GluableInstance) -> tuple[StateVector, dict]:
+    """The merged state and its four conclusion residuals.
 
-    Checks the premises, builds the matching unitary on A, applies it to
-    psi', and raises AssertionError when any of the four conclusions
-    misses by more than 1e-8.
+    Checks the premises, builds the matching unitary on A and applies it
+    to psi'; the residuals are returned, not compared to a tolerance.
     """
     check_premises(inst)
     u_a = matching_unitary(inst)
     glued = apply_gate(inst.psi_prime, Gate(inst.partition.qubits("A"), u_a))
-    for name, residual in conclusions(inst, glued).items():
+    return glued, conclusions(inst, glued)
+
+
+def glue_states(inst: GluableInstance) -> StateVector:
+    """Merge the pair into one state matching psi on ABC and psi' on BCD.
+
+    Raises AssertionError when any of the four conclusions misses by more
+    than 1e-8.
+    """
+    glued, residuals = _merge(inst)
+    for name, residual in residuals.items():
         if residual > 1e-8:
             raise AssertionError(f"merged state misses {name} by {residual:.3e}")
     return glued
@@ -313,9 +322,13 @@ def petz_glue(inst: GluableInstance, cutoff: float = 1e-10) -> np.ndarray:
     check = recover(reduced_density(inst.psi, bcd).mat)
     target = np.outer(inst.psi.amps, inst.psi.amps.conj())
     dev = np.abs(check - target).max()
-    assert dev <= 1e-7, f"recovery map misses the source state by {dev:.3e}"
+    if not dev <= 1e-7:
+        raise AssertionError(f"recovery map misses the source state by {dev:.3e}")
     out = recover(reduced_density(inst.psi_prime, bcd).mat)
-    assert abs(np.trace(out).real - 1.0) <= 1e-9, "recovered state must be normalized"
-    assert np.abs(out - out.conj().T).max() <= 1e-9
-    assert np.linalg.eigvalsh(out).min() >= -1e-9
+    if not abs(np.trace(out).real - 1.0) <= 1e-9:
+        raise AssertionError("recovered state must be normalized")
+    if not np.abs(out - out.conj().T).max() <= 1e-9:
+        raise AssertionError("recovered state must be Hermitian")
+    if not np.linalg.eigvalsh(out).min() >= -1e-9:
+        raise AssertionError("recovered state must be positive semidefinite")
     return out

@@ -39,8 +39,15 @@ CZ4 = np.diag([1, 1, 1, -1]).astype(complex)
 
 
 def max_qubits() -> int:
-    """Dense-simulation cap; override with MAGICLAB_MAX_N."""
-    return int(os.environ.get("MAGICLAB_MAX_N", "14"))
+    """Dense-simulation cap; override with MAGICLAB_MAX_N (an integer >= 1)."""
+    raw = os.environ.get("MAGICLAB_MAX_N", "14")
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"MAGICLAB_MAX_N must be an integer >= 1, got {raw!r}")
+    return cap
 
 
 def _check_dense(n: int) -> None:

@@ -237,9 +237,8 @@ def suite_modular(n=None, seed=0, tol=None, trials=None):
     yield "genus-two-dimension", {"genus": 2}, abs(genus2 - 25.0), 1e-12
 
     survivors = modular.lpu_search(data)
-    stray = len(survivors) - sum(c.is_identity(1e-9) for c in survivors)
-    bad = stray + (not survivors)
-    yield "lpu-search-identity-only", {"survivors": len(survivors)}, bad, 0
+    misses = modular.identity_only_misses(survivors)
+    yield "lpu-search-identity-only", {"survivors": len(survivors)}, misses, 0
 
     worst = max(
         modular.offdiag_modulus_scan(data, perm, samples=trials, seed=seed)
@@ -270,18 +269,15 @@ def suite_glue(n=None, seed=0, tol=None, trials=None):
     worst = max(abs(v) for inst in instances for v in inst.residuals.values())
     yield "premises", params, worst, 1e-10
 
-    glued = [glue.glue_states(inst) for inst in instances]
-    worst = max(
-        max(glue.conclusions(inst, state).values())
-        for inst, state in zip(instances, glued)
-    )
+    merged = [glue._merge(inst) for inst in instances]
+    worst = max(max(residuals.values()) for _, residuals in merged)
     yield "conclusions", params, worst, 1e-8
 
     worst = max(abs(glue.shared_factor_entropy(inst)) for inst in instances)
     yield "middle-factor-purity", {"sizes": sizes, "trials": trials}, worst, 1e-8
 
     worst = 0.0
-    for inst, state in zip(instances[:8], glued):
+    for inst, (state, _) in zip(instances[:8], merged):
         rho = glue.petz_glue(inst)
         worst = max(worst, np.abs(rho - np.outer(state.amps, state.amps.conj())).max())
     params = {"sizes": sizes, "instances": min(8, trials), "seed": seed}

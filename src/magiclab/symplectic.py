@@ -356,7 +356,7 @@ def apply_clifford(c: CliffordMap, s: StabilizerState) -> StabilizerState:
     return StabilizerState(s.n, tuple(words), tuple(signs))
 
 
-# -- random Cliffords via elementary-gate composition ----------------------
+# -- elementary H/S/CX conjugations, the gate-level reference for tests ---
 
 def _conj_h(xs, zs, ph, q):
     for i in range(len(xs)):
@@ -394,33 +394,57 @@ def _conj_cx(xs, zs, ph, c, t):
 
 
 def random_clifford(n: int, rng) -> CliffordMap:
-    """Sample a Clifford tableau by composing random elementary gates.
+    """Sample a Clifford tableau exactly uniformly, modulo global phase.
 
-    Composes roughly 6*n*(n+1) + 8 uniformly chosen H/S/CX conjugations
-    (the exact count is jittered so no parity invariant of the gate walk
-    survives), which mixes well in practice but is NOT a uniform sample
-    from the Clifford group; nothing here relies on uniformity, only on
-    coverage.  `rng` is a numpy Generator or an integer seed.
+    Picks a random symplectic basis pair by pair: X_i goes to a uniform
+    nonzero vector v_i of the symplectic complement of the earlier pairs and
+    Z_i to a uniform w_i there with <v_i, w_i> = 1; each image then gets an
+    independent random sign.  Sp(2n, F2) acts simply transitively on
+    symplectic bases, so every Clifford is equally likely (Koenig-Smolin,
+    arXiv:1406.2170; Bravyi-Maslov, arXiv:2003.09412).  `rng` is a numpy
+    Generator or an integer seed.
     """
     if n < 1:
         raise ValueError("need at least one qubit")
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    xs = [1 << q for q in range(n)]
-    zs = [0] * n + [1 << q for q in range(n)]
-    xs = xs + [0] * n
-    ph = [0] * (2 * n)
-    for _ in range(6 * n * (n + 1) + 8 + int(rng.integers(0, 4))):
-        kind = int(rng.integers(0, 3 if n > 1 else 2))
-        if kind == 0:
-            _conj_h(xs, zs, ph, int(rng.integers(0, n)))
-        elif kind == 1:
-            _conj_s(xs, zs, ph, int(rng.integers(0, n)))
-        else:
-            c, t = rng.choice(n, size=2, replace=False)
-            _conj_cx(xs, zs, ph, int(c), int(t))
-    x_images = tuple(PauliString(n, xs[q], zs[q], ph[q]) for q in range(n))
-    z_images = tuple(
-        PauliString(n, xs[n + q], zs[n + q], ph[n + q]) for q in range(n)
-    )
-    return CliffordMap(n, x_images, z_images)
+    low = (1 << n) - 1
+    full = (1 << 2 * n) - 1
+    nbytes = (2 * n + 7) // 8
+    pairs: list[tuple[int, int]] = []
+
+    def form(a: int, b: int) -> int:
+        # symplectic form of packed rows x | z << n
+        return ((a & (b >> n)).bit_count() + ((a >> n) & b).bit_count()) & 1
+
+    def project(u: int) -> int:
+        # onto the complement of the earlier pairs; a linear surjection, so
+        # it maps uniform bits to a uniform vector of the complement
+        for v, w in pairs:
+            if form(u, w):
+                u ^= v
+            if form(u, v):
+                u ^= w
+        return u
+
+    def draw() -> int:
+        return project(int.from_bytes(rng.bytes(nbytes), "little") & full)
+
+    for _ in range(n):
+        v = draw()
+        while not v:
+            v = draw()
+        w = draw()
+        if not form(v, w):
+            # adding a fixed partner of v swaps the halves <v, w> = 0 and 1
+            # bijectively, so w stays uniform among the partners of v
+            q = (v & -v).bit_length() - 1
+            w ^= project(1 << (q + n if q < n else q - n))
+        pairs.append((v, w))
+    signs = int.from_bytes(rng.bytes(nbytes), "little")
+    rows = [v for v, _ in pairs] + [w for _, w in pairs]
+    images = [
+        PauliString(n, row & low, row >> n, 2 * (signs >> k & 1))
+        for k, row in enumerate(rows)
+    ]
+    return CliffordMap(n, tuple(images[:n]), tuple(images[n:]))

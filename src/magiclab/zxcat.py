@@ -127,7 +127,8 @@ def mi_numeric(n: int, pair=None) -> float:
         for alt in ((0, n - 1), (1, n - 1), (0, 1)):
             if set(alt) != {i, j}:
                 other = sv.mutual_information(psi, (alt[0],), (alt[1],))
-                assert abs(other - val) <= 1e-9, "pair symmetry violated"
+                if not abs(other - val) <= 1e-9:
+                    raise AssertionError(f"pair symmetry violated: {other} vs {val}")
                 break
     return val
 

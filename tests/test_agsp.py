@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -71,6 +74,28 @@ def test_step_error_sup_bound_and_trend():
     assert all(a > b for a, b in zip(sups, sups[1:]))
     # maximal admissible degree still honors the bound
     agsp.step_error_sup(agsp.build_polynomial(10, 9))
+
+
+def test_step_error_check_survives_optimized_mode():
+    # tripling a_2 keeps the signs alternating, so the polynomial passes
+    # validation, but its sup error (about 125) breaks the bound (about 0.27)
+    code = (
+        "from magiclab import agsp\n"
+        "poly = agsp.build_polynomial(16, 4)\n"
+        "coeffs = list(poly.coeffs)\n"
+        "coeffs[2] *= 3\n"
+        "try:\n"
+        "    agsp.step_error_sup(agsp.AgspPolynomial(16, 4, tuple(coeffs)))\n"
+        "except AssertionError as exc:\n"
+        "    print(__debug__, 'raised', exc)\n"
+        "else:\n"
+        "    print(__debug__, 'silent')\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert out.stdout.startswith("False raised step-error bound violated"), out.stdout
 
 
 def test_coeff_sum_identity_exact_and_float():

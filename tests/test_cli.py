@@ -125,6 +125,14 @@ def test_cli_invalid_params_exit_two(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_cli_bad_max_n_env_exits_two(monkeypatch, capsys, value):
+    monkeypatch.setenv("MAGICLAB_MAX_N", value)
+    assert main(["zxcat", "mi", "--n", "4"]) == 2
+    err = capsys.readouterr().err
+    assert "MAGICLAB_MAX_N" in err and repr(value) in err, err
+
+
 def test_cli_suite_and_subcommands(tmp_path, capsys):
     assert main(["glue", "--trials", "3", "--seed", "2"]) == 0
     reports = json.loads(capsys.readouterr().out)

@@ -11,6 +11,7 @@ from magiclab.modular import (
     MonomialCandidate,
     dim_preserving_perms,
     double_fibonacci,
+    identity_only_misses,
     lpu_search,
     monomial_distance,
     offdiag_modulus_scan,
@@ -229,6 +230,15 @@ def test_lpu_search_returns_only_identity():
     results = lpu_search(double_fibonacci())
     assert len(results) == 1
     assert results[0].is_identity(tol=1e-9)
+
+
+def test_identity_only_misses():
+    identity = MonomialCandidate((0, 1, 2), (1.0, 1.0, 1.0))
+    swap = MonomialCandidate((1, 0, 2), (1.0, 1.0, 1.0))
+    assert identity_only_misses([]) == 1
+    assert identity_only_misses([identity]) == 0
+    assert identity_only_misses([identity, swap]) == 1
+    assert identity_only_misses([swap, swap]) == 2
 
 
 def test_offdiag_modulus_scan():

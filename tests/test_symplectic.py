@@ -1,6 +1,7 @@
 """Exact Pauli/stabilizer algebra against dense matrix oracles."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -142,6 +143,54 @@ def test_single_qubit_cliffords_land_in_the_24_group():
             (lx, sx, lz, sz) for (lx, sx, lz, sz) in valid
         }
     assert len(seen) > 12  # mixing sanity, not uniformity
+
+
+def chi_square(counts: Counter, classes: int) -> tuple[float, float]:
+    """Pearson statistic against the uniform law, and its 99.9% critical value."""
+    from scipy.stats import chi2
+
+    assert len(counts) == classes
+    expected = sum(counts.values()) / classes
+    stat = sum((c - expected) ** 2 / expected for c in counts.values())
+    return stat, chi2.isf(1e-3, classes - 1)
+
+
+def test_random_clifford_uniform_over_the_24_single_qubit_classes():
+    rng = np.random.default_rng(19)
+    counts = Counter()
+    for _ in range(24_000):
+        c = sp.random_clifford(1, rng)
+        counts[c.x_images[0], c.z_images[0]] += 1
+    stat, critical = chi_square(counts, 24)
+    assert stat < critical, (stat, critical)
+
+
+def test_random_clifford_uniform_over_sp4_with_balanced_signs():
+    # |Sp(4, F2)| = 720 symplectic classes at n = 2, about 20 draws each
+    rng = np.random.default_rng(20)
+    draws = 14_400
+    counts = Counter()
+    minus = [0] * 4
+    for _ in range(draws):
+        c = sp.random_clifford(2, rng)
+        images = c.x_images + c.z_images
+        counts[tuple((p.x, p.z) for p in images)] += 1
+        for k, p in enumerate(images):
+            minus[k] += p.phase == 2
+    stat, critical = chi_square(counts, 720)
+    assert stat < critical, (stat, critical)
+    sigma = math.sqrt(draws / 4)
+    assert all(abs(m - draws / 2) < 4 * sigma for m in minus), minus
+
+
+def test_random_clifford_same_seed_same_map():
+    for n in (1, 3, 7):
+        first = sp.random_clifford(n, np.random.default_rng(21))
+        assert sp.random_clifford(n, np.random.default_rng(21)) == first
+        assert sp.random_clifford(n, 21) == first
+        assert sp.random_clifford(n, 22) != first
+    with pytest.raises(ValueError):
+        sp.random_clifford(0, 21)
 
 
 def random_stabilizer_state(n, rng):
