@@ -193,7 +193,7 @@ def _glue_run(args) -> int:
     worst = 0.0
     for t in range(trials):
         inst = glue.generate_gluable_instance(sizes, seed=seed + t)
-        _, residuals = glue._merge(inst)
+        _, residuals = glue.merge(inst)
         worst = max(worst, *residuals.values())
         records.append(
             {"seed": seed + t, "premises": inst.residuals, "conclusions": residuals}

@@ -264,7 +264,7 @@ def conclusions(inst: GluableInstance, glued: StateVector) -> dict:
     }
 
 
-def _merge(inst: GluableInstance) -> tuple[StateVector, dict]:
+def merge(inst: GluableInstance) -> tuple[StateVector, dict]:
     """The merged state and its four conclusion residuals.
 
     Checks the premises, builds the matching unitary on A and applies it
@@ -282,7 +282,7 @@ def glue_states(inst: GluableInstance) -> StateVector:
     Raises AssertionError when any of the four conclusions misses by more
     than 1e-8.
     """
-    glued, residuals = _merge(inst)
+    glued, residuals = merge(inst)
     for name, residual in residuals.items():
         if residual > 1e-8:
             raise AssertionError(f"merged state misses {name} by {residual:.3e}")

@@ -441,13 +441,13 @@ def lpu_search(data: ModularData, tol: float = 1e-9) -> list:
     return results
 
 
-def identity_only_misses(survivors, tol: float = 1e-9) -> int:
+def identity_only_misses(survivors) -> int:
     """How far `lpu_search` survivors are from "the identity gate alone".
 
     One per survivor that is not the identity, plus one when nothing
     survives (the identity always should); 0 means identity only.
     """
-    stray = sum(not c.is_identity(tol) for c in survivors)
+    stray = sum(not c.is_identity(1e-9) for c in survivors)
     return stray + (not survivors)
 
 

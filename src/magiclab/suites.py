@@ -269,7 +269,7 @@ def suite_glue(n=None, seed=0, tol=None, trials=None):
     worst = max(abs(v) for inst in instances for v in inst.residuals.values())
     yield "premises", params, worst, 1e-10
 
-    merged = [glue._merge(inst) for inst in instances]
+    merged = [glue.merge(inst) for inst in instances]
     worst = max(max(residuals.values()) for _, residuals in merged)
     yield "conclusions", params, worst, 1e-8
 

@@ -435,11 +435,8 @@ def random_clifford(n: int, rng) -> CliffordMap:
         while not v:
             v = draw()
         w = draw()
-        if not form(v, w):
-            # adding a fixed partner of v swaps the halves <v, w> = 0 and 1
-            # bijectively, so w stays uniform among the partners of v
-            q = (v & -v).bit_length() - 1
-            w ^= project(1 << (q + n if q < n else q - n))
+        while not form(v, w):
+            w = draw()
         pairs.append((v, w))
     signs = int.from_bytes(rng.bytes(nbytes), "little")
     rows = [v for v, _ in pairs] + [w for _, w in pairs]
