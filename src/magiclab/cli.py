@@ -290,20 +290,31 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if _get(args, "max_n") is not None:
-        os.environ["MAGICLAB_MAX_N"] = str(args.max_n)
     func = _get(args, "func")
     if func is None:
         parser.print_help()
         return 2
+    # --max-n holds for this call only; the caller's environment is restored
+    saved_max_n = os.environ.get("MAGICLAB_MAX_N")
+    if _get(args, "max_n") is not None:
+        os.environ["MAGICLAB_MAX_N"] = str(args.max_n)
     try:
         return func(args)
+    except glue.PremiseViolation as exc:
+        seed = _get(args, "seed", 0)
+        print(f"check failed: {args.suite} seed {seed}: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if saved_max_n is None:
+            os.environ.pop("MAGICLAB_MAX_N", None)
+        else:
+            os.environ["MAGICLAB_MAX_N"] = saved_max_n
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ from .statevec import (
     StateVector,
     _sqrt_psd,
     apply_gate,
-    entropy,
+    entanglement_entropy,
     haar_unitary,
     max_qubits,
     mutual_information,
@@ -169,8 +169,8 @@ def check_premises(
     )
     d_block = part.qubits("D")
     d_dev = abs(
-        entropy(reduced_density(inst.psi, d_block))
-        - entropy(reduced_density(inst.psi_prime, d_block))
+        entanglement_entropy(inst.psi, d_block)
+        - entanglement_entropy(inst.psi_prime, d_block)
     )
     mi_a_cd = mutual_information(inst.psi, part.qubits("A"), part.qubits("C", "D"))
     mi_ab_d = mutual_information(inst.psi_prime, part.qubits("A", "B"), d_block)
@@ -200,12 +200,13 @@ def shared_factor_entropy(inst: GluableInstance) -> float:
 
     Under the premises this equals the entropy of the hidden middle
     factor straddling the B|C cut, so it vanishes exactly when that
-    factor is pure -- which the gluing argument forces.
+    factor is pure -- which the gluing argument forces.  S(BC) is taken
+    as S(AD), the smaller side of that cut of the pure state.
     """
     part = inst.partition
-    s_bc = entropy(reduced_density(inst.psi, part.qubits("B", "C")))
-    s_a = entropy(reduced_density(inst.psi, part.qubits("A")))
-    s_d = entropy(reduced_density(inst.psi, part.qubits("D")))
+    s_bc = entanglement_entropy(inst.psi, part.qubits("B", "C"))
+    s_a = entanglement_entropy(inst.psi, part.qubits("A"))
+    s_d = entanglement_entropy(inst.psi, part.qubits("D"))
     return s_bc - s_a - s_d
 
 
@@ -301,34 +302,53 @@ def petz_glue(inst: GluableInstance, cutoff: float = 1e-10) -> np.ndarray:
 
     The map sends an operator rho on BCD to
     S (I_A x rho) S*  with  S = psi_AB^(1/2) psi_B^(-1/2), acting as the
-    identity on CD.  Feeding it psi's own BCD marginal must reproduce
-    |psi><psi| (checked to 1e-7); feeding it psi's partner marginal yields
-    the merged state as a density matrix, which is returned.
+    identity on CD.  It is applied in factored form: a pure state's BCD
+    marginal is Phi Phi* with Phi = amps.reshape(-1, dim_A), so the lifted
+    input is F F* with F = Phi x I_A, and the output is W W* with the
+    2^n x dim_A^2 factor W = (I_CD x S) F, one contraction of S with Phi on
+    the AB axes.  No 2^n x 2^n matrix is formed before the returned one.
+
+    Feeding the map psi's own BCD marginal must reproduce |psi><psi|: the
+    exact trace norm of W W* - |psi><psi| is checked to 1e-7, from a QR
+    of [W, psi] and a (dim_A^2 + 1)-square eigenproblem.  Feeding it psi's
+    partner marginal yields the merged state, returned as the dense 2^n x
+    2^n density matrix W W*; its unit trace and its spectrum are read from
+    the dim_A^2-square Gram matrix W* W, which has the same nonzero
+    eigenvalues, and the returned matrix is checked Hermitian.
     """
     check_premises(inst)
     part = inst.partition
     dim_a = 2 ** part.sizes[0]
-    dim_cd = 2 ** len(part.qubits("C", "D"))
+    dim_b = 2 ** (part.sizes[1] + part.sizes[2])
     rho_ab = reduced_density(inst.psi, part.qubits("A", "B")).mat
     rho_b = reduced_density(inst.psi, part.qubits("B")).mat
     lift = _sqrt_psd(rho_ab) @ np.kron(_invsqrt_psd(rho_b, cutoff), np.eye(dim_a))
-    sandwich = np.kron(np.eye(dim_cd), lift)
+    # lift[b, a, b', a'] maps (b', a') to (b, a); A is the low-bit block
+    lift = lift.reshape(dim_b, dim_a, dim_b, dim_a)
 
-    def recover(rho_bcd: np.ndarray) -> np.ndarray:
-        lifted = np.kron(rho_bcd, np.eye(dim_a))
-        return sandwich @ lifted @ sandwich.conj().T
+    def factor(state: StateVector) -> np.ndarray:
+        phi = state.amps.reshape(-1, dim_b, dim_a)
+        w = np.einsum("bazx,czk->cbakx", lift, phi)
+        return w.reshape(2**part.n, dim_a * dim_a)
 
-    bcd = part.qubits("B", "C", "D")
-    check = recover(reduced_density(inst.psi, bcd).mat)
-    target = np.outer(inst.psi.amps, inst.psi.amps.conj())
-    dev = np.abs(check - target).max()
-    if not dev <= 1e-7:
-        raise AssertionError(f"recovery map misses the source state by {dev:.3e}")
-    out = recover(reduced_density(inst.psi_prime, bcd).mat)
-    if not abs(np.trace(out).real - 1.0) <= 1e-9:
+    # W W* - psi psi* = M J M* with M = [W, psi] = Q R, J = diag(1, .., 1, -1);
+    # Q is an isometry, so the trace norm is that of R J R*
+    w_psi = factor(inst.psi)
+    r = np.linalg.qr(np.column_stack([w_psi, inst.psi.amps]), mode="r")
+    signs = np.ones(r.shape[1])
+    signs[-1] = -1.0
+    gap = np.abs(np.linalg.eigvalsh((r * signs) @ r.conj().T)).sum()
+    if not gap <= 1e-7:
+        raise AssertionError(
+            f"recovery map misses the source state by {gap:.3e} in trace norm"
+        )
+    w = factor(inst.psi_prime)
+    gram = w.conj().T @ w
+    if not abs(np.trace(gram).real - 1.0) <= 1e-9:
         raise AssertionError("recovered state must be normalized")
+    out = w @ w.conj().T
     if not np.abs(out - out.conj().T).max() <= 1e-9:
         raise AssertionError("recovered state must be Hermitian")
-    if not np.linalg.eigvalsh(out).min() >= -1e-9:
+    if not np.linalg.eigvalsh(gram).min() >= -1e-9:
         raise AssertionError("recovered state must be positive semidefinite")
     return out

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .statevec import haar_unitary
 
@@ -303,6 +302,9 @@ def monomial_distance(m: np.ndarray, tol: float = 1e-9):
     unit modulus and to a unit leading phase (the decomposition is exact
     only up to overall scale).
     """
+    # imported here: scipy.optimize is most of the package's import time
+    from scipy.optimize import linear_sum_assignment
+
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("need a square matrix")

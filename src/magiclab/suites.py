@@ -327,8 +327,9 @@ def run_suite(
 ) -> int:
     """Run one named suite (or `all`) and serialize its reports.
 
-    Returns 0 when every check passes, 1 when any fails, 2 for an unknown
-    suite or invalid parameters.  Reports go to `out` as JSON (or JSON
+    Returns 0 when every check passes, 1 when any fails (a gluing premise
+    violated inside a check counts as a failure), 2 for an unknown suite or
+    invalid parameters.  Reports go to `out` as JSON (or JSON
     lines with `jsonl`), atomically; without `out` they print to stdout.
     """
     if suite == "all":
@@ -342,6 +343,9 @@ def run_suite(
     try:
         for name in names:
             reports.extend(SUITES[name](n=n, seed=seed, tol=tol, trials=trials))
+    except glue.PremiseViolation as exc:
+        print(f"check failed: {name} seed {seed}: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, KeyError) as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return 2

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from magiclab import prep
+from magiclab import glue, prep
 from magiclab.cli import main
 from magiclab.modular import double_fibonacci
 from magiclab.reports import CheckReport, dump_state, load_state, sanitize, write_reports
@@ -246,3 +246,28 @@ def test_suite_runtimes_add_up_to_at_most_wall_time(tmp_path):
     reports = json.loads(out.read_text())
     assert len(reports) == 33
     assert sum(r["runtime_ms"] for r in reports) <= wall_ms
+
+
+def test_max_n_flag_leaves_environment_as_it_was(monkeypatch, capsys):
+    monkeypatch.delenv("MAGICLAB_MAX_N", raising=False)
+    assert main(["zxcat", "mi", "--n", "4", "--max-n", "5"]) == 0
+    assert "MAGICLAB_MAX_N" not in os.environ
+    monkeypatch.setenv("MAGICLAB_MAX_N", "9")
+    assert main(["zxcat", "mi", "--n", "4", "--max-n", "5"]) == 0
+    assert os.environ["MAGICLAB_MAX_N"] == "9"
+    # an invalid size still restores the caller's value
+    assert main(["zxcat", "mi", "--n", "7", "--max-n", "5"]) == 2
+    assert os.environ["MAGICLAB_MAX_N"] == "9"
+
+
+def test_premise_violation_in_a_check_exits_one(monkeypatch, capsys):
+    def violated(inst, *args, **kwargs):
+        raise glue.PremiseViolation("BC marginals differ by 1.000e-03")
+
+    monkeypatch.setattr(glue, "check_premises", violated)
+    assert run_suite("glue", seed=3) == 1
+    err = capsys.readouterr().err
+    assert "check failed: glue seed 3: BC marginals differ" in err
+    assert main(["glue", "run", "--trials", "1", "--seed", "5"]) == 1
+    err = capsys.readouterr().err
+    assert "check failed: glue seed 5: BC marginals differ" in err

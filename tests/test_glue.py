@@ -1,10 +1,14 @@
 """Tests for state gluing: premises, the matching unitary, the recovery map."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from magiclab import glue
 from magiclab.glue import (
     GluableInstance,
     Partition,
@@ -181,3 +185,74 @@ def test_conclusions_residuals():
     assert max(residuals.values()) <= 1e-8
     # psi' itself carries the wrong A rotation, so its ABC marginal is off
     assert conclusions(inst, inst.psi_prime)["abc_marginal"] > 1e-3
+
+
+def _petz_kron_oracle(inst, cutoff=1e-10):
+    """The recovery map as dense Kronecker products on all n qubits."""
+    part = inst.partition
+    dim_a = 2 ** part.sizes[0]
+    dim_cd = 2 ** len(part.qubits("C", "D"))
+
+    def sqrt(mat):
+        w, u = np.linalg.eigh(mat)
+        return (u * np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T
+
+    def invsqrt(mat):
+        w, u = np.linalg.eigh(mat)
+        scaled = np.zeros_like(w)
+        scaled[w > cutoff] = w[w > cutoff] ** -0.5
+        return (u * scaled) @ u.conj().T
+
+    rho_ab = reduced_density(inst.psi, part.qubits("A", "B")).mat
+    rho_b = reduced_density(inst.psi, part.qubits("B")).mat
+    lift = sqrt(rho_ab) @ np.kron(invsqrt(rho_b), np.eye(dim_a))
+    sandwich = np.kron(np.eye(dim_cd), lift)
+    rho_bcd = reduced_density(inst.psi_prime, part.qubits("B", "C", "D")).mat
+    return sandwich @ np.kron(rho_bcd, np.eye(dim_a)) @ sandwich.conj().T
+
+
+@pytest.mark.parametrize(
+    "sizes, product",
+    [
+        (ONES, True),
+        ((2, 1, 1, 1, 1, 2), False),
+        ((3, 1, 1, 1, 1, 1), False),
+        ((1, 2, 1, 2, 1, 2), False),
+        ((2, 1, 1, 1, 1, 3), False),
+    ],
+)
+def test_petz_matches_kronecker_oracle(sizes, product):
+    for seed in range(2):
+        inst = generate_gluable_instance(sizes, seed=seed, product=product)
+        rho = petz_glue(inst)
+        assert rho.shape == (2**inst.partition.n,) * 2
+        dev = np.abs(rho - _petz_kron_oracle(inst)).max()
+        assert dev <= 1e-12, f"{sizes} seed {seed}: {dev:.3e}"
+
+
+def test_petz_source_check_catches_perturbed_map(monkeypatch):
+    inst = generate_gluable_instance((2, 1, 1, 1, 1, 2), seed=3)
+    exact = glue._invsqrt_psd
+    monkeypatch.setattr(glue, "_invsqrt_psd", lambda mat, cutoff: 1.01 * exact(mat, cutoff))
+    with pytest.raises(AssertionError, match="misses the source state"):
+        petz_glue(inst)
+
+
+def test_petz_source_check_survives_optimize_flag():
+    code = (
+        "from magiclab import glue\n"
+        "inst = glue.generate_gluable_instance((2, 1, 1, 1, 1, 2), seed=3)\n"
+        "exact = glue._invsqrt_psd\n"
+        "glue._invsqrt_psd = lambda mat, cutoff: 1.01 * exact(mat, cutoff)\n"
+        "try:\n"
+        "    glue.petz_glue(inst)\n"
+        "except AssertionError as exc:\n"
+        "    print(__debug__, 'raised', exc)\n"
+        "else:\n"
+        "    print(__debug__, 'silent')\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert out.stdout.startswith("False raised recovery map misses"), out.stdout

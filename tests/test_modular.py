@@ -1,5 +1,8 @@
 """Tests for the golden-field modular data and the monomial exclusion."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -304,3 +307,12 @@ def test_scalar_rigidity_validation():
         scalar_rigidity_trial(2, np.eye(4))
     with pytest.raises(ValueError):
         scalar_rigidity_trial(3, np.eye(4))
+
+
+def test_import_leaves_scipy_optimize_unimported():
+    code = "import sys\nimport magiclab\nprint('scipy.optimize' in sys.modules)\n"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert out.stdout.strip() == "False"

@@ -236,3 +236,46 @@ def test_haar_unitary_leaves_scipy_stats_unimported():
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert out.stdout.strip() == "False"
+
+
+def _random_state(n, rng):
+    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    return sv.StateVector.from_amplitudes(amps)
+
+
+def test_entanglement_entropy_from_either_side():
+    rng = np.random.default_rng(41)
+    for n in range(2, 9):
+        v = _random_state(n, rng)
+        for _ in range(6):
+            size = int(rng.integers(1, n))
+            region = set(int(q) for q in rng.choice(n, size=size, replace=False))
+            rest = set(range(n)) - region
+            s_region = sv.entropy(sv.reduced_density(v, region))
+            s_rest = sv.entropy(sv.reduced_density(v, rest))
+            assert abs(s_region - s_rest) <= 1e-12
+            assert abs(sv.entanglement_entropy(v, region) - s_region) <= 1e-12
+            assert abs(sv.entanglement_entropy(v, rest) - s_region) <= 1e-12
+        assert abs(sv.entanglement_entropy(v, range(n))) <= 1e-12
+    with pytest.raises(ValueError, match="out of range"):
+        sv.entanglement_entropy(v, (0, 8))
+
+
+def test_mutual_information_matches_full_eigvalsh_formula():
+    rng = np.random.default_rng(43)
+    largest = 0
+    for n in range(2, 9):
+        v = _random_state(n, rng)
+        for _ in range(6):
+            order = [int(q) for q in rng.permutation(n)]
+            cut = int(rng.integers(1, n))
+            stop = int(rng.integers(cut + 1, n + 1))
+            a, b = set(order[:cut]), set(order[cut:stop])
+            full = (
+                sv.entropy(sv.reduced_density(v, a))
+                + sv.entropy(sv.reduced_density(v, b))
+                - sv.entropy(sv.reduced_density(v, a | b))
+            )
+            assert abs(sv.mutual_information(v, a, b) - full) <= 1e-12
+            largest = max(largest, 2 * len(a) - n, 2 * len(a | b) - n)
+    assert largest > 0  # some regions were larger than half the state
