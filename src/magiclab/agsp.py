@@ -8,6 +8,13 @@ zero-eigenvalue ground space of G = sum_i |1><1|_i: P(0) = 1 exactly while
 positive, so the coefficients alternate in sign and the coefficient-mass
 identity sum_k |a_k| n^k = |P(-n)| holds exactly in rational arithmetic.
 
+The exact layer runs in Python ints.  u_k(x) = (n-1)^k T_k((n+1-2x)/(n-1))
+has integer coefficients by the recurrence u_0 = 1, u_1 = n+1-2x,
+u_{k+1} = 2(n+1-2x) u_k - (n-1)^2 u_{k-1}, and P = u_m / u_m(0).  The
+polynomial is held as integer numerators over one positive common
+denominator, so every evaluation is Horner on integers with a single
+division at the end, instead of a gcd in every Fraction operation.
+
 These facts feed two depth diagnostics for states that look like
 approximate code states (orthogonal, yet locally indistinguishable up to
 epsilon on every region smaller than d):
@@ -27,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -59,11 +66,13 @@ def chebyshev(m: int, x) -> float:
 
 @dataclass(frozen=True)
 class AgspPolynomial:
-    """Exact-coefficient step-function approximant for an n-site spectrum."""
+    """Step-function approximant; ``coeffs`` equal ``numerators`` / ``denominator``."""
 
     n: int
     m: int
     coeffs: tuple
+    numerators: tuple = field(init=False, repr=False, compare=False)
+    denominator: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         coeffs = tuple(Fraction(c) for c in self.coeffs)
@@ -75,14 +84,23 @@ class AgspPolynomial:
         for k, a in enumerate(coeffs):
             if a == 0 or (a > 0) != (k % 2 == 0):
                 raise ValueError("coefficient signs must alternate")
+        den = math.lcm(*(a.denominator for a in coeffs))
+        object.__setattr__(self, "denominator", den)
+        object.__setattr__(self, "numerators", tuple(int(a * den) for a in coeffs))
+
+    def numerator_at(self, p: int, q: int = 1) -> int:
+        """q^m Q(p/q), by homogeneous Horner in integers."""
+        acc, scale = 0, 1
+        for a in reversed(self.numerators):
+            acc = acc * p + a * scale
+            scale *= q
+        return acc
 
     def evaluate(self, x) -> Fraction:
-        """Exact Horner evaluation at a rational point."""
+        """Exact value P(x) at a rational point."""
         x = Fraction(x)
-        acc = Fraction(0)
-        for a in reversed(self.coeffs):
-            acc = acc * x + a
-        return acc
+        q = x.denominator
+        return Fraction(self.numerator_at(x.numerator, q), self.denominator * q**self.m)
 
     def error_bound(self) -> float:
         """The guaranteed sup bound 2 exp(-2m/sqrt(n)) on [1, n]."""
@@ -92,37 +110,21 @@ class AgspPolynomial:
 def build_polynomial(n: int, m: int) -> AgspPolynomial:
     """Compose the affine spectral map into the Chebyshev recurrence.
 
-    Exact rationals throughout: float coefficient extraction is badly
-    conditioned already at moderate degree.
+    Runs the integer recurrence for u_k = (n-1)^k T_k((n+1-2x)/(n-1)) (see
+    the module docstring) and returns P = u_m / u_m(0). Exact throughout:
+    float coefficient extraction is badly conditioned already at moderate
+    degree.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     if not 1 <= m < n:
         raise ValueError("need 1 <= m < n")
-    # l(x) = (n + 1 - 2x)/(n - 1) maps [1, n] onto [-1, 1] and 0 to y1 > 1.
-    den = Fraction(n - 1)
-    ell = [Fraction(n + 1) / den, Fraction(-2) / den]
-
-    def times_ell(poly):
-        out = [Fraction(0)] * (len(poly) + 1)
-        for i, c in enumerate(poly):
-            out[i] += c * ell[0]
-            out[i + 1] += c * ell[1]
-        return out
-
-    prev = [Fraction(1)]
-    cur = list(ell)
+    sq = (n - 1) ** 2
+    prev, cur = [1], [n + 1, -2]
     for _ in range(m - 1):
-        nxt = [2 * c for c in times_ell(cur)]
-        for i, c in enumerate(prev):
-            nxt[i] -= c
-        prev, cur = cur, nxt
-    # scalar T_m at the image of 0, by the same recurrence
-    t_prev, t_cur = Fraction(1), ell[0]
-    for _ in range(m - 1):
-        t_prev, t_cur = t_cur, 2 * ell[0] * t_cur - t_prev
-    scale = t_cur if m >= 1 else t_prev
-    return AgspPolynomial(n, m, tuple(c / scale for c in cur))
+        nxt = zip(cur + [0], [0] + cur, prev + [0, 0])
+        prev, cur = cur, [2 * (n + 1) * a - 4 * b - sq * c for a, b, c in nxt]
+    return AgspPolynomial(n, m, tuple(Fraction(c, cur[0]) for c in cur))
 
 
 def step_error_sup(poly: AgspPolynomial) -> float:
@@ -132,8 +134,8 @@ def step_error_sup(poly: AgspPolynomial) -> float:
     continuous sup over the whole interval is attained at x = 1 and the
     integer grid already captures it. Asserts the 2 exp(-2m/sqrt(n)) bound.
     """
-    worst = max(abs(poly.evaluate(x)) for x in range(1, poly.n + 1))
-    val = float(worst)
+    worst = max(abs(poly.numerator_at(x)) for x in range(1, poly.n + 1))
+    val = float(Fraction(worst, poly.denominator))
     if not val <= poly.error_bound() + 1e-15:
         raise AssertionError(
             f"step-error bound violated at n={poly.n}, m={poly.m}: sup {val:.3e}"
@@ -150,8 +152,7 @@ def coeff_sum_identity(poly: AgspPolynomial) -> tuple:
     relative 1e-9) checks the sign-alternation reasoning end to end.
     """
     n, m = poly.n, poly.m
-    total = sum(abs(a) * Fraction(n) ** k for k, a in enumerate(poly.coeffs))
-    total = float(total)
+    total = sum(abs(a) * n**k for k, a in enumerate(poly.numerators)) / poly.denominator
     p_minus_n = abs(
         chebyshev(m, Fraction(3 * n + 1, n - 1))
         / chebyshev(m, Fraction(n + 1, n - 1))
@@ -175,7 +176,8 @@ def agsp_operator_check(n: int, m: int) -> float:
     if n > _OPERATOR_MAX_QUBITS:
         raise ValueError(f"operator check capped at {_OPERATOR_MAX_QUBITS} qubits")
     poly = build_polynomial(n, m)
-    dev = [float(abs(poly.evaluate(w) - (1 if w == 0 else 0))) for w in range(n + 1)]
+    den = poly.denominator
+    dev = [abs(poly.numerator_at(w) - den * (w == 0)) / den for w in range(n + 1)]
     weights = np.bitwise_count(np.arange(1 << n, dtype=np.uint64))
     diag_dev = np.asarray(dev)[weights]
     val = float(diag_dev.max())

@@ -32,6 +32,8 @@ from .statevec import (
 )
 
 _SUB_BLOCKS = ("A", "B1", "B2", "C1", "C2", "D")
+# entries per row block of petz_glue's Hermitian check: 16 MiB of complex128
+_BLOCK_ENTRIES = 1 << 20
 
 
 class PremiseViolation(ValueError):
@@ -297,6 +299,21 @@ def _invsqrt_psd(mat: np.ndarray, cutoff: float) -> np.ndarray:
     return (u * inv) @ u.conj().T
 
 
+def _hermitian_defect(mat: np.ndarray) -> float:
+    """Largest entry of |mat - mat*|, taken over blocks of rows.
+
+    Each block holds about _BLOCK_ENTRIES entries, so no temporary of the
+    matrix's own size is made.
+    """
+    dim = mat.shape[0]
+    rows = max(1, _BLOCK_ENTRIES // dim)
+    # np.max, not max: a NaN block must make the whole defect NaN
+    return float(np.max([
+        np.abs(mat[i : i + rows] - mat[:, i : i + rows].conj().T).max()
+        for i in range(0, dim, rows)
+    ]))
+
+
 def petz_glue(inst: GluableInstance, cutoff: float = 1e-10) -> np.ndarray:
     """Merge via the recovery map built from psi's AB marginal.
 
@@ -347,7 +364,7 @@ def petz_glue(inst: GluableInstance, cutoff: float = 1e-10) -> np.ndarray:
     if not abs(np.trace(gram).real - 1.0) <= 1e-9:
         raise AssertionError("recovered state must be normalized")
     out = w @ w.conj().T
-    if not np.abs(out - out.conj().T).max() <= 1e-9:
+    if not _hermitian_defect(out) <= 1e-9:
         raise AssertionError("recovered state must be Hermitian")
     if not np.linalg.eigvalsh(gram).min() >= -1e-9:
         raise AssertionError("recovered state must be positive semidefinite")

@@ -13,6 +13,7 @@ matrices stay monomial under conjugation by every local-unitary pair.
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -97,10 +98,13 @@ class GoldenNumber:
     def __pow__(self, exponent: int) -> "GoldenNumber":
         if not isinstance(exponent, int):
             raise TypeError("exponent must be an integer")
+        # square-and-multiply over the bits of |exponent|, high bit first
         base = self if exponent >= 0 else self.inverse()
         out = GoldenNumber(Fraction(1), Fraction(0))
-        for _ in range(abs(exponent)):
-            out = out * base
+        for bit in bin(abs(exponent))[2:]:
+            out = out * out
+            if bit == "1":
+                out = out * base
         return out
 
     def __eq__(self, other):
@@ -292,6 +296,47 @@ class MonomialCandidate:
         )
 
 
+def min_cost_assignment(cost: np.ndarray) -> np.ndarray:
+    """Column assigned to each row in a minimum-cost perfect matching.
+
+    The Hungarian method (Kuhn 1955; Munkres 1957) in its O(k^3)
+    shortest-augmenting-path form: rows enter one at a time, and row and
+    column potentials keep every reduced cost nonnegative, so each entering
+    row follows a Dijkstra search over reduced costs to a free column.
+    """
+    a = np.asarray(cost, dtype=float).tolist()
+    k = len(a)
+    u, v = [0.0] * (k + 1), [0.0] * (k + 1)
+    # owner[j] is the 1-based row holding column j; column 0 is the search root
+    owner = [0] * (k + 1)
+    for i in range(1, k + 1):
+        owner[0], j0 = i, 0
+        dist, way, done = [math.inf] * (k + 1), [0] * (k + 1), [False] * (k + 1)
+        while owner[j0]:
+            done[j0] = True
+            i0, row, delta, j1 = owner[j0], a[owner[j0] - 1], math.inf, 0
+            for j in range(1, k + 1):
+                if not done[j]:
+                    reduced = row[j - 1] - u[i0] - v[j]
+                    if reduced < dist[j]:
+                        dist[j], way[j] = reduced, j0
+                    if dist[j] < delta:
+                        delta, j1 = dist[j], j
+            for j in range(k + 1):
+                if done[j]:
+                    u[owner[j]] += delta
+                    v[j] -= delta
+                else:
+                    dist[j] -= delta
+            j0 = j1
+        while j0:  # flip the alternating path back to the root
+            owner[j0], j0 = owner[way[j0]], way[j0]
+    cols = np.empty(k, dtype=int)
+    for j in range(1, k + 1):
+        cols[owner[j] - 1] = j - 1
+    return cols
+
+
 def monomial_distance(m: np.ndarray, tol: float = 1e-9):
     """Distance of a square matrix from the nearest monomial pattern.
 
@@ -302,14 +347,11 @@ def monomial_distance(m: np.ndarray, tol: float = 1e-9):
     unit modulus and to a unit leading phase (the decomposition is exact
     only up to overall scale).
     """
-    # imported here: scipy.optimize is most of the package's import time
-    from scipy.optimize import linear_sum_assignment
-
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("need a square matrix")
     weight = np.abs(m) ** 2
-    rows, cols = linear_sum_assignment(-weight)
+    rows, cols = np.arange(m.shape[0]), min_cost_assignment(-weight)
     # Sum the off-pattern mass directly; total-minus-captured would lose
     # everything to cancellation when the matrix is already monomial.
     off = weight.copy()

@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 
 from . import _f2
@@ -95,19 +94,13 @@ def mi_asymptote() -> float:
     """Large-n limit of the two-qubit mutual information in the plus state.
 
     Closed form (3/4)log2(3) + 1 - sqrt(2) artanh(2 sqrt(2)/3) / (2 ln 2),
-    evaluated at 30 significant digits and rounded to float. Approximately
-    0.3905 bits, and strictly positive: distant qubits stay correlated no
-    matter how large the system grows.
+    evaluated at 30 significant digits and rounded to float (the tests pin
+    the literal to that evaluation; the same formula in float arithmetic
+    is 1e-15 off, from cancellation). Approximately 0.3905 bits, and
+    strictly positive: distant qubits stay correlated no matter how large
+    the system grows.
     """
-    with mpmath.workdps(30):
-        val = (
-            mpmath.mpf(3) / 4 * mpmath.log(3) / mpmath.log(2)
-            + 1
-            - mpmath.sqrt(2)
-            * mpmath.atanh(2 * mpmath.sqrt(2) / 3)
-            / (2 * mpmath.log(2))
-        )
-        return float(val)
+    return 0.39047394892657933
 
 
 def mi_numeric(n: int, pair=None) -> float:

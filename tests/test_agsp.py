@@ -189,3 +189,89 @@ def test_local_indist_scan_ratio_bounded():
     assert 0 < with_random <= 8
     with pytest.raises(ValueError):
         agsp.local_indist_scan(sv.max_qubits() + 1, 1)
+
+
+# -- the integer exact layer against the Fraction recurrence ------------------
+
+# every (n, m) cell of the exact-sweep benchmark, plus the (1024, 64) it leaves out
+SWEEP_CELLS = [(n, m) for n in (128, 256, 512, 1024) for m in (8, 16, 32, 64)]
+
+
+def fraction_coeffs(n, m):
+    """Oracle: T_m(l(x)) / T_m(l(0)), l(x) = (n+1-2x)/(n-1), all in Fractions."""
+    ell = [Fraction(n + 1, n - 1), Fraction(-2, n - 1)]
+
+    def times_ell(poly):
+        out = [Fraction(0)] * (len(poly) + 1)
+        for i, c in enumerate(poly):
+            out[i] += c * ell[0]
+            out[i + 1] += c * ell[1]
+        return out
+
+    prev, cur = [Fraction(1)], list(ell)
+    for _ in range(m - 1):
+        nxt = [2 * c for c in times_ell(cur)]
+        for i, c in enumerate(prev):
+            nxt[i] -= c
+        prev, cur = cur, nxt
+    t_prev, t_cur = Fraction(1), ell[0]
+    for _ in range(m - 1):
+        t_prev, t_cur = t_cur, 2 * ell[0] * t_cur - t_prev
+    return tuple(c / t_cur for c in cur)
+
+
+def fraction_horner(coeffs, x):
+    acc = Fraction(0)
+    for a in reversed(coeffs):
+        acc = acc * Fraction(x) + a
+    return acc
+
+
+@pytest.mark.parametrize("n,m", SWEEP_CELLS)
+def test_coeffs_match_fraction_recurrence(n, m):
+    poly = agsp.build_polynomial(n, m)
+    assert poly.coeffs == fraction_coeffs(n, m)
+    assert all(type(a) is Fraction for a in poly.coeffs)
+    assert poly.denominator > 0
+    assert all(Fraction(q, poly.denominator) == a for q, a in zip(poly.numerators, poly.coeffs))
+
+
+@pytest.mark.parametrize("n,m", [(128, 8), (128, 64), (256, 32), (512, 16), (1024, 64)])
+def test_step_error_sup_matches_fraction_horner(n, m):
+    poly = agsp.build_polynomial(n, m)
+    worst = max(abs(fraction_horner(poly.coeffs, x)) for x in range(1, n + 1))
+    assert agsp.step_error_sup(poly) == float(worst)
+
+
+def test_evaluate_at_non_integer_rationals():
+    for n, m in ((16, 4), (64, 8), (128, 16)):
+        poly = agsp.build_polynomial(n, m)
+        for x in (Fraction(1, 3), Fraction(-7, 2), Fraction(n, 7), Fraction(5, 4), 0.375):
+            assert poly.evaluate(x) == fraction_horner(poly.coeffs, x)
+
+
+def test_direct_construction_derives_the_integer_form():
+    # the numerators and denominator come from whatever coeffs arrive
+    poly = agsp.AgspPolynomial(4, 2, (1, Fraction(-3, 4), Fraction(1, 6)))
+    assert poly.denominator == 12 and poly.numerators == (12, -9, 2)
+    assert poly.evaluate(Fraction(1, 2)) == 1 - Fraction(3, 8) + Fraction(1, 24)
+    built = agsp.build_polynomial(16, 4)
+    assert agsp.AgspPolynomial(16, 4, built.coeffs) == built
+
+
+def test_integer_agsp_matches_fractions_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hyp.settings(max_examples=60, deadline=None)
+    @hyp.given(
+        st.integers(2, 60).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1))),
+        st.fractions(min_value=-100, max_value=100, max_denominator=50),
+    )
+    def check(cell, x):
+        n, m = cell
+        poly = agsp.build_polynomial(n, m)
+        assert poly.coeffs == fraction_coeffs(n, m)
+        assert poly.evaluate(x) == fraction_horner(poly.coeffs, x)
+
+    check()

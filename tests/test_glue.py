@@ -256,3 +256,55 @@ def test_petz_source_check_survives_optimize_flag():
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert out.stdout.startswith("False raised recovery map misses"), out.stdout
+
+
+def test_hermitian_defect_over_blocks_matches_full_formula(monkeypatch):
+    rng = np.random.default_rng(4)
+    monkeypatch.setattr(glue, "_BLOCK_ENTRIES", 40)  # 5 rows per block at dim 8
+    for dim in (1, 8, 13):
+        herm = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        herm = herm + herm.conj().T
+        for i, j in ((0, dim - 1), (dim - 1, dim // 2), (dim // 2, 0)):
+            mat = herm.copy()
+            mat[i, j] += 1e-6 * (1 + 1j)
+            want = np.abs(mat - mat.conj().T).max()
+            assert glue._hermitian_defect(mat) == want
+        mat = herm.copy()
+        mat[dim - 1, 0] = np.nan
+        assert np.isnan(glue._hermitian_defect(mat))
+
+
+def test_petz_hermitian_check_catches_skewed_output(monkeypatch):
+    inst = glue.generate_gluable_instance((2, 1, 1, 1, 1, 2), seed=3)
+    real = glue._hermitian_defect
+
+    def skewed(mat):
+        mat[0, -1] += 1e-6  # in place, so the returned output is skewed too
+        return real(mat)
+
+    monkeypatch.setattr(glue, "_hermitian_defect", skewed)
+    with pytest.raises(AssertionError, match="must be Hermitian"):
+        petz_glue(inst)
+
+
+def test_petz_hermitian_check_survives_optimize_flag():
+    code = (
+        "from magiclab import glue\n"
+        "inst = glue.generate_gluable_instance((2, 1, 1, 1, 1, 2), seed=3)\n"
+        "real = glue._hermitian_defect\n"
+        "def skewed(mat):\n"
+        "    mat[0, -1] += 1e-6\n"
+        "    return real(mat)\n"
+        "glue._hermitian_defect = skewed\n"
+        "try:\n"
+        "    glue.petz_glue(inst)\n"
+        "except AssertionError as exc:\n"
+        "    print(__debug__, 'raised', exc)\n"
+        "else:\n"
+        "    print(__debug__, 'silent')\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert out.stdout.startswith("False raised recovered state must be Hermitian"), out.stdout

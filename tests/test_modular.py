@@ -1,5 +1,6 @@
 """Tests for the golden-field modular data and the monomial exclusion."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from magiclab.modular import (
     double_fibonacci,
     identity_only_misses,
     lpu_search,
+    min_cost_assignment,
     monomial_distance,
     offdiag_modulus_scan,
     monomial_phase_solution,
@@ -63,6 +65,37 @@ def test_golden_division_and_powers():
         GoldenNumber(0.5, 0)
     with pytest.raises(TypeError):
         PHI_G ** 0.5
+
+
+def test_golden_power_matches_repeated_products():
+    for base in (PHI_G, GoldenNumber(Fraction(2, 3), -1), GoldenNumber(-3, Fraction(1, 5))):
+        inv = base.inverse()
+        for e in range(-6, 41):
+            want = ONE
+            for _ in range(abs(e)):
+                want = want * (base if e >= 0 else inv)
+            assert base**e == want
+
+
+def test_golden_field_axioms_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    rationals = st.fractions(min_value=-20, max_value=20, max_denominator=20)
+    golden = st.builds(GoldenNumber, rationals, rationals)
+
+    @hyp.settings(max_examples=100, deadline=None)
+    @hyp.given(golden, golden, golden, st.integers(-8, 8), st.integers(-8, 8))
+    def check(x, y, z, i, j):
+        assert x + y == y + x and x * y == y * x
+        assert (x + y) + z == x + (y + z) and (x * y) * z == x * (y * z)
+        assert x * (y + z) == x * y + x * z
+        assert x + GoldenNumber(0, 0) == x and x * ONE == x and x - x == GoldenNumber(0, 0)
+        if not x.is_zero():
+            assert x * x.inverse() == ONE
+            assert x ** (i + j) == x**i * x**j
+            assert x ** (i * j) == (x**i) ** j
+
+    check()
 
 
 # -- modular data -------------------------------------------------------------
@@ -162,6 +195,43 @@ def test_verlinde_growth_and_validation():
 
 
 # -- permutations and monomial tests ------------------------------------------
+
+def brute_force_min_cost(cost):
+    k = cost.shape[0]
+    return min(cost[np.arange(k), list(p)].sum() for p in itertools.permutations(range(k)))
+
+
+def test_min_cost_assignment_matches_brute_force():
+    rng = np.random.default_rng(7)
+    for k in range(1, 8):
+        for trial in range(6):
+            cost = rng.normal(size=(k, k))
+            if trial % 3 == 2:
+                cost = np.round(cost)  # many ties
+            cols = min_cost_assignment(cost)
+            assert sorted(cols.tolist()) == list(range(k))
+            got = cost[np.arange(k), cols].sum()
+            want = brute_force_min_cost(cost)
+            assert abs(got - want) <= 1e-15 * max(abs(want), 1.0)
+
+
+def test_min_cost_assignment_matches_scipy():
+    linear_sum_assignment = pytest.importorskip("scipy.optimize").linear_sum_assignment
+    rng = np.random.default_rng(11)
+    for k in range(1, 17):
+        for _ in range(5):
+            m = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+            m[rng.random((k, k)) < 0.3] = 0.0
+            weight = np.abs(m) ** 2
+            rows, cols = linear_sum_assignment(-weight)
+            want = weight[rows, cols].sum()
+            got = weight[np.arange(k), min_cost_assignment(-weight)].sum()
+            assert abs(got - want) <= 1e-15 * want
+            off = weight.copy()
+            off[rows, cols] = 0.0
+            dist, _ = monomial_distance(m)
+            assert abs(dist - np.sqrt(off.sum())) <= 1e-15 * np.sqrt(off.sum())
+
 
 def test_dim_preserving_perms():
     assert dim_preserving_perms(double_fibonacci().dims) == [
@@ -310,7 +380,11 @@ def test_scalar_rigidity_validation():
 
 
 def test_import_leaves_scipy_optimize_unimported():
-    code = "import sys\nimport magiclab\nprint('scipy.optimize' in sys.modules)\n"
+    # the runtime is numpy-only: neither scipy nor mpmath is loaded at all
+    code = (
+        "import sys\nimport magiclab\n"
+        "print(any(m.split('.')[0] in ('scipy', 'mpmath') for m in sys.modules))\n"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},

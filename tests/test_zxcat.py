@@ -53,6 +53,17 @@ def test_mi_asymptote_matches_frozen_value():
     assert zxcat.mi_asymptote() == val
 
 
+def test_mi_asymptote_literal_is_the_rounded_closed_form():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        val = (
+            mpmath.mpf(3) / 4 * mpmath.log(3) / mpmath.log(2)
+            + 1
+            - mpmath.sqrt(2) * mpmath.atanh(2 * mpmath.sqrt(2) / 3) / (2 * mpmath.log(2))
+        )
+        assert zxcat.mi_asymptote() == float(val)
+
+
 def test_mi_numeric_converges_and_is_positive():
     assert abs(zxcat.mi_numeric(12) - zxcat.mi_asymptote()) < 0.02
     for n in range(2, 13):
