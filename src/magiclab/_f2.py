@@ -15,12 +15,22 @@ def dot(a: int, b: int) -> int:
 
 def rank(rows: list[int]) -> int:
     """Rank of the span of the given rows."""
+    return len(independent(rows))
+
+
+def independent(rows: list[int]) -> list[int]:
+    """Indices of the rows not in the span of the rows before them.
+
+    The selected rows form a basis of the span of all the rows.
+    """
     basis: dict[int, int] = {}
-    for row in rows:
+    out = []
+    for i, row in enumerate(rows):
         row = _reduce(row, basis)
         if row:
             basis[row.bit_length() - 1] = row
-    return len(basis)
+            out.append(i)
+    return out
 
 
 def left_kernel(rows: list[int]) -> list[int]:

@@ -179,17 +179,15 @@ _X_BRAS = (
 )
 
 
-def adaptive_run(n: int, seed: int = 0) -> AdaptiveRunRecord:
-    """Sample one shot of the adaptive preparation protocol.
-
-    Builds the 2n-qubit pre-measurement state, measures each ancilla in the
-    X basis by Born sampling, and returns the outcome record together with
-    the renormalized data register.
-    """
+def _premeasurement_state(n: int) -> StateVector:
+    """The 2n-qubit state of `adaptive_circuit` applied to |0^{2n}>."""
     if 2 * n > max_qubits():
         raise ValueError("2n exceeds the dense-simulation cap")
-    rng = np.random.default_rng(seed)
-    v = apply_circuit(adaptive_circuit(n), StateVector.basis_state(2 * n, 0))
+    return apply_circuit(adaptive_circuit(n), StateVector.basis_state(2 * n, 0))
+
+
+def _measure_ancillas(v: StateVector, n: int, rng) -> AdaptiveRunRecord:
+    """Born-sample X-basis outcomes of ancillas 0..n-1 of a pre-measurement state."""
     outcomes = []
     # peel ancillas from the top so remaining indices stay put
     for anc in range(n - 1, -1, -1):
@@ -211,18 +209,33 @@ def adaptive_run(n: int, seed: int = 0) -> AdaptiveRunRecord:
     )
 
 
+def adaptive_run(n: int, seed: int = 0) -> AdaptiveRunRecord:
+    """Sample one shot of the adaptive preparation protocol.
+
+    Builds the 2n-qubit pre-measurement state, measures each ancilla in the
+    X basis by Born sampling, and returns the outcome record together with
+    the renormalized data register.
+    """
+    v = _premeasurement_state(n)
+    return _measure_ancillas(v, n, np.random.default_rng(seed))
+
+
 def adaptive_shots(n: int, trials: int, seed: int = 0) -> list:
     """Shots of the adaptive protocol at seeds seed .. seed + trials - 1.
 
     Returns (record, overlap) pairs; the overlap is taken against the cat
     the shot should have collapsed to: plus when accepted, minus otherwise.
+    The pre-measurement state does not depend on the seed, so it is built
+    once and every shot measures it with its own generator, which gives
+    each shot the record of `adaptive_run(n, seed + t)`.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     targets = {True: build(n, "plus"), False: build(n, "minus")}
+    v = _premeasurement_state(n)
     shots = []
     for t in range(trials):
-        record = adaptive_run(n, seed=seed + t)
+        record = _measure_ancillas(v, n, np.random.default_rng(seed + t))
         shots.append((record, pure_overlap(record.post_state, targets[record.accepted])))
     return shots
 

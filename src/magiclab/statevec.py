@@ -41,6 +41,7 @@ CX4 = np.array(
     [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex
 )
 CZ4 = np.diag([1, 1, 1, -1]).astype(complex)
+_I_POWERS = (1.0 + 0j, 1j, -1.0 + 0j, -1j)
 
 
 def max_qubits() -> int:
@@ -401,9 +402,15 @@ def pauli_expectation(v: StateVector, p: PauliString) -> float:
 def to_statevector(s: StabilizerState) -> StateVector:
     """Dense vector of a stabilizer state.
 
-    Seeds the projector product with a computational basis state chosen
-    by solving the sign constraints of the diagonal (x = 0) subgroup
-    over F2, which guarantees a nonzero projection in one pass.
+    Seeds with a computational basis state |b> chosen by solving the sign
+    constraints of the diagonal (x = 0) subgroup D over F2, so every
+    element of D fixes |b>.  Generators h_1..h_k with independent x-parts
+    then reach each coset of D exactly once, and the state is proportional
+    to the sum of h^m|b> over m in F2^k (the projector product of all n
+    generators applied to |b>, up to the factor |D|/2^n).  The support is
+    filled by doubling: h = s i^|x&z| X^x Z^z sends the amplitude a at idx
+    to s i^|x&z| (-1)^(z.idx) a at idx ^ x.  All values are exact, so the
+    normalized result is the one the projector product gives.
     """
     n = s.n
     _check_dense(n)
@@ -417,10 +424,16 @@ def to_statevector(s: StabilizerState) -> StateVector:
     b = _f2.solve(equations)
     if b is None:
         raise AssertionError("inconsistent stabilizer signs")
+    idx = np.array([b], dtype=np.uint64)
+    vals = np.ones(1, dtype=complex)
+    for i in _f2.independent(x_rows):
+        g, sign = s.generators[i], s.signs[i]
+        coeff = sign * _I_POWERS[(g.x & g.z).bit_count() % 4]
+        par = np.bitwise_count(idx & np.uint64(g.z)) & 1
+        vals = np.concatenate((vals, coeff * (1.0 - 2.0 * par) * vals))
+        idx = np.concatenate((idx, idx ^ np.uint64(g.x)))
     state = np.zeros(2**n, dtype=complex)
-    state[b] = 1.0
-    for word, sign in zip(s.generators, s.signs):
-        state = (state + sign * _word_action(state, word)) / 2.0
+    state[idx] = vals
     return StateVector.from_amplitudes(state, normalize=True)
 
 

@@ -21,7 +21,7 @@ Generator that drives ``random_clifford``. Dense cross-checks live in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -136,15 +136,20 @@ def pauli_product(p: PauliString, q: PauliString) -> PauliString:
     return PauliString(p.n, x3, z3, (p.phase + q.phase + k) % 4)
 
 
-def commutes(p: PauliString, q: PauliString) -> bool:
-    """True iff p and q commute (symplectic form vanishes)."""
-    if p.n != q.n:
-        raise ValueError("size mismatch")
-    return ((p.x & q.z).bit_count() + (p.z & q.x).bit_count()) % 2 == 0
+def _form(a: int, b: int, n: int) -> int:
+    """Symplectic form (0 or 1) of two packed rows x | z << n."""
+    return ((a & (b >> n)).bit_count() + ((a >> n) & b).bit_count()) & 1
 
 
 def _symplectic_row(p: PauliString) -> int:
     return p.x | (p.z << p.n)
+
+
+def commutes(p: PauliString, q: PauliString) -> bool:
+    """True iff p and q commute (symplectic form vanishes)."""
+    if p.n != q.n:
+        raise ValueError("size mismatch")
+    return not _form(_symplectic_row(p), _symplectic_row(q), p.n)
 
 
 @dataclass(frozen=True)
@@ -162,12 +167,13 @@ class StabilizerState:
             raise ValueError("signs must be +1 or -1")
         if any(g.phase != 0 for g in self.generators):
             raise ValueError("generator words must carry phase 0")
-        gens = self.generators
+        if any(g.n != self.n for g in self.generators):
+            raise ValueError("size mismatch")
+        rows = [_symplectic_row(g) for g in self.generators]
         for i in range(self.n):
             for j in range(i + 1, self.n):
-                if not commutes(gens[i], gens[j]):
+                if _form(rows[i], rows[j], self.n):
                     raise ValueError(f"generators {i} and {j} anticommute")
-        rows = [_symplectic_row(g) for g in gens]
         if _f2.rank(rows) != self.n:
             raise ValueError("generators are not independent")
 
@@ -265,24 +271,39 @@ class CliffordMap:
     n: int
     x_images: tuple[PauliString, ...]
     z_images: tuple[PauliString, ...]
+    # (x, z, e) per image of X_0..X_{n-1}, Z_0..Z_{n-1}, with the image
+    # written as i^e X^x Z^z; derived from the images, so not compared
+    _rows: tuple[tuple[int, int, int], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
-        if len(self.x_images) != self.n or len(self.z_images) != self.n:
+        n = self.n
+        if len(self.x_images) != n or len(self.z_images) != n:
             raise ValueError("need n images for X and for Z")
-        for img in self.x_images + self.z_images:
-            if img.n != self.n:
+        images = self.x_images + self.z_images
+        for img in images:
+            if img.n != n:
                 raise ValueError("image size mismatch")
             if not img.is_hermitian:
                 raise ValueError("images must be Hermitian")
-        for i in range(self.n):
-            for j in range(self.n):
-                if not commutes(self.x_images[i], self.x_images[j]):
+        xs = [_symplectic_row(img) for img in self.x_images]
+        zs = [_symplectic_row(img) for img in self.z_images]
+        for i in range(n):
+            for j in range(n):
+                # X-X and Z-Z are symmetric and trivial on the diagonal, so
+                # j > i covers them in the order a full sweep meets them
+                if j > i and _form(xs[i], xs[j], n):
                     raise ValueError("X images must commute pairwise")
-                if not commutes(self.z_images[i], self.z_images[j]):
+                if j > i and _form(zs[i], zs[j], n):
                     raise ValueError("Z images must commute pairwise")
-                want = i != j
-                if commutes(self.x_images[i], self.z_images[j]) != want:
+                if _form(xs[i], zs[j], n) != (i == j):
                     raise ValueError("X/Z image pairing broken")
+        rows = tuple(
+            (img.x, img.z, (img.phase + (img.x & img.z).bit_count()) % 4)
+            for img in images
+        )
+        object.__setattr__(self, "_rows", rows)
 
     @classmethod
     def identity(cls, n: int) -> "CliffordMap":
@@ -290,58 +311,61 @@ class CliffordMap:
         zs = tuple(PauliString.single(n, q, "Z") for q in range(n))
         return cls(n, xs, zs)
 
+    def _conj(self, x: int, z: int, phase: int) -> tuple[int, int, int]:
+        """Image of i^phase W(x, z) under C . C^dagger, as (x, z, phase).
+
+        i^phase W(x, z) = i^(phase + |x & z|) X^x Z^z, and the images of
+        X^x and Z^z are the ordered products of the images of X_q and Z_q.
+        In the X^a Z^b form a product only picks up the sign (-1)^|b & a'|
+        of moving Z^b past X^a'.
+        """
+        rows = self._rows
+        ax = az = 0
+        e = phase + (x & z).bit_count()
+        for bits, offset in ((x, 0), (z, self.n)):
+            while bits:
+                low = bits & -bits
+                bx, bz, be = rows[offset + low.bit_length() - 1]
+                e += be + 2 * (az & bx).bit_count()
+                ax ^= bx
+                az ^= bz
+                bits ^= low
+        return ax, az, (e - (ax & az).bit_count()) % 4
+
     def conjugate(self, p: PauliString) -> PauliString:
         """Image C P C^dagger, with exact phase."""
         if p.n != self.n:
             raise ValueError("size mismatch")
-        # P = i^(phase + |x & z|) * prod_q X_q^(x_q) * prod_q Z_q^(z_q)
-        acc = PauliString(self.n, 0, 0, (p.phase + (p.x & p.z).bit_count()) % 4)
-        for q in range(self.n):
-            if p.x >> q & 1:
-                acc = pauli_product(acc, self.x_images[q])
-        for q in range(self.n):
-            if p.z >> q & 1:
-                acc = pauli_product(acc, self.z_images[q])
-        return acc
+        return PauliString(self.n, *self._conj(p.x, p.z, p.phase))
 
     def adjoint(self) -> "CliffordMap":
-        """Tableau of the inverse unitary."""
+        """Tableau of the inverse unitary.
+
+        The symplectic inverse is M^-1 = Omega M^T Omega, with M the
+        2n x 2n bit matrix whose rows are the packed images and Omega the
+        swap of the x and z halves: row r of M^-1 is column rbar of M with
+        its halves swapped.  The sign of each row is the one that makes
+        C map it back to +X_q or +Z_q.
+        """
         n = self.n
-        rows = [_symplectic_row(img) for img in self.x_images]
-        rows += [_symplectic_row(img) for img in self.z_images]
-
-        def bit(r: int, c: int) -> int:
-            return rows[r] >> c & 1
-
-        # Symplectic inverse: M^-1 = Omega M^T Omega with Omega swapping
-        # the x and z halves; entry (r, c) of M^-1 is M[cbar][rbar].
-        def inv_row(r: int) -> tuple[int, int]:
-            rbar = r + n if r < n else r - n
-            x = z = 0
-            for c in range(2 * n):
-                cbar = c + n if c < n else c - n
-                if bit(cbar, rbar):
-                    if c < n:
-                        x |= 1 << c
-                    else:
-                        z |= 1 << (c - n)
-            return x, z
-
-        def signed_preimage(r: int, target: PauliString) -> PauliString:
-            x, z = inv_row(r)
-            word = PauliString(n, x, z, 0)
-            back = self.conjugate(word)
-            if (back.x, back.z) != (target.x, target.z):
+        low = (1 << n) - 1
+        cols = [0] * (2 * n)
+        for r, (x, z, _) in enumerate(self._rows):
+            bits = x | z << n
+            while bits:
+                lsb = bits & -bits
+                cols[lsb.bit_length() - 1] |= 1 << r
+                bits ^= lsb
+        images = []
+        for r in range(2 * n):
+            col = cols[(r + n) % (2 * n)]
+            x, z = col >> n, col & low
+            bx, bz, phase = self._conj(x, z, 0)
+            # packed, X_q is bit q and Z_q is bit n + q
+            if bx | bz << n != 1 << r:
                 raise AssertionError("symplectic inversion failed")
-            return PauliString(n, x, z, (-back.phase) % 4)
-
-        xs = tuple(
-            signed_preimage(q, PauliString.single(n, q, "X")) for q in range(n)
-        )
-        zs = tuple(
-            signed_preimage(n + q, PauliString.single(n, q, "Z")) for q in range(n)
-        )
-        return CliffordMap(n, xs, zs)
+            images.append(PauliString(n, x, z, -phase % 4))
+        return CliffordMap(n, tuple(images[:n]), tuple(images[n:]))
 
 
 def apply_clifford(c: CliffordMap, s: StabilizerState) -> StabilizerState:
@@ -350,47 +374,12 @@ def apply_clifford(c: CliffordMap, s: StabilizerState) -> StabilizerState:
         raise ValueError("size mismatch")
     words, signs = [], []
     for g, sign in zip(s.generators, s.signs):
-        img = c.conjugate(g)
-        words.append(img.word())
-        signs.append(sign * img.sign)
+        x, z, phase = c._conj(g.x, g.z, 0)
+        if phase not in (0, 2):
+            raise ValueError("sign undefined for non-Hermitian phase")
+        words.append(PauliString(s.n, x, z, 0))
+        signs.append(sign if phase == 0 else -sign)
     return StabilizerState(s.n, tuple(words), tuple(signs))
-
-
-# -- elementary H/S/CX conjugations, the gate-level reference for tests ---
-
-def _conj_h(xs, zs, ph, q):
-    for i in range(len(xs)):
-        xb = xs[i] >> q & 1
-        zb = zs[i] >> q & 1
-        if xb & zb:
-            ph[i] = (ph[i] + 2) % 4
-        if xb ^ zb:
-            xs[i] ^= 1 << q
-            zs[i] ^= 1 << q
-
-
-def _conj_s(xs, zs, ph, q):
-    for i in range(len(xs)):
-        xb = xs[i] >> q & 1
-        zb = zs[i] >> q & 1
-        if xb & zb:
-            ph[i] = (ph[i] + 2) % 4
-        if xb:
-            zs[i] ^= 1 << q
-
-
-def _conj_cx(xs, zs, ph, c, t):
-    for i in range(len(xs)):
-        xc = xs[i] >> c & 1
-        zc = zs[i] >> c & 1
-        xt = xs[i] >> t & 1
-        zt = zs[i] >> t & 1
-        if xc & zt & (xt ^ zc ^ 1):
-            ph[i] = (ph[i] + 2) % 4
-        if xc:
-            xs[i] ^= 1 << t
-        if zt:
-            zs[i] ^= 1 << c
 
 
 def random_clifford(n: int, rng) -> CliffordMap:
@@ -413,17 +402,13 @@ def random_clifford(n: int, rng) -> CliffordMap:
     nbytes = (2 * n + 7) // 8
     pairs: list[tuple[int, int]] = []
 
-    def form(a: int, b: int) -> int:
-        # symplectic form of packed rows x | z << n
-        return ((a & (b >> n)).bit_count() + ((a >> n) & b).bit_count()) & 1
-
     def project(u: int) -> int:
         # onto the complement of the earlier pairs; a linear surjection, so
         # it maps uniform bits to a uniform vector of the complement
         for v, w in pairs:
-            if form(u, w):
+            if _form(u, w, n):
                 u ^= v
-            if form(u, v):
+            if _form(u, v, n):
                 u ^= w
         return u
 
@@ -435,7 +420,7 @@ def random_clifford(n: int, rng) -> CliffordMap:
         while not v:
             v = draw()
         w = draw()
-        while not form(v, w):
+        while not _form(v, w, n):
             w = draw()
         pairs.append((v, w))
     signs = int.from_bytes(rng.bytes(nbytes), "little")

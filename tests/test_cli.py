@@ -271,3 +271,34 @@ def test_premise_violation_in_a_check_exits_one(monkeypatch, capsys):
     assert main(["glue", "run", "--trials", "1", "--seed", "5"]) == 1
     err = capsys.readouterr().err
     assert "check failed: glue seed 5: BC marginals differ" in err
+
+
+def test_cli_verlinde_beyond_float_range(capsys):
+    assert main(["modular", "verlinde", "--genus", "377"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    golden = record["observed"]["golden"]
+    assert record["observed"]["value"] is None and record["pass"] is True
+    # dims 1, phi, phi, phi^2 give 5^(g-1) L_(g-1)^2 at odd g (L = Lucas numbers)
+    lucas = [2, 1]
+    while len(lucas) <= 376:
+        lucas.append(lucas[-1] + lucas[-2])
+    assert (int(golden["a"]), int(golden["b"])) == (5**376 * lucas[376] ** 2, 0)
+    assert len(golden["a"]) == 420
+
+
+def _without_runtime(node):
+    if isinstance(node, dict):
+        return {k: _without_runtime(v) for k, v in node.items() if k != "runtime_ms"}
+    if isinstance(node, list):
+        return [_without_runtime(v) for v in node]
+    return node
+
+
+def test_all_seed0_matches_committed_reports(capsys):
+    # A change that moves any report value on purpose (say, a new RNG
+    # stream) regenerates tests/data/all_seed0.json and says why.
+    path = os.path.join(os.path.dirname(__file__), "data", "all_seed0.json")
+    with open(path) as fh:
+        want = json.load(fh)
+    assert main(["all", "--seed", "0"]) == 0
+    assert _without_runtime(json.loads(capsys.readouterr().out)) == want

@@ -300,12 +300,15 @@ def test_bell_validation():
 
 
 def test_shot_loops_follow_consecutive_seeds():
-    shots = adaptive_shots(3, trials=5, seed=7)
-    assert len(shots) == 5
-    for t, (record, overlap) in enumerate(shots):
-        single = adaptive_run(3, seed=7 + t)
-        assert record.outcomes == single.outcomes
-        assert overlap >= 1.0 - 1e-10  # collapsed onto the plus or minus cat
+    for n, trials, seed in ((3, 5, 7), (1, 4, 0), (5, 6, 101), (7, 3, 9)):
+        shots = adaptive_shots(n, trials=trials, seed=seed)
+        assert len(shots) == trials
+        for t, (record, overlap) in enumerate(shots):
+            single = adaptive_run(n, seed=seed + t)
+            assert record.outcomes == single.outcomes
+            assert (record.parity, record.accepted) == (single.parity, single.accepted)
+            assert np.array_equal(record.post_state.amps, single.post_state.amps)
+            assert overlap >= 1.0 - 1e-10  # collapsed onto the plus or minus cat
     for t, (accepted, state, overlap) in enumerate(bell_shots(2, trials=6, seed=4)):
         single_accepted, single_state = bell_protocol_run(2, seed=4 + t)
         assert accepted == single_accepted
@@ -313,3 +316,6 @@ def test_shot_loops_follow_consecutive_seeds():
         assert (overlap is None) == (not accepted)
     with pytest.raises(ValueError):
         adaptive_shots(3, trials=0)
+    with pytest.raises(ValueError, match="dense-simulation cap"):
+        adaptive_shots(8, trials=2)
+

@@ -182,6 +182,42 @@ def test_to_statevector_satisfies_generators():
             assert val == pytest.approx(sign, abs=1e-10)
 
 
+
+def projector_statevector(s):
+    """Reference stabilizer->dense route: n projector passes (1 + g)/2 on |b>."""
+    from magiclab import _f2
+
+    x_rows = [g.x for g in s.generators]
+    equations = []
+    for tag in _f2.left_kernel(x_rows):
+        word, sign = s.element(tag)
+        assert word.x == 0
+        equations.append((word.z, 0 if sign == 1 else 1))
+    b = _f2.solve(equations)
+    state = np.zeros(2**s.n, dtype=complex)
+    state[b] = 1.0
+    idx = np.arange(2**s.n, dtype=np.uint64)
+    for word, sign in zip(s.generators, s.signs):
+        src = idx ^ np.uint64(word.x)
+        par = (np.bitwise_count(src & np.uint64(word.z)) & 1).astype(np.int64)
+        k = (word.x & word.z).bit_count() % 4
+        moved = (1j**k) * ((-1.0) ** par) * state[src]
+        state = (state + sign * moved) / 2.0
+    return sv.StateVector.from_amplitudes(state, normalize=True)
+
+
+def test_to_statevector_equals_projector_product_exactly():
+    rng = np.random.default_rng(27)
+    for n in range(1, 13):
+        states = [sp.StabilizerState.zero_state(n), sp.StabilizerState.plus_state(n)]
+        for _ in range(6 if n <= 8 else 2):
+            c = sp.random_clifford(n, rng)
+            states.append(sp.apply_clifford(c, states[int(rng.integers(0, 2))]))
+        for s in states:
+            got = sv.to_statevector(s).amps
+            assert np.array_equal(got, projector_statevector(s).amps), n
+
+
 def test_project_out_bell():
     bell = sv.StateVector.from_amplitudes([1, 0, 0, 1])
     post, prob = sv.project_out(bell, [0], np.array([1, 0]))

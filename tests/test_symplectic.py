@@ -1,6 +1,9 @@
 """Exact Pauli/stabilizer algebra against dense matrix oracles."""
 
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -66,6 +69,43 @@ def test_weight_and_support():
     assert p.support == (0, 2, 3)
 
 
+# -- elementary H/S/CX conjugations, the gate-level reference -------------
+
+def _conj_h(xs, zs, ph, q):
+    for i in range(len(xs)):
+        xb = xs[i] >> q & 1
+        zb = zs[i] >> q & 1
+        if xb & zb:
+            ph[i] = (ph[i] + 2) % 4
+        if xb ^ zb:
+            xs[i] ^= 1 << q
+            zs[i] ^= 1 << q
+
+
+def _conj_s(xs, zs, ph, q):
+    for i in range(len(xs)):
+        xb = xs[i] >> q & 1
+        zb = zs[i] >> q & 1
+        if xb & zb:
+            ph[i] = (ph[i] + 2) % 4
+        if xb:
+            zs[i] ^= 1 << q
+
+
+def _conj_cx(xs, zs, ph, c, t):
+    for i in range(len(xs)):
+        xc = xs[i] >> c & 1
+        zc = zs[i] >> c & 1
+        xt = xs[i] >> t & 1
+        zt = zs[i] >> t & 1
+        if xc & zt & (xt ^ zc ^ 1):
+            ph[i] = (ph[i] + 2) % 4
+        if xc:
+            xs[i] ^= 1 << t
+        if zt:
+            zs[i] ^= 1 << c
+
+
 def test_elementary_conjugations_match_dense():
     from magiclab.statevec import CX4, H2, I2, S2
 
@@ -81,15 +121,15 @@ def test_elementary_conjugations_match_dense():
         for (kind, q), u in embeds.items():
             xs, zs, ph = [p.x], [p.z], [p.phase]
             if kind == "h":
-                sp._conj_h(xs, zs, ph, q)
+                _conj_h(xs, zs, ph, q)
             else:
-                sp._conj_s(xs, zs, ph, q)
+                _conj_s(xs, zs, ph, q)
             got = pauli_matrix(sp.PauliString(2, xs[0], zs[0], ph[0]))
             want = u @ pauli_matrix(p) @ u.conj().T
             assert np.abs(got - want).max() < 1e-12, (kind, q, p)
         # CX with control 0, target 1 (matches CX4's convention)
         xs, zs, ph = [p.x], [p.z], [p.phase]
-        sp._conj_cx(xs, zs, ph, 0, 1)
+        _conj_cx(xs, zs, ph, 0, 1)
         got = pauli_matrix(sp.PauliString(2, xs[0], zs[0], ph[0]))
         want = CX4 @ pauli_matrix(p) @ CX4.conj().T
         assert np.abs(got - want).max() < 1e-12, ("cx", p)
@@ -270,3 +310,138 @@ def test_stabilizer_state_validation():
             (sp.PauliString.from_text("ZI"), sp.PauliString.from_text("ZI")),
             (1, 1),
         )  # dependent
+
+
+# -- int kernels against per-PauliString references ---------------------------
+
+def conjugate_by_products(c, p):
+    """Reference C P C^dagger: one pauli_product per image of X_q and Z_q."""
+    acc = sp.PauliString(c.n, 0, 0, (p.phase + (p.x & p.z).bit_count()) % 4)
+    for q in range(c.n):
+        if p.x >> q & 1:
+            acc = sp.pauli_product(acc, c.x_images[q])
+    for q in range(c.n):
+        if p.z >> q & 1:
+            acc = sp.pauli_product(acc, c.z_images[q])
+    return acc
+
+
+def adjoint_by_bits(c):
+    """Reference inverse tableau, entry by entry from M^-1 = Omega M^T Omega."""
+    n = c.n
+    rows = [img.x | img.z << n for img in c.x_images + c.z_images]
+    images = []
+    for r in range(2 * n):
+        rbar = r + n if r < n else r - n
+        x = z = 0
+        for col in range(2 * n):
+            cbar = col + n if col < n else col - n
+            if rows[cbar] >> rbar & 1:
+                if col < n:
+                    x |= 1 << col
+                else:
+                    z |= 1 << (col - n)
+        back = conjugate_by_products(c, sp.PauliString(n, x, z, 0))
+        images.append(sp.PauliString(n, x, z, -back.phase % 4))
+    return sp.CliffordMap(n, tuple(images[:n]), tuple(images[n:]))
+
+
+def test_conj_kernel_matches_product_loop_with_phases():
+    rng = np.random.default_rng(22)
+    for _ in range(60):
+        n = int(rng.integers(1, 12))
+        c = sp.random_clifford(n, rng)
+        for _ in range(8):
+            p = random_pauli(n, rng)
+            want = conjugate_by_products(c, p)
+            assert c._conj(p.x, p.z, p.phase) == (want.x, want.z, want.phase)
+            assert c.conjugate(p) == want
+
+
+def test_apply_clifford_matches_product_loop():
+    rng = np.random.default_rng(23)
+    for _ in range(30):
+        n = int(rng.integers(1, 10))
+        c = sp.random_clifford(n, rng)
+        s = random_stabilizer_state(n, rng)
+        out = sp.apply_clifford(c, s)
+        for g, sign, img, img_sign in zip(s.generators, s.signs, out.generators, out.signs):
+            want = conjugate_by_products(c, g)
+            assert img == want.word() and img_sign == sign * want.sign
+
+
+def test_adjoint_matches_bitwise_construction_and_inverts():
+    rng = np.random.default_rng(24)
+    for _ in range(40):
+        n = int(rng.integers(1, 12))
+        c = sp.random_clifford(n, rng)
+        adj = c.adjoint()
+        assert adj == adjoint_by_bits(c)
+        basis = [sp.PauliString.single(n, q, letter) for q in range(n) for letter in "XZ"]
+        for p in basis:
+            assert adj.conjugate(c.conjugate(p)) == p
+            assert c.conjugate(adj.conjugate(p)) == p
+        assert adj.adjoint() == c
+
+
+def test_adjoint_inversion_check_survives_optimize():
+    # corrupting the packed rows behind the images makes C map the inverse
+    # rows elsewhere; the round trip must raise in every interpreter mode
+    code = (
+        "from magiclab import symplectic as sp\n"
+        "c = sp.random_clifford(3, 5)\n"
+        "rows = list(c._rows)\n"
+        "rows[0] = (rows[0][0] ^ 1, rows[0][1], rows[0][2])\n"
+        "object.__setattr__(c, '_rows', tuple(rows))\n"
+        "try:\n"
+        "    c.adjoint()\n"
+        "except AssertionError as exc:\n"
+        "    print(__debug__, 'raised', exc)\n"
+        "else:\n"
+        "    print(__debug__, 'silent')\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert out.stdout.strip() == "False raised symplectic inversion failed", out.stdout
+
+
+def test_validators_keep_their_messages():
+    xs = tuple(sp.PauliString.from_text(t) for t in ("XI", "ZI"))
+    zs = tuple(sp.PauliString.from_text(t) for t in ("ZI", "IZ"))
+    with pytest.raises(ValueError, match="X images must commute pairwise"):
+        sp.CliffordMap(2, xs, zs)
+    xs = tuple(sp.PauliString.from_text(t) for t in ("XI", "IX"))
+    zs = tuple(sp.PauliString.from_text(t) for t in ("ZI", "XZ"))
+    with pytest.raises(ValueError, match="Z images must commute pairwise"):
+        sp.CliffordMap(2, xs, zs)
+    zs = tuple(sp.PauliString.from_text(t) for t in ("IZ", "ZI"))
+    with pytest.raises(ValueError, match="X/Z image pairing broken"):
+        sp.CliffordMap(2, xs, zs)
+    gens = tuple(sp.PauliString.from_text(t) for t in ("ZII", "IZI", "XII"))
+    with pytest.raises(ValueError, match="generators 0 and 2 anticommute"):
+        sp.StabilizerState(3, gens, (1, 1, 1))
+    with pytest.raises(ValueError, match="size mismatch"):
+        sp.StabilizerState(2, tuple(sp.PauliString.from_text(t) for t in ("ZII", "IZI")), (1, 1))
+
+
+def test_pauli_product_matches_dense_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def pauli_pairs(draw):
+        n = draw(st.integers(1, 6))
+        words = st.tuples(st.integers(0, 2**n - 1), st.integers(0, 2**n - 1), st.integers(0, 3))
+        (x1, z1, k1), (x2, z2, k2) = draw(words), draw(words)
+        return sp.PauliString(n, x1, z1, k1), sp.PauliString(n, x2, z2, k2)
+
+    @hyp.settings(max_examples=150, deadline=None)
+    @hyp.given(pauli_pairs())
+    def check(pair):
+        p, q = pair
+        want = pauli_matrix(p) @ pauli_matrix(q)
+        assert np.array_equal(pauli_matrix(sp.pauli_product(p, q)), want)
+
+    check()
