@@ -85,6 +85,8 @@ def _zxcat_build(args) -> int:
 
 
 def _agsp_sweep(args) -> int:
+    if _get(args, "out"):
+        raise ValueError("agsp sweep writes CSV, not JSON: use --csv PATH")
     rows = agsp_sweep(_int_list(args.n_list), _int_list(args.m_list))
     fields = ("n", "m", "sup_error", "bound", "coeff_sum", "p_minus_n")
     if args.csv:

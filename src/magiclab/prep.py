@@ -13,6 +13,7 @@ Three independent routes to the same family:
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .statevec import (
     apply_gate,
     LayeredCircuit,
     max_qubits,
-    partial_inner,
+    measure,
     pauli_matrix,
     pure_overlap,
 )
@@ -191,13 +192,7 @@ def _measure_ancillas(v: StateVector, n: int, rng) -> AdaptiveRunRecord:
     outcomes = []
     # peel ancillas from the top so remaining indices stay put
     for anc in range(n - 1, -1, -1):
-        post_plus, p_plus = partial_inner(v, (anc,), _X_BRAS[0])
-        if rng.random() < p_plus:
-            bit, post, prob = 0, post_plus, p_plus
-        else:
-            post_minus, p_minus = partial_inner(v, (anc,), _X_BRAS[1])
-            bit, post, prob = 1, post_minus, p_minus
-        v = StateVector(v.n - 1, post / np.sqrt(prob))
+        bit, v, _ = measure(v, (anc,), _X_BRAS, rng)
         outcomes.append(bit)
     outcomes.reverse()
     parity = 1 if sum(outcomes) % 2 == 0 else -1
@@ -391,38 +386,18 @@ _BELL_BRAS = {
 }
 
 
+@cache
 def _site_state() -> np.ndarray:
-    """Site tensor as a 3-qubit state: physical, left leg, right leg."""
+    """Site tensor as a 3-qubit state (physical, left leg, right leg), built once."""
     mats = mps_tensors().blocks()
     amps = np.zeros(8, dtype=complex)
     for a in range(2):
         for i in range(2):
             for j in range(2):
                 amps[a + 2 * i + 4 * j] = mats[a][i, j]
-    return amps / np.linalg.norm(amps)
-
-
-def _measure(v, targets, bras, rng, forced=None):
-    """Born-sample one projective outcome from `bras` on `targets`.
-
-    Returns (choice index, renormalized post state). A forced choice skips
-    the sampling but still fails loudly on a zero-probability branch.
-    """
-    probs = []
-    posts = []
-    for bra in bras:
-        post, prob = partial_inner(v, targets, bra)
-        probs.append(prob)
-        posts.append(post)
-    probs = np.array(probs)
-    if forced is None:
-        choice = int(rng.choice(len(bras), p=probs / probs.sum()))
-    else:
-        choice = forced
-        if probs[choice] < 1e-14:
-            raise ValueError("forced outcome has zero probability")
-    post = posts[choice] / np.sqrt(probs[choice])
-    return choice, StateVector(v.n - len(targets), post)
+    amps /= np.linalg.norm(amps)
+    amps.flags.writeable = False
+    return amps
 
 
 def bell_protocol_run(n, seed=0, bonds=None, boundaries=None):
@@ -462,19 +437,17 @@ def bell_protocol_run(n, seed=0, bonds=None, boundaries=None):
 
     # measure from the highest qubit indices down so lower ones stay put
     right_forced = None if boundaries is None else int(boundaries[1])
-    right_bit, v = _measure(
-        v, (3 * n - 1,), _X_BRAS, rng, forced=right_forced
-    )
+    right_bit, v, _ = measure(v, (3 * n - 1,), _X_BRAS, rng, forced=right_forced)
     bond_labels = []
     bell_bras = [_BELL_BRAS[c] for c in BELL_LABELS]
     for k in range(n - 2, -1, -1):
         pair = (3 * k + 2, 3 * (k + 1) + 1)  # right leg of k, left leg of k+1
         forced = None if bonds is None else BELL_LABELS.index(bonds[k])
-        choice, v = _measure(v, pair, bell_bras, rng, forced=forced)
+        choice, v, _ = measure(v, pair, bell_bras, rng, forced=forced)
         bond_labels.append(BELL_LABELS[choice])
     bond_labels.reverse()
     left_forced = None if boundaries is None else int(boundaries[0])
-    left_bit, v = _measure(v, (1,), _X_BRAS, rng, forced=left_forced)
+    left_bit, v, _ = measure(v, (1,), _X_BRAS, rng, forced=left_forced)
 
     # push byproducts left to right through the push relations
     h_flags = [0] * n

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -28,6 +29,7 @@ from . import _f2
 from .symplectic import PauliString, StabilizerState
 
 _EIG_CLIP = 1e-12
+_MIN_PROB = 1e-14  # measurement outcomes below this are impossible
 _DENSITY_MAX_QUBITS = 12
 
 I2 = np.eye(2, dtype=complex)
@@ -201,20 +203,32 @@ class LightCone:
         return len(self.qubits)
 
 
+def _target_axes(n: int, targets: Sequence[int]) -> list:
+    # targets[0] must land on the low bit of the packed index, i.e. the
+    # last of the front axes after the reshape to (2**k, -1)
+    return [n - 1 - q for q in reversed(targets)]
+
+
+def _front(amps: np.ndarray, n: int, targets: Sequence[int]) -> np.ndarray:
+    """The (2**k, 2**(n-k)) split of amps with `targets` on the rows.
+
+    The row index packs targets[0] as its low bit; the columns keep the
+    other qubits in their original relative order, so a column index is
+    already the LSB-consistent index of the remaining qubits.
+    """
+    k = len(targets)
+    tensor = np.moveaxis(amps.reshape((2,) * n), _target_axes(n, targets), range(k))
+    return tensor.reshape(2**k, -1)
+
+
 def matrix_action(
     amps: np.ndarray, n: int, targets: Sequence[int], matrix: np.ndarray
 ) -> np.ndarray:
     """Apply a (not necessarily unitary) matrix on `targets` to raw amplitudes."""
-    k = len(targets)
-    tensor = amps.reshape((2,) * n)
-    # targets[0] must land on the low bit of the matrix index, i.e. the
-    # last of the front axes after the reshape to (2**k, -1).
-    front = [n - 1 - q for q in reversed(targets)]
-    tensor = np.moveaxis(tensor, front, range(k))
-    flat = tensor.reshape(2**k, -1)
-    flat = np.asarray(matrix, dtype=complex) @ flat
-    tensor = flat.reshape((2,) * n)
-    tensor = np.moveaxis(tensor, range(k), front)
+    flat = np.asarray(matrix, dtype=complex) @ _front(amps, n, targets)
+    tensor = np.moveaxis(
+        flat.reshape((2,) * n), range(len(targets)), _target_axes(n, targets)
+    )
     return tensor.reshape(-1)
 
 
@@ -297,11 +311,7 @@ def reduced_density(v: StateVector, qubits: Iterable[int]) -> DensityMatrix:
         raise ValueError("qubit out of range")
     if len(keep) > _DENSITY_MAX_QUBITS:
         raise ValueError(f"density matrices capped at {_DENSITY_MAX_QUBITS} qubits")
-    k = len(keep)
-    tensor = v.amps.reshape((2,) * v.n)
-    front = [v.n - 1 - q for q in reversed(keep)]
-    tensor = np.moveaxis(tensor, front, range(k))
-    flat = tensor.reshape(2**k, -1)
+    flat = _front(v.amps, v.n, keep)
     return DensityMatrix(keep, flat @ flat.conj().T)
 
 
@@ -393,7 +403,9 @@ def pauli_expectation(v: StateVector, p: PauliString) -> float:
     """<v|P|v> for Hermitian P, as a real float."""
     if not p.is_hermitian:
         raise ValueError("expectation needs a Hermitian Pauli")
-    val = np.vdot(v.amps, apply_pauli(v, p).amps)
+    if p.n != v.n:
+        raise ValueError("size mismatch")
+    val = np.vdot(v.amps, _word_action(v.amps, p))
     if abs(val.imag) > 1e-9:
         raise AssertionError("Hermitian expectation came out complex")
     return float(val.real)
@@ -437,42 +449,49 @@ def to_statevector(s: StabilizerState) -> StateVector:
     return StateVector.from_amplitudes(state, normalize=True)
 
 
-def partial_inner(
-    v: StateVector, targets: Sequence[int], bra: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Contract <bra| against the target qubits without normalizing.
+def measure(
+    v: StateVector, targets: Sequence[int], bras: Sequence, rng=None, forced=None
+) -> tuple[int, StateVector, float]:
+    """Projective measurement of the target qubits onto the outcomes `bras`.
 
-    Returns the unnormalized amplitudes on the remaining qubits (indices
-    relabeled in their original relative order) and the outcome
-    probability |<bra| v>|^2 restricted to those targets. The bra packs
-    targets[0] as its low index bit. Zero-probability branches are
-    returned as-is, which lets callers enumerate measurement outcomes.
+    Each bra packs targets[0] as its low index bit. The outcome is
+    `forced` when given; otherwise it is Born-sampled from one
+    rng.random() draw u as the first outcome whose cumulative probability
+    exceeds u times the total, never past the last outcome of probability
+    at least 1e-14. Returns (outcome, normalized post-state on the
+    remaining qubits in their original relative order, outcome
+    probability); an outcome of probability below 1e-14, or a forced one
+    out of range, raises ValueError.
     """
     targets = tuple(int(t) for t in targets)
     k = len(targets)
-    bra = np.asarray(bra, dtype=complex).reshape(2**k)
-    tensor = v.amps.reshape((2,) * v.n)
-    front = [v.n - 1 - q for q in reversed(targets)]
-    tensor = np.moveaxis(tensor, front, range(k))
-    flat = tensor.reshape(2**k, -1)
-    post = bra.conj() @ flat
-    prob = float(np.linalg.norm(post) ** 2)
-    # the moveaxis above keeps the non-target axes in their original
-    # relative order, so the flat result is already LSB-consistent
-    return post, prob
+    flat = _front(v.amps, v.n, targets)
+    posts = [np.asarray(bra, dtype=complex).reshape(2**k).conj() @ flat for bra in bras]
+    probs = [float(np.linalg.norm(post) ** 2) for post in posts]
+    if forced is not None:
+        outcome = int(forced)
+        if not 0 <= outcome < len(bras):
+            raise ValueError(f"forced outcome {outcome} is not one of {len(bras)}")
+    elif rng is None:
+        raise ValueError("sampling an outcome needs an rng")
+    else:
+        cum = list(accumulate(probs))
+        x = rng.random() * cum[-1]
+        last = max((i for i, p in enumerate(probs) if p >= _MIN_PROB), default=0)
+        outcome = next((i for i, c in enumerate(cum[:last]) if c > x), last)
+    prob = probs[outcome]
+    if prob < _MIN_PROB:
+        raise ValueError(f"outcome {outcome} has (near) zero probability ({prob:.3g})")
+    return outcome, StateVector(v.n - k, posts[outcome] / np.sqrt(prob)), prob
 
 
 def project_out(
     v: StateVector, targets: Sequence[int], bra: np.ndarray
 ) -> tuple[StateVector, float]:
-    """Contract <bra| against the target qubits.
+    """Contract <bra| against the target qubits: `measure` forced onto one bra.
 
     Returns the normalized post-state on the remaining qubits and the
     outcome probability, rejecting (near) impossible outcomes.
     """
-    post, prob = partial_inner(v, targets, bra)
-    if prob < 1e-14:
-        raise ValueError("projection has (near) zero probability")
-    remaining = v.n - len(tuple(targets))
-    return StateVector(remaining, post / np.sqrt(prob)), prob
-
+    _, post, prob = measure(v, targets, (bra,), forced=0)
+    return post, prob

@@ -187,6 +187,15 @@ def test_cli_agsp_sweep_csv(tmp_path, capsys):
     assert len(lines) == 3
 
 
+def test_cli_agsp_sweep_rejects_out(tmp_path, capsys):
+    # the sweep writes CSV through --csv; --out must not exit 0 and write nothing
+    target = tmp_path / "sweep.csv"
+    assert main(["agsp", "sweep", "--n-list", "16", "--out", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--csv" in err
+    assert not target.exists()
+
+
 def test_cli_writes_suite_file(tmp_path, capsys):
     out = tmp_path / "agsp.json"
     assert main(["agsp", "--out", str(out), "--seed", "5"]) == 0

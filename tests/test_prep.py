@@ -297,6 +297,8 @@ def test_bell_validation():
         bell_protocol_run(3, bonds="IQ")  # not a Pauli label
     with pytest.raises(ValueError):
         bell_protocol_run(0)
+    with pytest.raises(ValueError, match="not one of 2"):
+        bell_protocol_run(2, boundaries=(0, 2))  # not a boundary outcome
 
 
 def test_shot_loops_follow_consecutive_seeds():

@@ -158,6 +158,18 @@ def test_pauli_expectation_requires_hermitian():
     with pytest.raises(ValueError):
         sv.pauli_expectation(v, sp.PauliString(2, 1, 0, 1))
     assert sv.pauli_expectation(v, sp.PauliString.from_text("ZI")) == 1.0
+    with pytest.raises(ValueError, match="size mismatch"):
+        sv.pauli_expectation(v, sp.PauliString.from_text("ZII"))
+
+
+def test_pauli_expectation_equals_vdot_with_applied_word():
+    rng = np.random.default_rng(42)
+    for n in range(1, 7):
+        v = sv.StateVector.from_amplitudes(rng.normal(size=2**n) + 1j * rng.normal(size=2**n))
+        for _ in range(10):
+            p = sp.PauliString.from_text("".join(rng.choice(list("IXYZ"), size=n)))
+            want = np.vdot(v.amps, sv.apply_pauli(v, p).amps).real
+            assert sv.pauli_expectation(v, p) == want
 
 
 def test_to_statevector_examples():
@@ -225,6 +237,165 @@ def test_project_out_bell():
     assert np.abs(post.amps - [1, 0]).max() < 1e-12
     post, prob = sv.project_out(bell, [1], np.array([0, 1]))
     assert np.abs(post.amps - [0, 1]).max() < 1e-12
+
+
+X_BRAS = [np.array([1, 1]) / np.sqrt(2), np.array([1, -1]) / np.sqrt(2)]
+# (1 x sigma)|Phi+> for sigma = I, X, Y, Z, targets[0] on the low bit
+BELL_BRAS = [
+    np.array(b, dtype=complex) / np.sqrt(2)
+    for b in ([1, 0, 0, 1], [0, 1, 1, 0], [0, -1j, 1j, 0], [1, 0, 0, -1])
+]
+
+
+def embedding(n, targets, bra):
+    """2^n x 2^(n-k) isometry |bra>_targets (x) |r>_rest, built bit by bit."""
+    rest = [q for q in range(n) if q not in targets]
+    mat = np.zeros((2**n, 2 ** len(rest)), dtype=complex)
+    for j, amp in enumerate(bra):
+        for r in range(2 ** len(rest)):
+            idx = sum((j >> i & 1) << q for i, q in enumerate(targets))
+            idx += sum((r >> i & 1) << q for i, q in enumerate(rest))
+            mat[idx, r] = amp
+    return mat
+
+
+def projector_oracle(v, targets, bras):
+    """Probabilities and post-states from the dense projectors M M^dagger."""
+    probs, posts = [], []
+    for bra in bras:
+        m = embedding(v.n, targets, bra)
+        projected = m @ m.conj().T @ v.amps
+        prob = float(np.vdot(projected, projected).real)
+        probs.append(prob)
+        posts.append(m.conj().T @ projected / np.sqrt(prob) if prob > 1e-14 else None)
+    return probs, posts
+
+
+def unsorted_targets(n, k, rng):
+    """k distinct qubits in decreasing order, pairwise non-adjacent when n allows."""
+    while True:
+        targets = sorted(rng.choice(n, size=k, replace=False).tolist(), reverse=True)
+        if n < 3 or all(a - b >= 2 for a, b in zip(targets, targets[1:])):
+            return tuple(targets)
+
+
+def test_measure_matches_dense_projector_oracle():
+    rng = np.random.default_rng(41)
+    for n in range(2, 9):
+        for bras in (X_BRAS, BELL_BRAS):
+            k = 1 if len(bras) == 2 else 2
+            for _ in range(4):
+                v = sv.StateVector.from_amplitudes(
+                    rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+                )
+                targets = unsorted_targets(n, k, rng)
+                probs, posts = projector_oracle(v, targets, bras)
+                assert sum(probs) == pytest.approx(1.0, abs=1e-12)
+                for forced in range(len(bras)):
+                    outcome, post, prob = sv.measure(v, targets, bras, forced=forced)
+                    assert outcome == forced and post.n == n - k
+                    assert abs(prob - probs[forced]) < 1e-12
+                    assert np.abs(post.amps - posts[forced]).max() < 1e-12
+                # a sampled outcome is the first whose cumulative
+                # probability exceeds u times the total, for one draw u
+                seed = int(rng.integers(1 << 30))
+                u = np.random.default_rng(seed).random()
+                want = int(np.argmax(np.cumsum(probs) > u * sum(probs)))
+                outcome, post, prob = sv.measure(
+                    v, targets, bras, np.random.default_rng(seed)
+                )
+                assert outcome == want
+                assert abs(prob - probs[want]) < 1e-12
+                assert np.abs(post.amps - posts[want]).max() < 1e-12
+
+
+def test_measure_bell_frequencies_follow_born_rule():
+    from scipy.stats import chi2
+
+    rng = np.random.default_rng(43)
+    v = sv.StateVector.from_amplitudes(rng.normal(size=16) + 1j * rng.normal(size=16))
+    targets = (3, 1)
+    probs, _ = projector_oracle(v, targets, BELL_BRAS)
+    shots = 4000
+    counts = np.zeros(4)
+    for _ in range(shots):
+        counts[sv.measure(v, targets, BELL_BRAS, rng)[0]] += 1
+    expected = shots * np.array(probs)
+    stat = float(((counts - expected) ** 2 / expected).sum())
+    assert stat < chi2.isf(1e-3, 3), (counts, expected)
+
+
+class TopDraw:
+    """An rng stub whose one draw is the largest double below 1."""
+
+    def random(self):
+        return 1.0 - 2.0**-53
+
+
+def test_measure_top_draw_picks_last_possible_outcome():
+    # |Phi+>: only outcome I is possible, the other three are exact zeros
+    bell = sv.StateVector.from_amplitudes([1, 0, 0, 1])
+    assert sv.measure(bell, (0, 1), BELL_BRAS, TopDraw())[0] == 0
+    # outcome Z at probability 1e-15 sits past the last possible outcome X;
+    # the top draw lands on it and is pulled back to X
+    amps = (
+        np.sqrt(0.5) * BELL_BRAS[0]
+        + np.sqrt(0.5 - 1e-15) * BELL_BRAS[1]
+        + np.sqrt(1e-15) * BELL_BRAS[3]
+    )
+    v = sv.StateVector.from_amplitudes(amps.conj())
+    outcome, post, prob = sv.measure(v, (0, 1), BELL_BRAS, TopDraw())
+    assert outcome == 1 and prob == pytest.approx(0.5, abs=1e-12)
+    rng = np.random.default_rng(44)
+    for n in range(2, 7):
+        v = sv.StateVector.from_amplitudes(rng.normal(size=2**n) + 1j * rng.normal(size=2**n))
+        assert sv.measure(v, unsorted_targets(n, 2, rng), BELL_BRAS, TopDraw())[0] == 3
+        assert sv.measure(v, (n - 1,), X_BRAS, TopDraw())[0] == 1
+
+
+def test_measure_rejects_impossible_outcomes_under_optimize():
+    # the zero-probability check must hold in every interpreter mode, both
+    # through project_out and through a forced Bell-protocol outcome (here
+    # on a product site state whose right leg is |+>, so a forced minus on
+    # the right boundary is impossible)
+    code = (
+        "import numpy as np\n"
+        "from magiclab import prep, statevec as sv\n"
+        "plus = sv.StateVector.uniform_plus(2)\n"
+        "zero = sv.StateVector.basis_state(2, 0)\n"
+        "site = np.full(8, 0.5, dtype=complex)\n"
+        "site[1::2] = 0\n"
+        "prep._site_state = lambda: site\n"
+        "for call in (\n"
+        "    lambda: sv.project_out(plus, [0], np.array([1, -1]) / np.sqrt(2)),\n"
+        "    lambda: sv.measure(zero, [1], [np.array([0, 1])], forced=0),\n"
+        "    lambda: prep.bell_protocol_run(2, bonds='I', boundaries=(0, 1)),\n"
+        "):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError as exc:\n"
+        "        print(__debug__, 'raised', exc)\n"
+        "    else:\n"
+        "        print(__debug__, 'silent')\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    lines = out.stdout.splitlines()
+    assert len(lines) == 3, out.stdout
+    assert all(line.startswith("False raised outcome 0 has (near) zero probability")
+               for line in lines[:2]), out.stdout
+    assert lines[2].startswith("False raised outcome 1 has (near) zero probability"), out.stdout
+
+
+def test_measure_needs_rng_or_valid_forced_outcome():
+    zero = sv.StateVector.basis_state(2, 0)
+    with pytest.raises(ValueError, match="needs an rng"):
+        sv.measure(zero, (0,), X_BRAS)
+    for forced in (2, -1):
+        with pytest.raises(ValueError, match="not one of 2"):
+            sv.measure(zero, (0,), X_BRAS, forced=forced)
 
 
 def test_snapshot_roundtrip(tmp_path):
