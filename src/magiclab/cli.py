@@ -85,8 +85,11 @@ def _zxcat_build(args) -> int:
 
 
 def _agsp_sweep(args) -> int:
-    if _get(args, "out"):
-        raise ValueError("agsp sweep writes CSV, not JSON: use --csv PATH")
+    # its parsers accept the suite flags, but the sweep uses none of them
+    stray = sorted(set(vars(args)) - {"suite", "action", "func", "n_list", "m_list", "csv"})
+    if stray:
+        flags = ", ".join("--" + name.replace("_", "-") for name in stray)
+        raise ValueError(f"agsp sweep takes no {flags}; write CSV with --csv PATH")
     rows = agsp_sweep(_int_list(args.n_list), _int_list(args.m_list))
     fields = ("n", "m", "sup_error", "bound", "coeff_sum", "p_minus_n")
     if args.csv:

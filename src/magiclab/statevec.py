@@ -454,14 +454,13 @@ def measure(
 ) -> tuple[int, StateVector, float]:
     """Projective measurement of the target qubits onto the outcomes `bras`.
 
-    Each bra packs targets[0] as its low index bit. The outcome is
-    `forced` when given; otherwise it is Born-sampled from one
-    rng.random() draw u as the first outcome whose cumulative probability
-    exceeds u times the total, never past the last outcome of probability
-    at least 1e-14. Returns (outcome, normalized post-state on the
-    remaining qubits in their original relative order, outcome
-    probability); an outcome of probability below 1e-14, or a forced one
-    out of range, raises ValueError.
+    Each bra packs targets[0] as its low index bit. The outcome is `forced`
+    when given, else Born-sampled from one rng.random() draw u: the first
+    whose cumulative probability exceeds u times the total, with outcomes
+    below 1e-14 impossible (never sampled). Returns (outcome, normalized
+    post-state on the other qubits in their original relative order,
+    probability); an impossible or out-of-range forced outcome, or no
+    possible outcome to sample, raises ValueError.
     """
     targets = tuple(int(t) for t in targets)
     k = len(targets)
@@ -475,7 +474,8 @@ def measure(
     elif rng is None:
         raise ValueError("sampling an outcome needs an rng")
     else:
-        cum = list(accumulate(probs))
+        # an impossible outcome adds 0 and so is never the first sum past x
+        cum = list(accumulate(p if p >= _MIN_PROB else 0.0 for p in probs))
         x = rng.random() * cum[-1]
         last = max((i for i, p in enumerate(probs) if p >= _MIN_PROB), default=0)
         outcome = next((i for i, c in enumerate(cum[:last]) if c > x), last)
@@ -488,10 +488,6 @@ def measure(
 def project_out(
     v: StateVector, targets: Sequence[int], bra: np.ndarray
 ) -> tuple[StateVector, float]:
-    """Contract <bra| against the target qubits: `measure` forced onto one bra.
-
-    Returns the normalized post-state on the remaining qubits and the
-    outcome probability, rejecting (near) impossible outcomes.
-    """
+    """`measure` forced onto one bra: (normalized post-state, probability)."""
     _, post, prob = measure(v, targets, (bra,), forced=0)
     return post, prob

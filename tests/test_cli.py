@@ -187,13 +187,20 @@ def test_cli_agsp_sweep_csv(tmp_path, capsys):
     assert len(lines) == 3
 
 
-def test_cli_agsp_sweep_rejects_out(tmp_path, capsys):
-    # the sweep writes CSV through --csv; --out must not exit 0 and write nothing
-    target = tmp_path / "sweep.csv"
-    assert main(["agsp", "sweep", "--n-list", "16", "--out", str(target)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "--csv" in err
-    assert not target.exists()
+@pytest.mark.parametrize("flag", [
+    ["--out", "sweep.csv"], ["--jsonl"], ["--seed", "3"], ["--n", "4"],
+    ["--trials", "2"], ["--tol", "0.1"], ["--max-n", "5"],
+])
+def test_cli_agsp_sweep_rejects_suite_flags(flag, tmp_path, capsys, monkeypatch):
+    # the sweep writes CSV through --csv and uses none of the suite flags,
+    # before or after "sweep"; none may exit 0 and do nothing (or write nothing)
+    monkeypatch.chdir(tmp_path)
+    for argv in (["agsp", "sweep", *flag], ["agsp", *flag, "sweep"]):
+        assert main([*argv, "--n-list", "16", "--m-list", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and flag[0] in captured.err
+        assert "--csv" in captured.err and captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_writes_suite_file(tmp_path, capsys):

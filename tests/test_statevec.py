@@ -353,6 +353,27 @@ def test_measure_top_draw_picks_last_possible_outcome():
         assert sv.measure(v, (n - 1,), X_BRAS, TopDraw())[0] == 1
 
 
+class BottomDraw:
+    """An rng stub whose one draw is 0."""
+
+    def random(self):
+        return 0.0
+
+
+def test_measure_never_samples_an_impossible_outcome():
+    # outcome I at probability 1e-15 comes first; the lowest draw would land
+    # on it by its raw cumulative sum, but it counts as impossible
+    amps = np.sqrt(1e-15) * BELL_BRAS[0] + np.sqrt(1 - 1e-15) * BELL_BRAS[2]
+    v = sv.StateVector.from_amplitudes(amps.conj())
+    for rng in (BottomDraw(), TopDraw()):
+        outcome, _, prob = sv.measure(v, (0, 1), BELL_BRAS, rng)
+        assert outcome == 2 and prob == pytest.approx(1.0, abs=1e-12)
+    # with no possible outcome among the bras, sampling fails loudly
+    zero = sv.StateVector.basis_state(2, 0)
+    with pytest.raises(ValueError, match="zero probability"):
+        sv.measure(zero, (1,), [np.array([0, 1])], BottomDraw())
+
+
 def test_measure_rejects_impossible_outcomes_under_optimize():
     # the zero-probability check must hold in every interpreter mode, both
     # through project_out and through a forced Bell-protocol outcome (here
