@@ -197,6 +197,8 @@ def _modular_verlinde(args) -> int:
 def _glue_run(args) -> int:
     sizes = tuple(_int_list(args.dims))
     trials = _get(args, "trials", 10)
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
     seed = _get(args, "seed", 0)
     records = []
     worst = 0.0

@@ -28,7 +28,7 @@ from .statevec import (
     apply_gate,
     LayeredCircuit,
     max_qubits,
-    measure,
+    measure_shots,
     pauli_matrix,
     pure_overlap,
 )
@@ -187,21 +187,15 @@ def _premeasurement_state(n: int) -> StateVector:
     return apply_circuit(adaptive_circuit(n), StateVector.basis_state(2 * n, 0))
 
 
-def _measure_ancillas(v: StateVector, n: int, rng) -> AdaptiveRunRecord:
-    """Born-sample X-basis outcomes of ancillas 0..n-1 of a pre-measurement state."""
-    outcomes = []
+def _adaptive_records(v: StateVector, n: int, rngs) -> list:
+    """One record per generator: X-basis outcomes of ancillas 0..n-1 of v."""
     # peel ancillas from the top so remaining indices stay put
-    for anc in range(n - 1, -1, -1):
-        bit, v, _ = measure(v, (anc,), _X_BRAS, rng)
-        outcomes.append(bit)
-    outcomes.reverse()
-    parity = 1 if sum(outcomes) % 2 == 0 else -1
-    return AdaptiveRunRecord(
-        outcomes=tuple(outcomes),
-        parity=parity,
-        post_state=v,
-        accepted=parity == 1,
-    )
+    steps = [((anc,), _X_BRAS) for anc in range(n - 1, -1, -1)]
+    records = []
+    for outcomes, post in measure_shots(v, steps, rngs):
+        parity = 1 if sum(outcomes) % 2 == 0 else -1
+        records.append(AdaptiveRunRecord(outcomes[::-1], parity, post, parity == 1))
+    return records
 
 
 def adaptive_run(n: int, seed: int = 0) -> AdaptiveRunRecord:
@@ -212,7 +206,7 @@ def adaptive_run(n: int, seed: int = 0) -> AdaptiveRunRecord:
     the renormalized data register.
     """
     v = _premeasurement_state(n)
-    return _measure_ancillas(v, n, np.random.default_rng(seed))
+    return _adaptive_records(v, n, [np.random.default_rng(seed)])[0]
 
 
 def adaptive_shots(n: int, trials: int, seed: int = 0) -> list:
@@ -220,19 +214,20 @@ def adaptive_shots(n: int, trials: int, seed: int = 0) -> list:
 
     Returns (record, overlap) pairs; the overlap is taken against the cat
     the shot should have collapsed to: plus when accepted, minus otherwise.
-    The pre-measurement state does not depend on the seed, so it is built
-    once and every shot measures it with its own generator, which gives
-    each shot the record of `adaptive_run(n, seed + t)`.
+    Shot t gets the record of `adaptive_run(n, seed + t)`: the
+    pre-measurement state is built once, and one `measure_shots` walk
+    measures it with a generator per shot, computing each outcome branch
+    once for all the shots that reach it.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     targets = {True: build(n, "plus"), False: build(n, "minus")}
     v = _premeasurement_state(n)
-    shots = []
-    for t in range(trials):
-        record = _measure_ancillas(v, n, np.random.default_rng(seed + t))
-        shots.append((record, pure_overlap(record.post_state, targets[record.accepted])))
-    return shots
+    rngs = [np.random.default_rng(seed + t) for t in range(trials)]
+    return [
+        (record, pure_overlap(record.post_state, targets[record.accepted]))
+        for record in _adaptive_records(v, n, rngs)
+    ]
 
 
 def adaptive_success_probability(n: int) -> float:
@@ -400,6 +395,53 @@ def _site_state() -> np.ndarray:
     return amps
 
 
+def _bell_state(n: int) -> StateVector:
+    """The 3n-qubit product of the n site states, site k on qubits 3k..3k+2."""
+    if n < 1:
+        raise ValueError("need at least one site")
+    if 3 * n > max_qubits():
+        raise ValueError("3n exceeds the dense-simulation cap")
+    site = _site_state()
+    amps = site
+    for _ in range(n - 1):
+        amps = np.kron(site, amps)
+    return StateVector(3 * n, amps)
+
+
+def _bell_accepts(left_bit: int, bonds: str, right_bit: int) -> bool:
+    """The byproduct push of `bell_protocol_run`, from its measured outcomes."""
+    pending_x, pending_z, flagged = 0, left_bit ^ right_bit, False
+    for label in bonds:
+        pending_x ^= label in ("X", "Y")  # a pending X flags the next site
+        pending_z ^= label in ("Z", "Y")
+        flagged |= bool(pending_x)
+    return not flagged and pending_z == 0
+
+
+def _bell_runs(v: StateVector, n: int, rngs, target, forced=None) -> list:
+    """(accepted, state, overlap with `target` or None) per generator.
+
+    One `measure_shots` walk over the protocol's measurements of v.
+    """
+    # measure from the highest qubit indices down so lower ones stay put:
+    # the right boundary leg, each bond's (right leg of k, left leg of k+1)
+    # from the right, then the left boundary leg
+    bell_bras = [_BELL_BRAS[c] for c in BELL_LABELS]
+    steps = [((3 * n - 1,), _X_BRAS)]
+    steps += [((3 * k + 2, 3 * (k + 1) + 1), bell_bras) for k in range(n - 2, -1, -1)]
+    steps.append(((1,), _X_BRAS))
+    runs = []
+    for (right_bit, *bonds, left_bit), state in measure_shots(v, steps, rngs, forced):
+        labels = "".join(BELL_LABELS[b] for b in reversed(bonds))
+        overlap = None
+        if _bell_accepts(left_bit, labels, right_bit):
+            overlap = pure_overlap(state, target)
+            if not overlap >= 1.0 - 1e-10:
+                raise AssertionError(f"accepted run is off target (overlap {overlap})")
+        runs.append((overlap is not None, state, overlap))
+    return runs
+
+
 def bell_protocol_run(n, seed=0, bonds=None, boundaries=None):
     """One shot of the Bell-measurement stitching protocol.
 
@@ -419,71 +461,30 @@ def bell_protocol_run(n, seed=0, bonds=None, boundaries=None):
 
     Returns ``(accepted, state)``.
     """
-    if n < 1:
-        raise ValueError("need at least one site")
-    if 3 * n > max_qubits():
-        raise ValueError("3n exceeds the dense-simulation cap")
+    v = _bell_state(n)
+    forced = [None] * (n + 1)  # right boundary, bonds n-2 .. 0, left boundary
     if bonds is not None:
         bonds = str(bonds).upper()
         if len(bonds) != n - 1 or any(c not in BELL_LABELS for c in bonds):
             raise ValueError("bonds must be a length n-1 string over IXYZ")
-    rng = np.random.default_rng(seed)
-
-    site = _site_state()
-    amps = site
-    for _ in range(n - 1):
-        amps = np.kron(site, amps)
-    v = StateVector(3 * n, amps)
-
-    # measure from the highest qubit indices down so lower ones stay put
-    right_forced = None if boundaries is None else int(boundaries[1])
-    right_bit, v, _ = measure(v, (3 * n - 1,), _X_BRAS, rng, forced=right_forced)
-    bond_labels = []
-    bell_bras = [_BELL_BRAS[c] for c in BELL_LABELS]
-    for k in range(n - 2, -1, -1):
-        pair = (3 * k + 2, 3 * (k + 1) + 1)  # right leg of k, left leg of k+1
-        forced = None if bonds is None else BELL_LABELS.index(bonds[k])
-        choice, v, _ = measure(v, pair, bell_bras, rng, forced=forced)
-        bond_labels.append(BELL_LABELS[choice])
-    bond_labels.reverse()
-    left_forced = None if boundaries is None else int(boundaries[0])
-    left_bit, v, _ = measure(v, (1,), _X_BRAS, rng, forced=left_forced)
-
-    # push byproducts left to right through the push relations
-    h_flags = [0] * n
-    pending_x = 0
-    pending_z = left_bit  # a minus on the left boundary injects a Z
-    for k in range(n):
-        if pending_x:
-            h_flags[k] ^= 1
-        if k < n - 1:
-            label = bond_labels[k]
-            pending_x ^= label in ("X", "Y")
-            pending_z ^= label in ("Z", "Y")
-    pending_z ^= right_bit  # a minus on the right boundary injects a Z
-    # a trailing X is absorbed by the uniform right boundary
-    accepted = not any(h_flags) and pending_z == 0
-
-    if accepted:
-        overlap = pure_overlap(v, build(n, "plus"))
-        if not overlap >= 1.0 - 1e-10:
-            raise AssertionError(
-                f"accepted run is off target (overlap {overlap})"
-            )
-    return accepted, v
+        forced[1:n] = [BELL_LABELS.index(c) for c in reversed(bonds)]
+    if boundaries is not None:
+        forced[0], forced[n] = int(boundaries[1]), int(boundaries[0])
+    rngs = [np.random.default_rng(seed)]
+    return _bell_runs(v, n, rngs, build(n, "plus"), forced)[0][:2]
 
 
 def bell_shots(n: int, trials: int, seed: int = 0) -> list:
     """Shots of the Bell protocol at seeds seed .. seed + trials - 1.
 
     Returns (accepted, state, overlap) triples; the overlap with the plus
-    cat is None for rejected shots.
+    cat is None for rejected shots. Shot t gets the run of
+    `bell_protocol_run(n, seed + t)`: the product of site states is built
+    once, and one `measure_shots` walk measures it with a generator per
+    shot, computing each outcome branch once for all the shots that reach it.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     target = build(n, "plus")
-    shots = []
-    for t in range(trials):
-        accepted, state = bell_protocol_run(n, seed=seed + t)
-        shots.append((accepted, state, pure_overlap(state, target) if accepted else None))
-    return shots
+    rngs = [np.random.default_rng(seed + t) for t in range(trials)]
+    return _bell_runs(_bell_state(n), n, rngs, target)

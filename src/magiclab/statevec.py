@@ -449,6 +449,35 @@ def to_statevector(s: StabilizerState) -> StateVector:
     return StateVector.from_amplitudes(state, normalize=True)
 
 
+def _branches(v: StateVector, targets: Sequence[int], bras: Sequence) -> tuple[list, list]:
+    """(probabilities, unnormalized post-states) of each bra on `targets`."""
+    k = len(targets)
+    flat = _front(v.amps, v.n, tuple(int(t) for t in targets))
+    posts = [np.asarray(bra, dtype=complex).reshape(2**k).conj() @ flat for bra in bras]
+    return [float(np.linalg.norm(post) ** 2) for post in posts], posts
+
+
+def _pick(probs: list, rng, forced) -> int:
+    """The forced or Born-sampled outcome of `measure`; raises if impossible."""
+    if forced is not None:
+        outcome = int(forced)
+        if not 0 <= outcome < len(probs):
+            raise ValueError(f"forced outcome {outcome} is not one of {len(probs)}")
+    elif rng is None:
+        raise ValueError("sampling an outcome needs an rng")
+    else:
+        # an impossible outcome adds 0 and so is never the first sum past x
+        cum = list(accumulate(p if p >= _MIN_PROB else 0.0 for p in probs))
+        x = rng.random() * cum[-1]
+        last = max((i for i, p in enumerate(probs) if p >= _MIN_PROB), default=0)
+        outcome = next((i for i, c in enumerate(cum[:last]) if c > x), last)
+    if probs[outcome] < _MIN_PROB:
+        raise ValueError(
+            f"outcome {outcome} has (near) zero probability ({probs[outcome]:.3g})"
+        )
+    return outcome
+
+
 def measure(
     v: StateVector, targets: Sequence[int], bras: Sequence, rng=None, forced=None
 ) -> tuple[int, StateVector, float]:
@@ -462,32 +491,35 @@ def measure(
     probability); an impossible or out-of-range forced outcome, or no
     possible outcome to sample, raises ValueError.
     """
-    targets = tuple(int(t) for t in targets)
-    k = len(targets)
-    flat = _front(v.amps, v.n, targets)
-    posts = [np.asarray(bra, dtype=complex).reshape(2**k).conj() @ flat for bra in bras]
-    probs = [float(np.linalg.norm(post) ** 2) for post in posts]
-    if forced is not None:
-        outcome = int(forced)
-        if not 0 <= outcome < len(bras):
-            raise ValueError(f"forced outcome {outcome} is not one of {len(bras)}")
-    elif rng is None:
-        raise ValueError("sampling an outcome needs an rng")
-    else:
-        # an impossible outcome adds 0 and so is never the first sum past x
-        cum = list(accumulate(p if p >= _MIN_PROB else 0.0 for p in probs))
-        x = rng.random() * cum[-1]
-        last = max((i for i, p in enumerate(probs) if p >= _MIN_PROB), default=0)
-        outcome = next((i for i, c in enumerate(cum[:last]) if c > x), last)
-    prob = probs[outcome]
-    if prob < _MIN_PROB:
-        raise ValueError(f"outcome {outcome} has (near) zero probability ({prob:.3g})")
-    return outcome, StateVector(v.n - k, posts[outcome] / np.sqrt(prob)), prob
+    probs, posts = _branches(v, targets, bras)
+    o = _pick(probs, rng, forced)
+    return o, StateVector(v.n - len(targets), posts[o] / np.sqrt(probs[o])), probs[o]
 
 
-def project_out(
-    v: StateVector, targets: Sequence[int], bra: np.ndarray
-) -> tuple[StateVector, float]:
-    """`measure` forced onto one bra: (normalized post-state, probability)."""
-    _, post, prob = measure(v, targets, (bra,), forced=0)
-    return post, prob
+def measure_shots(v: StateVector, steps: Sequence, rngs: Sequence, forced=None) -> list:
+    """Run the measurement sequence `steps` on v once per generator in `rngs`.
+
+    Step i is a (targets, bras) pair measured on the post-state of step
+    i - 1, with outcome forced[i] when `forced` is given and not None
+    there. Each shot draws from its own rng exactly as a chain of `measure`
+    calls would, so it gets the same outcomes and post-state, and raises
+    the same ValueError. The walk is breadth-first: shots that share an
+    outcome prefix share one branch computation, and only the current
+    level of the outcome tree is kept. Returns (outcomes, post-state) per
+    rng, in order; shots with equal outcomes share one post-state.
+    """
+    forced = [None] * len(steps) if forced is None else forced
+    level = {(): (v, list(range(len(rngs))))}
+    for (targets, bras), fix in zip(steps, forced, strict=True):
+        nxt = {}
+        for prefix, (state, shots) in level.items():
+            probs, posts = _branches(state, targets, bras)
+            groups: dict = {}
+            for i in shots:
+                groups.setdefault(_pick(probs, rngs[i], fix), []).append(i)
+            for o, group in groups.items():
+                post = StateVector(state.n - len(targets), posts[o] / np.sqrt(probs[o]))
+                nxt[prefix + (o,)] = (post, group)
+        level = nxt
+    leaf = {i: (prefix, state) for prefix, (state, shots) in level.items() for i in shots}
+    return [leaf[i] for i in range(len(rngs))]

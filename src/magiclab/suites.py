@@ -24,11 +24,14 @@ def _timed(checks):
     observed <= bound.  Each check is timed from the previous yield (the
     first from the suite's start); the clock is read once per check and
     runtime_ms is the difference of whole elapsed milliseconds, so the
-    reports of one suite add up to no more than its wall time.
+    reports of one suite add up to no more than its wall time.  A `trials`
+    below 1 raises ValueError: a sampled check over no samples would pass.
     """
 
     @functools.wraps(checks)
     def suite(n=None, seed=0, tol=None, trials=None):
+        if trials is not None and trials < 1:
+            raise ValueError(f"need at least one trial, got {trials}")
         clock = time.perf_counter
         start, billed, reports = clock(), 0, []
         for check, params, observed, bound in checks(n, seed, tol, trials):
@@ -56,14 +59,15 @@ def suite_symplectic(n=None, seed=0, tol=None, trials=None):
     rng = np.random.default_rng(seed)
     sampled = {"n": n, "trials": trials, "seed": seed}
 
-    dev = abs(symplectic_overlap_zero_plus(n) - 2.0 ** (-n / 2.0))
+    zero = sp.StabilizerState.zero_state(n)
+    plus = sp.StabilizerState.plus_state(n)
+    dev = abs(sp.stabilizer_overlap(zero, plus) - 2.0 ** (-n / 2.0))
     yield "zero-plus-overlap", {"n": n}, dev, 1e-12
 
     worst = 0.0
     for _ in range(trials):
         c1, c2 = sp.random_clifford(n, rng), sp.random_clifford(n, rng)
-        s1 = sp.apply_clifford(c1, sp.StabilizerState.zero_state(n))
-        s2 = sp.apply_clifford(c2, sp.StabilizerState.zero_state(n))
+        s1, s2 = sp.apply_clifford(c1, zero), sp.apply_clifford(c2, zero)
         dense = abs(np.vdot(sv.to_statevector(s1).amps, sv.to_statevector(s2).amps))
         worst = max(worst, abs(sp.stabilizer_overlap(s1, s2) - dense))
     yield "overlap-vs-dense", sampled, worst, tol
@@ -71,8 +75,7 @@ def suite_symplectic(n=None, seed=0, tol=None, trials=None):
     worst = 0.0
     for _ in range(trials):
         c = sp.random_clifford(n, rng)
-        s1 = sp.apply_clifford(c, sp.StabilizerState.zero_state(n))
-        s2 = sp.apply_clifford(c, sp.StabilizerState.plus_state(n))
+        s1, s2 = sp.apply_clifford(c, zero), sp.apply_clifford(c, plus)
         p = sp.PauliString.from_text(_random_pauli_text(n, rng))
         v1, v2 = sv.to_statevector(s1), sv.to_statevector(s2)
         dense = abs(np.vdot(v2.amps, sv.apply_pauli(v1, p).amps))
@@ -80,11 +83,10 @@ def suite_symplectic(n=None, seed=0, tol=None, trials=None):
     yield "sandwich-vs-dense", sampled, worst, tol
 
     worst = 0.0
+    ref = sv.to_statevector(zero)
     for _ in range(trials):
         c = sp.random_clifford(n, rng)
-        s = sp.apply_clifford(c, sp.StabilizerState.zero_state(n))
-        back = sp.apply_clifford(c.adjoint(), s)
-        ref = sv.to_statevector(sp.StabilizerState.zero_state(n))
+        back = sp.apply_clifford(c.adjoint(), sp.apply_clifford(c, zero))
         worst = max(worst, 1.0 - abs(np.vdot(sv.to_statevector(back).amps, ref.amps)))
     yield "clifford-roundtrip", sampled, worst, tol
 
@@ -97,12 +99,6 @@ def suite_symplectic(n=None, seed=0, tol=None, trials=None):
         right = sp.pauli_product(a, sp.pauli_product(b, c))
         mismatches += left != right
     yield "product-associativity", sampled, mismatches, 0
-
-
-def symplectic_overlap_zero_plus(n: int) -> float:
-    return sp.stabilizer_overlap(
-        sp.StabilizerState.zero_state(n), sp.StabilizerState.plus_state(n)
-    )
 
 
 @_timed

@@ -144,15 +144,17 @@ def crossterm_bound_check(
     compares the cross term against the bound. The identity V reproduces
     |<phi1|phi2>| = 2^{-n/2} exactly, which is also recorded.
     """
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
     rng = np.random.default_rng(seed)
+    zero, plus = sp.StabilizerState.zero_state(n), sp.StabilizerState.plus_state(n)
     worst_ratio = 0.0
     overlap_dev = 0.0
     violations = 0
     for _ in range(trials):
-        cmap = sp.random_clifford(n, rng)
-        adj = cmap.adjoint()
-        s1 = sp.apply_clifford(adj, sp.StabilizerState.zero_state(n))
-        s2 = sp.apply_clifford(adj, sp.StabilizerState.plus_state(n))
+        adj = sp.random_clifford(n, rng).adjoint()
+        s1 = sp.apply_clifford(adj, zero)
+        s2 = sp.apply_clifford(adj, plus)
         v1 = sv.to_statevector(s1)
         v2 = sv.to_statevector(s2)
         overlap_dev = max(

@@ -125,6 +125,22 @@ def test_cli_invalid_params_exit_two(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+@pytest.mark.parametrize("suite", [*SUITES, "all"])
+def test_cli_suite_rejects_trials_below_one(suite, trials, capsys):
+    # a sampled check over no samples would pass vacuously
+    assert main([suite, "--trials", trials]) == 2
+    captured = capsys.readouterr()
+    assert f"need at least one trial, got {trials}" in captured.err
+    assert captured.out == ""
+
+
+def test_cli_glue_run_rejects_trials_below_one(capsys):
+    for trials in ("0", "-3"):
+        assert main(["glue", "run", "--trials", trials]) == 2
+        assert "need at least one trial" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["abc", "0"])
 def test_cli_bad_max_n_env_exits_two(monkeypatch, capsys, value):
     monkeypatch.setenv("MAGICLAB_MAX_N", value)

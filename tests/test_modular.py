@@ -322,6 +322,28 @@ def test_offdiag_modulus_scan():
     assert worst_swap < 1.0
     with pytest.raises(ValueError):
         offdiag_modulus_scan(data, (1, 0, 2, 3))
+    for samples in (0, -3):
+        with pytest.raises(ValueError, match="at least one sample"):
+            offdiag_modulus_scan(data, (0, 1, 2, 3), samples=samples)
+
+
+def test_offdiag_modulus_scan_matches_per_sample_loop():
+    # the blocked scan draws the same phases as one draw per sample
+    data = double_fibonacci()
+    s = data.s_numeric()
+    mask = ~np.eye(data.k, dtype=bool)
+    for perm in dim_preserving_perms(data.dims):
+        for samples in (1, 255, 256, 257, 1500):
+            rng = np.random.default_rng(samples)
+            worst = 0.0
+            for _ in range(samples):
+                diag = np.concatenate(([1.0], np.exp(2j * np.pi * rng.random(data.k - 1))))
+                mat = np.zeros((data.k, data.k), dtype=complex)
+                for i, p in enumerate(perm):
+                    mat[i, p] = diag[p]
+                conj = s @ mat @ s.conj().T
+                worst = max(worst, float(np.max(np.abs(conj[mask]))))
+            assert offdiag_modulus_scan(data, perm, samples, seed=samples) == worst
 
 
 def test_offdiag_row_expansion_hand_values():

@@ -1,5 +1,7 @@
 """Tests for the three cat-state preparation protocols."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,7 @@ from magiclab.statevec import (
     StateVector,
     apply_circuit,
     apply_gate,
+    measure,
     pauli_matrix,
     pure_overlap,
 )
@@ -321,3 +324,93 @@ def test_shot_loops_follow_consecutive_seeds():
     with pytest.raises(ValueError, match="dense-simulation cap"):
         adaptive_shots(8, trials=2)
 
+
+
+# -- shot loops against a per-shot measure oracle -----------------------------
+
+X_BRAS = (np.array([1.0, 1.0]) / SQRT2, np.array([1.0, -1.0]) / SQRT2)
+BELL_BRAS = [
+    np.array(b, dtype=complex) / SQRT2
+    for b in ([1, 0, 0, 1], [0, 1, 1, 0], [0, -1j, 1j, 0], [1, 0, 0, -1])
+]
+
+
+def oracle_adaptive(n, seed):
+    """(outcomes, data register) of one shot, one measure call per ancilla."""
+    v = apply_circuit(adaptive_circuit(n), StateVector.basis_state(2 * n, 0))
+    rng = np.random.default_rng(seed)
+    outcomes = []
+    for anc in range(n - 1, -1, -1):
+        bit, v, _ = measure(v, (anc,), X_BRAS, rng)
+        outcomes.insert(0, bit)
+    return tuple(outcomes), v
+
+
+def oracle_bell(n, seed, bonds=None, boundaries=None):
+    """(accepted, physical register) of one shot, one measure call per step."""
+    mats = mps_tensors().blocks()
+    site = np.array([mats[a][i, j] for j in range(2) for i in range(2) for a in range(2)])
+    site /= np.linalg.norm(site)  # physical leg on the low bit, then left, right
+    amps = site
+    for _ in range(n - 1):
+        amps = np.kron(site, amps)
+    v = StateVector(3 * n, amps)
+    rng = np.random.default_rng(seed)
+    left_fix, right_fix = (None, None) if boundaries is None else boundaries
+    right, v, _ = measure(v, (3 * n - 1,), X_BRAS, rng, forced=right_fix)
+    labels = [None] * (n - 1)
+    for k in range(n - 2, -1, -1):
+        forced = None if bonds is None else "IXYZ".index(bonds[k])
+        choice, v, _ = measure(v, (3 * k + 2, 3 * k + 4), BELL_BRAS, rng, forced=forced)
+        labels[k] = "IXYZ"[choice]
+    left, v, _ = measure(v, (1,), X_BRAS, rng, forced=left_fix)
+    flags, pending_x, pending_z = [0] * n, 0, left ^ right
+    for k in range(n):
+        flags[k] = pending_x
+        if k < n - 1:
+            pending_x ^= labels[k] in "XY"
+            pending_z ^= labels[k] in "ZY"
+    return not any(flags) and pending_z == 0, v
+
+
+def test_adaptive_shots_match_per_shot_oracle():
+    for n, trials, seed in ((1, 40, 3), (2, 80, 0), (3, 120, 5), (4, 120, 17),
+                            (5, 150, 2), (6, 200, 9), (7, 120, 0)):
+        targets = {True: build(n, "plus"), False: build(n, "minus")}
+        shots = adaptive_shots(n, trials, seed)
+        assert len(shots) == trials
+        for t, (record, overlap) in enumerate(shots):
+            outcomes, state = oracle_adaptive(n, seed + t)
+            assert record.outcomes == outcomes
+            assert record.accepted == (sum(outcomes) % 2 == 0)
+            assert record.parity == (1 if record.accepted else -1)
+            assert np.array_equal(record.post_state.amps, state.amps)
+            assert overlap == pure_overlap(state, targets[record.accepted])
+        assert adaptive_run(n, seed).outcomes == shots[0][0].outcomes
+
+
+def test_bell_shots_match_per_shot_oracle():
+    for n, trials, seed in ((1, 50, 4), (2, 200, 0), (3, 200, 31), (4, 200, 8)):
+        plus = build(n, "plus")
+        shots = bell_shots(n, trials, seed)
+        assert len(shots) == trials
+        assert 0 < sum(accepted for accepted, _, _ in shots) < trials
+        for t, (accepted, state, overlap) in enumerate(shots):
+            want_accepted, want_state = oracle_bell(n, seed + t)
+            assert accepted == want_accepted
+            assert np.array_equal(state.amps, want_state.amps)
+            assert overlap == (pure_overlap(want_state, plus) if accepted else None)
+
+
+def test_bell_forced_runs_match_per_shot_oracle():
+    for bonds in ("".join(p) for p in itertools.product("IXYZ", repeat=2)):
+        for boundaries in itertools.product((0, 1), repeat=2):
+            got = bell_protocol_run(3, 5, bonds, boundaries)
+            want = oracle_bell(3, 5, bonds, boundaries)
+            assert got[0] == want[0] and np.array_equal(got[1].amps, want[1].amps)
+    # forcing only the bonds, or only the boundaries, samples the rest
+    for seed in range(20):
+        for bonds, boundaries in (("XZY", None), (None, (1, 0))):
+            got = bell_protocol_run(4, seed, bonds, boundaries)
+            want = oracle_bell(4, seed, bonds, boundaries)
+            assert got[0] == want[0] and np.array_equal(got[1].amps, want[1].amps)

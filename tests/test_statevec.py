@@ -232,10 +232,10 @@ def test_to_statevector_equals_projector_product_exactly():
 
 def test_project_out_bell():
     bell = sv.StateVector.from_amplitudes([1, 0, 0, 1])
-    post, prob = sv.project_out(bell, [0], np.array([1, 0]))
+    _, post, prob = sv.measure(bell, [0], (np.array([1, 0]),), forced=0)
     assert prob == pytest.approx(0.5, abs=1e-12)
     assert np.abs(post.amps - [1, 0]).max() < 1e-12
-    post, prob = sv.project_out(bell, [1], np.array([0, 1]))
+    _, post, prob = sv.measure(bell, [1], (np.array([0, 1]),), forced=0)
     assert np.abs(post.amps - [0, 1]).max() < 1e-12
 
 
@@ -376,7 +376,7 @@ def test_measure_never_samples_an_impossible_outcome():
 
 def test_measure_rejects_impossible_outcomes_under_optimize():
     # the zero-probability check must hold in every interpreter mode, both
-    # through project_out and through a forced Bell-protocol outcome (here
+    # through a forced single-bra measure and a forced Bell-protocol outcome (here
     # on a product site state whose right leg is |+>, so a forced minus on
     # the right boundary is impossible)
     code = (
@@ -388,7 +388,7 @@ def test_measure_rejects_impossible_outcomes_under_optimize():
         "site[1::2] = 0\n"
         "prep._site_state = lambda: site\n"
         "for call in (\n"
-        "    lambda: sv.project_out(plus, [0], np.array([1, -1]) / np.sqrt(2)),\n"
+        "    lambda: sv.measure(plus, [0], (np.array([1, -1]) / np.sqrt(2),), forced=0),\n"
         "    lambda: sv.measure(zero, [1], [np.array([0, 1])], forced=0),\n"
         "    lambda: prep.bell_protocol_run(2, bonds='I', boundaries=(0, 1)),\n"
         "):\n"
@@ -507,3 +507,34 @@ def test_mutual_information_matches_full_eigvalsh_formula():
             assert abs(sv.mutual_information(v, a, b) - full) <= 1e-12
             largest = max(largest, 2 * len(a) - n, 2 * len(a | b) - n)
     assert largest > 0  # some regions were larger than half the state
+
+
+def test_measure_shots_equals_a_chain_of_measure_calls():
+    # a plain per-shot loop of measure is the oracle for the shared walk
+    rng = np.random.default_rng(13)
+    v = _random_state(7, rng)
+    steps = [((5,), X_BRAS), ((0, 3), BELL_BRAS), ((4,), X_BRAS), ((0, 1), BELL_BRAS)]
+    for forced in (None, [None, 2, None, None], [1, 0, 1, 3]):
+        rngs = [np.random.default_rng(s) for s in range(60)]
+        shots = sv.measure_shots(v, steps, rngs, forced)
+        assert len(shots) == 60
+        for seed, (outcomes, post) in enumerate(shots):
+            shot_rng, w, expect = np.random.default_rng(seed), v, []
+            for i, (targets, bras) in enumerate(steps):
+                fix = None if forced is None else forced[i]
+                outcome, w, _ = sv.measure(w, targets, bras, shot_rng, forced=fix)
+                expect.append(outcome)
+            assert outcomes == tuple(expect)
+            assert post.n == w.n == 1 and np.array_equal(post.amps, w.amps)
+            # each generator was drawn from exactly as often as by the chain
+            assert rngs[seed].random() == shot_rng.random()
+    # fully forced, every shot takes the one forced path
+    assert {outcomes for outcomes, _ in shots} == {(1, 0, 1, 3)}
+    # errors are the ones measure raises
+    with pytest.raises(ValueError, match="not one of 4"):
+        sv.measure_shots(v, steps[:2], rngs, [None, 4])
+    with pytest.raises(ValueError, match="needs an rng"):
+        sv.measure_shots(v, steps[:1], [None])
+    zero = sv.StateVector.basis_state(2, 0)
+    with pytest.raises(ValueError, match="zero probability"):
+        sv.measure_shots(zero, [((1,), [np.array([0, 1])])], [None], [0])

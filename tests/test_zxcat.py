@@ -108,6 +108,9 @@ def test_crossterm_bound_report():
     assert rep.observed["violations"] == 0
     assert rep.observed["worst_ratio"] <= 1.0
     assert rep.observed["identity_overlap_dev"] < 1e-12
+    for trials in (0, -3):
+        with pytest.raises(ValueError, match="at least one trial"):
+            zxcat.crossterm_bound_check(n=4, trials=trials)
 
 
 def test_cu_witness_identity_small():
