@@ -387,9 +387,9 @@ def pauli_matrix(p: PauliString) -> np.ndarray:
 def _word_action(amps: np.ndarray, p: PauliString) -> np.ndarray:
     idx = np.arange(amps.size, dtype=np.uint64)
     src = idx ^ np.uint64(p.x)
-    par = (np.bitwise_count(src & np.uint64(p.z)) & 1).astype(np.int64)
+    par = np.bitwise_count(src & np.uint64(p.z)) & 1
     k = (p.phase + (p.x & p.z).bit_count()) % 4
-    return (1j**k) * ((-1.0) ** par) * amps[src]
+    return (1j**k) * (1.0 - 2.0 * par) * amps[src]
 
 
 def apply_pauli(v: StateVector, p: PauliString) -> StateVector:

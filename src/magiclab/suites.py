@@ -8,6 +8,7 @@ rerun with the same parameters reproduces the same numbers.
 """
 
 import functools
+import math
 import sys
 import time
 
@@ -26,12 +27,16 @@ def _timed(checks):
     runtime_ms is the difference of whole elapsed milliseconds, so the
     reports of one suite add up to no more than its wall time.  A `trials`
     below 1 raises ValueError: a sampled check over no samples would pass.
+    So does a `tol` that is negative or not finite, which no observed value
+    could meet or every one would.
     """
 
     @functools.wraps(checks)
     def suite(n=None, seed=0, tol=None, trials=None):
         if trials is not None and trials < 1:
             raise ValueError(f"need at least one trial, got {trials}")
+        if tol is not None and not (math.isfinite(tol) and tol >= 0):
+            raise ValueError(f"need a finite tolerance >= 0, got {tol}")
         clock = time.perf_counter
         start, billed, reports = clock(), 0, []
         for check, params, observed, bound in checks(n, seed, tol, trials):
@@ -343,10 +348,10 @@ def run_suite(
         print(f"check failed: {name} seed {seed}: {exc}", file=sys.stderr)
         return 1
     except (ValueError, KeyError) as exc:
-        print(f"invalid parameters: {exc}", file=sys.stderr)
+        print(f"invalid parameters: {name} seed {seed}: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:
-        print(f"check failed hard: {exc}", file=sys.stderr)
+        print(f"check failed hard: {name} seed {seed}: {exc}", file=sys.stderr)
         return 1
     if out:
         write_reports(out, reports, jsonl=jsonl)

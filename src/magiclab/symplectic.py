@@ -136,9 +136,14 @@ def pauli_product(p: PauliString, q: PauliString) -> PauliString:
     return PauliString(p.n, x3, z3, (p.phase + q.phase + k) % 4)
 
 
-def _form(a: int, b: int, n: int) -> int:
-    """Symplectic form (0 or 1) of two packed rows x | z << n."""
-    return ((a & (b >> n)).bit_count() + ((a >> n) & b).bit_count()) & 1
+def _swap(row: int, n: int) -> int:
+    """Packed row x | z << n with its halves swapped, z | x << n.
+
+    The symplectic form of two packed rows a and b is the parity of
+    a & _swap(b, n), so loops that pair one row with many others swap it
+    once and take one popcount per pair.
+    """
+    return row >> n | (row & ((1 << n) - 1)) << n
 
 
 def _symplectic_row(p: PauliString) -> int:
@@ -149,7 +154,7 @@ def commutes(p: PauliString, q: PauliString) -> bool:
     """True iff p and q commute (symplectic form vanishes)."""
     if p.n != q.n:
         raise ValueError("size mismatch")
-    return not _form(_symplectic_row(p), _symplectic_row(q), p.n)
+    return not _f2.dot(_symplectic_row(p), q.z | q.x << q.n)
 
 
 @dataclass(frozen=True)
@@ -170,9 +175,10 @@ class StabilizerState:
         if any(g.n != self.n for g in self.generators):
             raise ValueError("size mismatch")
         rows = [_symplectic_row(g) for g in self.generators]
-        for i in range(self.n):
+        swapped = [_swap(row, self.n) for row in rows]
+        for i, row in enumerate(rows):
             for j in range(i + 1, self.n):
-                if _form(rows[i], rows[j], self.n):
+                if (row & swapped[j]).bit_count() & 1:
                     raise ValueError(f"generators {i} and {j} anticommute")
         if _f2.rank(rows) != self.n:
             raise ValueError("generators are not independent")
@@ -289,15 +295,23 @@ class CliffordMap:
                 raise ValueError("images must be Hermitian")
         xs = [_symplectic_row(img) for img in self.x_images]
         zs = [_symplectic_row(img) for img in self.z_images]
+        sxs = [_swap(row, n) for row in xs]
+        szs = [_swap(row, n) for row in zs]
         for i in range(n):
-            for j in range(n):
-                # X-X and Z-Z are symmetric and trivial on the diagonal, so
-                # j > i covers them in the order a full sweep meets them
-                if j > i and _form(xs[i], xs[j], n):
+            xi, zi = xs[i], zs[i]
+            # X-X and Z-Z are symmetric and trivial on the diagonal, so only
+            # j > i checks them, in the order a full sweep over j meets them
+            for j in range(i):
+                if (xi & szs[j]).bit_count() & 1:
+                    raise ValueError("X/Z image pairing broken")
+            if not (xi & szs[i]).bit_count() & 1:
+                raise ValueError("X/Z image pairing broken")
+            for j in range(i + 1, n):
+                if (xi & sxs[j]).bit_count() & 1:
                     raise ValueError("X images must commute pairwise")
-                if j > i and _form(zs[i], zs[j], n):
+                if (zi & szs[j]).bit_count() & 1:
                     raise ValueError("Z images must commute pairwise")
-                if _form(xs[i], zs[j], n) != (i == j):
+                if (xi & szs[j]).bit_count() & 1:
                     raise ValueError("X/Z image pairing broken")
         rows = tuple(
             (img.x, img.z, (img.phase + (img.x & img.z).bit_count()) % 4)
@@ -392,6 +406,12 @@ def random_clifford(n: int, rng) -> CliffordMap:
     symplectic bases, so every Clifford is equally likely (Koenig-Smolin,
     arXiv:1406.2170; Bravyi-Maslov, arXiv:2003.09412).  `rng` is a numpy
     Generator or an integer seed.
+
+    Each 2n-bit draw reads the uint32 words that ``rng.bytes`` would
+    consume straight from the bit generator, packed little-endian, so the
+    tableau and the generator state afterwards are those of the
+    ``rng.bytes`` loop.  The draws bypass the bit generator's lock: a
+    Generator must not be shared across threads during a call.
     """
     if n < 1:
         raise ValueError("need at least one qubit")
@@ -399,32 +419,41 @@ def random_clifford(n: int, rng) -> CliffordMap:
         rng = np.random.default_rng(rng)
     low = (1 << n) - 1
     full = (1 << 2 * n) - 1
-    nbytes = (2 * n + 7) // 8
-    pairs: list[tuple[int, int]] = []
+    # rng.bytes(k) takes ceil(k / 4) uint32 words for k = ceil(2n / 8) bytes
+    shifts = range(0, 32 * ((2 * n + 31) // 32), 32)
+    bitgen = rng.bit_generator.ctypes
+    next_uint32, state = bitgen.next_uint32, bitgen.state
+    # (v, w, swapped v, swapped w) per earlier pair
+    pairs: list[tuple[int, int, int, int]] = []
 
-    def project(u: int) -> int:
-        # onto the complement of the earlier pairs; a linear surjection, so
-        # it maps uniform bits to a uniform vector of the complement
-        for v, w in pairs:
-            if _form(u, w, n):
-                u ^= v
-            if _form(u, v, n):
-                u ^= w
-        return u
+    def bits() -> int:
+        u = 0
+        for shift in shifts:
+            u |= next_uint32(state) << shift
+        return u & full
 
     def draw() -> int:
-        return project(int.from_bytes(rng.bytes(nbytes), "little") & full)
+        # projects onto the complement of the earlier pairs; a linear
+        # surjection, so it maps uniform bits to a uniform vector there
+        u = bits()
+        for v, w, sv, sw in pairs:
+            if (u & sw).bit_count() & 1:
+                u ^= v
+            if (u & sv).bit_count() & 1:
+                u ^= w
+        return u
 
     for _ in range(n):
         v = draw()
         while not v:
             v = draw()
+        sv = _swap(v, n)
         w = draw()
-        while not _form(v, w, n):
+        while not (w & sv).bit_count() & 1:
             w = draw()
-        pairs.append((v, w))
-    signs = int.from_bytes(rng.bytes(nbytes), "little")
-    rows = [v for v, _ in pairs] + [w for _, w in pairs]
+        pairs.append((v, w, sv, _swap(w, n)))
+    signs = bits()
+    rows = [v for v, *_ in pairs] + [w for _, w, *_ in pairs]
     images = [
         PauliString(n, row & low, row >> n, 2 * (signs >> k & 1))
         for k, row in enumerate(rows)

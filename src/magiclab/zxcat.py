@@ -140,12 +140,15 @@ def crossterm_bound_check(
 
     Each trial draws a random Clifford C, forms the rotated branches
     phi1 = C^dag|0^n> and phi2 = C^dag|+^n>, draws a random Hermitian V of
-    unit spectral norm on a random support of size a <= max_support, and
-    compares the cross term against the bound. The identity V reproduces
-    |<phi1|phi2>| = 2^{-n/2} exactly, which is also recorded.
+    unit spectral norm on a random support of size a <= min(max_support, n),
+    and compares the cross term against the bound. The identity V
+    reproduces |<phi1|phi2>| = 2^{-n/2} exactly, which is also recorded.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
+    if max_support < 1:
+        raise ValueError(f"need a support of at least one qubit, got {max_support}")
+    top = min(max_support, n)
     rng = np.random.default_rng(seed)
     zero, plus = sp.StabilizerState.zero_state(n), sp.StabilizerState.plus_state(n)
     worst_ratio = 0.0
@@ -161,7 +164,7 @@ def crossterm_bound_check(
             overlap_dev,
             abs(abs(np.vdot(v1.amps, v2.amps)) - 2.0 ** (-n / 2.0)),
         )
-        a = int(rng.integers(1, max_support + 1))
+        a = int(rng.integers(1, top + 1))
         support = tuple(
             sorted(int(q) for q in rng.choice(n, size=a, replace=False))
         )

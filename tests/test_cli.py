@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from magiclab import glue, prep
+from magiclab import glue, prep, symplectic as sp
 from magiclab.cli import main
 from magiclab.modular import double_fibonacci
 from magiclab.reports import CheckReport, dump_state, load_state, sanitize, write_reports
@@ -133,6 +133,41 @@ def test_cli_suite_rejects_trials_below_one(suite, trials, capsys):
     captured = capsys.readouterr()
     assert f"need at least one trial, got {trials}" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("suite", ["symplectic", "prep", "all"])
+def test_cli_suite_rejects_a_negative_or_infinite_tol(suite, tol, capsys):
+    # no observed value meets a negative or nan bound, and every one meets inf
+    assert main([suite, "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert f"need a finite tolerance >= 0, got {float(tol)}" in captured.err
+    assert captured.out == ""
+
+
+def test_suite_error_lines_name_the_suite_and_seed(monkeypatch, capsys):
+    assert run_suite("prep", seed=4, tol=-1.0) == 2
+    assert "invalid parameters: prep seed 4: need a finite tolerance" in capsys.readouterr().err
+
+    def broken(*args, **kwargs):
+        raise AssertionError("kernel element mismatch")
+
+    monkeypatch.setattr(sp, "stabilizer_overlap", broken)
+    assert run_suite("symplectic", seed=6) == 1
+    err = capsys.readouterr().err
+    assert "check failed hard: symplectic seed 6: kernel element mismatch" in err
+
+
+@pytest.mark.parametrize("n", ["2", "3"])
+def test_cli_zxcat_suite_runs_below_four_qubits(n, capsys):
+    assert main(["zxcat", "--n", n, "--trials", "20"]) == 0
+    reports = json.loads(capsys.readouterr().out)
+    assert len(reports) == 5 and all(r["pass"] for r in reports)
+
+
+def test_cli_zxcat_suite_at_one_qubit_has_no_cone_pair(capsys):
+    assert main(["zxcat", "--n", "1", "--trials", "20"]) == 2
+    assert "no seed pair with disjoint forward cones" in capsys.readouterr().err
 
 
 def test_cli_glue_run_rejects_trials_below_one(capsys):

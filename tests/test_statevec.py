@@ -208,14 +208,30 @@ def projector_statevector(s):
     b = _f2.solve(equations)
     state = np.zeros(2**s.n, dtype=complex)
     state[b] = 1.0
-    idx = np.arange(2**s.n, dtype=np.uint64)
     for word, sign in zip(s.generators, s.signs):
-        src = idx ^ np.uint64(word.x)
-        par = (np.bitwise_count(src & np.uint64(word.z)) & 1).astype(np.int64)
-        k = (word.x & word.z).bit_count() % 4
-        moved = (1j**k) * ((-1.0) ** par) * state[src]
-        state = (state + sign * moved) / 2.0
+        state = (state + sign * power_word_action(state, word)) / 2.0
     return sv.StateVector.from_amplitudes(state, normalize=True)
+
+
+def power_word_action(amps, p):
+    """i^phase W(x, z) applied to amps, with its signs as (-1.0) ** parity."""
+    idx = np.arange(amps.size, dtype=np.uint64)
+    src = idx ^ np.uint64(p.x)
+    par = (np.bitwise_count(src & np.uint64(p.z)) & 1).astype(np.int64)
+    k = (p.phase + (p.x & p.z).bit_count()) % 4
+    return (1j**k) * ((-1.0) ** par) * amps[src]
+
+
+def test_word_action_bytes_equal_the_power_oracle():
+    rng = np.random.default_rng(41)
+    for n in range(1, 10):
+        amps = _random_state(n, rng).amps
+        for _ in range(12):
+            x, z = (int(t) for t in rng.integers(0, 2**n, size=2))
+            p = sp.PauliString(n, x, z, int(rng.integers(0, 4)))
+            got = sv._word_action(amps, p)
+            assert got.dtype == np.complex128
+            assert got.tobytes() == power_word_action(amps, p).tobytes(), (n, p)
 
 
 def test_to_statevector_equals_projector_product_exactly():

@@ -1,5 +1,6 @@
 """Exact Pauli/stabilizer algebra against dense matrix oracles."""
 
+import json
 import math
 import os
 import subprocess
@@ -231,6 +232,82 @@ def test_random_clifford_same_seed_same_map():
         assert sp.random_clifford(n, 22) != first
     with pytest.raises(ValueError):
         sp.random_clifford(0, 21)
+
+
+def form_by_two_popcounts(a, b, n):
+    return ((a & (b >> n)).bit_count() + ((a >> n) & b).bit_count()) & 1
+
+
+def random_clifford_by_bytes(n, rng):
+    """The sampler with one rng.bytes call per 2n-bit draw, as (x, z, phase) rows."""
+    low, full, nbytes = (1 << n) - 1, (1 << 2 * n) - 1, (2 * n + 7) // 8
+    pairs = []
+
+    def draw():
+        u = int.from_bytes(rng.bytes(nbytes), "little") & full
+        for v, w in pairs:
+            if form_by_two_popcounts(u, w, n):
+                u ^= v
+            if form_by_two_popcounts(u, v, n):
+                u ^= w
+        return u
+
+    for _ in range(n):
+        v = draw()
+        while not v:
+            v = draw()
+        w = draw()
+        while not form_by_two_popcounts(v, w, n):
+            w = draw()
+        pairs.append((v, w))
+    signs = int.from_bytes(rng.bytes(nbytes), "little")
+    rows = [v for v, _ in pairs] + [w for _, w in pairs]
+    return [(row & low, row >> n, 2 * (signs >> k & 1)) for k, row in enumerate(rows)]
+
+
+def bitgen_state(rng):
+    # MT19937, Philox and SFC64 keep parts of their state in arrays
+    return json.dumps(rng.bit_generator.state, sort_keys=True, default=np.ndarray.tolist)
+
+
+@pytest.mark.parametrize("bitgen", ["PCG64", "MT19937", "Philox", "SFC64"])
+def test_random_clifford_reads_the_rng_bytes_stream(bitgen):
+    # 1 to 16 bytes per draw, on both sides of each 4-byte word boundary
+    for n in (1, 3, 4, 15, 16, 17, 32, 33, 64):
+        rng = np.random.Generator(getattr(np.random, bitgen)(n))
+        twin = np.random.Generator(getattr(np.random, bitgen)(n))
+        for _ in range(2):
+            c = sp.random_clifford(n, rng)
+            got = [(p.x, p.z, p.phase) for p in c.x_images + c.z_images]
+            assert got == random_clifford_by_bytes(n, twin), (bitgen, n)
+            assert bitgen_state(rng) == bitgen_state(twin), (bitgen, n)
+            # an odd word count leaves half a 64-bit output buffered
+            assert rng.bytes(1) == twin.bytes(1)
+
+
+def test_swapped_form_matches_two_popcounts_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def row_pairs(draw):
+        n = draw(st.integers(1, 70))
+        rows = st.integers(0, 2 ** (2 * n) - 1)
+        return n, draw(rows), draw(rows)
+
+    @hyp.settings(max_examples=300, deadline=None)
+    @hyp.given(row_pairs())
+    def check(case):
+        n, a, b = case
+        want = form_by_two_popcounts(a, b, n)
+        assert (a & sp._swap(b, n)).bit_count() & 1 == want
+        assert sp._swap(sp._swap(b, n), n) == b
+        low = (1 << n) - 1
+        p = sp.PauliString(n, a & low, a >> n)
+        q = sp.PauliString(n, b & low, b >> n)
+        assert sp.commutes(p, q) == (not want)
+
+    check()
 
 
 def random_stabilizer_state(n, rng):

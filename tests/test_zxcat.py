@@ -111,6 +111,19 @@ def test_crossterm_bound_report():
     for trials in (0, -3):
         with pytest.raises(ValueError, match="at least one trial"):
             zxcat.crossterm_bound_check(n=4, trials=trials)
+    for max_support in (0, -1):
+        with pytest.raises(ValueError, match="at least one qubit"):
+            zxcat.crossterm_bound_check(n=4, trials=3, max_support=max_support)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_crossterm_bound_below_the_support_cap(n):
+    # supports are drawn up to min(max_support, n) qubits
+    rep = zxcat.crossterm_bound_check(n=n, seed=5, trials=60)
+    assert rep.passed and rep.observed["violations"] == 0
+    assert rep.observed["worst_ratio"] <= 1.0
+    assert rep.observed["identity_overlap_dev"] < 1e-12
+    assert rep.params["max_support"] == 4
 
 
 def test_cu_witness_identity_small():
