@@ -15,7 +15,7 @@ def dot(a: int, b: int) -> int:
 
 def rank(rows: list[int]) -> int:
     """Rank of the span of the given rows."""
-    return len(independent(rows))
+    return len(eliminate(rows)[0])
 
 
 def independent(rows: list[int]) -> list[int]:
@@ -23,14 +23,7 @@ def independent(rows: list[int]) -> list[int]:
 
     The selected rows form a basis of the span of all the rows.
     """
-    basis: dict[int, int] = {}
-    out = []
-    for i, row in enumerate(rows):
-        row = _reduce(row, basis)
-        if row:
-            basis[row.bit_length() - 1] = row
-            out.append(i)
-    return out
+    return eliminate(rows)[0]
 
 
 def left_kernel(rows: list[int]) -> list[int]:
@@ -38,21 +31,32 @@ def left_kernel(rows: list[int]) -> list[int]:
 
     Returned masks index into `rows` (bit i of a mask selects rows[i]).
     """
+    return eliminate(rows)[1]
+
+
+def eliminate(rows: list[int]) -> tuple[list[int], list[int]]:
+    """(independent(rows), left_kernel(rows)) from one elimination pass.
+
+    Row i either finds a new pivot, so it is not in the span of the rows
+    before it, or reduces to zero, and the rows its reduction used give
+    one kernel basis mask.
+    """
     basis: dict[int, tuple[int, int]] = {}
-    out = []
+    picked, kernel = [], []
     for i, row in enumerate(rows):
         tag = 1 << i
         while row:
             pivot = row.bit_length() - 1
             if pivot not in basis:
                 basis[pivot] = (row, tag)
+                picked.append(i)
                 break
             brow, btag = basis[pivot]
             row ^= brow
             tag ^= btag
         else:
-            out.append(tag)
-    return out
+            kernel.append(tag)
+    return picked, kernel
 
 
 def solve(equations: list[tuple[int, int]]) -> int | None:
@@ -82,12 +86,3 @@ def solve(equations: list[tuple[int, int]]) -> int | None:
         if dot(mask & ~(1 << pivot), b) ^ bit:
             b |= 1 << pivot
     return b
-
-
-def _reduce(row: int, basis: dict[int, int]) -> int:
-    while row:
-        pivot = row.bit_length() - 1
-        if pivot not in basis:
-            return row
-        row ^= basis[pivot]
-    return 0

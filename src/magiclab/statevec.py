@@ -43,7 +43,7 @@ CX4 = np.array(
     [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex
 )
 CZ4 = np.diag([1, 1, 1, -1]).astype(complex)
-_I_POWERS = (1.0 + 0j, 1j, -1.0 + 0j, -1j)
+_I_POWERS = np.array([1, 1j, -1, -1j])
 
 
 def max_qubits() -> int:
@@ -203,10 +203,14 @@ class LightCone:
         return len(self.qubits)
 
 
-def _target_axes(n: int, targets: Sequence[int]) -> list:
-    # targets[0] must land on the low bit of the packed index, i.e. the
-    # last of the front axes after the reshape to (2**k, -1)
-    return [n - 1 - q for q in reversed(targets)]
+def _target_perm(n: int, targets: Sequence[int]) -> list:
+    """Axes of the (2,)*n tensor, `targets` first with targets[0] (low bit) last."""
+    front = []
+    for t in reversed(targets):
+        if not 0 <= t < n:
+            raise ValueError(f"target {t} out of range for {n} qubits")
+        front.append(n - 1 - t)
+    return front + [a for a in range(n) if a not in front]
 
 
 def _front(amps: np.ndarray, n: int, targets: Sequence[int]) -> np.ndarray:
@@ -216,9 +220,8 @@ def _front(amps: np.ndarray, n: int, targets: Sequence[int]) -> np.ndarray:
     other qubits in their original relative order, so a column index is
     already the LSB-consistent index of the remaining qubits.
     """
-    k = len(targets)
-    tensor = np.moveaxis(amps.reshape((2,) * n), _target_axes(n, targets), range(k))
-    return tensor.reshape(2**k, -1)
+    tensor = amps.reshape((2,) * n).transpose(_target_perm(n, targets))
+    return tensor.reshape(2 ** len(targets), -1)
 
 
 def matrix_action(
@@ -226,10 +229,9 @@ def matrix_action(
 ) -> np.ndarray:
     """Apply a (not necessarily unitary) matrix on `targets` to raw amplitudes."""
     flat = np.asarray(matrix, dtype=complex) @ _front(amps, n, targets)
-    tensor = np.moveaxis(
-        flat.reshape((2,) * n), range(len(targets)), _target_axes(n, targets)
-    )
-    return tensor.reshape(-1)
+    perm = _target_perm(n, targets)
+    inverse = sorted(range(n), key=perm.__getitem__)
+    return flat.reshape((2,) * n).transpose(inverse).reshape(-1)
 
 
 def apply_gate(v: StateVector, gate: Gate) -> StateVector:
@@ -384,12 +386,30 @@ def pauli_matrix(p: PauliString) -> np.ndarray:
     return (1j**p.phase) * mat
 
 
-def _word_action(amps: np.ndarray, p: PauliString) -> np.ndarray:
-    idx = np.arange(amps.size, dtype=np.uint64)
+def _word_map(size: int, p: PauliString) -> tuple[np.ndarray, np.ndarray]:
+    """(src, signs) with (P a)[i] = signs[i] * a[src[i]] for len(a) = size."""
+    idx = np.arange(size, dtype=np.uint64)
     src = idx ^ np.uint64(p.x)
     par = np.bitwise_count(src & np.uint64(p.z)) & 1
     k = (p.phase + (p.x & p.z).bit_count()) % 4
-    return (1j**k) * (1.0 - 2.0 * par) * amps[src]
+    return src, (1j**k) * (1.0 - 2.0 * par)
+
+
+def _word_action(amps: np.ndarray, p: PauliString) -> np.ndarray:
+    src, signs = _word_map(amps.size, p)
+    return signs * amps[src]
+
+
+def _word_expectations(p: PauliString, states: Sequence[StateVector]) -> list:
+    """<v|P|v> for each state v (Hermitian P, same n), from one word map."""
+    src, signs = _word_map(states[0].amps.size, p)
+    out = []
+    for v in states:
+        val = np.vdot(v.amps, signs * v.amps[src])
+        if abs(val.imag) > 1e-9:
+            raise AssertionError("Hermitian expectation came out complex")
+        out.append(float(val.real))
+    return out
 
 
 def apply_pauli(v: StateVector, p: PauliString) -> StateVector:
@@ -405,10 +425,7 @@ def pauli_expectation(v: StateVector, p: PauliString) -> float:
         raise ValueError("expectation needs a Hermitian Pauli")
     if p.n != v.n:
         raise ValueError("size mismatch")
-    val = np.vdot(v.amps, _word_action(v.amps, p))
-    if abs(val.imag) > 1e-9:
-        raise AssertionError("Hermitian expectation came out complex")
-    return float(val.real)
+    return _word_expectations(p, (v,))[0]
 
 
 def to_statevector(s: StabilizerState) -> StateVector:
@@ -419,16 +436,16 @@ def to_statevector(s: StabilizerState) -> StateVector:
     element of D fixes |b>.  Generators h_1..h_k with independent x-parts
     then reach each coset of D exactly once, and the state is proportional
     to the sum of h^m|b> over m in F2^k (the projector product of all n
-    generators applied to |b>, up to the factor |D|/2^n).  The support is
-    filled by doubling: h = s i^|x&z| X^x Z^z sends the amplitude a at idx
-    to s i^|x&z| (-1)^(z.idx) a at idx ^ x.  All values are exact, so the
-    normalized result is the one the projector product gives.
+    generators applied to |b>, up to the factor |D|/2^n); one elimination
+    of the x-parts finds both h and D.  The support is filled by doubling:
+    h = s i^|x&z| X^x Z^z sends i^e at idx to i^(e + 1 - s + |x&z| +
+    2 z.idx) at idx ^ x.  Dividing by sqrt(2^k), the norm, is exact.
     """
     n = s.n
     _check_dense(n)
-    x_rows = [g.x for g in s.generators]
+    picked, kernel = _f2.eliminate([g.x for g in s.generators])
     equations = []
-    for tag in _f2.left_kernel(x_rows):
+    for tag in kernel:
         word, sign = s.element(tag)
         if word.x != 0:
             raise AssertionError("diagonal subgroup element has X support")
@@ -436,17 +453,22 @@ def to_statevector(s: StabilizerState) -> StateVector:
     b = _f2.solve(equations)
     if b is None:
         raise AssertionError("inconsistent stabilizer signs")
-    idx = np.array([b], dtype=np.uint64)
-    vals = np.ones(1, dtype=complex)
-    for i in _f2.independent(x_rows):
-        g, sign = s.generators[i], s.signs[i]
-        coeff = sign * _I_POWERS[(g.x & g.z).bit_count() % 4]
-        par = np.bitwise_count(idx & np.uint64(g.z)) & 1
-        vals = np.concatenate((vals, coeff * (1.0 - 2.0 * par) * vals))
-        idx = np.concatenate((idx, idx ^ np.uint64(g.x)))
+    size = 1 << len(picked)
+    idx = np.empty(size, dtype=np.uint64)
+    phase = np.empty(size, dtype=np.uint8)
+    idx[0], phase[0] = b, 0
+    m = 1
+    for i in picked:
+        g = s.generators[i]
+        low = idx[:m]
+        np.bitwise_xor(low, g.x, out=idx[m : 2 * m])
+        # exponents of i wrap mod 256, a multiple of 4
+        e = 1 - s.signs[i] + (g.x & g.z).bit_count()
+        phase[m : 2 * m] = phase[:m] + 2 * np.bitwise_count(low & g.z) + e
+        m *= 2
     state = np.zeros(2**n, dtype=complex)
-    state[idx] = vals
-    return StateVector.from_amplitudes(state, normalize=True)
+    state[idx] = (_I_POWERS / np.sqrt(size))[phase & 3]
+    return StateVector(n, state)
 
 
 def _branches(v: StateVector, targets: Sequence[int], bras: Sequence) -> tuple[list, list]:

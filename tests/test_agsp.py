@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -7,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from magiclab import agsp, statevec as sv, symplectic as sp, zxcat
+from magiclab import agsp, statevec as sv, suites, symplectic as sp, zxcat
 
 
 def cheb_exact(m, x):
@@ -189,6 +190,59 @@ def test_local_indist_scan_ratio_bounded():
     assert 0 < with_random <= 8
     with pytest.raises(ValueError):
         agsp.local_indist_scan(sv.max_qubits() + 1, 1)
+
+
+def combined_indist_scan(n, max_support, random_trials=0, seed=0):
+    """One loop over the words, then the random V, continuing one running max."""
+    plus, minus = zxcat.build(n, "plus"), zxcat.build(n, "minus")
+    worst = 0.0
+    for a in range(1, max_support + 1):
+        limit = 2.0 ** (a - n / 2.0)
+        for support in itertools.combinations(range(n), a):
+            for letters in range(3**a):
+                p = sp.PauliString.identity(n)
+                rem = letters
+                for q in support:
+                    p = p * sp.PauliString.single(n, q, "XYZ"[rem % 3])
+                    rem //= 3
+                diff = abs(sv.pauli_expectation(plus, p) - sv.pauli_expectation(minus, p))
+                worst = max(worst, diff / limit)
+    rng = np.random.default_rng(seed)
+    for _ in range(random_trials):
+        a = int(rng.integers(1, max_support + 1))
+        support = tuple(sorted(int(q) for q in rng.choice(n, a, replace=False)))
+        herm = zxcat._random_bounded_hermitian(1 << a, rng)
+        d1 = np.vdot(plus.amps, sv.matrix_action(plus.amps, n, support, herm))
+        d2 = np.vdot(minus.amps, sv.matrix_action(minus.amps, n, support, herm))
+        worst = max(worst, abs((d1 - d2).real) / 2.0 ** (a - n / 2.0))
+    return worst
+
+
+@pytest.mark.parametrize(
+    "n, max_support, trials, seed",
+    [(10, 2, 0, 0), (10, 2, 60, 0), (10, 2, 60, 3), (8, 3, 30, 4), (4, 4, 25, 2), (2, 1, 10, 7)],
+)
+def test_split_indist_scans_equal_the_combined_scan(n, max_support, trials, seed):
+    want = combined_indist_scan(n, max_support, trials, seed)
+    words = agsp._indist_words(n, max_support)
+    assert words == combined_indist_scan(n, max_support)
+    assert max(words, agsp._indist_random(n, max_support, trials, seed)) == want
+    assert agsp.local_indist_scan(n, max_support, trials, seed) == want
+
+
+def test_agsp_suite_reports_the_combined_scans():
+    reports = {r.check: r for r in suites.suite_agsp(seed=3, trials=20)}
+    assert reports["indist-word-ratio"].observed == combined_indist_scan(10, 2)
+    want = combined_indist_scan(10, 2, 20, 3)
+    assert reports["indist-random-hermitian"].observed == want
+
+
+def test_local_indist_scan_with_supports_larger_than_n():
+    # random supports are capped at n qubits, as the word scan's are
+    for n, max_support in ((3, 4), (1, 2), (2, 5)):
+        ratio = agsp.local_indist_scan(n, max_support, random_trials=20, seed=1)
+        assert 0 < ratio <= 8
+        assert ratio >= agsp.local_indist_scan(n, max_support)
 
 
 # -- the integer exact layer against the Fraction recurrence ------------------

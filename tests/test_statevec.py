@@ -246,6 +246,96 @@ def test_to_statevector_equals_projector_product_exactly():
             assert np.array_equal(got, projector_statevector(s).amps), n
 
 
+def doubling_statevector(s):
+    """Stabilizer->dense by two eliminations and concatenating complex doubling."""
+    from magiclab import _f2
+
+    x_rows = [g.x for g in s.generators]
+    equations = []
+    for tag in _f2.left_kernel(x_rows):
+        word, sign = s.element(tag)
+        equations.append((word.z, 0 if sign == 1 else 1))
+    idx = np.array([_f2.solve(equations)], dtype=np.uint64)
+    vals = np.ones(1, dtype=complex)
+    for i in _f2.independent(x_rows):
+        g, sign = s.generators[i], s.signs[i]
+        coeff = sign * (1.0 + 0j, 1j, -1.0 + 0j, -1j)[(g.x & g.z).bit_count() % 4]
+        par = np.bitwise_count(idx & np.uint64(g.z)) & 1
+        vals = np.concatenate((vals, coeff * (1.0 - 2.0 * par) * vals))
+        idx = np.concatenate((idx, idx ^ np.uint64(g.x)))
+    state = np.zeros(2**s.n, dtype=complex)
+    state[idx] = vals
+    return sv.StateVector.from_amplitudes(state, normalize=True)
+
+
+def test_to_statevector_equals_the_concatenating_doubling():
+    rng = np.random.default_rng(28)
+    for n in range(1, 13):
+        for _ in range(8 if n <= 8 else 3):
+            c = sp.random_clifford(n, rng)
+            for base in (sp.StabilizerState.zero_state(n), sp.StabilizerState.plus_state(n)):
+                s = sp.apply_clifford(c, base)
+                got = sv.to_statevector(s).amps
+                assert np.array_equal(got, doubling_statevector(s).amps), n
+
+
+def moveaxis_front(amps, n, targets):
+    axes = [n - 1 - q for q in reversed(targets)]
+    return np.moveaxis(amps.reshape((2,) * n), axes, range(len(targets))).reshape(
+        2 ** len(targets), -1
+    )
+
+
+def moveaxis_matrix_action(amps, n, targets, matrix):
+    axes = [n - 1 - q for q in reversed(targets)]
+    flat = matrix @ moveaxis_front(amps, n, targets)
+    return np.moveaxis(flat.reshape((2,) * n), range(len(targets)), axes).reshape(-1)
+
+
+def test_front_and_matrix_action_bytes_equal_the_moveaxis_oracle():
+    rng = np.random.default_rng(29)
+    for n in range(1, 11):
+        amps = _random_state(n, rng).amps
+        for k in range(1, n + 1):
+            targets = tuple(int(q) for q in rng.permutation(n)[:k])
+            got = sv._front(amps, n, targets)
+            assert got.tobytes() == moveaxis_front(amps, n, targets).tobytes()
+            m = rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k))
+            got = sv.matrix_action(amps, n, targets, m)
+            assert got.tobytes() == moveaxis_matrix_action(amps, n, targets, m).tobytes()
+
+
+@pytest.mark.parametrize("bad", [3, 4, 5, 6, 9, -1, -3, -4])
+def test_targets_outside_the_register_raise(bad):
+    # a target in [n, 2n) used to wrap around to qubit t - n
+    v = sv.StateVector.basis_state(3, 0)
+    match = f"target {bad} out of range for 3 qubits"
+    with pytest.raises(ValueError, match=match):
+        sv.apply_gate(v, sv.Gate((bad,), sv.X2))
+    with pytest.raises(ValueError, match=match):
+        sv.apply_gate(v, sv.Gate((0, bad), sv.CX4))
+    with pytest.raises(ValueError, match=match):
+        sv.measure(v, (bad,), [np.array([1, 0]), np.array([0, 1])], forced=1)
+    with pytest.raises(ValueError, match=match):
+        sv.matrix_action(v.amps, 3, (bad,), sv.Z2)
+
+
+def test_word_expectations_bytes_equal_the_power_oracle():
+    from magiclab import zxcat
+
+    rng = np.random.default_rng(30)
+    for n in range(1, 11):
+        states = (zxcat.build(n, "plus"), zxcat.build(n, "minus"), _random_state(n, rng))
+        for _ in range(10):
+            x, z = (int(t) for t in rng.integers(0, 2**n, size=2))
+            p = sp.PauliString(n, x, z, 2 * int(rng.integers(0, 2)))
+            got = sv._word_expectations(p, states)
+            for v, val in zip(states, got, strict=True):
+                want = float(np.vdot(v.amps, power_word_action(v.amps, p)).real)
+                assert np.float64(val).tobytes() == np.float64(want).tobytes()
+                assert val == sv.pauli_expectation(v, p)
+
+
 def test_project_out_bell():
     bell = sv.StateVector.from_amplitudes([1, 0, 0, 1])
     _, post, prob = sv.measure(bell, [0], (np.array([1, 0]),), forced=0)
@@ -529,7 +619,7 @@ def test_measure_shots_equals_a_chain_of_measure_calls():
     # a plain per-shot loop of measure is the oracle for the shared walk
     rng = np.random.default_rng(13)
     v = _random_state(7, rng)
-    steps = [((5,), X_BRAS), ((0, 3), BELL_BRAS), ((4,), X_BRAS), ((0, 1), BELL_BRAS)]
+    steps = [((5,), X_BRAS), ((0, 3), BELL_BRAS), ((0,), X_BRAS), ((0, 1), BELL_BRAS)]
     for forced in (None, [None, 2, None, None], [1, 0, 1, 3]):
         rngs = [np.random.default_rng(s) for s in range(60)]
         shots = sv.measure_shots(v, steps, rngs, forced)

@@ -116,6 +116,18 @@ def test_crossterm_bound_report():
             zxcat.crossterm_bound_check(n=4, trials=3, max_support=max_support)
 
 
+def test_crossterm_branches_from_the_adjoint_images():
+    # C^dag|0^n> and C^dag|+^n> read off the adjoint tableau's Z and X images
+    rng = np.random.default_rng(31)
+    for n in range(1, 13):
+        for _ in range(6):
+            adj = sp.random_clifford(n, rng).adjoint()
+            zero = sp.apply_clifford(adj, sp.StabilizerState.zero_state(n))
+            plus = sp.apply_clifford(adj, sp.StabilizerState.plus_state(n))
+            assert sp.StabilizerState.from_generators(adj.z_images) == zero
+            assert sp.StabilizerState.from_generators(adj.x_images) == plus
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_crossterm_bound_below_the_support_cap(n):
     # supports are drawn up to min(max_support, n) qubits
