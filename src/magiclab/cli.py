@@ -201,14 +201,14 @@ def _glue_run(args) -> int:
         raise ValueError(f"need at least one trial, got {trials}")
     seed = _get(args, "seed", 0)
     records = []
-    worst = 0.0
     for t in range(trials):
         inst = glue.generate_gluable_instance(sizes, seed=seed + t)
         _, residuals = glue.merge(inst)
-        worst = max(worst, *residuals.values())
         records.append(
             {"seed": seed + t, "premises": inst.residuals, "conclusions": residuals}
         )
+    # np.max, not max: a NaN conclusion must fail the report
+    worst = float(np.max([v for r in records for v in r["conclusions"].values()]))
     params = {"dims": list(sizes), "trials": trials, "seed": seed}
     observed, bound = {"worst_conclusion": worst}, {"worst_conclusion": 1e-8}
     report = CheckReport("glue-run", params, observed, bound, worst <= 1e-8)

@@ -15,13 +15,14 @@ alone; `petz_glue` realizes the same merge as a recovery map built from
 the AB marginal.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .statevec import (
     Gate,
     StateVector,
+    _hermitian_defect,
     _sqrt_psd,
     apply_gate,
     entanglement_entropy,
@@ -32,8 +33,6 @@ from .statevec import (
 )
 
 _SUB_BLOCKS = ("A", "B1", "B2", "C1", "C2", "D")
-# entries per row block of petz_glue's Hermitian check: 16 MiB of complex128
-_BLOCK_ENTRIES = 1 << 20
 
 
 class PremiseViolation(ValueError):
@@ -84,8 +83,10 @@ class GluableInstance:
     """A pair of states on a common partition, ready to be glued.
 
     `planted_a` / `planted_d` record the local rotations the generator
-    used to make the two states differ (None for hand-built pairs);
-    `residuals` records how well the premises held at generation time.
+    used to make the two states differ (None for hand-built pairs).
+    Building an instance checks the premises: a pair that fails one
+    raises PremiseViolation, and `residuals` holds what `check_premises`
+    returned for a pair that passes.
     """
 
     partition: Partition
@@ -93,11 +94,12 @@ class GluableInstance:
     psi_prime: StateVector
     planted_a: np.ndarray | None = None
     planted_d: np.ndarray | None = None
-    residuals: dict | None = None
+    residuals: dict = field(init=False)
 
     def __post_init__(self):
         if self.psi.n != self.partition.n or self.psi_prime.n != self.partition.n:
             raise ValueError("states must live on the partition's qubits")
+        object.__setattr__(self, "residuals", check_premises(self))
 
 
 def _random_factor(qubits: int, rng, product: bool) -> np.ndarray:
@@ -142,14 +144,13 @@ def generate_gluable_instance(
         amps = np.kron(right, np.kron(f_mid, left))
         return apply_gate(apply_gate(StateVector(part.n, amps), hide_b), hide_c)
 
-    inst = GluableInstance(
+    return GluableInstance(
         partition=part,
         psi=assemble(f_ab1, f_c2d),
         psi_prime=assemble(g_ab1, g_c2d),
         planted_a=w_a,
         planted_d=w_d,
     )
-    return replace(inst, residuals=check_premises(inst))
 
 
 def check_premises(
@@ -160,6 +161,8 @@ def check_premises(
     Raises PremiseViolation naming the first premise that fails: equal BC
     marginals, equal D entropies, then the two vanishing mutual
     informations (`tol` for the equalities, `mi_tol` bits for the MIs).
+    A NaN residual fails its premise.  Every GluableInstance runs this
+    when it is built, so an instance in hand has passed it.
     """
     part = inst.partition
     bc = part.qubits("B", "C")
@@ -182,15 +185,15 @@ def check_premises(
         "mi_a_cd": float(mi_a_cd),
         "mi_ab_d": float(mi_ab_d),
     }
-    if bc_dev > tol:
+    if not bc_dev <= tol:
         raise PremiseViolation(f"BC marginals differ by {bc_dev:.3e}")
-    if d_dev > tol:
+    if not d_dev <= tol:
         raise PremiseViolation(f"D entropies differ by {d_dev:.3e} bits")
-    if mi_a_cd > mi_tol:
+    if not mi_a_cd <= mi_tol:
         raise PremiseViolation(
             f"first state correlates A with CD: I = {mi_a_cd:.3e} bits"
         )
-    if mi_ab_d > mi_tol:
+    if not mi_ab_d <= mi_tol:
         raise PremiseViolation(
             f"second state correlates AB with D: I = {mi_ab_d:.3e} bits"
         )
@@ -270,10 +273,10 @@ def conclusions(inst: GluableInstance, glued: StateVector) -> dict:
 def merge(inst: GluableInstance) -> tuple[StateVector, dict]:
     """The merged state and its four conclusion residuals.
 
-    Checks the premises, builds the matching unitary on A and applies it
-    to psi'; the residuals are returned, not compared to a tolerance.
+    Builds the matching unitary on A (the premises were checked when the
+    instance was built) and applies it to psi'; the residuals are
+    returned, not compared to a tolerance.
     """
-    check_premises(inst)
     u_a = matching_unitary(inst)
     glued = apply_gate(inst.psi_prime, Gate(inst.partition.qubits("A"), u_a))
     return glued, conclusions(inst, glued)
@@ -283,11 +286,11 @@ def glue_states(inst: GluableInstance) -> StateVector:
     """Merge the pair into one state matching psi on ABC and psi' on BCD.
 
     Raises AssertionError when any of the four conclusions misses by more
-    than 1e-8.
+    than 1e-8 or is NaN.
     """
     glued, residuals = merge(inst)
     for name, residual in residuals.items():
-        if residual > 1e-8:
+        if not residual <= 1e-8:
             raise AssertionError(f"merged state misses {name} by {residual:.3e}")
     return glued
 
@@ -297,21 +300,6 @@ def _invsqrt_psd(mat: np.ndarray, cutoff: float) -> np.ndarray:
     w, u = np.linalg.eigh(mat)
     inv = np.where(w > cutoff, 1.0 / np.sqrt(np.clip(w, cutoff, None)), 0.0)
     return (u * inv) @ u.conj().T
-
-
-def _hermitian_defect(mat: np.ndarray) -> float:
-    """Largest entry of |mat - mat*|, taken over blocks of rows.
-
-    Each block holds about _BLOCK_ENTRIES entries, so no temporary of the
-    matrix's own size is made.
-    """
-    dim = mat.shape[0]
-    rows = max(1, _BLOCK_ENTRIES // dim)
-    # np.max, not max: a NaN block must make the whole defect NaN
-    return float(np.max([
-        np.abs(mat[i : i + rows] - mat[:, i : i + rows].conj().T).max()
-        for i in range(0, dim, rows)
-    ]))
 
 
 def petz_glue(inst: GluableInstance, cutoff: float = 1e-10) -> np.ndarray:
@@ -331,9 +319,10 @@ def petz_glue(inst: GluableInstance, cutoff: float = 1e-10) -> np.ndarray:
     partner marginal yields the merged state, returned as the dense 2^n x
     2^n density matrix W W*; its unit trace and its spectrum are read from
     the dim_A^2-square Gram matrix W* W, which has the same nonzero
-    eigenvalues, and the returned matrix is checked Hermitian.
+    eigenvalues, and the returned matrix is checked Hermitian tile by tile
+    (statevec's `_hermitian_defect`).  The premises were checked when the
+    instance was built.
     """
-    check_premises(inst)
     part = inst.partition
     dim_a = 2 ** part.sizes[0]
     dim_b = 2 ** (part.sizes[1] + part.sizes[2])

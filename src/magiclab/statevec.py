@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate
 from typing import Iterable, Sequence
 
@@ -31,6 +32,7 @@ from .symplectic import PauliString, StabilizerState
 _EIG_CLIP = 1e-12
 _MIN_PROB = 1e-14  # measurement outcomes below this are impossible
 _DENSITY_MAX_QUBITS = 12
+_TILE = 128  # side of the blocks _hermitian_defect compares: 256 KB of complex128
 
 I2 = np.eye(2, dtype=complex)
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -76,7 +78,7 @@ class StateVector:
         if amps.shape != (2**self.n,):
             raise ValueError("amplitude length must be 2**n")
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > 1e-8:
+        if not abs(norm - 1.0) <= 1e-8:
             raise ValueError(f"state not normalized (norm {norm})")
         amps = amps.copy()
         amps.flags.writeable = False
@@ -108,6 +110,21 @@ class StateVector:
         return cls(n, np.full(2**n, 2.0 ** (-n / 2), dtype=complex))
 
 
+def _hermitian_defect(mat: np.ndarray) -> float:
+    """Largest entry of |mat - mat*|, bit for bit, over _TILE-square tiles.
+
+    |m_ij - conj m_ji| = |m_ji - conj m_ij|, so only the tile pairs on and
+    above the diagonal are compared; a NaN anywhere makes the result NaN.
+    """
+    tiles = [slice(i, i + _TILE) for i in range(0, mat.shape[0], _TILE)]
+    # np.maximum, not max: a NaN tile must make the whole defect NaN
+    return float(reduce(np.maximum, [
+        np.abs(mat[r, c] - mat[c, r].conj().T).max()
+        for k, r in enumerate(tiles)
+        for c in tiles[k:]
+    ]))
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Mixed state on a labeled subset of qubits."""
@@ -122,9 +139,9 @@ class DensityMatrix:
         mat = np.asarray(self.mat, dtype=complex)
         if mat.shape != (2**k, 2**k):
             raise ValueError("matrix shape must be 2^k x 2^k")
-        if np.abs(mat - mat.conj().T).max() > 1e-8:
+        if not _hermitian_defect(mat) <= 1e-8:
             raise ValueError("density matrix must be Hermitian")
-        if abs(np.trace(mat).real - 1.0) > 1e-8:
+        if not abs(np.trace(mat).real - 1.0) <= 1e-8:
             raise ValueError("density matrix must have unit trace")
         mat = mat.copy()
         mat.flags.writeable = False

@@ -266,23 +266,24 @@ def suite_glue(n=None, seed=0, tol=None, trials=None):
     sizes = (1, 1, 1, 1, 1, 1)
     params = {"sizes": sizes, "trials": trials, "seed": seed}
 
+    # np.max, not max: a NaN residual must reach the verdict wherever it sits
     instances = [
         glue.generate_gluable_instance(sizes, seed=seed + t) for t in range(trials)
     ]
-    worst = max(abs(v) for inst in instances for v in inst.residuals.values())
+    worst = np.max([abs(v) for inst in instances for v in inst.residuals.values()])
     yield "premises", params, worst, 1e-10
 
     merged = [glue.merge(inst) for inst in instances]
-    worst = max(max(residuals.values()) for _, residuals in merged)
+    worst = np.max([v for _, residuals in merged for v in residuals.values()])
     yield "conclusions", params, worst, 1e-8
 
-    worst = max(abs(glue.shared_factor_entropy(inst)) for inst in instances)
+    worst = np.max([abs(glue.shared_factor_entropy(inst)) for inst in instances])
     yield "middle-factor-purity", {"sizes": sizes, "trials": trials}, worst, 1e-8
 
-    worst = 0.0
-    for inst, (state, _) in zip(instances[:8], merged):
-        rho = glue.petz_glue(inst)
-        worst = max(worst, np.abs(rho - np.outer(state.amps, state.amps.conj())).max())
+    worst = np.max([
+        np.abs(glue.petz_glue(inst) - np.outer(state.amps, state.amps.conj())).max()
+        for inst, (state, _) in zip(instances[:8], merged)
+    ])
     params = {"sizes": sizes, "instances": min(8, trials), "seed": seed}
     yield "petz-matches-unitary", params, worst, 1e-7
 

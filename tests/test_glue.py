@@ -4,11 +4,13 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from magiclab import glue
+from magiclab import glue, statevec, suites
+from magiclab.cli import main
 from magiclab.glue import (
     GluableInstance,
     Partition,
@@ -176,6 +178,9 @@ def test_instance_validation():
     good = StateVector.basis_state(6, 0)
     with pytest.raises(ValueError, match="partition"):
         GluableInstance(part, wrong, good)
+    # residuals come from the premise check alone, never from the caller
+    with pytest.raises(TypeError, match="residuals"):
+        GluableInstance(part, good, good, residuals={})
 
 
 def test_conclusions_residuals():
@@ -260,7 +265,7 @@ def test_petz_source_check_survives_optimize_flag():
 
 def test_hermitian_defect_over_blocks_matches_full_formula(monkeypatch):
     rng = np.random.default_rng(4)
-    monkeypatch.setattr(glue, "_BLOCK_ENTRIES", 40)  # 5 rows per block at dim 8
+    monkeypatch.setattr(statevec, "_TILE", 3)  # dims 8 and 13 end in a partial tile
     for dim in (1, 8, 13):
         herm = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         herm = herm + herm.conj().T
@@ -308,3 +313,169 @@ def test_petz_hermitian_check_survives_optimize_flag():
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert out.stdout.startswith("False raised recovered state must be Hermitian"), out.stdout
+
+
+def test_premises_checked_once_per_instance(monkeypatch, capsys):
+    calls = []
+    real = glue.check_premises
+
+    def counted(inst, *args, **kwargs):
+        calls.append(inst)
+        return real(inst, *args, **kwargs)
+
+    monkeypatch.setattr(glue, "check_premises", counted)
+    inst = generate_gluable_instance((2, 1, 1, 1, 1, 2), seed=3)
+    glue_states(inst)
+    petz_glue(inst)
+    assert len(calls) == 1 and calls[0] is inst
+    calls.clear()
+    suites.suite_glue(seed=0)
+    assert len(calls) == 20
+    calls.clear()
+    assert main(["glue", "run", "--trials", "3"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 3
+
+
+# the nine partitions of bench/'s glue-petz workload
+GLUE_PETZ_SHAPES = (
+    (2, 1, 1, 1, 1, 2), (1, 2, 1, 1, 2, 1), (2, 2, 1, 1, 1, 1),
+    (1, 1, 2, 2, 1, 1), (1, 1, 1, 1, 2, 2), (3, 1, 1, 1, 1, 1),
+    (2, 1, 1, 1, 1, 3), (1, 2, 1, 2, 1, 2), (2, 1, 2, 1, 2, 1),
+)
+
+
+def _row_block_defect(mat, block_entries=1 << 20):
+    """petz_glue's former Hermitian check: |mat - mat*| over blocks of rows."""
+    dim = mat.shape[0]
+    rows = max(1, block_entries // dim)
+    return float(np.max([
+        np.abs(mat[i : i + rows] - mat[:, i : i + rows].conj().T).max()
+        for i in range(0, dim, rows)
+    ]))
+
+
+@pytest.mark.parametrize("sizes", GLUE_PETZ_SHAPES)
+def test_glue_outputs_bytes_equal_the_separate_check_oracle(sizes):
+    # the instance's residuals, the merge without its own premise check, and
+    # the row-block Hermitian defect of the Petz output, compared bit for bit
+    for seed in range(2):
+        inst = generate_gluable_instance(sizes, seed=seed)
+        assert inst.residuals == check_premises(inst)
+        glued = glue_states(inst)
+        u_a = matching_unitary(inst)
+        want = apply_gate(inst.psi_prime, Gate(inst.partition.qubits("A"), u_a))
+        assert glued.amps.tobytes() == want.amps.tobytes()
+        rho = petz_glue(inst)
+        assert glue._hermitian_defect(rho) == _row_block_defect(rho) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "name, side, message",
+    [
+        ("reduced_density", "psi_prime", "BC marginals differ by nan"),
+        ("entanglement_entropy", "psi_prime", "D entropies differ by nan bits"),
+        ("mutual_information", "psi", "first state correlates A with CD: I = nan bits"),
+        ("mutual_information", "psi_prime", "second state correlates AB with D: I = nan bits"),
+    ],
+)
+def test_nan_residual_fails_its_premise(monkeypatch, name, side, message):
+    inst = generate_gluable_instance(ONES, seed=1)
+    real = getattr(glue, name)
+
+    def poisoned(v, *args):
+        out = real(v, *args)
+        if v is not getattr(inst, side):
+            return out
+        return SimpleNamespace(mat=np.nan * out.mat) if name == "reduced_density" else np.nan
+
+    monkeypatch.setattr(glue, name, poisoned)
+    with pytest.raises(PremiseViolation, match=message):
+        check_premises(inst)
+
+
+def test_nan_conclusion_fails_the_glue(monkeypatch):
+    inst = generate_gluable_instance(ONES, seed=1)
+    real = glue.conclusions
+    monkeypatch.setattr(
+        glue, "conclusions", lambda inst, glued: {**real(inst, glued), "mi_ab_d": np.nan}
+    )
+    with pytest.raises(AssertionError, match="misses mi_ab_d by nan"):
+        glue_states(inst)
+
+
+def test_glue_suite_reports_a_late_nan(monkeypatch):
+    # each check's NaN sits in the second of three trials, behind a finite value
+    late = {"check_premises": 0, "merge": 0, "shared_factor_entropy": 0, "petz_glue": 0}
+
+    def second_nan(name, poison):
+        real = getattr(glue, name)
+
+        def wrapped(inst, *args, **kwargs):
+            late[name] += 1
+            out = real(inst, *args, **kwargs)
+            return poison(out) if late[name] == 2 else out
+
+        monkeypatch.setattr(glue, name, wrapped)
+
+    second_nan("check_premises", lambda res: {**res, "d_entropy": np.nan})
+    second_nan("merge", lambda out: (out[0], {**out[1], "abc_marginal": np.nan}))
+    second_nan("shared_factor_entropy", lambda s: np.nan)
+    second_nan("petz_glue", lambda rho: np.full_like(rho, np.nan))
+    reports = suites.suite_glue(seed=0, trials=3)
+    assert [r.check for r in reports] == [
+        "premises", "conclusions", "middle-factor-purity", "petz-matches-unitary"
+    ]
+    for report in reports:
+        assert np.isnan(report.observed) and not report.passed, report
+
+
+def test_nan_fails_loudly_under_optimize_flag():
+    code = (
+        "import numpy as np\n"
+        "from magiclab import glue, statevec as sv, suites\n"
+        "inst = glue.generate_gluable_instance((1, 1, 1, 1, 1, 1), seed=1)\n"
+        "real_mi, real_conclusions = glue.mutual_information, glue.conclusions\n"
+        "def nan_mi(v, a, b):\n"
+        "    return np.nan if v is inst.psi_prime else real_mi(v, a, b)\n"
+        "def nan_conclusions(inst, glued):\n"
+        "    return {**real_conclusions(inst, glued), 'mi_a_cd': np.nan}\n"
+        "def nan_mi_patched():\n"
+        "    glue.mutual_information = nan_mi\n"
+        "    try:\n"
+        "        glue.check_premises(inst)\n"
+        "    finally:\n"
+        "        glue.mutual_information = real_mi\n"
+        "def nan_conclusions_patched():\n"
+        "    glue.conclusions = nan_conclusions\n"
+        "    try:\n"
+        "        glue.glue_states(inst)\n"
+        "    finally:\n"
+        "        glue.conclusions = real_conclusions\n"
+        "for call in (\n"
+        "    lambda: sv.StateVector(1, [np.nan, 0]),\n"
+        "    lambda: sv.DensityMatrix((0,), np.full((2, 2), np.nan)),\n"
+        "    nan_mi_patched,\n"
+        "    nan_conclusions_patched,\n"
+        "):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except (ValueError, AssertionError) as exc:\n"
+        "        print(__debug__, 'raised', exc)\n"
+        "    else:\n"
+        "        print(__debug__, 'silent')\n"
+        "glue.shared_factor_entropy = lambda inst: np.nan\n"
+        "purity = suites.suite_glue(seed=0, trials=2)[2]\n"
+        "print(__debug__, purity.check, purity.observed, purity.passed)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert out.stdout.splitlines() == [
+        "False raised state not normalized (norm nan)",
+        "False raised density matrix must be Hermitian",
+        "False raised second state correlates AB with D: I = nan bits",
+        "False raised merged state misses mi_a_cd by nan",
+        "False middle-factor-purity nan False",
+    ], out.stdout

@@ -153,6 +153,29 @@ def test_apply_pauli_matches_matrix():
         assert np.abs(got - want).max() < 1e-12
 
 
+def test_nan_state_and_density_are_rejected():
+    with pytest.raises(ValueError, match="norm nan"):
+        sv.StateVector(1, [np.nan, 0])
+    with pytest.raises(ValueError, match="Hermitian"):
+        sv.DensityMatrix((0,), np.full((2, 2), np.nan))
+    with pytest.raises(ValueError, match="Hermitian"):
+        sv.DensityMatrix((0,), np.diag([np.nan, 0.0]))
+
+
+def test_hermitian_defect_over_tiles_matches_full_formula():
+    rng = np.random.default_rng(8)
+    for dim in (1, 127, 128, 129, 300, 512):
+        mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        assert sv._hermitian_defect(mat) == np.abs(mat - mat.conj().T).max()
+        herm = mat + mat.conj().T
+        assert sv._hermitian_defect(herm) == 0.0
+        herm[dim - 1, dim // 3] += 1e-9 * (1 - 2j)  # planted below the diagonal
+        assert sv._hermitian_defect(herm) == np.abs(herm - herm.conj().T).max() > 0
+        if dim > 128:
+            herm[dim - 1, 0] = np.nan  # in a tile below the diagonal tiles
+            assert np.isnan(sv._hermitian_defect(herm))
+
+
 def test_pauli_expectation_requires_hermitian():
     v = sv.StateVector.basis_state(2, 0)
     with pytest.raises(ValueError):
