@@ -22,28 +22,55 @@ import numpy as np
 from .statevec import haar_unitary
 
 _PHI = (1.0 + 5.0 ** 0.5) / 2.0
+_new, _setattr = object.__new__, object.__setattr__
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, float):
-        raise TypeError("golden components must be exact (int/Fraction/str)")
-    return Fraction(value)
+def _golden(p: int, q: int, d: int) -> "GoldenNumber":
+    """The golden number (p + q*phi)/d for d > 0, in lowest terms."""
+    g = math.gcd(p, q, d)
+    out = _new(GoldenNumber)
+    _setattr(out, "_t", (p, q, d) if g == 1 else (p // g, q // g, d // g))
+    return out
 
 
-@dataclass(frozen=True)
+def _triple(value) -> tuple:
+    if type(value) is GoldenNumber:
+        return value._t
+    return (value, 0, 1) if type(value) is int else GoldenNumber.of(value)._t
+
+
+def _inverse(t) -> tuple:
+    """Unreduced 1/t, as (p + q phi)((p + q) - q phi) = p^2 + pq - q^2."""
+    p, q, d = t
+    norm = p * p + p * q - q * q
+    if norm == 0:
+        raise ZeroDivisionError("inverse of zero golden number")
+    sd = d if norm > 0 else -d
+    return sd * (p + q), -sd * q, abs(norm)
+
+
+@dataclass(frozen=True, init=False)
 class GoldenNumber:
     """Exact element a + b*phi of the golden field.
 
-    Multiplication reduces through phi^2 = phi + 1, so the pair (a, b) of
-    rationals is closed under ring operations, and division is exact.
+    Stored as one integer triple (p, q, d) meaning (p + q*phi)/d, with d > 0
+    and gcd(p, q, d) = 1, so equal values have equal triples. A ring
+    operation is a few integer products (phi^2 = phi + 1) and one gcd; the
+    components a = p/d and b = q/d are Fractions made on demand.
     """
 
-    a: Fraction = Fraction(0)
-    b: Fraction = Fraction(0)
+    _t: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", _as_fraction(self.a))
-        object.__setattr__(self, "b", _as_fraction(self.b))
+    def __init__(self, a=0, b=0):
+        if isinstance(a, float) or isinstance(b, float):
+            raise TypeError("golden components must be exact (int/Fraction/str)")
+        a, b = Fraction(a), Fraction(b)
+        d = math.lcm(a.denominator, b.denominator)
+        p, q = a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)
+        _setattr(self, "_t", (p, q, d))
+
+    a = property(lambda self: Fraction(self._t[0], self._t[2]))
+    b = property(lambda self: Fraction(self._t[1], self._t[2]))
 
     # -- constructors
     @classmethod
@@ -52,42 +79,36 @@ class GoldenNumber:
 
     @classmethod
     def of(cls, value) -> "GoldenNumber":
-        if isinstance(value, GoldenNumber):
-            return value
-        return cls(_as_fraction(value), Fraction(0))
+        return value if isinstance(value, GoldenNumber) else cls(value)
 
     # -- ring operations
     def __add__(self, other):
-        o = GoldenNumber.of(other)
-        return GoldenNumber(self.a + o.a, self.b + o.b)
+        (p, q, d), (r, s, e) = self._t, _triple(other)
+        return _golden(p * e + r * d, q * e + s * d, d * e)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GoldenNumber(-self.a, -self.b)
+        p, q, d = self._t
+        return _golden(-p, -q, d)
 
     def __sub__(self, other):
-        return self + (-GoldenNumber.of(other))
+        (p, q, d), (r, s, e) = self._t, _triple(other)
+        return _golden(p * e - r * d, q * e - s * d, d * e)
 
     def __rsub__(self, other):
-        return GoldenNumber.of(other) + (-self)
+        return -self + other
 
     def __mul__(self, other):
-        o = GoldenNumber.of(other)
-        # (a + b phi)(c + d phi) = ac + bd + (ad + bc + bd) phi
-        return GoldenNumber(
-            self.a * o.a + self.b * o.b,
-            self.a * o.b + self.b * o.a + self.b * o.b,
-        )
+        # (p + q phi)(r + s phi) = pr + qs + (ps + qr + qs) phi
+        (p, q, d), (r, s, e) = self._t, _triple(other)
+        qs = q * s
+        return _golden(p * r + qs, p * s + q * r + qs, d * e)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "GoldenNumber":
-        # (a + b phi)((a + b) - b phi) = a^2 + ab - b^2, a rational
-        norm = self.a * self.a + self.a * self.b - self.b * self.b
-        if norm == 0:
-            raise ZeroDivisionError("inverse of zero golden number")
-        return GoldenNumber((self.a + self.b) / norm, -self.b / norm)
+        return _golden(*_inverse(self._t))
 
     def __truediv__(self, other):
         return self * GoldenNumber.of(other).inverse()
@@ -98,30 +119,34 @@ class GoldenNumber:
     def __pow__(self, exponent: int) -> "GoldenNumber":
         if not isinstance(exponent, int):
             raise TypeError("exponent must be an integer")
-        # square-and-multiply over the bits of |exponent|, high bit first
-        base = self if exponent >= 0 else self.inverse()
-        out = GoldenNumber(Fraction(1), Fraction(0))
+        p, q, d = self._t if exponent >= 0 else _inverse(self._t)
+        # square-and-multiply on x + y phi, high bit first, over d^|exponent|
+        x, y = 1, 0
         for bit in bin(abs(exponent))[2:]:
-            out = out * out
+            yy = y * y
+            x, y = x * x + yy, 2 * x * y + yy
             if bit == "1":
-                out = out * base
-        return out
+                yq = y * q
+                x, y = x * p + yq, x * q + y * p + yq
+        return _golden(x, y, d ** abs(exponent))
 
     def __eq__(self, other):
-        try:
-            o = GoldenNumber.of(other)
-        except TypeError:
-            return NotImplemented
-        return self.a == o.a and self.b == o.b
+        if isinstance(other, GoldenNumber):
+            return self._t == other._t
+        if isinstance(other, (int, Fraction)):
+            return self._t[1] == 0 and self._t[0] == other * self._t[2]
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.a, self.b))
+        p, q, d = self._t  # a rational value hashes as its Fraction, as == needs
+        return hash(Fraction(p, d)) if q == 0 else hash(self._t)
 
     def __float__(self):
-        return float(self.a) + float(self.b) * _PHI
+        p, q, d = self._t  # p/d rounds like float(Fraction(p, d))
+        return p / d + q / d * _PHI
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return self._t == (0, 0, 1)
 
     def __repr__(self):
         return f"GoldenNumber({self.a}, {self.b})"
@@ -153,14 +178,11 @@ class ModularData:
             raise ValueError("need at least one label")
         if len(self.dims) != self.k or len(self.t_exponents) != self.k:
             raise ValueError("dims/T length must match the label count")
-        if len(self.s_body) != self.k or any(
-            len(row) != self.k for row in self.s_body
-        ):
+        if len(self.s_body) != self.k or any(len(r) != self.k for r in self.s_body):
             raise ValueError("S must be k x k")
-        for i in range(self.k):
-            for j in range(self.k):
-                if self.s_body[i][j] != self.s_body[j][i]:
-                    raise ValueError("S must be symmetric")
+        pairs = itertools.combinations(range(self.k), 2)
+        if any(self.s_body[i][j] != self.s_body[j][i] for i, j in pairs):
+            raise ValueError("S must be symmetric")
         s = self.s_numeric()
         if not np.allclose(s @ s.conj().T, np.eye(self.k), atol=1e-12):
             raise ValueError("numerical embedding of S is not unitary")
@@ -170,9 +192,7 @@ class ModularData:
 
     def s_numeric(self) -> np.ndarray:
         pref = float(self.s_prefactor)
-        return np.array(
-            [[pref * float(e) for e in row] for row in self.s_body]
-        )
+        return np.array([[pref * float(e) for e in row] for row in self.s_body])
 
     def t_numeric(self) -> np.ndarray:
         root = 2j * np.pi / self.t_root_order
@@ -194,17 +214,14 @@ class ModularData:
 
     @classmethod
     def from_json(cls, text: str) -> "ModularData":
-        def golden(pair) -> GoldenNumber:
-            return GoldenNumber(Fraction(pair[0]), Fraction(pair[1]))
-
         raw = json.loads(text)
         return cls(
             k=int(raw["labels"]),
-            dims=tuple(golden(p) for p in raw["dims"]),
+            dims=tuple(GoldenNumber(*p) for p in raw["dims"]),
             s_body=tuple(
-                tuple(golden(p) for p in row) for row in raw["s_body"]
+                tuple(GoldenNumber(*p) for p in row) for row in raw["s_body"]
             ),
-            s_prefactor=golden(raw["s_prefactor"]),
+            s_prefactor=GoldenNumber(*raw["s_prefactor"]),
             t_exponents=tuple(int(e) for e in raw["t_exponents"]),
             t_root_order=int(raw["t_root_order"]),
         )
@@ -229,35 +246,39 @@ def double_fibonacci() -> ModularData:
     )
 
 
+def _positive(g: GoldenNumber) -> bool:
+    """Exact sign of (p + q phi)/d. For p, q of mixed sign the conjugate
+    p + q(1 - phi) has the sign of p, so the norm p^2 + pq - q^2 decides."""
+    p, q, _ = g._t
+    if p * q >= 0:
+        return p > 0 or q > 0
+    return (p * p + p * q - q * q > 0) == (p > 0)
+
+
 def verlinde_dim(dims, genus: int) -> GoldenNumber:
     """Genus-g space dimension sum_i (D/d_i)^{2g-2} with D^2 = sum d_i^2.
 
     Exact in the golden field: only even powers of D appear, so the square
-    root never materializes. Genus 1 returns the label count.
+    root never materializes, and D^{2g-2} is raised once. Genus 1 returns
+    the label count.
     """
     if genus < 1:
         raise ValueError("genus must be at least 1")
     ds = [GoldenNumber.of(d) for d in dims]
-    if not ds or any(float(d) <= 0 for d in ds):
+    if not ds or not all(_positive(d) for d in ds):
         raise ValueError("dims must be positive")
-    d_sq = _ZERO
-    for d in ds:
-        d_sq = d_sq + d * d
-    total = _ZERO
-    for d in ds:
-        total = total + (d_sq ** (genus - 1)) / ((d * d) ** (genus - 1))
-    return total
+    squares = [d * d for d in ds]
+    total = sum((sq ** (1 - genus) for sq in squares), _ZERO)
+    return sum(squares, _ZERO) ** (genus - 1) * total
 
 
 def dim_preserving_perms(dims) -> list:
     """All permutations pi with d_{pi(i)} = d_i exactly."""
     ds = [GoldenNumber.of(d) for d in dims]
-    k = len(ds)
-    out = []
-    for perm in itertools.permutations(range(k)):
-        if all(ds[perm[i]] == ds[i] for i in range(k)):
-            out.append(tuple(perm))
-    return out
+    return [
+        perm for perm in itertools.permutations(range(len(ds)))
+        if all(ds[p] == d for p, d in zip(perm, ds))
+    ]
 
 
 @dataclass(frozen=True)
@@ -376,43 +397,29 @@ def _eliminate(rows):
     solution vector, None when the system is inconsistent, and raises when
     it is underdetermined.
     """
-    rows = [([c for c in coeffs], r) for coeffs, r in rows]
+    rows = [(list(coeffs), r) for coeffs, r in rows]
     u = len(rows[0][0]) if rows else 0
-    pivots = []
-    level = 0
-    for col in range(u):
+    for col in range(u):  # column col is pivoted in row col
         pivot = next(
-            (
-                i
-                for i in range(level, len(rows))
-                if not rows[i][0][col].is_zero()
-            ),
-            None,
+            (i for i in range(col, len(rows)) if not rows[i][0][col].is_zero()), None
         )
         if pivot is None:
             raise ValueError("phase system is underdetermined")
-        rows[level], rows[pivot] = rows[pivot], rows[level]
-        coeffs, rhs = rows[level]
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        coeffs, rhs = rows[col]
         inv = coeffs[col].inverse()
-        coeffs = [c * inv for c in coeffs]
-        rhs = rhs * inv
-        rows[level] = (coeffs, rhs)
+        coeffs, rhs = [c * inv for c in coeffs], rhs * inv
+        rows[col] = (coeffs, rhs)
         for i in range(len(rows)):
-            if i != level and not rows[i][0][col].is_zero():
+            if i != col and not rows[i][0][col].is_zero():
                 f = rows[i][0][col]
                 rows[i] = (
                     [ci - f * cj for ci, cj in zip(rows[i][0], coeffs)],
                     rows[i][1] - f * rhs,
                 )
-        pivots.append(level)
-        level += 1
-    for coeffs, rhs in rows[level:]:
-        if not rhs.is_zero():
-            return None  # inconsistent
-    solution = [None] * u
-    for col, row in enumerate(pivots):
-        solution[col] = rows[row][1]
-    return solution
+    if any(not rhs.is_zero() for _, rhs in rows[u:]):
+        return None  # inconsistent
+    return [rhs for _, rhs in rows[:u]]
 
 
 def conjugate_entry_coefficients(data: ModularData, perm, i: int, j: int):
@@ -421,11 +428,8 @@ def conjugate_entry_coefficients(data: ModularData, perm, i: int, j: int):
     The entry is prefactor^2 * sum_m body[i][pi^{-1}(m)] body[j][m] d_m,
     a linear form in the diagonal entries d_m of D.
     """
-    k = data.k
-    inv = [0] * k
-    for a, p in enumerate(perm):
-        inv[p] = a
-    return [data.s_body[i][inv[m]] * data.s_body[j][m] for m in range(k)]
+    inv = {p: a for a, p in enumerate(perm)}
+    return [data.s_body[i][inv[m]] * data.s_body[j][m] for m in range(data.k)]
 
 
 def monomial_phase_solution(data: ModularData, perm):
@@ -447,8 +451,7 @@ def monomial_phase_solution(data: ModularData, perm):
     for i in range(data.k):
         for j in range(data.k):
             coeffs = conjugate_entry_coefficients(data, perm, i, j)
-            bound = pref_sq * sum(abs(float(c)) for c in coeffs)
-            if bound < 1.0 - 1e-6:
+            if pref_sq * sum(abs(float(c)) for c in coeffs) < 1.0 - 1e-6:
                 rows.append((coeffs[1:], -coeffs[0]))
     if not rows:
         raise ValueError("no entry of the conjugate is forced to vanish")
@@ -469,11 +472,9 @@ def lpu_search(data: ModularData, tol: float = 1e-9) -> list:
     results = []
     for perm in dim_preserving_perms(data.dims):
         solution = monomial_phase_solution(data, perm)
-        if solution is None:
-            continue
         # the system has real coefficients, so solutions are real golden
         # numbers, and a unimodular real number is +-1
-        if any(not (z * z == _ONE) for z in solution):
+        if solution is None or any(z * z != _ONE for z in solution):
             continue
         phases = (1.0,) + tuple(float(z) for z in solution)
         candidate = MonomialCandidate(perm, phases)
@@ -506,9 +507,7 @@ def offdiag_modulus_scan(
     which is what forces monomial conjugates to be diagonal. Each block of
     256 samples takes one draw and one stacked matmul, on the same stream.
     """
-    if tuple(perm) not in {
-        tuple(p) for p in dim_preserving_perms(data.dims)
-    }:
+    if tuple(perm) not in dim_preserving_perms(data.dims):
         raise ValueError("permutation does not preserve the dimensions")
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")

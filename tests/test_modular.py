@@ -1,9 +1,14 @@
 """Tests for the golden-field modular data and the monomial exclusion."""
 
+import copy
+import dataclasses
 import itertools
+import math
 import os
+import pickle
 import subprocess
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +33,55 @@ from magiclab.modular import (
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
 ONE = GoldenNumber(1, 0)
 PHI_G = GoldenNumber.phi()
+
+
+@dataclass(frozen=True)
+class RefGolden:
+    """Reference golden field: a + b*phi as a pair of Fractions."""
+
+    a: Fraction
+    b: Fraction
+
+    def __add__(self, o):
+        return RefGolden(self.a + o.a, self.b + o.b)
+
+    def __neg__(self):
+        return RefGolden(-self.a, -self.b)
+
+    def __sub__(self, o):
+        return self + (-o)
+
+    def __mul__(self, o):
+        # (a + b phi)(c + d phi) = ac + bd + (ad + bc + bd) phi
+        return RefGolden(self.a * o.a + self.b * o.b, self.a * o.b + self.b * o.a + self.b * o.b)
+
+    def inverse(self):
+        # (a + b phi)((a + b) - b phi) = a^2 + ab - b^2, a rational
+        norm = self.a * self.a + self.a * self.b - self.b * self.b
+        if norm == 0:
+            raise ZeroDivisionError("inverse of zero golden number")
+        return RefGolden((self.a + self.b) / norm, -self.b / norm)
+
+    def __truediv__(self, o):
+        return self * o.inverse()
+
+    def __pow__(self, exponent):
+        base = self if exponent >= 0 else self.inverse()
+        out = RefGolden(Fraction(1), Fraction(0))
+        for bit in bin(abs(exponent))[2:]:
+            out = out * out
+            if bit == "1":
+                out = out * base
+        return out
+
+    def __float__(self):
+        return float(self.a) + float(self.b) * ((1.0 + 5.0 ** 0.5) / 2.0)
+
+
+def assert_canonical(x: GoldenNumber):
+    p, q, d = x._t
+    assert all(type(v) is int for v in x._t)
+    assert d > 0 and math.gcd(p, q, d) == 1
 
 
 # -- golden arithmetic --------------------------------------------------------
@@ -96,6 +150,83 @@ def test_golden_field_axioms_property():
             assert x ** (i * j) == (x**i) ** j
 
     check()
+
+
+def test_golden_matches_fraction_pair_reference_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    rationals = st.fractions(min_value=-40, max_value=40, max_denominator=60)
+
+    @hyp.settings(max_examples=300, deadline=None)
+    @hyp.given(rationals, rationals, rationals, rationals, st.integers(-12, 12), rationals)
+    def check(a, b, c, d, e, k):
+        x, y = GoldenNumber(a, b), GoldenNumber(c, d)
+        rx, ry = RefGolden(a, b), RefGolden(c, d)
+        assert (x.a, x.b) == (a, b)
+        results = [(x + y, rx + ry), (x - y, rx - ry), (x * y, rx * ry), (-x, -rx)]
+        if not y.is_zero():
+            results += [(x / y, rx / ry), (y.inverse(), ry.inverse())]
+            results += [(y**e, ry**e), (x / y * y, rx)]
+        # int and Fraction operands on either side
+        rk, rn = RefGolden(k, Fraction(0)), RefGolden(Fraction(e), Fraction(0))
+        results += [(x + k, rx + rk), (k * x, rk * rx), (e - x, rn - rx), (x * e, rx * rn)]
+        if not x.is_zero():
+            results += [(e / x, rn / rx), (k / x, rk / rx)]
+        for got, want in results:
+            assert (got.a, got.b) == (want.a, want.b)
+            assert float(got) == float(want)  # same bits, not just close
+            assert_canonical(got)
+        # equal values reached along different paths share one triple
+        for got, want in results:
+            same = GoldenNumber(want.a, want.b)
+            assert got._t == same._t and got == same and hash(got) == hash(same)
+        for clone in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x), copy.copy(x)):
+            assert clone == x and clone._t == x._t and type(clone) is GoldenNumber
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            x.a = Fraction(1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            x._t = (1, 0, 1)
+
+    check()
+
+
+def test_golden_equality_and_hash_agree_with_rationals():
+    assert GoldenNumber(3) == 3 and 3 == GoldenNumber(3)
+    assert len({GoldenNumber(3), 3}) == 1
+    assert len({GoldenNumber(Fraction(1, 2)), Fraction(1, 2)}) == 1
+    assert hash(GoldenNumber(Fraction(-7, 4))) == hash(Fraction(-7, 4))
+    assert GoldenNumber(Fraction(6, 2)) == Fraction(3) == GoldenNumber(3, 0)
+    assert GoldenNumber(1, 1) != 1 and GoldenNumber(Fraction(1, 3)) != 1
+    assert {GoldenNumber(2, 1): "x"}[PHI_G + 2] == "x"
+    # only golden numbers, ints and Fractions compare
+    assert GoldenNumber(1) != "1"
+    assert GoldenNumber(1).__eq__("1") is NotImplemented
+    assert GoldenNumber(1).__eq__(1.0) is NotImplemented
+    assert GoldenNumber(0) != None  # noqa: E711
+
+
+def test_golden_errors_survive_optimize_flag():
+    code = (
+        "from magiclab.modular import GoldenNumber, verlinde_dim\n"
+        "for name, call in (\n"
+        "    ('float', lambda: GoldenNumber(0.5, 0)),\n"
+        "    ('zero', lambda: GoldenNumber(0, 0).inverse()),\n"
+        "    ('dims', lambda: verlinde_dim([1, GoldenNumber(-2, 1)], 2)),\n"
+        "):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except Exception as exc:\n"
+        "        print(__debug__, name, type(exc).__name__)\n"
+        "    else:\n"
+        "        print(__debug__, name, 'silent')\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert out.stdout.split("\n")[:3] == [
+        "False float TypeError", "False zero ZeroDivisionError", "False dims ValueError",
+    ], out.stdout
 
 
 # -- modular data -------------------------------------------------------------
@@ -192,6 +323,53 @@ def test_verlinde_growth_and_validation():
         verlinde_dim(dims, 0)
     with pytest.raises(ValueError):
         verlinde_dim([1, -1], 2)
+
+
+def test_verlinde_matches_per_label_power_loop():
+    # the reference raises D^2 to the power g - 1 once per label
+    phi = RefGolden(Fraction(0), Fraction(1))
+    one = RefGolden(Fraction(1), Fraction(0))
+    dims = (one, phi, phi, phi * phi)
+    d_sq = RefGolden(Fraction(0), Fraction(0))
+    for d in dims:
+        d_sq = d_sq + d * d
+    data = double_fibonacci()
+    for genus in range(1, 378):
+        want = RefGolden(Fraction(0), Fraction(0))
+        for d in dims:
+            want = want + (d_sq ** (genus - 1)) / ((d * d) ** (genus - 1))
+        got = verlinde_dim(data.dims, genus)
+        assert (got.a, got.b) == (want.a, want.b), genus
+        assert_canonical(got)
+
+
+def test_verlinde_positivity_is_exact():
+    # phi - F42/F41 is positive (odd-index convergents undershoot phi), but
+    # its float rounds to zero
+    f41, f42 = 165580141, 267914296
+    tiny = PHI_G - Fraction(f42, f41)
+    assert float(tiny) == 0.0
+    assert float(verlinde_dim([1, tiny], 2)) > 0
+    with pytest.raises(ValueError):
+        verlinde_dim([1, -tiny], 2)
+    # beyond float range, positivity is still decided exactly
+    assert verlinde_dim([10**400], 2) == 1
+    assert verlinde_dim([10**400, 10**400], 3) == 8
+    with pytest.raises(ValueError):
+        verlinde_dim([1, GoldenNumber(-(10**400), 10**399)], 2)
+    for bad in ([1, 0], [1, PHI_G - 2], [1, 1 - PHI_G], [1, -PHI_G]):
+        with pytest.raises(ValueError):
+            verlinde_dim(bad, 2)
+    # the exact sign agrees with the float one wherever the float is clear
+    for p, q in itertools.product(range(-30, 31), repeat=2):
+        x = GoldenNumber(p, q)
+        if abs(float(x)) > 1e-9:
+            positive = True
+            try:
+                verlinde_dim([x], 1)
+            except ValueError:
+                positive = False
+            assert positive == (float(x) > 0), (p, q)
 
 
 # -- permutations and monomial tests ------------------------------------------
