@@ -12,8 +12,10 @@ The exact layer runs in Python ints.  u_k(x) = (n-1)^k T_k((n+1-2x)/(n-1))
 has integer coefficients by the recurrence u_0 = 1, u_1 = n+1-2x,
 u_{k+1} = 2(n+1-2x) u_k - (n-1)^2 u_{k-1}, and P = u_m / u_m(0).  The
 polynomial is held as integer numerators over one positive common
-denominator, so every evaluation is Horner on integers with a single
-division at the end, instead of a gcd in every Fraction operation.
+denominator, so an evaluation is Horner on integers with a single division
+at the end, instead of a gcd in every Fraction operation.  The whole
+excited spectrum 1..n is one Horner pass over an object array of Python
+ints: numpy's object ufuncs do the per-point products, still exactly.
 
 These facts feed two depth diagnostics for states that look like
 approximate code states (orthogonal, yet locally indistinguishable up to
@@ -85,12 +87,19 @@ class AgspPolynomial:
         for k, a in enumerate(coeffs):
             if a == 0 or (a > 0) != (k % 2 == 0):
                 raise ValueError("coefficient signs must alternate")
-        den = math.lcm(*(a.denominator for a in coeffs))
+        # Python ints throughout: an object-array Horner over numpy
+        # integers would wrap silently
+        den = math.lcm(*(int(a.denominator) for a in coeffs))
+        nums = tuple(int(a.numerator) * (den // int(a.denominator)) for a in coeffs)
         object.__setattr__(self, "denominator", den)
-        object.__setattr__(self, "numerators", tuple(int(a * den) for a in coeffs))
+        object.__setattr__(self, "numerators", nums)
 
-    def numerator_at(self, p: int, q: int = 1) -> int:
-        """q^m Q(p/q), by homogeneous Horner in integers."""
+    def numerator_at(self, p, q: int = 1):
+        """q^m Q(p/q), by homogeneous Horner in integers.
+
+        ``p`` is an int or an object array of Python ints; an array is
+        evaluated elementwise in one pass, exactly, with ``q`` shared.
+        """
         acc, scale = 0, 1
         for a in reversed(self.numerators):
             acc = acc * p + a * scale
@@ -133,9 +142,11 @@ def step_error_sup(poly: AgspPolynomial) -> float:
 
     The affine map sends [1, n] onto [-1, 1] where |T_m| <= 1, so the
     continuous sup over the whole interval is attained at x = 1 and the
-    integer grid already captures it. Asserts the 2 exp(-2m/sqrt(n)) bound.
+    integer grid already captures it. The grid is one Horner pass over an
+    object array, so |Q| and its max are exact. Asserts the
+    2 exp(-2m/sqrt(n)) bound.
     """
-    worst = max(abs(poly.numerator_at(x)) for x in range(1, poly.n + 1))
+    worst = np.abs(poly.numerator_at(np.arange(1, poly.n + 1, dtype=object))).max()
     val = float(Fraction(worst, poly.denominator))
     if not val <= poly.error_bound() + 1e-15:
         raise AssertionError(
@@ -178,9 +189,11 @@ def agsp_operator_check(n: int, m: int) -> float:
         raise ValueError(f"operator check capped at {_OPERATOR_MAX_QUBITS} qubits")
     poly = build_polynomial(n, m)
     den = poly.denominator
-    dev = [abs(poly.numerator_at(w) - den * (w == 0)) / den for w in range(n + 1)]
+    dev = poly.numerator_at(np.arange(n + 1, dtype=object))
+    dev[0] -= den
+    dev = (np.abs(dev) / den).astype(float)
     weights = np.bitwise_count(np.arange(1 << n, dtype=np.uint64))
-    diag_dev = np.asarray(dev)[weights]
+    diag_dev = dev[weights]
     val = float(diag_dev.max())
     if not val <= poly.error_bound() + 1e-15:
         raise AssertionError(

@@ -219,14 +219,19 @@ def matching_unitary(inst: GluableInstance, attempts: int = 16) -> np.ndarray:
     """Unitary on A aligning psi' with psi, from the states alone.
 
     Contracts everything but A out of |psi><psi'| and takes the unitary
-    factor of the polar decomposition.  The contraction can be accidentally
-    singular when the two C2.D factors happen to be near-orthogonal; a
-    seeded rotation on D (which commutes with the trace and so changes
-    nothing but the conditioning) is retried until the spectrum is healthy.
+    factor of the polar decomposition.  The contraction has rank at most r,
+    psi's Schmidt rank across A (read from its singular values with a 1e-12
+    relative cutoff; r < 2^|A| whenever |A| > |B1|), so health means
+    sigma_{r-1}/sigma_0 > 1e-6.  It can still be accidentally singular when
+    the two C2.D factors happen to be near-orthogonal; a seeded rotation on
+    D (which commutes with the trace and so changes nothing but the
+    conditioning) is retried until the spectrum is healthy.
     """
     part = inst.partition
     dim_a = 2 ** part.sizes[0]
     base = inst.psi.amps.reshape(-1, dim_a)
+    schmidt = np.linalg.svd(base, compute_uv=False)
+    rank = int(np.count_nonzero(schmidt > 1e-12 * schmidt[0]))
     d_block = part.qubits("D")
     rng = np.random.default_rng(181)
     best = None
@@ -236,7 +241,7 @@ def matching_unitary(inst: GluableInstance, attempts: int = 16) -> np.ndarray:
             ref = apply_gate(ref, Gate(d_block, haar_unitary(2 ** len(d_block), rng)))
         overlap = base.T @ ref.amps.reshape(-1, dim_a).conj()
         u, sing, vh = np.linalg.svd(overlap)
-        ratio = sing[-1] / sing[0] if sing[0] > 0 else 0.0
+        ratio = sing[rank - 1] / sing[0] if sing[0] > 0 else 0.0
         if ratio > 1e-6:
             return u @ vh
         if best is None or ratio > best[0]:

@@ -65,9 +65,10 @@ class GoldenNumber:
         if isinstance(a, float) or isinstance(b, float):
             raise TypeError("golden components must be exact (int/Fraction/str)")
         a, b = Fraction(a), Fraction(b)
-        d = math.lcm(a.denominator, b.denominator)
-        p, q = a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)
-        _setattr(self, "_t", (p, q, d))
+        # int(): a numpy integer would keep its dtype and wrap on overflow
+        e, f = int(a.denominator), int(b.denominator)
+        d = math.lcm(e, f)
+        _setattr(self, "_t", (int(a.numerator) * (d // e), int(b.numerator) * (d // f), d))
 
     a = property(lambda self: Fraction(self._t[0], self._t[2]))
     b = property(lambda self: Fraction(self._t[1], self._t[2]))

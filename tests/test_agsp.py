@@ -329,3 +329,45 @@ def test_integer_agsp_matches_fractions_property():
         assert poly.evaluate(x) == fraction_horner(poly.coeffs, x)
 
     check()
+
+
+# the 15 exact-sweep cells and (1024, 64), (4096, 64), and every degree at small n
+HORNER_CELLS = SWEEP_CELLS + [(4096, 64)] + [(n, m) for n in (2, 3, 5, 16) for m in range(1, n)]
+
+
+def generator_sup(poly):
+    """step_error_sup's former per-point loop, up to the bound check."""
+    worst = max(abs(poly.numerator_at(x)) for x in range(1, poly.n + 1))
+    return float(Fraction(worst, poly.denominator))
+
+
+@pytest.mark.parametrize("n,m", HORNER_CELLS)
+def test_array_horner_matches_scalar_and_sup_matches_generator(n, m):
+    poly = agsp.build_polynomial(n, m)
+    xs = np.arange(1, n + 1, dtype=object)
+    got = poly.numerator_at(xs)
+    assert got.dtype == object and all(type(v) is int for v in got)
+    assert list(got) == [poly.numerator_at(x) for x in range(1, n + 1)]
+    assert agsp.step_error_sup(poly) == generator_sup(poly)
+
+
+def test_array_horner_with_shared_denominator():
+    poly = agsp.build_polynomial(64, 8)
+    ps = np.arange(-70, 71, dtype=object)
+    for q in (2, 7, 3**40):
+        assert list(poly.numerator_at(ps, q)) == [poly.numerator_at(p, q) for p in range(-70, 71)]
+        assert all(poly.evaluate(Fraction(p, q)) * poly.denominator * q**8 == v
+                   for p, v in zip(range(-70, 71), poly.numerator_at(ps, q)))
+
+
+def test_numpy_integer_coefficients_keep_python_ints():
+    built = agsp.build_polynomial(16, 4)
+    coeffs = tuple(Fraction(np.int64(a.numerator), np.int64(a.denominator)) for a in built.coeffs)
+    assert isinstance(coeffs[1].numerator, np.integer)
+    poly = agsp.AgspPolynomial(16, 4, coeffs)
+    assert type(poly.denominator) is int and all(type(a) is int for a in poly.numerators)
+    assert poly.numerators == built.numerators and poly.denominator == built.denominator
+    assert agsp.step_error_sup(poly) == agsp.step_error_sup(built)
+    # int64 accumulators would wrap far below this point
+    big = np.array([2**40], dtype=object)
+    assert poly.numerator_at(big)[0] == fraction_horner(built.coeffs, 2**40) * built.denominator

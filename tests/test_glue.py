@@ -479,3 +479,57 @@ def test_nan_fails_loudly_under_optimize_flag():
         "False raised merged state misses mi_a_cd by nan",
         "False middle-factor-purity nan False",
     ], out.stdout
+
+
+def _retry_loop_unitary(inst, attempts=16):
+    """matching_unitary's former loop: health is sigma_last/sigma_0 > 1e-6."""
+    dim_a = 2 ** inst.partition.sizes[0]
+    base = inst.psi.amps.reshape(-1, dim_a)
+    d_block = inst.partition.qubits("D")
+    rng = np.random.default_rng(181)
+    best = None
+    for attempt in range(attempts):
+        ref = inst.psi_prime
+        if attempt:
+            ref = apply_gate(ref, Gate(d_block, statevec.haar_unitary(2 ** len(d_block), rng)))
+        u, sing, vh = np.linalg.svd(base.T @ ref.amps.reshape(-1, dim_a).conj())
+        ratio = sing[-1] / sing[0] if sing[0] > 0 else 0.0
+        if ratio > 1e-6:
+            return u @ vh
+        if best is None or ratio > best[0]:
+            best = (ratio, u @ vh)
+    return best[1]
+
+
+def _glued_by(inst, u_a):
+    return apply_gate(inst.psi_prime, Gate(inst.partition.qubits("A"), u_a))
+
+
+# |A| > |B1|: psi's Schmidt rank across A is 2^|B1| < 2^|A|
+RANK_DEFICIENT_SHAPES = ((2, 1, 1, 1, 1, 2), (3, 1, 1, 1, 1, 1), (2, 1, 1, 1, 1, 3), (2, 1, 2, 1, 2, 1))
+
+
+@pytest.mark.parametrize("sizes", RANK_DEFICIENT_SHAPES)
+def test_matching_unitary_takes_one_attempt_when_a_outranks_b1(monkeypatch, sizes):
+    for seed in range(20):
+        inst = generate_gluable_instance(sizes, seed=seed)
+        old = _glued_by(inst, _retry_loop_unitary(inst))
+        draws = []
+        monkeypatch.setattr(glue, "haar_unitary", lambda *a: draws.append(a))
+        glued = glue_states(inst)
+        monkeypatch.undo()
+        assert draws == []
+        # the old loop's best retry and the first try agree up to a global phase
+        assert abs(np.vdot(old.amps, glued.amps)) == pytest.approx(1.0, abs=1e-12)
+        proj = np.outer(glued.amps, glued.amps.conj())
+        assert np.abs(petz_glue(inst) - proj).max() <= 1e-7
+
+
+@pytest.mark.parametrize(
+    "sizes", [s for s in GLUE_PETZ_SHAPES if s not in RANK_DEFICIENT_SHAPES] + [ONES]
+)
+def test_full_rank_glue_bytes_equal_the_retry_loop_oracle(sizes):
+    for seed in range(5):
+        inst = generate_gluable_instance(sizes, seed=seed)
+        want = _glued_by(inst, _retry_loop_unitary(inst))
+        assert glue_states(inst).amps.tobytes() == want.amps.tobytes()

@@ -205,6 +205,16 @@ def test_golden_equality_and_hash_agree_with_rationals():
     assert GoldenNumber(0) != None  # noqa: E711
 
 
+def test_golden_from_numpy_integers_holds_python_ints():
+    # numpy components used to stay int64 and wrap: 2^120 came out as 0
+    x = GoldenNumber(np.int64(2**40), 0) ** 3
+    assert x == GoldenNumber(2**120, 0)
+    y = GoldenNumber(Fraction(np.int64(3), np.int64(4)), np.int32(-5))
+    assert y == GoldenNumber(Fraction(3, 4), -5)
+    for value in (x, y, y * np.int64(2**62) * np.int64(2**62)):
+        assert all(type(c) is int for c in value._t)
+
+
 def test_golden_errors_survive_optimize_flag():
     code = (
         "from magiclab.modular import GoldenNumber, verlinde_dim\n"
