@@ -3,8 +3,12 @@
 Each module name runs its check suite when given no subcommand and
 serializes CheckReports as JSON; the subcommands expose the individual
 constructions (state builders, witnesses, sweeps, the gate search) with
-machine-readable output.  Exit codes: 0 all checks pass, 1 a check
-failed, 2 unknown suite or invalid parameters.
+machine-readable output.  A subcommand that reports a suite check prints
+that check's record, built by the same function the suite uses; the
+constructions print a record with no bound.  A subcommand reads only the
+common flags SUBCOMMANDS lists for it, and any other one exits 2.  Exit
+codes: 0 all checks pass, 1 a check failed, 2 unknown suite or invalid
+parameters.
 """
 
 import argparse
@@ -14,9 +18,19 @@ import sys
 
 import numpy as np
 
-from . import agsp, glue, modular, prep, statevec as sv, zxcat
+from . import glue, modular, prep, zxcat
 from .reports import CheckReport, dump_state, render_csv, sanitize, write_csv, write_json
-from .suites import SUITES, agsp_sweep, run_suite
+from .suites import (
+    PREP_TOL,
+    SUITES,
+    agsp_sweep,
+    check_params,
+    conclusions_check,
+    identity_only_check,
+    kept_fidelity_check,
+    overlap_check,
+    run_suite,
+)
 
 
 def _get(args, name, default=None):
@@ -63,9 +77,10 @@ def _suite_cmd(args) -> int:
 def _zxcat_mi(args) -> int:
     n = _get(args, "n", 10)
     value = zxcat.mi_numeric(n)
-    observed = {"mi": value, "asymptote": zxcat.mi_asymptote()}
-    report = CheckReport("mi-numeric", {"n": n}, observed, {"positive": 0.0}, value > 0.0)
-    return _emit(args, report)
+    params = {"n": n, "mi": value, "asymptote": zxcat.mi_asymptote()}
+    # a violation count: the information must be positive
+    violations = 0.0 if value > 0.0 else 1.0
+    return _emit(args, CheckReport("mi-numeric", params, violations, 0.0))
 
 
 def _zxcat_witness_cu(args) -> int:
@@ -80,16 +95,11 @@ def _zxcat_build(args) -> int:
     n = _get(args, "n", 8)
     state = zxcat.build(n, args.variant)
     observed = {"norm": float(np.linalg.norm(state.amps))}
-    report = CheckReport("build", {"n": n, "variant": args.variant}, observed, None, True)
+    report = CheckReport("build", {"n": n, "variant": args.variant}, observed, None)
     return _emit(args, report, state)
 
 
 def _agsp_sweep(args) -> int:
-    # its parsers accept the suite flags, but the sweep uses none of them
-    stray = sorted(set(vars(args)) - {"suite", "action", "func", "n_list", "m_list", "csv"})
-    if stray:
-        flags = ", ".join("--" + name.replace("_", "-") for name in stray)
-        raise ValueError(f"agsp sweep takes no {flags}; write CSV with --csv PATH")
     rows = agsp_sweep(_int_list(args.n_list), _int_list(args.m_list))
     fields = ("n", "m", "sup_error", "bound", "coeff_sum", "p_minus_n")
     if args.csv:
@@ -100,29 +110,26 @@ def _agsp_sweep(args) -> int:
     return 0
 
 
-def _overlap_report(args, check, params, state, target) -> int:
-    dev = 1.0 - sv.pure_overlap(state, target)
-    bound = {"overlap_deviation": 1e-12}
-    report = CheckReport(check, params, {"overlap_deviation": dev}, bound, dev <= 1e-12)
-    return _emit(args, report, state)
-
-
 def _prep_sandwich(args) -> int:
     n = _get(args, "n", 8)
     state = prep.prepare_sandwich(n)
-    return _overlap_report(args, "sandwich", {"n": n}, state, zxcat.build(n, "i"))
+    tol = _get(args, "tol", PREP_TOL)
+    report = overlap_check("sandwich-overlap", {"n": n}, [state], zxcat.build(n, "i"), tol)
+    return _emit(args, report, state)
 
 
 def _prep_mps(args) -> int:
     n = _get(args, "n", 10)
     state = prep.mps_contract(n, boundary=args.boundary)
     params = {"n": n, "boundary": args.boundary}
-    return _overlap_report(args, "mps-contract", params, state, zxcat.build(n, "plus"))
+    tol = _get(args, "tol", PREP_TOL)
+    report = overlap_check("mps-overlap", params, [state], zxcat.build(n, "plus"), tol)
+    return _emit(args, report, state)
 
 
 def _prep_adaptive(args) -> int:
-    n = _get(args, "n", 6)
-    params = {"n": n, "trials": _get(args, "trials", 50), "seed": _get(args, "seed", 0)}
+    params = {"n": _get(args, "n", 6), "trials": _get(args, "trials", 50)}
+    params["seed"] = _get(args, "seed", 0)
     shots = prep.adaptive_shots(**params)
     runs = [
         {
@@ -133,32 +140,23 @@ def _prep_adaptive(args) -> int:
         }
         for record, overlap in shots
     ]
-    worst = max(1.0 - overlap for _, overlap in shots)
-    observed = {
-        "accept_rate": sum(record.accepted for record, _ in shots) / len(shots),
-        "expected_rate": prep.adaptive_success_probability(n),
-        "worst_overlap_deviation": worst,
-    }
-    bound = {"worst_overlap_deviation": 1e-10}
-    report = CheckReport("adaptive-runs", params, observed, bound, worst <= 1e-10)
+    params["accepted"] = sum(record.accepted for record, _ in shots)
+    overlaps = [overlap for _, overlap in shots]
+    report = kept_fidelity_check("adaptive-collapse-fidelity", params, overlaps)
     return _emit(args, report, shots[-1][0].post_state, runs=runs)
 
 
 def _prep_bell(args) -> int:
-    n = _get(args, "n", 4)
-    params = {"n": n, "trials": _get(args, "trials", 50), "seed": _get(args, "seed", 0)}
+    params = {"n": _get(args, "n", 4), "trials": _get(args, "trials", 50)}
+    params["seed"] = _get(args, "seed", 0)
     shots = prep.bell_shots(**params)
     runs = [
         {"accepted": True, "target_overlap": overlap} if accepted else {"accepted": False}
         for accepted, _, overlap in shots
     ]
-    worst = max([0.0] + [1.0 - overlap for accepted, _, overlap in shots if accepted])
-    observed = {
-        "accept_rate": sum(accepted for accepted, _, _ in shots) / len(shots),
-        "worst_accepted_deviation": worst,
-    }
-    bound = {"worst_accepted_deviation": 1e-10}
-    report = CheckReport("bell-runs", params, observed, bound, worst <= 1e-10)
+    overlaps = [overlap for accepted, _, overlap in shots if accepted]
+    params["accepted"] = len(overlaps)
+    report = kept_fidelity_check("bell-accepted-fidelity", params, overlaps)
     return _emit(args, report, shots[-1][1], runs=runs)
 
 
@@ -171,15 +169,11 @@ def _modular_lpu(args) -> int:
         data = modular.double_fibonacci()
         source = "double-fibonacci"
     survivors = modular.lpu_search(data)
-    only_identity = modular.identity_only_misses(survivors) == 0
-    observed = {
-        "survivors": [
-            {"permutation": list(c.permutation), "phases": list(c.phases)}
-            for c in survivors
-        ]
-    }
-    params = {"labels": data.k, "source": source}
-    return _emit(args, CheckReport("lpu-search", params, observed, None, only_identity))
+    params = {"labels": data.k, "source": source, "survivors": len(survivors)}
+    listed = [
+        {"permutation": list(c.permutation), "phases": list(c.phases)} for c in survivors
+    ]
+    return _emit(args, identity_only_check(params, survivors), survivors=listed)
 
 
 def _modular_verlinde(args) -> int:
@@ -191,14 +185,12 @@ def _modular_verlinde(args) -> int:
         approx = None
     observed = {"value": approx, "golden": {"a": str(value.a), "b": str(value.b)}}
     params = {"genus": args.genus}
-    return _emit(args, CheckReport("verlinde-dimension", params, observed, None, True))
+    return _emit(args, CheckReport("verlinde-dimension", params, observed, None))
 
 
 def _glue_run(args) -> int:
     sizes = tuple(_int_list(args.dims))
     trials = _get(args, "trials", 10)
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
     seed = _get(args, "seed", 0)
     records = []
     for t in range(trials):
@@ -207,94 +199,89 @@ def _glue_run(args) -> int:
         records.append(
             {"seed": seed + t, "premises": inst.residuals, "conclusions": residuals}
         )
-    # np.max, not max: a NaN conclusion must fail the report
-    worst = float(np.max([v for r in records for v in r["conclusions"].values()]))
     params = {"dims": list(sizes), "trials": trials, "seed": seed}
-    observed, bound = {"worst_conclusion": worst}, {"worst_conclusion": 1e-8}
-    report = CheckReport("glue-run", params, observed, bound, worst <= 1e-8)
+    report = conclusions_check(params, [r["conclusions"] for r in records])
     return _emit(args, report, instances=records)
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    parent = argparse.ArgumentParser(add_help=False)
-    sup = argparse.SUPPRESS
-    parent.add_argument("--n", type=int, default=sup, help="problem size")
-    parent.add_argument("--seed", type=int, default=sup, help="RNG seed (default 0)")
-    parent.add_argument("--tol", type=float, default=sup, help="tolerance override")
-    parent.add_argument("--trials", type=int, default=sup, help="randomized trials")
-    parent.add_argument("--out", default=sup, help="write JSON to this path")
-    parent.add_argument(
-        "--jsonl", action="store_true", default=sup, help="one JSON object per line"
-    )
-    parent.add_argument(
-        "--max-n", type=int, dest="max_n", default=sup,
-        help="override the dense-simulation qubit cap",
-    )
-    return parent
+# The flags every suite and subcommand parser accepts.  They default to
+# absent, so a flag that was not given leaves no attribute behind.
+_COMMON = {
+    "--n": {"type": int, "help": "problem size"},
+    "--seed": {"type": int, "help": "RNG seed (default 0)"},
+    "--tol": {"type": float, "help": "tolerance override"},
+    "--trials": {"type": int, "help": "randomized trials"},
+    "--out": {"help": "write JSON to this path"},
+    "--jsonl": {"action": "store_true", "help": "one JSON object per line"},
+    "--max-n": {"type": int, "help": "override the dense-simulation qubit cap"},
+}
+_DUMP = ("--dump-state", {"dest": "dump_state"})
+
+# Each subcommand: its handler, the common flags it reads, and its own
+# arguments.  main rejects any other common flag, before or after the name.
+SUBCOMMANDS = {
+    "zxcat": {
+        "mi": (_zxcat_mi, "--n --out --max-n"),
+        "witness-cu": (_zxcat_witness_cu, "--n --out --max-n"),
+        "witness-uc": (_zxcat_witness_uc, "--n --out --max-n"),
+        "build": (
+            _zxcat_build, "--n --out --max-n",
+            ("--variant", {"default": "plus", "choices": ("plus", "minus", "i")}), _DUMP,
+        ),
+    },
+    "agsp": {
+        "sweep": (
+            _agsp_sweep, "",
+            ("--n-list", {"dest": "n_list", "default": "16,64,256"}),
+            ("--m-list", {"dest": "m_list", "default": "1,2,4,8"}),
+            ("--csv", {"help": "write CSV to this path"}),
+        ),
+    },
+    "prep": {
+        "sandwich": (_prep_sandwich, "--n --tol --out --max-n", _DUMP),
+        "adaptive": (_prep_adaptive, "--n --seed --trials --out --max-n", _DUMP),
+        "bell": (_prep_bell, "--n --seed --trials --out --max-n", _DUMP),
+        "mps": (
+            _prep_mps, "--n --tol --out --max-n",
+            ("--boundary", {"default": "open", "choices": ("open", "periodic")}), _DUMP,
+        ),
+    },
+    "modular": {
+        "lpu-search": (
+            _modular_lpu, "--out",
+            ("--data", {"help": "modular data as JSON (default built in)"}),
+        ),
+        "verlinde": (_modular_verlinde, "--out", ("--genus", {"type": int, "default": 2})),
+    },
+    "glue": {
+        "run": (
+            _glue_run, "--seed --trials --out --max-n",
+            ("--dims", {"default": "1,1,1,1,1,1"}),
+        ),
+    },
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _common_flags()
+    common = argparse.ArgumentParser(add_help=False)
+    for flag, kwargs in _COMMON.items():
+        common.add_argument(flag, default=argparse.SUPPRESS, **kwargs)
     parser = argparse.ArgumentParser(
         prog="magiclab",
         description="Check suites and constructions for the ZX-cat state family.",
     )
     top = parser.add_subparsers(dest="suite", metavar="suite")
-
     for name in ("all", *SUITES):
         sub = top.add_parser(name, parents=[common], help=f"run the {name} suite")
-        sub.set_defaults(func=_suite_cmd, suite=name)
-        if name == "zxcat":
-            actions = sub.add_subparsers(dest="action", metavar="subcommand")
-            actions.add_parser("mi", parents=[common]).set_defaults(func=_zxcat_mi)
-            actions.add_parser("witness-cu", parents=[common]).set_defaults(
-                func=_zxcat_witness_cu
-            )
-            actions.add_parser("witness-uc", parents=[common]).set_defaults(
-                func=_zxcat_witness_uc
-            )
-            build = actions.add_parser("build", parents=[common])
-            build.add_argument(
-                "--variant", default="plus", choices=("plus", "minus", "i")
-            )
-            build.add_argument("--dump-state", dest="dump_state")
-            build.set_defaults(func=_zxcat_build)
-        elif name == "agsp":
-            actions = sub.add_subparsers(dest="action", metavar="subcommand")
-            sweep = actions.add_parser("sweep", parents=[common])
-            sweep.add_argument("--n-list", dest="n_list", default="16,64,256")
-            sweep.add_argument("--m-list", dest="m_list", default="1,2,4,8")
-            sweep.add_argument("--csv", help="write CSV to this path")
-            sweep.set_defaults(func=_agsp_sweep)
-        elif name == "prep":
-            actions = sub.add_subparsers(dest="action", metavar="subcommand")
-            for label, func in (
-                ("sandwich", _prep_sandwich),
-                ("adaptive", _prep_adaptive),
-                ("bell", _prep_bell),
-            ):
-                action = actions.add_parser(label, parents=[common])
-                action.add_argument("--dump-state", dest="dump_state")
-                action.set_defaults(func=func)
-            mps = actions.add_parser("mps", parents=[common])
-            mps.add_argument(
-                "--boundary", default="open", choices=("open", "periodic")
-            )
-            mps.add_argument("--dump-state", dest="dump_state")
-            mps.set_defaults(func=_prep_mps)
-        elif name == "modular":
-            actions = sub.add_subparsers(dest="action", metavar="subcommand")
-            lpu = actions.add_parser("lpu-search", parents=[common])
-            lpu.add_argument("--data", help="modular data as JSON (default built in)")
-            lpu.set_defaults(func=_modular_lpu)
-            verlinde = actions.add_parser("verlinde", parents=[common])
-            verlinde.add_argument("--genus", type=int, default=2)
-            verlinde.set_defaults(func=_modular_verlinde)
-        elif name == "glue":
-            actions = sub.add_subparsers(dest="action", metavar="subcommand")
-            run = actions.add_parser("run", parents=[common])
-            run.add_argument("--dims", default="1,1,1,1,1,1")
-            run.set_defaults(func=_glue_run)
+        sub.set_defaults(func=_suite_cmd, suite=name, reads=_COMMON)
+        if name not in SUBCOMMANDS:
+            continue
+        actions = sub.add_subparsers(dest="action", metavar="subcommand")
+        for label, (func, reads, *own) in SUBCOMMANDS[name].items():
+            action = actions.add_parser(label, parents=[common])
+            for flag, kwargs in own:
+                action.add_argument(flag, **kwargs)
+            action.set_defaults(func=func, reads=[*reads.split(), *(f for f, _ in own)])
     return parser
 
 
@@ -305,11 +292,23 @@ def main(argv=None) -> int:
     if func is None:
         parser.print_help()
         return 2
+    # a suite reads every common flag, a subcommand only those it lists
+    given = ("--" + name.replace("_", "-") for name in vars(args))
+    unread = [flag for flag in given if flag in _COMMON and flag not in args.reads]
+    if unread:
+        print(
+            f"error: {args.suite} {args.action} takes no {', '.join(unread)}; "
+            f"it reads {', '.join(args.reads) or 'no flag'}",
+            file=sys.stderr,
+        )
+        return 2
     # --max-n holds for this call only; the caller's environment is restored
     saved_max_n = os.environ.get("MAGICLAB_MAX_N")
     if _get(args, "max_n") is not None:
         os.environ["MAGICLAB_MAX_N"] = str(args.max_n)
     try:
+        if func is not _suite_cmd:  # a suite checks its own, naming itself and the seed
+            check_params(_get(args, "tol"), _get(args, "trials"))
         return func(args)
     except glue.PremiseViolation as exc:
         seed = _get(args, "seed", 0)

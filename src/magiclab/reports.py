@@ -3,7 +3,6 @@
 import csv
 import io
 import json
-import numbers
 import os
 import tempfile
 from dataclasses import dataclass
@@ -38,27 +37,27 @@ def sanitize(value):
 
 @dataclass(frozen=True)
 class CheckReport:
-    """One named check with its observed value, bound, and verdict.
+    """One named check: its observed value, its bound and the verdict.
 
-    Where `bound` is a number the verdict is exactly `observed <= bound`;
-    lower-bounded quantities are therefore reported as violations or
-    deviations so that smaller is always better.  A dict-valued `bound`
-    (the witnesses mix lower and upper limits) or a None bound keeps the
-    verdict it was given.  A None `runtime_ms` is left out of the record.
+    The verdict is computed, never given: `passed` is `observed <= bound`,
+    so a report cannot disagree with itself and a NaN observed fails.
+    Lower-bounded quantities are therefore reported as violations or
+    deviations so that smaller is always better, and whatever else a check
+    wants to show goes into `params`.  A construction (a built state, an
+    exact dimension) has no bound: None, which means no verdict, and its
+    `observed` may be any JSON value.  A None `runtime_ms` is left out of
+    the record.
     """
 
     check: str
     params: dict
     observed: object
-    bound: object
-    passed: bool
+    bound: float | None
     runtime_ms: int | None = None
 
-    def __post_init__(self):
-        if isinstance(self.bound, numbers.Real) and self.passed != bool(
-            self.observed <= self.bound
-        ):
-            raise ValueError("verdict must follow from observed <= bound")
+    @property
+    def passed(self) -> bool:
+        return self.bound is None or bool(self.observed <= self.bound)
 
     def to_dict(self) -> dict:
         record = {
@@ -66,7 +65,7 @@ class CheckReport:
             "params": sanitize(self.params),
             "observed": sanitize(self.observed),
             "bound": sanitize(self.bound),
-            "pass": bool(self.passed),
+            "pass": self.passed,
         }
         if self.runtime_ms is not None:
             record["runtime_ms"] = int(self.runtime_ms)

@@ -1,12 +1,16 @@
 """Deterministic check suites behind the command-line interface.
 
-Each suite function returns a list of CheckReports; run_suite dispatches
-by name, serializes, and maps the outcome onto the exit-code contract
-(0 all pass, 1 a check failed, 2 bad suite name or parameters).  Every
-randomized check derives its randomness from the `seed` argument, so a
-rerun with the same parameters reproduces the same numbers.
+Each suite is a generator of CheckReports, timed by `_timed` into a
+function that returns their list; run_suite dispatches by name,
+serializes, and maps the outcome onto the exit-code contract (0 all pass,
+1 a check failed, 2 bad suite name or parameters).  A check that a CLI
+subcommand also reports is built by one function here or in the library
+(the zxcat witnesses), which both call, so the two cannot differ in rule or
+bound.  Every randomized check derives its randomness from the `seed`
+argument, so a rerun with the same parameters reproduces the same numbers.
 """
 
+import dataclasses
 import functools
 import math
 import sys
@@ -18,37 +22,70 @@ from . import agsp, glue, modular, prep, symplectic as sp, statevec as sv, zxcat
 from .reports import CheckReport, render_reports, write_reports
 
 
-def _timed(checks):
-    """Suite function that turns the yields of `checks` into CheckReports.
+def check_params(tol=None, trials=None) -> None:
+    """Reject a `trials` below 1 or a `tol` that is negative or not finite.
 
-    `checks` yields (check, params, observed, bound) and the verdict is
-    observed <= bound.  Each check is timed from the previous yield (the
-    first from the suite's start); the clock is read once per check and
-    runtime_ms is the difference of whole elapsed milliseconds, so the
-    reports of one suite add up to no more than its wall time.  A `trials`
-    below 1 raises ValueError: a sampled check over no samples would pass.
-    So does a `tol` that is negative or not finite, which no observed value
-    could meet or every one would.
+    A sampled check over no samples would pass, and no observed value could
+    meet a negative or NaN tolerance while every one would meet inf.
+    """
+    if trials is not None and trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
+    if tol is not None and not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"need a finite tolerance >= 0, got {tol}")
+
+
+def _timed(checks):
+    """Suite function that stamps `runtime_ms` on the CheckReports `checks` yields.
+
+    Each check is timed from the previous yield (the first from the suite's
+    start); the clock is read once per check and runtime_ms is the
+    difference of whole elapsed milliseconds, so the reports of one suite
+    add up to no more than its wall time.  Parameters go through
+    check_params first, so bad ones raise ValueError before any check runs.
     """
 
     @functools.wraps(checks)
     def suite(n=None, seed=0, tol=None, trials=None):
-        if trials is not None and trials < 1:
-            raise ValueError(f"need at least one trial, got {trials}")
-        if tol is not None and not (math.isfinite(tol) and tol >= 0):
-            raise ValueError(f"need a finite tolerance >= 0, got {tol}")
+        check_params(tol, trials)
         clock = time.perf_counter
         start, billed, reports = clock(), 0, []
-        for check, params, observed, bound in checks(n, seed, tol, trials):
+        for report in checks(n, seed, tol, trials):
             elapsed = int((clock() - start) * 1000)
-            passed = bool(observed <= bound)
-            reports.append(
-                CheckReport(check, params, float(observed), bound, passed, elapsed - billed)
-            )
+            reports.append(dataclasses.replace(report, runtime_ms=elapsed - billed))
             billed = elapsed
         return reports
 
     return suite
+
+
+# The checks below are shared by a suite and a CLI subcommand, so that both
+# report one rule.  np.max, not max, throughout: a NaN must reach the verdict.
+
+PREP_TOL = 1e-12  # default --tol of the prep suite and its subcommands
+
+
+def overlap_check(check, params, states, target, tol) -> CheckReport:
+    """Worst 1 - |<state|target>| over `states`, against `tol`."""
+    dev = np.max([1.0 - sv.pure_overlap(state, target) for state in states])
+    return CheckReport(check, params, dev, tol)
+
+
+def kept_fidelity_check(check, params, overlaps) -> CheckReport:
+    """Worst 1 - overlap of the kept shots (0 when none is kept), against 1e-10."""
+    worst = np.max([0.0, *(1.0 - overlap for overlap in overlaps)])
+    return CheckReport(check, params, worst, 1e-10)
+
+
+def conclusions_check(params, residual_dicts) -> CheckReport:
+    """Worst gluing-conclusion residual over the merged instances, against 1e-8."""
+    worst = np.max([v for residuals in residual_dicts for v in residuals.values()])
+    return CheckReport("conclusions", params, worst, 1e-8)
+
+
+def identity_only_check(params, survivors) -> CheckReport:
+    """Survivors of the monomial search other than the identity alone, against 0."""
+    misses = modular.identity_only_misses(survivors)
+    return CheckReport("lpu-search-identity-only", params, float(misses), 0)
 
 
 def _random_pauli_text(n, rng) -> str:
@@ -67,7 +104,7 @@ def suite_symplectic(n=None, seed=0, tol=None, trials=None):
     zero = sp.StabilizerState.zero_state(n)
     plus = sp.StabilizerState.plus_state(n)
     dev = abs(sp.stabilizer_overlap(zero, plus) - 2.0 ** (-n / 2.0))
-    yield "zero-plus-overlap", {"n": n}, dev, 1e-12
+    yield CheckReport("zero-plus-overlap", {"n": n}, dev, 1e-12)
 
     worst = 0.0
     for _ in range(trials):
@@ -75,7 +112,7 @@ def suite_symplectic(n=None, seed=0, tol=None, trials=None):
         s1, s2 = sp.apply_clifford(c1, zero), sp.apply_clifford(c2, zero)
         dense = abs(np.vdot(sv.to_statevector(s1).amps, sv.to_statevector(s2).amps))
         worst = max(worst, abs(sp.stabilizer_overlap(s1, s2) - dense))
-    yield "overlap-vs-dense", sampled, worst, tol
+    yield CheckReport("overlap-vs-dense", sampled, worst, tol)
 
     worst = 0.0
     for _ in range(trials):
@@ -85,7 +122,7 @@ def suite_symplectic(n=None, seed=0, tol=None, trials=None):
         v1, v2 = sv.to_statevector(s1), sv.to_statevector(s2)
         dense = abs(np.vdot(v2.amps, sv.apply_pauli(v1, p).amps))
         worst = max(worst, abs(sp.pauli_sandwich(s2, p, s1) - dense))
-    yield "sandwich-vs-dense", sampled, worst, tol
+    yield CheckReport("sandwich-vs-dense", sampled, worst, tol)
 
     worst = 0.0
     ref = sv.to_statevector(zero)
@@ -93,7 +130,7 @@ def suite_symplectic(n=None, seed=0, tol=None, trials=None):
         c = sp.random_clifford(n, rng)
         back = sp.apply_clifford(c.adjoint(), sp.apply_clifford(c, zero))
         worst = max(worst, 1.0 - abs(np.vdot(sv.to_statevector(back).amps, ref.amps)))
-    yield "clifford-roundtrip", sampled, worst, tol
+    yield CheckReport("clifford-roundtrip", sampled, worst, tol)
 
     mismatches = 0
     for _ in range(trials):
@@ -103,7 +140,7 @@ def suite_symplectic(n=None, seed=0, tol=None, trials=None):
         left = sp.pauli_product(sp.pauli_product(a, b), c)
         right = sp.pauli_product(a, sp.pauli_product(b, c))
         mismatches += left != right
-    yield "product-associativity", sampled, mismatches, 0
+    yield CheckReport("product-associativity", sampled, float(mismatches), 0)
 
 
 @_timed
@@ -112,31 +149,15 @@ def suite_zxcat(n=None, seed=0, tol=None, trials=None):
     trials = 150 if trials is None else trials
 
     dev = abs(zxcat.mi_asymptote() - 0.390473948926579)
-    yield "mi-asymptote", {}, dev, 1e-12
+    yield CheckReport("mi-asymptote", {}, dev, 1e-12)
 
     n_mi = min(12, sv.max_qubits())
     drift = abs(zxcat.mi_numeric(n_mi) - zxcat.mi_asymptote())
-    yield "mi-near-asymptote", {"n": n_mi}, drift, 0.02
+    yield CheckReport("mi-near-asymptote", {"n": n_mi}, drift, 0.02)
 
-    wr = zxcat.crossterm_bound_check(n=n, seed=seed, trials=trials)
-    params = {**wr.params, "violations": wr.observed["violations"]}
-    yield "crossterm-bound", params, wr.observed["worst_ratio"], 1.0 + 1e-9
-
-    wr = zxcat.cu_correlation_witness(n)
-    violation = max(
-        wr.bound["gap_min"] - wr.observed["gap"],
-        wr.observed["max_half_dev"] - wr.bound["half_dev_limit"],
-    )
-    params = {"n": n, **{k: wr.observed[k] for k in ("gap", "max_half_dev")}}
-    yield "cu-correlation-witness", params, violation, 0.0
-
-    wr = zxcat.uc_sign_witness(n)
-    violation = max(
-        wr.bound[f"dpi_{label}"] - wr.observed[f"fidelity_{label}"]
-        for label in ("i", "j")
-    )
-    params = {"n": n, **{k: v for k, v in wr.observed.items() if "fidelity" in k}}
-    yield "uc-sign-witness", params, violation, 1e-9
+    yield zxcat.crossterm_bound_check(n=n, seed=seed, trials=trials)
+    yield zxcat.cu_correlation_witness(n)
+    yield zxcat.uc_sign_witness(n)
 
 
 @_timed
@@ -146,16 +167,17 @@ def suite_agsp(n=None, seed=0, tol=None, trials=None):
 
     poly = agsp.build_polynomial(n, max(1, round(n**0.5)))
     sup = agsp.step_error_sup(poly)
-    yield "step-error", {"n": n, "m": poly.m}, sup, poly.error_bound()
+    yield CheckReport("step-error", {"n": n, "m": poly.m}, sup, poly.error_bound())
 
     total, p_minus_n = agsp.coeff_sum_identity(poly)
     rel = abs(total - p_minus_n) / max(abs(total), 1.0)
-    yield "coefficient-mass-identity", {"n": n, "m": poly.m, "coeff_sum": total}, rel, 1e-9
+    params = {"n": n, "m": poly.m, "coeff_sum": total}
+    yield CheckReport("coefficient-mass-identity", params, rel, 1e-9)
 
     n_op = min(10, sv.max_qubits())
     dev = agsp.agsp_operator_check(n_op, 3)
     bound = agsp.build_polynomial(n_op, 3).error_bound()
-    yield "operator-vs-step", {"n": n_op, "m": 3}, dev, bound
+    yield CheckReport("operator-vs-step", {"n": n_op, "m": 3}, dev, bound)
 
     table = [
         agsp.complexity_bound(size, size // 3, 0.0, 0.01).depth_threshold
@@ -165,62 +187,64 @@ def suite_agsp(n=None, seed=0, tol=None, trials=None):
         t <= 0 for t in table
     )
     params = {"n_list": [64, 256, 1024, 4096], "thresholds": table}
-    yield "depth-threshold-growth", params, violations, 0
+    yield CheckReport("depth-threshold-growth", params, float(violations), 0)
 
     n_scan = min(10, sv.max_qubits())
     # the word scan runs once; the random check reports what
     # local_indist_scan with random trials would, max(words, random V)
     word_max = agsp._indist_words(n_scan, 2)
     word_limit = 1.0 / (2.0 * (1.0 - 2.0**-n_scan)) + 1e-9
-    yield "indist-word-ratio", {"n": n_scan, "max_support": 2}, word_max, word_limit
+    params = {"n": n_scan, "max_support": 2}
+    yield CheckReport("indist-word-ratio", params, word_max, word_limit)
 
+    # |<V>+ - <V>-| (1 - 2^-n) = |2 Re<0|V|+> - 2^{-n/2}(<0|V|0> + <+|V|+>)|
+    # with |<0|V|+>| <= 2^{(a-n)/2}: the ratio to 2^{a-n/2} is at most
+    # 2 (2^{-a/2} + 2^{-a}) / (1 - 2^-n), largest at a = 1
     worst = max(word_max, agsp._indist_random(n_scan, 2, trials, seed))
     params = {"n": n_scan, "max_support": 2, "random_trials": trials, "seed": seed}
-    yield "indist-random-hermitian", params, worst, 8.0
+    bound = (1.0 + 2.0**0.5) / (1.0 - 2.0**-n_scan)
+    yield CheckReport("indist-random-hermitian", params, worst, bound)
 
 
 @_timed
 def suite_prep(n=None, seed=0, tol=None, trials=None):
     n = 8 if n is None else n
     trials = 120 if trials is None else trials
-    tol = 1e-12 if tol is None else tol
+    tol = PREP_TOL if tol is None else tol
 
-    dev = 1.0 - sv.pure_overlap(prep.prepare_sandwich(n), zxcat.build(n, "i"))
-    yield "sandwich-overlap", {"n": n}, dev, tol
+    state = prep.prepare_sandwich(n)
+    yield overlap_check("sandwich-overlap", {"n": n}, [state], zxcat.build(n, "i"), tol)
 
     ok = prep.verify_global_clifford(64)
-    yield "global-clifford-certificate", {"n": 64}, 0.0 if ok else 1.0, 0.0
+    yield CheckReport("global-clifford-certificate", {"n": 64}, 0.0 if ok else 1.0, 0.0)
 
     n_run = min(n, sv.max_qubits() // 2, 12)
     p_exact = prep.adaptive_success_probability(n_run)
     closed = (1.0 + 2.0 ** (-n_run / 2.0)) / 2.0
-    yield "adaptive-success-probability", {"n": n_run}, abs(p_exact - closed), tol
+    dev = abs(p_exact - closed)
+    yield CheckReport("adaptive-success-probability", {"n": n_run}, dev, tol)
 
     shots = prep.adaptive_shots(n_run, trials, seed)
     accepted = sum(record.accepted for record, _ in shots)
     rate_dev = abs(accepted / trials - p_exact)
     sigma = (p_exact * (1.0 - p_exact) / trials) ** 0.5
     params = {"n": n_run, "trials": trials, "seed": seed, "accepted": accepted}
-    yield "adaptive-sampled-rate", params, rate_dev, 5.0 * sigma
+    yield CheckReport("adaptive-sampled-rate", params, rate_dev, 5.0 * sigma)
 
-    fid_dev = max([0.0] + [1.0 - overlap for _, overlap in shots])
     params = {"n": n_run, "trials": trials, "seed": seed}
-    yield "adaptive-collapse-fidelity", params, fid_dev, 1e-10
+    overlaps = [overlap for _, overlap in shots]
+    yield kept_fidelity_check("adaptive-collapse-fidelity", params, overlaps)
 
     n_mps = min(10, sv.max_qubits())
+    states = [prep.mps_contract(n_mps, boundary=b) for b in ("open", "periodic")]
     target = zxcat.build(n_mps, "plus")
-    dev = max(
-        1.0 - sv.pure_overlap(prep.mps_contract(n_mps, boundary=b), target)
-        for b in ("open", "periodic")
-    )
-    yield "mps-overlap", {"n": n_mps}, dev, tol
+    yield overlap_check("mps-overlap", {"n": n_mps}, states, target, tol)
 
     n_bell = min(4, sv.max_qubits() // 3)
     shots = prep.bell_shots(n_bell, trials, seed)
     overlaps = [overlap for accepted, _, overlap in shots if accepted]
-    bell_dev = max([0.0] + [1.0 - overlap for overlap in overlaps])
     params = {"n": n_bell, "trials": trials, "seed": seed, "accepted": len(overlaps)}
-    yield "bell-accepted-fidelity", params, bell_dev, 1e-10
+    yield kept_fidelity_check("bell-accepted-fidelity", params, overlaps)
 
 
 @_timed
@@ -230,24 +254,24 @@ def suite_modular(n=None, seed=0, tol=None, trials=None):
 
     s = data.s_numeric()
     dev = np.abs(s @ s - np.eye(data.k)).max()
-    yield "s-squared-identity", {}, dev, 1e-12
+    yield CheckReport("s-squared-identity", {}, dev, 1e-12)
 
     st = s @ data.t_numeric()
     dev = np.abs(np.linalg.matrix_power(st, 3) - s @ s).max()
-    yield "st-cubed-relation", {}, dev, 1e-9
+    yield CheckReport("st-cubed-relation", {}, dev, 1e-9)
 
     genus2 = float(modular.verlinde_dim(data.dims, 2))
-    yield "genus-two-dimension", {"genus": 2}, abs(genus2 - 25.0), 1e-12
+    yield CheckReport("genus-two-dimension", {"genus": 2}, abs(genus2 - 25.0), 1e-12)
 
     survivors = modular.lpu_search(data)
-    misses = modular.identity_only_misses(survivors)
-    yield "lpu-search-identity-only", {"survivors": len(survivors)}, misses, 0
+    yield identity_only_check({"survivors": len(survivors)}, survivors)
 
     worst = max(
         modular.offdiag_modulus_scan(data, perm, samples=trials, seed=seed)
         for perm in modular.dim_preserving_perms(data.dims)
     )
-    yield "off-pattern-moduli", {"samples": trials, "seed": seed}, worst, 1.0 - 1e-6
+    params = {"samples": trials, "seed": seed}
+    yield CheckReport("off-pattern-moduli", params, worst, 1.0 - 1e-6)
 
     scalar_hit = modular.scalar_rigidity_trial(3, 2.0 * np.eye(9), attempts=40, seed=seed)
     swap = np.zeros((9, 9))
@@ -257,7 +281,7 @@ def suite_modular(n=None, seed=0, tol=None, trials=None):
     swap_hit = modular.scalar_rigidity_trial(3, swap, attempts=40, seed=seed)
     failures = (scalar_hit is not None) + (swap_hit is None)
     params = {"attempts": 40, "seed": seed, "swap_witnessed": swap_hit is not None}
-    yield "scalar-rigidity", params, failures, 0
+    yield CheckReport("scalar-rigidity", params, float(failures), 0)
 
 
 @_timed
@@ -266,26 +290,25 @@ def suite_glue(n=None, seed=0, tol=None, trials=None):
     sizes = (1, 1, 1, 1, 1, 1)
     params = {"sizes": sizes, "trials": trials, "seed": seed}
 
-    # np.max, not max: a NaN residual must reach the verdict wherever it sits
     instances = [
         glue.generate_gluable_instance(sizes, seed=seed + t) for t in range(trials)
     ]
     worst = np.max([abs(v) for inst in instances for v in inst.residuals.values()])
-    yield "premises", params, worst, 1e-10
+    yield CheckReport("premises", params, worst, 1e-10)
 
     merged = [glue.merge(inst) for inst in instances]
-    worst = np.max([v for _, residuals in merged for v in residuals.values()])
-    yield "conclusions", params, worst, 1e-8
+    yield conclusions_check(params, [residuals for _, residuals in merged])
 
     worst = np.max([abs(glue.shared_factor_entropy(inst)) for inst in instances])
-    yield "middle-factor-purity", {"sizes": sizes, "trials": trials}, worst, 1e-8
+    params = {"sizes": sizes, "trials": trials}
+    yield CheckReport("middle-factor-purity", params, worst, 1e-8)
 
     worst = np.max([
         np.abs(glue.petz_glue(inst) - np.outer(state.amps, state.amps.conj())).max()
         for inst, (state, _) in zip(instances[:8], merged)
     ])
     params = {"sizes": sizes, "instances": min(8, trials), "seed": seed}
-    yield "petz-matches-unitary", params, worst, 1e-7
+    yield CheckReport("petz-matches-unitary", params, worst, 1e-7)
 
 
 SUITES = {

@@ -82,10 +82,10 @@ def test_02_pauli_sandwich_magnitude():
 def test_03_crossterm_support_bound():
     """Local operators of unit norm cannot lift the branch cross term."""
     report = zxcat.crossterm_bound_check(n=10, seed=37, trials=500, max_support=4)
-    obs = report.observed
+    obs = report.params
     ok = (
         obs["violations"] == 0
-        and obs["worst_ratio"] <= 1.0 + 1e-9
+        and report.observed <= 1.0 + 1e-9
         and obs["identity_overlap_dev"] <= 1e-10
         and report.passed
     )
@@ -93,7 +93,7 @@ def test_03_crossterm_support_bound():
         3,
         "branch cross-term support bound",
         ok,
-        f"500 trials at n=10, worst ratio = {obs['worst_ratio']:.6f}",
+        f"500 trials at n=10, worst ratio = {report.observed:.6f}",
     )
 
 
@@ -114,7 +114,7 @@ def test_04_mutual_information_plateau():
 def test_05_correlation_witness():
     """Stabilizer pair expectations hug 1/2 while their product stays far off."""
     report = zxcat.cu_correlation_witness(12)
-    obs = report.observed
+    obs = report.params
     half_limit = 2.0 ** (1 - 12 / 2.0)
     ok = obs["max_half_dev"] <= half_limit and obs["gap"] > 0.2
     _verdict(
@@ -137,10 +137,10 @@ def test_06_cone_fidelity_bound():
         for label in ("i", "j"):
             worst_margin = min(
                 worst_margin,
-                report.observed[f"fidelity_{label}"] - report.bound[f"dpi_{label}"],
+                report.params[f"fidelity_{label}"] - report.params[f"dpi_{label}"],
             )
     trivial = zxcat.uc_sign_witness(10)
-    equality_dev = abs(trivial.observed["fidelity_i"] - 2.0**-0.5)
+    equality_dev = abs(trivial.params["fidelity_i"] - 2.0**-0.5)
     _verdict(
         6,
         "cone fidelity lower bound",

@@ -38,22 +38,27 @@ def test_sanitize_converts_numpy_and_complex():
 
 
 def test_check_report_verdict_consistency():
-    good = CheckReport("x", {}, 0.5, 1.0, True, 3)
-    assert good.to_dict()["pass"] is True
+    # the verdict is computed from observed <= bound, never given
+    good = CheckReport("x", {}, 0.5, 1.0, 3)
+    assert good.passed and good.to_dict()["pass"] is True
     assert good.to_dict()["runtime_ms"] == 3
-    with pytest.raises(ValueError):
-        CheckReport("x", {}, 2.0, 1.0, True, 0)
-    with pytest.raises(ValueError):
-        CheckReport("x", {}, 0.5, 1.0, False, 0)
-    # without a bound the verdict is free-form
-    free = CheckReport("x", {"why": "boolean check"}, 1.0, None, False, 0)
-    assert free.to_dict()["bound"] is None
+    assert CheckReport("x", {}, 1.0, 1.0).passed
+    assert not CheckReport("x", {}, 2.0, 1.0, 0).passed
+    assert CheckReport("x", {}, 2.0, 1.0).to_dict()["pass"] is False
+    # a NaN observed fails, wherever it came from
+    assert not CheckReport("x", {}, float("nan"), 1.0).passed
+    assert not CheckReport("x", {}, np.float64("nan"), 0).passed
+    # without a bound there is no verdict to fail
+    free = CheckReport("x", {"why": "construction"}, 1.0, None, 0)
+    assert free.passed and free.to_dict()["bound"] is None
+    with pytest.raises(TypeError):
+        CheckReport("x", {}, 0.5, 1.0, True, 3)
 
 
 def test_write_reports_atomic_json_and_jsonl(tmp_path):
     reports = [
-        CheckReport("a", {"n": 2}, 0.0, 1e-9, True, 1),
-        CheckReport("b", {}, 2.0, 1.0, False, 2),
+        CheckReport("a", {"n": 2}, 0.0, 1e-9, 1),
+        CheckReport("b", {}, 2.0, 1.0, 2),
     ]
     path = tmp_path / "out.json"
     write_reports(str(path), reports)
@@ -200,7 +205,8 @@ def test_cli_suite_and_subcommands(tmp_path, capsys):
 
     assert main(["prep", "mps", "--n", "5", "--boundary", "periodic"]) == 0
     record = json.loads(capsys.readouterr().out)
-    assert record["observed"]["overlap_deviation"] <= 1e-12
+    assert record["check"] == "mps-overlap" and record["bound"] == 1e-12
+    assert record["observed"] <= 1e-12
 
 
 def test_cli_dump_state_snapshot(tmp_path, capsys):
@@ -222,7 +228,9 @@ def test_cli_lpu_search_with_data_file(tmp_path, capsys):
     assert main(["modular", "lpu-search", "--data", str(payload)]) == 0
     record = json.loads(capsys.readouterr().out)
     assert record["pass"] is True
-    assert record["observed"]["survivors"] == [
+    assert record["check"] == "lpu-search-identity-only" and record["observed"] == 0.0
+    assert record["params"]["survivors"] == 1
+    assert record["survivors"] == [
         {"permutation": [0, 1, 2, 3], "phases": [1.0, 1.0, 1.0, 1.0]}
     ]
     assert main(["modular", "lpu-search", "--data", str(tmp_path / "no.json")]) == 2
@@ -262,13 +270,15 @@ def test_cli_writes_suite_file(tmp_path, capsys):
     assert all(r["pass"] for r in parsed)
 
 
-def test_check_report_optional_runtime_and_dict_bounds():
-    record = CheckReport("w", {}, {"gap": 0.2}, {"gap_min": 0.1}, True).to_dict()
-    assert "runtime_ms" not in record and record["pass"] is True
-    # a dict bound mixes lower and upper limits, so the verdict is kept as given
-    assert CheckReport("w", {}, {"gap": 0.0}, {"gap_min": 0.1}, False).passed is False
-    with pytest.raises(ValueError):
-        CheckReport("x", {}, 2.0, 1.0, True)
+def test_check_report_optional_runtime_and_construction_record():
+    # a construction has no bound: its record passes, keeps any observed
+    # value and, outside a suite, carries no runtime_ms
+    record = CheckReport("build", {"n": 2}, {"norm": 1.0}, None).to_dict()
+    assert record == {
+        "check": "build", "params": {"n": 2}, "observed": {"norm": 1.0},
+        "bound": None, "pass": True,
+    }
+    assert list(record) == ["check", "params", "observed", "bound", "pass"]
 
 
 def test_load_state_reads_legacy_amplitudes_key(tmp_path):

@@ -104,10 +104,10 @@ def test_crossterm_identity_value():
 
 def test_crossterm_bound_report():
     rep = zxcat.crossterm_bound_check(n=8, seed=7, trials=200)
-    assert rep.passed
-    assert rep.observed["violations"] == 0
-    assert rep.observed["worst_ratio"] <= 1.0
-    assert rep.observed["identity_overlap_dev"] < 1e-12
+    assert rep.passed and rep.check == "crossterm-bound"
+    assert rep.params["violations"] == 0
+    assert rep.observed <= 1.0
+    assert rep.params["identity_overlap_dev"] < 1e-12
     for trials in (0, -3):
         with pytest.raises(ValueError, match="at least one trial"):
             zxcat.crossterm_bound_check(n=4, trials=trials)
@@ -132,18 +132,18 @@ def test_crossterm_branches_from_the_adjoint_images():
 def test_crossterm_bound_below_the_support_cap(n):
     # supports are drawn up to min(max_support, n) qubits
     rep = zxcat.crossterm_bound_check(n=n, seed=5, trials=60)
-    assert rep.passed and rep.observed["violations"] == 0
-    assert rep.observed["worst_ratio"] <= 1.0
-    assert rep.observed["identity_overlap_dev"] < 1e-12
+    assert rep.passed and rep.params["violations"] == 0
+    assert rep.observed <= 1.0
+    assert rep.params["identity_overlap_dev"] < 1e-12
     assert rep.params["max_support"] == 4
 
 
 def test_cu_witness_identity_small():
+    # an in-cone pair exists, or the witness would have raised
     rep = zxcat.cu_correlation_witness(4)
-    assert rep.observed["in_cone"]
-    assert rep.observed["g_expect"] == pytest.approx(0.6, abs=1e-12)
-    assert rep.observed["gg_expect"] == pytest.approx(0.6, abs=1e-12)
-    assert rep.observed["gap"] == pytest.approx(0.24, abs=1e-12)
+    assert rep.params["g_expect"] == pytest.approx(0.6, abs=1e-12)
+    assert rep.params["gg_expect"] == pytest.approx(0.6, abs=1e-12)
+    assert rep.params["gap"] == pytest.approx(0.24, abs=1e-12)
     assert rep.passed
 
 
@@ -152,28 +152,40 @@ def test_cu_witness_large_near_half():
     rep = zxcat.cu_correlation_witness(n, gap_min=0.2)
     lim = 2 ** (1 - n / 2)
     for key in ("g_expect", "gp_expect", "gg_expect"):
-        assert abs(rep.observed[key] - 0.5) <= lim
-    assert rep.observed["gap"] > 0.2
+        assert abs(rep.params[key] - 0.5) <= lim
+    assert rep.params["gap"] > 0.2
     assert rep.passed
 
 
 def test_cu_witness_random_clifford_sweep():
-    # The conjugated Z generators give a Clifford-independent gap, so every
-    # random Clifford is witnessed even when no in-cone stabilizer exists.
+    # A random Clifford leaves no stabilizer of C^dag|0^n> inside a seed's
+    # cone, so the factorization argument has no premise: the witness
+    # raises instead of reporting the Clifford-independent Z-generator gap.
     rng = np.random.default_rng(23)
     n = 12
     for _ in range(50):
         cmap = sp.random_clifford(n, rng)
-        rep = zxcat.cu_correlation_witness(n, cmap)
-        assert rep.observed["gap"] > 0.1
-        assert rep.passed
+        with pytest.raises(ValueError, match="the witness does not apply"):
+            zxcat.cu_correlation_witness(n, cmap)
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_cu_witness_brickwork_in_cone_sweep(depth, seed):
+    # C = I with a shallow brickwork: in-cone pairs exist and the witness passes
+    circ = sv.random_brickwork(10, depth, np.random.default_rng(seed))
+    rep = zxcat.cu_correlation_witness(10, circuit=circ)
+    assert rep.params["depth"] == depth
+    assert rep.params["gap"] >= rep.params["gap_min"]
+    assert rep.params["max_half_dev"] <= rep.params["half_dev_limit"]
+    assert rep.passed
 
 
 def test_cu_witness_shallow_circuit_in_cone():
     rng = np.random.default_rng(3)
     circ = sv.random_brickwork(8, 1, rng)
     rep = zxcat.cu_correlation_witness(8, circuit=circ)
-    assert rep.observed["in_cone"]
+    assert rep.params["depth"] == 1
     assert rep.passed
 
 
@@ -186,8 +198,8 @@ def test_cu_witness_overlapping_cones_rejected():
 
 def test_uc_witness_identity_equality():
     rep = zxcat.uc_sign_witness(6)
-    assert rep.observed["fidelity_i"] == pytest.approx(2**-0.5, abs=1e-10)
-    assert rep.bound["dpi_i"] == pytest.approx(2**-0.5, abs=1e-15)
+    assert rep.params["fidelity_i"] == pytest.approx(2**-0.5, abs=1e-10)
+    assert rep.params["dpi_i"] == pytest.approx(2**-0.5, abs=1e-15)
     assert rep.passed
 
 
@@ -203,8 +215,8 @@ def test_uc_witness_depth_one_sweep():
         rep = zxcat.uc_sign_witness(8, circ)
         for label in ("i", "j"):
             assert (
-                rep.observed[f"fidelity_{label}"]
-                >= rep.bound[f"dpi_{label}"] - 1e-9
+                rep.params[f"fidelity_{label}"]
+                >= rep.params[f"dpi_{label}"] - 1e-9
             )
         assert rep.passed
 
@@ -219,4 +231,5 @@ def test_witness_report_serializes():
     rep = zxcat.crossterm_bound_check(n=4, seed=0, trials=5)
     blob = rep.to_dict()
     assert set(blob) == {"check", "params", "observed", "bound", "pass"}
+    assert isinstance(blob["observed"], float) and isinstance(blob["bound"], float)
     json.dumps(blob)
