@@ -286,16 +286,16 @@ def local_indist_scan(
     n) qubits. The plus/minus cat pair is locally indistinguishable, so the
     ratio stays order one.
     """
-    return max(
+    return np.max([
         _indist_words(n, max_support),
         _indist_random(n, max_support, random_trials, seed),
-    )
+    ])
 
 
 def _indist_words(n: int, max_support: int) -> float:
     """The Pauli-word part of `local_indist_scan`."""
     pair = (zxcat.build(n, "plus"), zxcat.build(n, "minus"))
-    worst = 0.0
+    ratios = [0.0]
     for a in range(1, max_support + 1):
         limit = 2.0 ** (a - n / 2.0)
         for support in itertools.combinations(range(n), a):
@@ -304,20 +304,20 @@ def _indist_words(n: int, max_support: int) -> float:
                 x = sum(xb << q for q, (xb, _) in zip(support, letters))
                 z = sum(zb << q for q, (_, zb) in zip(support, letters))
                 e_plus, e_minus = sv._word_expectations(sp.PauliString(n, x, z), pair)
-                worst = max(worst, abs(e_plus - e_minus) / limit)
-    return worst
+                ratios.append(abs(e_plus - e_minus) / limit)
+    return np.max(ratios)
 
 
 def _indist_random(n: int, max_support: int, trials: int, seed: int) -> float:
     """The random-Hermitian part of `local_indist_scan`."""
     plus, minus = zxcat.build(n, "plus"), zxcat.build(n, "minus")
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    ratios = [0.0]
     for _ in range(trials):
         a = int(rng.integers(1, min(max_support, n) + 1))
         support = tuple(sorted(int(q) for q in rng.choice(n, a, replace=False)))
         herm = zxcat._random_bounded_hermitian(1 << a, rng)
         d1 = np.vdot(plus.amps, sv.matrix_action(plus.amps, n, support, herm))
         d2 = np.vdot(minus.amps, sv.matrix_action(minus.amps, n, support, herm))
-        worst = max(worst, abs((d1 - d2).real) / 2.0 ** (a - n / 2.0))
-    return worst
+        ratios.append(abs((d1 - d2).real) / 2.0 ** (a - n / 2.0))
+    return np.max(ratios)

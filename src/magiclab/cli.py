@@ -5,10 +5,11 @@ serializes CheckReports as JSON; the subcommands expose the individual
 constructions (state builders, witnesses, sweeps, the gate search) with
 machine-readable output.  A subcommand that reports a suite check prints
 that check's record, built by the same function the suite uses; the
-constructions print a record with no bound.  A subcommand reads only the
-common flags SUBCOMMANDS lists for it, and any other one exits 2.  Exit
-codes: 0 all checks pass, 1 a check failed, 2 unknown suite or invalid
-parameters.
+constructions print a record with no bound.  A command reads the
+computation flags its signature declares (`flags_read`), and any other
+common flag exits 2.  Exit codes: 0 all checks pass, 1 a check failed, 2
+unknown suite or invalid parameters; `suites.exit_code` maps a failure to
+its code and error line for suites and subcommands alike.
 """
 
 import argparse
@@ -26,15 +27,13 @@ from .suites import (
     agsp_sweep,
     check_params,
     conclusions_check,
+    exit_code,
+    flag_defaults,
     identity_only_check,
     kept_fidelity_check,
     overlap_check,
     run_suite,
 )
-
-
-def _get(args, name, default=None):
-    return getattr(args, name, default)
 
 
 def _emit(args, report, state=None, **extra) -> int:
@@ -45,11 +44,11 @@ def _emit(args, report, state=None, **extra) -> int:
     the report's verdict.
     """
     if state is not None:
-        extra["dumped"] = _get(args, "dump_state")
+        extra["dumped"] = args.dump_state
         if extra["dumped"]:
             dump_state(extra["dumped"], state)
     payload = {**report.to_dict(), **extra}
-    out = _get(args, "out")
+    out = getattr(args, "out", None)
     if out:
         write_json(out, payload)
         print(f"wrote {out}")
@@ -62,20 +61,7 @@ def _int_list(text: str) -> list:
     return [int(part) for part in text.split(",") if part.strip()]
 
 
-def _suite_cmd(args) -> int:
-    return run_suite(
-        args.suite,
-        n=_get(args, "n"),
-        seed=_get(args, "seed", 0),
-        tol=_get(args, "tol"),
-        trials=_get(args, "trials"),
-        out=_get(args, "out"),
-        jsonl=_get(args, "jsonl", False),
-    )
-
-
-def _zxcat_mi(args) -> int:
-    n = _get(args, "n", 10)
+def _zxcat_mi(args, n=10) -> int:
     value = zxcat.mi_numeric(n)
     params = {"n": n, "mi": value, "asymptote": zxcat.mi_asymptote()}
     # a violation count: the information must be positive
@@ -83,16 +69,15 @@ def _zxcat_mi(args) -> int:
     return _emit(args, CheckReport("mi-numeric", params, violations, 0.0))
 
 
-def _zxcat_witness_cu(args) -> int:
-    return _emit(args, zxcat.cu_correlation_witness(_get(args, "n", 10)))
+def _zxcat_witness_cu(args, n=10) -> int:
+    return _emit(args, zxcat.cu_correlation_witness(n))
 
 
-def _zxcat_witness_uc(args) -> int:
-    return _emit(args, zxcat.uc_sign_witness(_get(args, "n", 10)))
+def _zxcat_witness_uc(args, n=10) -> int:
+    return _emit(args, zxcat.uc_sign_witness(n))
 
 
-def _zxcat_build(args) -> int:
-    n = _get(args, "n", 8)
+def _zxcat_build(args, n=8) -> int:
     state = zxcat.build(n, args.variant)
     observed = {"norm": float(np.linalg.norm(state.amps))}
     report = CheckReport("build", {"n": n, "variant": args.variant}, observed, None)
@@ -110,26 +95,21 @@ def _agsp_sweep(args) -> int:
     return 0
 
 
-def _prep_sandwich(args) -> int:
-    n = _get(args, "n", 8)
+def _prep_sandwich(args, n=8, tol=PREP_TOL) -> int:
     state = prep.prepare_sandwich(n)
-    tol = _get(args, "tol", PREP_TOL)
     report = overlap_check("sandwich-overlap", {"n": n}, [state], zxcat.build(n, "i"), tol)
     return _emit(args, report, state)
 
 
-def _prep_mps(args) -> int:
-    n = _get(args, "n", 10)
+def _prep_mps(args, n=10, tol=PREP_TOL) -> int:
     state = prep.mps_contract(n, boundary=args.boundary)
     params = {"n": n, "boundary": args.boundary}
-    tol = _get(args, "tol", PREP_TOL)
     report = overlap_check("mps-overlap", params, [state], zxcat.build(n, "plus"), tol)
     return _emit(args, report, state)
 
 
-def _prep_adaptive(args) -> int:
-    params = {"n": _get(args, "n", 6), "trials": _get(args, "trials", 50)}
-    params["seed"] = _get(args, "seed", 0)
+def _prep_adaptive(args, n=6, seed=0, trials=50) -> int:
+    params = {"n": n, "trials": trials, "seed": seed}
     shots = prep.adaptive_shots(**params)
     runs = [
         {
@@ -146,9 +126,8 @@ def _prep_adaptive(args) -> int:
     return _emit(args, report, shots[-1][0].post_state, runs=runs)
 
 
-def _prep_bell(args) -> int:
-    params = {"n": _get(args, "n", 4), "trials": _get(args, "trials", 50)}
-    params["seed"] = _get(args, "seed", 0)
+def _prep_bell(args, n=4, seed=0, trials=50) -> int:
+    params = {"n": n, "trials": trials, "seed": seed}
     shots = prep.bell_shots(**params)
     runs = [
         {"accepted": True, "target_overlap": overlap} if accepted else {"accepted": False}
@@ -188,10 +167,8 @@ def _modular_verlinde(args) -> int:
     return _emit(args, CheckReport("verlinde-dimension", params, observed, None))
 
 
-def _glue_run(args) -> int:
+def _glue_run(args, seed=0, trials=10) -> int:
     sizes = tuple(_int_list(args.dims))
-    trials = _get(args, "trials", 10)
-    seed = _get(args, "seed", 0)
     records = []
     for t in range(trials):
         inst = glue.generate_gluable_instance(sizes, seed=seed + t)
@@ -205,27 +182,30 @@ def _glue_run(args) -> int:
 
 
 # The flags every suite and subcommand parser accepts.  They default to
-# absent, so a flag that was not given leaves no attribute behind.
+# absent, so a flag that was not given leaves no attribute behind.  A
+# command reads the computation flags its signature declares, and the
+# output flags: all of them for a suite, those SUBCOMMANDS lists otherwise.
 _COMMON = {
     "--n": {"type": int, "help": "problem size"},
-    "--seed": {"type": int, "help": "RNG seed (default 0)"},
+    "--seed": {"type": int, "help": "RNG seed"},
     "--tol": {"type": float, "help": "tolerance override"},
     "--trials": {"type": int, "help": "randomized trials"},
     "--out": {"help": "write JSON to this path"},
     "--jsonl": {"action": "store_true", "help": "one JSON object per line"},
     "--max-n": {"type": int, "help": "override the dense-simulation qubit cap"},
 }
+_OUTPUT = ("--out", "--jsonl", "--max-n")
 _DUMP = ("--dump-state", {"dest": "dump_state"})
 
-# Each subcommand: its handler, the common flags it reads, and its own
-# arguments.  main rejects any other common flag, before or after the name.
+# Each subcommand: its handler, whose keyword parameters are the computation
+# flags it reads, the output flags it reads, and its own arguments.
 SUBCOMMANDS = {
     "zxcat": {
-        "mi": (_zxcat_mi, "--n --out --max-n"),
-        "witness-cu": (_zxcat_witness_cu, "--n --out --max-n"),
-        "witness-uc": (_zxcat_witness_uc, "--n --out --max-n"),
+        "mi": (_zxcat_mi, "--out --max-n"),
+        "witness-cu": (_zxcat_witness_cu, "--out --max-n"),
+        "witness-uc": (_zxcat_witness_uc, "--out --max-n"),
         "build": (
-            _zxcat_build, "--n --out --max-n",
+            _zxcat_build, "--out --max-n",
             ("--variant", {"default": "plus", "choices": ("plus", "minus", "i")}), _DUMP,
         ),
     },
@@ -238,11 +218,11 @@ SUBCOMMANDS = {
         ),
     },
     "prep": {
-        "sandwich": (_prep_sandwich, "--n --tol --out --max-n", _DUMP),
-        "adaptive": (_prep_adaptive, "--n --seed --trials --out --max-n", _DUMP),
-        "bell": (_prep_bell, "--n --seed --trials --out --max-n", _DUMP),
+        "sandwich": (_prep_sandwich, "--out --max-n", _DUMP),
+        "adaptive": (_prep_adaptive, "--out --max-n", _DUMP),
+        "bell": (_prep_bell, "--out --max-n", _DUMP),
         "mps": (
-            _prep_mps, "--n --tol --out --max-n",
+            _prep_mps, "--out --max-n",
             ("--boundary", {"default": "open", "choices": ("open", "periodic")}), _DUMP,
         ),
     },
@@ -254,12 +234,28 @@ SUBCOMMANDS = {
         "verlinde": (_modular_verlinde, "--out", ("--genus", {"type": int, "default": 2})),
     },
     "glue": {
-        "run": (
-            _glue_run, "--seed --trials --out --max-n",
-            ("--dims", {"default": "1,1,1,1,1,1"}),
-        ),
+        "run": (_glue_run, "--out --max-n", ("--dims", {"default": "1,1,1,1,1,1"})),
     },
 }
+
+
+def flags_read(suite: str, action=None) -> dict:
+    """The flags a command reads, each mapped to its default (None: none).
+
+    A suite reads the computation flags of its signature and every output
+    flag; `all` reads what any suite reads, each suite at its own default.
+    A subcommand reads the computation flags of its handler's signature, the
+    output flags SUBCOMMANDS lists and its own arguments.
+    """
+    if action is not None:
+        func, outputs, *own = SUBCOMMANDS[suite][action]
+        own = {flag: kwargs.get("default") for flag, kwargs in own}
+        return {**flag_defaults(func), **dict.fromkeys(outputs.split()), **own}
+    if suite == "all":
+        params = dict.fromkeys(flag for f in SUITES.values() for flag in flag_defaults(f))
+    else:
+        params = flag_defaults(SUITES[suite])
+    return {**params, **dict.fromkeys(_OUTPUT)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -273,53 +269,47 @@ def build_parser() -> argparse.ArgumentParser:
     top = parser.add_subparsers(dest="suite", metavar="suite")
     for name in ("all", *SUITES):
         sub = top.add_parser(name, parents=[common], help=f"run the {name} suite")
-        sub.set_defaults(func=_suite_cmd, suite=name, reads=_COMMON)
+        sub.set_defaults(action=None)
         if name not in SUBCOMMANDS:
             continue
         actions = sub.add_subparsers(dest="action", metavar="subcommand")
-        for label, (func, reads, *own) in SUBCOMMANDS[name].items():
+        for label, (func, _, *own) in SUBCOMMANDS[name].items():
             action = actions.add_parser(label, parents=[common])
             for flag, kwargs in own:
                 action.add_argument(flag, **kwargs)
-            action.set_defaults(func=func, reads=[*reads.split(), *(f for f, _ in own)])
+            action.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    func = _get(args, "func")
-    if func is None:
+    if args.suite is None:
         parser.print_help()
         return 2
-    # a suite reads every common flag, a subcommand only those it lists
-    given = ("--" + name.replace("_", "-") for name in vars(args))
-    unread = [flag for flag in given if flag in _COMMON and flag not in args.reads]
-    if unread:
-        print(
-            f"error: {args.suite} {args.action} takes no {', '.join(unread)}; "
-            f"it reads {', '.join(args.reads) or 'no flag'}",
-            file=sys.stderr,
-        )
-        return 2
+    flags = {"--" + name.replace("_", "-"): value for name, value in vars(args).items()}
+    given = {flag: value for flag, value in flags.items() if flag in _COMMON}
+    params = {flag[2:]: value for flag, value in given.items() if flag not in _OUTPUT}
+    reads = flags_read(args.suite, args.action)
+
+    def run() -> int:
+        unread = [flag for flag in given if flag not in reads]
+        if unread:
+            raise ValueError(f"takes no {', '.join(unread)}; it reads {', '.join(reads)}")
+        check_params(params)
+        if args.action is None:
+            out, jsonl = given.get("--out"), given.get("--jsonl", False)
+            return run_suite(args.suite, out=out, jsonl=jsonl, **params)
+        return args.func(args, **params)
+
+    label = args.suite if args.action is None else f"{args.suite} {args.action}"
+    seed = given.get("--seed", reads["--seed"]) if "--seed" in reads else None
     # --max-n holds for this call only; the caller's environment is restored
     saved_max_n = os.environ.get("MAGICLAB_MAX_N")
-    if _get(args, "max_n") is not None:
-        os.environ["MAGICLAB_MAX_N"] = str(args.max_n)
+    if "--max-n" in given:
+        os.environ["MAGICLAB_MAX_N"] = str(given["--max-n"])
     try:
-        if func is not _suite_cmd:  # a suite checks its own, naming itself and the seed
-            check_params(_get(args, "tol"), _get(args, "trials"))
-        return func(args)
-    except glue.PremiseViolation as exc:
-        seed = _get(args, "seed", 0)
-        print(f"check failed: {args.suite} seed {seed}: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except AssertionError as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return 1
+        return exit_code(label, seed, run)
     finally:
         if saved_max_n is None:
             os.environ.pop("MAGICLAB_MAX_N", None)

@@ -34,6 +34,9 @@ from .statevec import (
 
 _SUB_BLOCKS = ("A", "B1", "B2", "C1", "C2", "D")
 
+# the bound on each gluing conclusion, for glue_states and the conclusions check
+CONCLUSION_TOL = 1e-8
+
 
 class PremiseViolation(ValueError):
     """An input pair fails one of the gluing premises."""
@@ -291,11 +294,11 @@ def glue_states(inst: GluableInstance) -> StateVector:
     """Merge the pair into one state matching psi on ABC and psi' on BCD.
 
     Raises AssertionError when any of the four conclusions misses by more
-    than 1e-8 or is NaN.
+    than CONCLUSION_TOL or is NaN.
     """
     glued, residuals = merge(inst)
     for name, residual in residuals.items():
-        if not residual <= 1e-8:
+        if not residual <= CONCLUSION_TOL:
             raise AssertionError(f"merged state misses {name} by {residual:.3e}")
     return glued
 

@@ -517,7 +517,7 @@ def offdiag_modulus_scan(
     rng = np.random.default_rng(seed)
     mask = ~np.eye(k, dtype=bool)
     rows, cols = np.arange(k), list(perm)
-    worst = 0.0
+    maxima = []
     for start in range(0, samples, 256):
         m = min(256, samples - start)
         diag = np.ones((m, k), dtype=complex)
@@ -525,8 +525,8 @@ def offdiag_modulus_scan(
         mats = np.zeros((m, k, k), dtype=complex)
         mats[:, rows, cols] = diag[:, cols]
         conj = s @ mats @ s.conj().T
-        worst = max(worst, float(np.abs(conj[:, mask]).max()))
-    return worst
+        maxima.append(np.abs(conj[:, mask]).max())
+    return float(np.max(maxima))
 
 
 def scalar_rigidity_trial(

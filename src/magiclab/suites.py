@@ -1,9 +1,10 @@
 """Deterministic check suites behind the command-line interface.
 
 Each suite is a generator of CheckReports, timed by `_timed` into a
-function that returns their list; run_suite dispatches by name,
-serializes, and maps the outcome onto the exit-code contract (0 all pass,
-1 a check failed, 2 bad suite name or parameters).  A check that a CLI
+function that returns their list; its parameters declare the flags it
+reads.  run_suite dispatches by name, serializes, and maps the outcome onto
+the exit-code contract (0 all pass, 1 a check failed, 2 bad suite name or
+parameters) through `exit_code`, which the CLI shares.  A check that a CLI
 subcommand also reports is built by one function here or in the library
 (the zxcat witnesses), which both call, so the two cannot differ in rule or
 bound.  Every randomized check derives its randomness from the `seed`
@@ -12,6 +13,7 @@ argument, so a rerun with the same parameters reproduces the same numbers.
 
 import dataclasses
 import functools
+import inspect
 import math
 import sys
 import time
@@ -22,16 +24,44 @@ from . import agsp, glue, modular, prep, symplectic as sp, statevec as sv, zxcat
 from .reports import CheckReport, render_reports, write_reports
 
 
-def check_params(tol=None, trials=None) -> None:
+def check_params(params) -> None:
     """Reject a `trials` below 1 or a `tol` that is negative or not finite.
 
     A sampled check over no samples would pass, and no observed value could
     meet a negative or NaN tolerance while every one would meet inf.
     """
+    trials, tol = params.get("trials"), params.get("tol")
     if trials is not None and trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     if tol is not None and not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"need a finite tolerance >= 0, got {tol}")
+
+
+def flag_defaults(command) -> dict:
+    """{"--name": default} for each parameter of `command` that has a default.
+
+    A suite's or a CLI subcommand handler's signature is the one declaration
+    of the computation flags (--n --seed --tol --trials) it reads.
+    """
+    params = inspect.signature(command).parameters.values()
+    return {"--" + p.name: p.default for p in params if p.default is not p.empty}
+
+
+def exit_code(label: str, seed, run):
+    """Return `run()`, or the exit code of the failure it raises.
+
+    It prints `<kind>: <label>[ seed <seed>]: <reason>` to stderr: "check
+    failed", exit 1, for an AssertionError or a PremiseViolation; "error",
+    exit 2, for any other ValueError, a KeyError or an OSError (invalid
+    parameters or input).  Other exceptions propagate.
+    """
+    try:
+        return run()
+    except (AssertionError, ValueError, KeyError, OSError) as exc:
+        failed = isinstance(exc, (AssertionError, glue.PremiseViolation))
+        where = label if seed is None else f"{label} seed {seed}"
+        print(f"{'check failed' if failed else 'error'}: {where}: {exc}", file=sys.stderr)
+        return 1 if failed else 2
 
 
 def _timed(checks):
@@ -45,11 +75,11 @@ def _timed(checks):
     """
 
     @functools.wraps(checks)
-    def suite(n=None, seed=0, tol=None, trials=None):
-        check_params(tol, trials)
+    def suite(**params):
+        check_params(params)
         clock = time.perf_counter
         start, billed, reports = clock(), 0, []
-        for report in checks(n, seed, tol, trials):
+        for report in checks(**params):
             elapsed = int((clock() - start) * 1000)
             reports.append(dataclasses.replace(report, runtime_ms=elapsed - billed))
             billed = elapsed
@@ -77,9 +107,9 @@ def kept_fidelity_check(check, params, overlaps) -> CheckReport:
 
 
 def conclusions_check(params, residual_dicts) -> CheckReport:
-    """Worst gluing-conclusion residual over the merged instances, against 1e-8."""
+    """Worst gluing-conclusion residual of the merged instances, against CONCLUSION_TOL."""
     worst = np.max([v for residuals in residual_dicts for v in residuals.values()])
-    return CheckReport("conclusions", params, worst, 1e-8)
+    return CheckReport("conclusions", params, worst, glue.CONCLUSION_TOL)
 
 
 def identity_only_check(params, survivors) -> CheckReport:
@@ -94,10 +124,7 @@ def _random_pauli_text(n, rng) -> str:
 
 
 @_timed
-def suite_symplectic(n=None, seed=0, tol=None, trials=None):
-    n = 6 if n is None else n
-    trials = 40 if trials is None else trials
-    tol = 1e-10 if tol is None else tol
+def suite_symplectic(n=6, seed=0, tol=1e-10, trials=40):
     rng = np.random.default_rng(seed)
     sampled = {"n": n, "trials": trials, "seed": seed}
 
@@ -106,31 +133,31 @@ def suite_symplectic(n=None, seed=0, tol=None, trials=None):
     dev = abs(sp.stabilizer_overlap(zero, plus) - 2.0 ** (-n / 2.0))
     yield CheckReport("zero-plus-overlap", {"n": n}, dev, 1e-12)
 
-    worst = 0.0
+    devs = [0.0]
     for _ in range(trials):
         c1, c2 = sp.random_clifford(n, rng), sp.random_clifford(n, rng)
         s1, s2 = sp.apply_clifford(c1, zero), sp.apply_clifford(c2, zero)
         dense = abs(np.vdot(sv.to_statevector(s1).amps, sv.to_statevector(s2).amps))
-        worst = max(worst, abs(sp.stabilizer_overlap(s1, s2) - dense))
-    yield CheckReport("overlap-vs-dense", sampled, worst, tol)
+        devs.append(abs(sp.stabilizer_overlap(s1, s2) - dense))
+    yield CheckReport("overlap-vs-dense", sampled, np.max(devs), tol)
 
-    worst = 0.0
+    devs = [0.0]
     for _ in range(trials):
         c = sp.random_clifford(n, rng)
         s1, s2 = sp.apply_clifford(c, zero), sp.apply_clifford(c, plus)
         p = sp.PauliString.from_text(_random_pauli_text(n, rng))
         v1, v2 = sv.to_statevector(s1), sv.to_statevector(s2)
         dense = abs(np.vdot(v2.amps, sv.apply_pauli(v1, p).amps))
-        worst = max(worst, abs(sp.pauli_sandwich(s2, p, s1) - dense))
-    yield CheckReport("sandwich-vs-dense", sampled, worst, tol)
+        devs.append(abs(sp.pauli_sandwich(s2, p, s1) - dense))
+    yield CheckReport("sandwich-vs-dense", sampled, np.max(devs), tol)
 
-    worst = 0.0
+    devs = [0.0]
     ref = sv.to_statevector(zero)
     for _ in range(trials):
         c = sp.random_clifford(n, rng)
         back = sp.apply_clifford(c.adjoint(), sp.apply_clifford(c, zero))
-        worst = max(worst, 1.0 - abs(np.vdot(sv.to_statevector(back).amps, ref.amps)))
-    yield CheckReport("clifford-roundtrip", sampled, worst, tol)
+        devs.append(1.0 - sv.pure_overlap(sv.to_statevector(back), ref))
+    yield CheckReport("clifford-roundtrip", sampled, np.max(devs), tol)
 
     mismatches = 0
     for _ in range(trials):
@@ -144,10 +171,7 @@ def suite_symplectic(n=None, seed=0, tol=None, trials=None):
 
 
 @_timed
-def suite_zxcat(n=None, seed=0, tol=None, trials=None):
-    n = 10 if n is None else n
-    trials = 150 if trials is None else trials
-
+def suite_zxcat(n=10, seed=0, trials=150):
     dev = abs(zxcat.mi_asymptote() - 0.390473948926579)
     yield CheckReport("mi-asymptote", {}, dev, 1e-12)
 
@@ -161,10 +185,7 @@ def suite_zxcat(n=None, seed=0, tol=None, trials=None):
 
 
 @_timed
-def suite_agsp(n=None, seed=0, tol=None, trials=None):
-    n = 16 if n is None else n
-    trials = 60 if trials is None else trials
-
+def suite_agsp(n=16, seed=0, trials=60):
     poly = agsp.build_polynomial(n, max(1, round(n**0.5)))
     sup = agsp.step_error_sup(poly)
     yield CheckReport("step-error", {"n": n, "m": poly.m}, sup, poly.error_bound())
@@ -200,18 +221,14 @@ def suite_agsp(n=None, seed=0, tol=None, trials=None):
     # |<V>+ - <V>-| (1 - 2^-n) = |2 Re<0|V|+> - 2^{-n/2}(<0|V|0> + <+|V|+>)|
     # with |<0|V|+>| <= 2^{(a-n)/2}: the ratio to 2^{a-n/2} is at most
     # 2 (2^{-a/2} + 2^{-a}) / (1 - 2^-n), largest at a = 1
-    worst = max(word_max, agsp._indist_random(n_scan, 2, trials, seed))
+    worst = np.max([word_max, agsp._indist_random(n_scan, 2, trials, seed)])
     params = {"n": n_scan, "max_support": 2, "random_trials": trials, "seed": seed}
     bound = (1.0 + 2.0**0.5) / (1.0 - 2.0**-n_scan)
     yield CheckReport("indist-random-hermitian", params, worst, bound)
 
 
 @_timed
-def suite_prep(n=None, seed=0, tol=None, trials=None):
-    n = 8 if n is None else n
-    trials = 120 if trials is None else trials
-    tol = PREP_TOL if tol is None else tol
-
+def suite_prep(n=8, seed=0, tol=PREP_TOL, trials=120):
     state = prep.prepare_sandwich(n)
     yield overlap_check("sandwich-overlap", {"n": n}, [state], zxcat.build(n, "i"), tol)
 
@@ -248,8 +265,7 @@ def suite_prep(n=None, seed=0, tol=None, trials=None):
 
 
 @_timed
-def suite_modular(n=None, seed=0, tol=None, trials=None):
-    trials = 1500 if trials is None else trials
+def suite_modular(seed=0, trials=1500):
     data = modular.double_fibonacci()
 
     s = data.s_numeric()
@@ -266,10 +282,10 @@ def suite_modular(n=None, seed=0, tol=None, trials=None):
     survivors = modular.lpu_search(data)
     yield identity_only_check({"survivors": len(survivors)}, survivors)
 
-    worst = max(
+    worst = np.max([
         modular.offdiag_modulus_scan(data, perm, samples=trials, seed=seed)
         for perm in modular.dim_preserving_perms(data.dims)
-    )
+    ])
     params = {"samples": trials, "seed": seed}
     yield CheckReport("off-pattern-moduli", params, worst, 1.0 - 1e-6)
 
@@ -285,8 +301,7 @@ def suite_modular(n=None, seed=0, tol=None, trials=None):
 
 
 @_timed
-def suite_glue(n=None, seed=0, tol=None, trials=None):
-    trials = 20 if trials is None else trials
+def suite_glue(seed=0, trials=20):
     sizes = (1, 1, 1, 1, 1, 1)
     params = {"sizes": sizes, "trials": trials, "seed": seed}
 
@@ -343,42 +358,30 @@ def agsp_sweep(n_list, m_list):
     return rows
 
 
-def run_suite(
-    suite: str,
-    n=None,
-    seed: int = 0,
-    tol=None,
-    trials=None,
-    out=None,
-    jsonl: bool = False,
-) -> int:
+def run_suite(suite: str, out=None, jsonl: bool = False, **params) -> int:
     """Run one named suite (or `all`) and serialize its reports.
 
-    Returns 0 when every check passes, 1 when any fails (a gluing premise
-    violated inside a check counts as a failure), 2 for an unknown suite or
-    invalid parameters.  Reports go to `out` as JSON (or JSON
-    lines with `jsonl`), atomically; without `out` they print to stdout.
+    `params` are the computation parameters given (n, seed, tol, trials).  A
+    named suite takes them as they are, so one it does not read raises
+    TypeError; `all` passes each only to the suites that read it, and the
+    others keep their defaults.  Returns 0 when every check passes, 1 when
+    any fails (a gluing premise violated inside a check counts as a
+    failure), 2 for an unknown suite or invalid parameters; a failure's line
+    names the suite it stopped in (`exit_code`).  Reports go to `out` as
+    JSON (or JSON lines with `jsonl`), atomically; without `out` they print
+    to stdout.
     """
-    if suite == "all":
-        names = list(SUITES)
-    elif suite in SUITES:
-        names = [suite]
-    else:
-        print(f"unknown suite: {suite}", file=sys.stderr)
+    if suite != "all" and suite not in SUITES:
+        print(f"error: {suite}: unknown suite", file=sys.stderr)
         return 2
     reports = []
-    try:
-        for name in names:
-            reports.extend(SUITES[name](n=n, seed=seed, tol=tol, trials=trials))
-    except glue.PremiseViolation as exc:
-        print(f"check failed: {name} seed {seed}: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, KeyError) as exc:
-        print(f"invalid parameters: {name} seed {seed}: {exc}", file=sys.stderr)
-        return 2
-    except AssertionError as exc:
-        print(f"check failed hard: {name} seed {seed}: {exc}", file=sys.stderr)
-        return 1
+    for name in SUITES if suite == "all" else [suite]:
+        reads = flag_defaults(SUITES[name])
+        given = {k: v for k, v in params.items() if suite != "all" or "--" + k in reads}
+        seed = given.get("seed", reads["--seed"])
+        code = exit_code(name, seed, lambda: reports.extend(SUITES[name](**given)))
+        if code:
+            return code
     if out:
         write_reports(out, reports, jsonl=jsonl)
         failed = sum(not r.passed for r in reports)

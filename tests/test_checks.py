@@ -3,10 +3,11 @@
 Each planted defect below is a monkeypatched library function.  It must
 make the suite's report read `pass: false` and `magiclab <suite>` exit 1,
 and make the subcommand that reports the same check exit 1 too: both go
-through one rule.  The unread-flag tests cover every subcommand.
+through one rule.  The unread-flag tests cover every suite and subcommand.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -16,8 +17,8 @@ import sys
 import numpy as np
 import pytest
 
-from magiclab import agsp, glue, modular, prep, statevec as sv, suites, zxcat
-from magiclab.cli import SUBCOMMANDS, main
+from magiclab import agsp, glue, modular, prep, statevec as sv, suites, symplectic as sp, zxcat
+from magiclab.cli import SUBCOMMANDS, flags_read, main
 
 
 def _worse_shots(real):
@@ -41,6 +42,14 @@ def _missed_conclusion(real):
         return glued, {**residuals, "abc_marginal": 1e-3}
 
     return merge
+
+
+def _phase_slip(real):
+    def product(p, q):
+        pq = real(p, q)
+        return sp.PauliString(pq.n, pq.x, pq.z, pq.phase + 2) if q.phase == 2 else pq
+
+    return product
 
 
 # (suite, check, module, attribute, defect built from the original, twin argv)
@@ -85,6 +94,17 @@ DEFECTS = {
     "mi-numeric": (
         "zxcat", "mi-near-asymptote", zxcat, "mi_numeric",
         lambda real: lambda n: -0.1, ["zxcat", "mi", "--n", "6"],
+    ),
+    "product-associativity": (
+        "symplectic", "product-associativity", sp, "pauli_product", _phase_slip, None,
+    ),
+    "depth-threshold-growth": (
+        "agsp", "depth-threshold-growth", agsp, "complexity_bound",
+        lambda real: lambda *a: dataclasses.replace(real(*a), depth_threshold=0), None,
+    ),
+    "scalar-rigidity": (
+        "modular", "scalar-rigidity", modular, "scalar_rigidity_trial",
+        lambda real: lambda *a, **k: None, None,
     ),
 }
 
@@ -176,27 +196,130 @@ def test_indist_random_hermitian_bound_is_derived(monkeypatch):
     assert not reports["indist-random-hermitian"].passed
 
 
+def _nan_on_call(k):
+    """A defect whose k-th call returns NaN; the other calls run as they were."""
+
+    def defect(real):
+        calls = []
+
+        def poisoned(*args, **kwargs):
+            calls.append(1)
+            return np.nan if len(calls) == k else real(*args, **kwargs)
+
+        return poisoned
+
+    return defect
+
+
+# (suite, module, attribute, defect): one sampled value of the check turns NaN
+NAN_SITES = {
+    "overlap-vs-dense": ("symplectic", sp, "stabilizer_overlap", _nan_on_call(3)),
+    "sandwich-vs-dense": ("symplectic", sp, "pauli_sandwich", _nan_on_call(2)),
+    "clifford-roundtrip": ("symplectic", sv, "pure_overlap", _nan_on_call(2)),
+    "indist-random-hermitian": ("agsp", agsp, "_indist_random", _nan_on_call(1)),
+    "off-pattern-moduli": ("modular", modular, "offdiag_modulus_scan", _nan_on_call(2)),
+}
+
+
+@pytest.mark.parametrize("check", sorted(NAN_SITES))
+def test_a_nan_sample_fails_its_check(check, monkeypatch):
+    # Python's max(0.0, nan) keeps 0.0; each worst value must keep the NaN
+    suite, module, attr, defect = NAN_SITES[check]
+    monkeypatch.setattr(module, attr, defect(getattr(module, attr)))
+    report = {r.check: r for r in suites.SUITES[suite](seed=0, trials=3)}[check]
+    assert np.isnan(report.observed) and not report.passed
+
+
+def _word_scan(patch):
+    patch.setattr(sv, "_word_expectations", lambda word, pair: (np.nan, np.nan))
+    return agsp._indist_words(4, 2)
+
+
+def _random_scan(patch):
+    patch.setattr(sv, "matrix_action", lambda amps, *args: np.full_like(amps, np.nan))
+    return agsp._indist_random(4, 2, 3, 0)
+
+
+def _combined_scan(patch):
+    patch.setattr(agsp, "_indist_random", lambda *args: np.nan)
+    return agsp.local_indist_scan(4, 2, random_trials=2)
+
+
+def _modulus_blocks(patch):
+    data = modular.double_fibonacci()
+    real_rng = np.random.default_rng
+
+    class SecondBlockNan:  # 300 samples make two blocks of phase draws
+        def __init__(self, seed):
+            self.rng, self.draws = real_rng(seed), 0
+
+        def random(self, shape):
+            self.draws += 1
+            return self.rng.random(shape) * (np.nan if self.draws == 2 else 1.0)
+
+    patch.setattr(np.random, "default_rng", SecondBlockNan)
+    perm = modular.dim_preserving_perms(data.dims)[-1]
+    return modular.offdiag_modulus_scan(data, perm, samples=300)
+
+
+@pytest.mark.parametrize("scan", [_word_scan, _random_scan, _combined_scan, _modulus_blocks])
+def test_scans_keep_a_nan(scan, monkeypatch):
+    assert np.isnan(scan(monkeypatch))
+
+
 _VALUES = {"--n": "4", "--seed": "3", "--tol": "0.1", "--trials": "2",
            "--out": "x.json", "--jsonl": None, "--max-n": "5"}
 
 
 @pytest.mark.parametrize(
     "suite, action",
-    [(suite, action) for suite, table in SUBCOMMANDS.items() for action in table],
+    [(suite, None) for suite in suites.SUITES]
+    + [(suite, action) for suite, table in SUBCOMMANDS.items() for action in table],
 )
 def test_subcommands_reject_every_unread_flag(suite, action, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    reads = SUBCOMMANDS[suite][action][1].split()
+    reads = flags_read(suite, action)
+    label = suite if action is None else f"{suite} {action}"
+    seed = f" seed {reads['--seed']}" if "--seed" in reads else ""
     unread = [flag for flag in _VALUES if flag not in reads]
-    assert unread
+    assert unread or action is None
     for flag in unread:
         given = [flag] if _VALUES[flag] is None else [flag, _VALUES[flag]]
-        for argv in ([suite, action, *given], [suite, *given, action]):
+        argvs = [[suite, *given]] if action is None else [
+            [suite, action, *given], [suite, *given, action]
+        ]
+        for argv in argvs:
             assert main(argv) == 2
             captured = capsys.readouterr()
-            assert captured.err.startswith(f"error: {suite} {action} takes no {flag};")
+            assert captured.err == (
+                f"error: {label}{seed}: takes no {flag}; it reads {', '.join(reads)}\n"
+            )
             assert captured.out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, reads", [
+    (["glue", "--n", "5"], "--seed, --trials, --out, --jsonl, --max-n"),
+    (["modular", "--n", "3"], "--seed, --trials, --out, --jsonl, --max-n"),
+    (["zxcat", "--tol", "1e-3"], "--n, --seed, --trials, --out, --jsonl, --max-n"),
+    (["agsp", "--tol", "1e-3"], "--n, --seed, --trials, --out, --jsonl, --max-n"),
+])
+def test_suites_reject_the_flags_they_do_not_read(argv, reads, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {argv[0]} seed 0: takes no {argv[1]}; it reads {reads}\n"
+    assert captured.out == ""
+
+
+def test_all_passes_each_flag_to_the_suites_that_read_it(capsys):
+    assert main(["all", "--n", "4", "--tol", "1e-3"]) == 0
+    reports = {r["check"]: r for r in json.loads(capsys.readouterr().out)}
+    assert reports["zero-plus-overlap"]["params"]["n"] == 4
+    assert reports["overlap-vs-dense"]["bound"] == 1e-3
+    assert reports["sandwich-overlap"]["params"]["n"] == 4
+    assert reports["sandwich-overlap"]["bound"] == 1e-3
+    assert reports["step-error"]["params"]["n"] == 4
+    assert reports["premises"]["params"]["trials"] == 20
 
 
 def test_overlap_subcommands_read_tol(capsys):

@@ -1,5 +1,6 @@
 """Tests for report plumbing, suite dispatch, and the CLI surface."""
 
+import itertools
 import json
 import os
 import time
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from magiclab import glue, prep, symplectic as sp
-from magiclab.cli import main
+from magiclab.cli import SUBCOMMANDS, flags_read, main
 from magiclab.modular import double_fibonacci
 from magiclab.reports import CheckReport, dump_state, load_state, sanitize, write_reports
 from magiclab.statevec import StateVector
@@ -127,7 +128,9 @@ def test_cli_unknown_suite_exits_two():
 
 def test_cli_invalid_params_exit_two(capsys):
     assert main(["prep", "sandwich", "--n", "0"]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: prep sandwich: need at least one qubit\n"
+    assert main(["prep", "adaptive", "--n", "0", "--seed", "4"]) == 2
+    assert capsys.readouterr().err == "error: prep adaptive seed 4: n=0 outside [1, 14]\n"
 
 
 @pytest.mark.parametrize("trials", ["0", "-3"])
@@ -152,7 +155,7 @@ def test_cli_suite_rejects_a_negative_or_infinite_tol(suite, tol, capsys):
 
 def test_suite_error_lines_name_the_suite_and_seed(monkeypatch, capsys):
     assert run_suite("prep", seed=4, tol=-1.0) == 2
-    assert "invalid parameters: prep seed 4: need a finite tolerance" in capsys.readouterr().err
+    assert "error: prep seed 4: need a finite tolerance" in capsys.readouterr().err
 
     def broken(*args, **kwargs):
         raise AssertionError("kernel element mismatch")
@@ -160,7 +163,10 @@ def test_suite_error_lines_name_the_suite_and_seed(monkeypatch, capsys):
     monkeypatch.setattr(sp, "stabilizer_overlap", broken)
     assert run_suite("symplectic", seed=6) == 1
     err = capsys.readouterr().err
-    assert "check failed hard: symplectic seed 6: kernel element mismatch" in err
+    assert "check failed: symplectic seed 6: kernel element mismatch" in err
+    # under `all` the line names the suite that stopped
+    assert run_suite("all", seed=6) == 1
+    assert capsys.readouterr().err == "check failed: symplectic seed 6: kernel element mismatch\n"
 
 
 @pytest.mark.parametrize("n", ["2", "3"])
@@ -347,7 +353,7 @@ def test_premise_violation_in_a_check_exits_one(monkeypatch, capsys):
     assert "check failed: glue seed 3: BC marginals differ" in err
     assert main(["glue", "run", "--trials", "1", "--seed", "5"]) == 1
     err = capsys.readouterr().err
-    assert "check failed: glue seed 5: BC marginals differ" in err
+    assert "check failed: glue run seed 5: BC marginals differ" in err
 
 
 def test_cli_verlinde_beyond_float_range(capsys):
@@ -379,3 +385,22 @@ def test_all_seed0_matches_committed_reports(capsys):
         want = json.load(fh)
     assert main(["all", "--seed", "0"]) == 0
     assert _without_runtime(json.loads(capsys.readouterr().out)) == want
+
+
+def test_readme_flags_table_matches_the_signatures():
+    # each row's last cell is what flags_read derives for its command
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    start = lines.index("| command | reports | flags it reads |") + 2
+    rows = {}
+    for line in itertools.takewhile(lambda text: text.startswith("|"), lines[start:]):
+        cells = [cell.strip().strip("`") for cell in line.strip("|").split("|")]
+        rows[cells[0]] = cells[-1]
+    commands = ["all", *SUITES]
+    commands += [f"{suite} {action}" for suite, table in SUBCOMMANDS.items() for action in table]
+    assert sorted(rows) == sorted(commands)
+    for command, documented in rows.items():
+        reads = flags_read(*command.split())
+        derived = " ".join(flag if d is None else f"{flag} {d}" for flag, d in reads.items())
+        assert documented == derived, command

@@ -533,3 +533,13 @@ def test_full_rank_glue_bytes_equal_the_retry_loop_oracle(sizes):
         inst = generate_gluable_instance(sizes, seed=seed)
         want = _glued_by(inst, _retry_loop_unitary(inst))
         assert glue_states(inst).amps.tobytes() == want.amps.tobytes()
+
+
+def test_conclusions_bound_is_written_once(monkeypatch):
+    # glue_states and the conclusions check (suite and `glue run`) share it
+    inst = generate_gluable_instance(ONES, seed=0)
+    monkeypatch.setattr(glue, "CONCLUSION_TOL", -1.0)
+    with pytest.raises(AssertionError, match="merged state misses"):
+        glue.glue_states(inst)
+    report = suites.conclusions_check({}, [glue.merge(inst)[1]])
+    assert report.bound == -1.0 and not report.passed
