@@ -7,9 +7,10 @@ machine-readable output.  A subcommand that reports a suite check prints
 that check's record, built by the same function the suite uses; the
 constructions print a record with no bound.  A command reads the
 computation flags its signature declares (`flags_read`), and any other
-common flag exits 2.  Exit codes: 0 all checks pass, 1 a check failed, 2
-unknown suite or invalid parameters; `suites.exit_code` maps a failure to
-its code and error line for suites and subcommands alike.
+common flag exits 2; its help lists only the flags it reads, with their
+defaults.  Exit codes: 0 all checks pass, 1 a check failed, 2 unknown
+suite or invalid parameters; `suites.exit_code` maps a failure to its
+code and error line for suites and subcommands alike.
 """
 
 import argparse
@@ -195,7 +196,8 @@ _COMMON = {
     "--max-n": {"type": int, "help": "override the dense-simulation qubit cap"},
 }
 _OUTPUT = ("--out", "--jsonl", "--max-n")
-_DUMP = ("--dump-state", {"dest": "dump_state"})
+_ALL = "Each flag goes to the suites that read it; the others keep their own defaults."
+_DUMP = ("--dump-state", {"dest": "dump_state", "help": "write the state to this path"})
 
 # Each subcommand: its handler, whose keyword parameters are the computation
 # flags it reads, the output flags it reads, and its own arguments.
@@ -206,14 +208,17 @@ SUBCOMMANDS = {
         "witness-uc": (_zxcat_witness_uc, "--out --max-n"),
         "build": (
             _zxcat_build, "--out --max-n",
-            ("--variant", {"default": "plus", "choices": ("plus", "minus", "i")}), _DUMP,
+            ("--variant", {
+                "default": "plus", "choices": ("plus", "minus", "i"), "help": "family member",
+            }),
+            _DUMP,
         ),
     },
     "agsp": {
         "sweep": (
             _agsp_sweep, "",
-            ("--n-list", {"dest": "n_list", "default": "16,64,256"}),
-            ("--m-list", {"dest": "m_list", "default": "1,2,4,8"}),
+            ("--n-list", {"dest": "n_list", "default": "16,64,256", "help": "comma-separated n"}),
+            ("--m-list", {"dest": "m_list", "default": "1,2,4,8", "help": "comma-separated m"}),
             ("--csv", {"help": "write CSV to this path"}),
         ),
     },
@@ -223,7 +228,10 @@ SUBCOMMANDS = {
         "bell": (_prep_bell, "--out --max-n", _DUMP),
         "mps": (
             _prep_mps, "--out --max-n",
-            ("--boundary", {"default": "open", "choices": ("open", "periodic")}), _DUMP,
+            ("--boundary", {
+                "default": "open", "choices": ("open", "periodic"), "help": "MPS boundary",
+            }),
+            _DUMP,
         ),
     },
     "modular": {
@@ -231,10 +239,16 @@ SUBCOMMANDS = {
             _modular_lpu, "--out",
             ("--data", {"help": "modular data as JSON (default built in)"}),
         ),
-        "verlinde": (_modular_verlinde, "--out", ("--genus", {"type": int, "default": 2})),
+        "verlinde": (
+            _modular_verlinde, "--out",
+            ("--genus", {"type": int, "default": 2, "help": "surface genus"}),
+        ),
     },
     "glue": {
-        "run": (_glue_run, "--out --max-n", ("--dims", {"default": "1,1,1,1,1,1"})),
+        "run": (
+            _glue_run, "--out --max-n",
+            ("--dims", {"default": "1,1,1,1,1,1", "help": "block sizes A,B1,B2,C1,C2,D"}),
+        ),
     },
 }
 
@@ -258,25 +272,43 @@ def flags_read(suite: str, action=None) -> dict:
     return {**params, **dict.fromkeys(_OUTPUT)}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+def _help(kwargs: dict, default) -> str:
+    """A flag's help text, ending in its default when it has one."""
+    text = kwargs.get("help", "")
+    return text if default is None else f"{text} (default {default})"
+
+
+def _add_flags(parser: argparse.ArgumentParser, reads: dict, own=()) -> None:
+    """The common flags, with help for those in `reads` only, then `own`.
+
+    A common flag the command does not read still parses, hidden from the
+    help, so `main` can name it in its exit-2 message.
+    """
     for flag, kwargs in _COMMON.items():
-        common.add_argument(flag, default=argparse.SUPPRESS, **kwargs)
+        text = _help(kwargs, reads[flag]) if flag in reads else argparse.SUPPRESS
+        parser.add_argument(flag, default=argparse.SUPPRESS, **{**kwargs, "help": text})
+    for flag, kwargs in own:
+        parser.add_argument(flag, **{**kwargs, "help": _help(kwargs, kwargs.get("default"))})
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="magiclab",
         description="Check suites and constructions for the ZX-cat state family.",
     )
     top = parser.add_subparsers(dest="suite", metavar="suite")
     for name in ("all", *SUITES):
-        sub = top.add_parser(name, parents=[common], help=f"run the {name} suite")
+        sub = top.add_parser(
+            name, help=f"run the {name} suite", description=_ALL if name == "all" else None
+        )
+        _add_flags(sub, flags_read(name))
         sub.set_defaults(action=None)
         if name not in SUBCOMMANDS:
             continue
         actions = sub.add_subparsers(dest="action", metavar="subcommand")
         for label, (func, _, *own) in SUBCOMMANDS[name].items():
-            action = actions.add_parser(label, parents=[common])
-            for flag, kwargs in own:
-                action.add_argument(flag, **kwargs)
+            action = actions.add_parser(label)
+            _add_flags(action, flags_read(name, label), own)
             action.set_defaults(func=func)
     return parser
 

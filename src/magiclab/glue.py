@@ -23,13 +23,13 @@ from .statevec import (
     Gate,
     StateVector,
     _hermitian_defect,
+    _marginal,
     _sqrt_psd,
     apply_gate,
     entanglement_entropy,
     haar_unitary,
     max_qubits,
     mutual_information,
-    reduced_density,
 )
 
 _SUB_BLOCKS = ("A", "B1", "B2", "C1", "C2", "D")
@@ -165,16 +165,13 @@ def check_premises(
     marginals, equal D entropies, then the two vanishing mutual
     informations (`tol` for the equalities, `mi_tol` bits for the MIs).
     A NaN residual fails its premise.  Every GluableInstance runs this
-    when it is built, so an instance in hand has passed it.
+    when it is built, so an instance in hand has passed it.  The BC
+    residual and the entropies are read off statevec's Gram kernel
+    (`_marginal`), not off validated DensityMatrix objects.
     """
     part = inst.partition
     bc = part.qubits("B", "C")
-    bc_dev = float(
-        np.abs(
-            reduced_density(inst.psi, bc).mat
-            - reduced_density(inst.psi_prime, bc).mat
-        ).max()
-    )
+    bc_dev = float(np.abs(_marginal(inst.psi, bc) - _marginal(inst.psi_prime, bc)).max())
     d_block = part.qubits("D")
     d_dev = abs(
         entanglement_entropy(inst.psi, d_block)
@@ -256,22 +253,17 @@ def conclusions(inst: GluableInstance, glued: StateVector) -> dict:
     """Residuals of the four gluing conclusions for a merged state.
 
     The ABC marginal against psi and the BCD marginal against psi'
-    (max-entry deviations), plus I(A,CD) and I(AB,D) of the merged state
-    in bits; all four vanish for a correct merge.
+    (max-entry deviations of statevec's Gram kernel `_marginal`), plus
+    I(A,CD) and I(AB,D) of the merged state in bits; all four vanish for
+    a correct merge.
     """
     part = inst.partition
     abc = part.qubits("A", "B", "C")
     bcd = part.qubits("B", "C", "D")
     return {
-        "abc_marginal": float(
-            np.abs(
-                reduced_density(glued, abc).mat - reduced_density(inst.psi, abc).mat
-            ).max()
-        ),
+        "abc_marginal": float(np.abs(_marginal(glued, abc) - _marginal(inst.psi, abc)).max()),
         "bcd_marginal": float(
-            np.abs(
-                reduced_density(glued, bcd).mat - reduced_density(inst.psi_prime, bcd).mat
-            ).max()
+            np.abs(_marginal(glued, bcd) - _marginal(inst.psi_prime, bcd)).max()
         ),
         "mi_a_cd": mutual_information(glued, part.qubits("A"), part.qubits("C", "D")),
         "mi_ab_d": mutual_information(glued, part.qubits("A", "B"), part.qubits("D")),
@@ -315,7 +307,8 @@ def petz_glue(inst: GluableInstance, cutoff: float = 1e-10) -> np.ndarray:
 
     The map sends an operator rho on BCD to
     S (I_A x rho) S*  with  S = psi_AB^(1/2) psi_B^(-1/2), acting as the
-    identity on CD.  It is applied in factored form: a pure state's BCD
+    identity on CD; psi_AB and psi_B come from statevec's Gram kernel
+    `_marginal`.  It is applied in factored form: a pure state's BCD
     marginal is Phi Phi* with Phi = amps.reshape(-1, dim_A), so the lifted
     input is F F* with F = Phi x I_A, and the output is W W* with the
     2^n x dim_A^2 factor W = (I_CD x S) F, one contraction of S with Phi on
@@ -334,8 +327,8 @@ def petz_glue(inst: GluableInstance, cutoff: float = 1e-10) -> np.ndarray:
     part = inst.partition
     dim_a = 2 ** part.sizes[0]
     dim_b = 2 ** (part.sizes[1] + part.sizes[2])
-    rho_ab = reduced_density(inst.psi, part.qubits("A", "B")).mat
-    rho_b = reduced_density(inst.psi, part.qubits("B")).mat
+    rho_ab = _marginal(inst.psi, part.qubits("A", "B"))
+    rho_b = _marginal(inst.psi, part.qubits("B"))
     lift = _sqrt_psd(rho_ab) @ np.kron(_invsqrt_psd(rho_b, cutoff), np.eye(dim_a))
     # lift[b, a, b', a'] maps (b', a') to (b, a); A is the low-bit block
     lift = lift.reshape(dim_b, dim_a, dim_b, dim_a)

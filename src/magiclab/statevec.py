@@ -11,9 +11,16 @@ complement have the same nonzero spectrum, so `entanglement_entropy`
 (and `mutual_information`, built on it) diagonalizes the reduced density
 of whichever side of the cut has fewer qubits. I(A, CD) on the 9-qubit
 blocks A B C D = 2 2 2 3 of glue, for instance, takes S(ACD) from the
-4x4 marginal of B in place of a 128x128 one. Dense work is capped at
-max_qubits() statevector qubits (MAGICLAB_MAX_N, default 14) and 12
-density-matrix qubits.
+4x4 marginal of B in place of a 128x128 one.
+
+A pure state's marginal comes from one Gram kernel, `_marginal`: Phi Phi*
+of the `_front` split, as a bare array. A StateVector is validated when
+it is built (|norm^2 - 1| <= 1e-8, so every marginal's trace is within
+1e-8 of 1), so the entropies and glue's residuals and Petz map read the
+kernel without validating its output again; the public `reduced_density`
+wraps the same array in a validated DensityMatrix. Dense work is capped
+at max_qubits() statevector qubits (MAGICLAB_MAX_N, default 14) and 12
+density-matrix qubits, the kernel's included.
 """
 
 from __future__ import annotations
@@ -78,7 +85,8 @@ class StateVector:
         if amps.shape != (2**self.n,):
             raise ValueError("amplitude length must be 2**n")
         norm = np.linalg.norm(amps)
-        if not abs(norm - 1.0) <= 1e-8:
+        # norm^2 is the trace of every marginal, which so meets DensityMatrix's bound
+        if not abs(norm * norm - 1.0) <= 1e-8:
             raise ValueError(f"state not normalized (norm {norm})")
         amps = amps.copy()
         amps.flags.writeable = False
@@ -324,21 +332,38 @@ def random_brickwork(n: int, depth: int, rng) -> LayeredCircuit:
     return LayeredCircuit(n, tuple(layers))
 
 
-def reduced_density(v: StateVector, qubits: Iterable[int]) -> DensityMatrix:
+def _marginal(v: StateVector, qubits: Iterable[int]) -> np.ndarray:
+    """Reduced density matrix of `qubits` of v as a bare array.
+
+    The Gram matrix Phi Phi* of the `_front` split, with the qubits sorted
+    (the lowest is the low index bit).  v was validated when it was built,
+    so the matrix is not checked again; `reduced_density` wraps it in a
+    validated DensityMatrix.
+    """
     keep = tuple(sorted(set(int(q) for q in qubits)))
     if any(q < 0 or q >= v.n for q in keep):
         raise ValueError("qubit out of range")
     if len(keep) > _DENSITY_MAX_QUBITS:
         raise ValueError(f"density matrices capped at {_DENSITY_MAX_QUBITS} qubits")
     flat = _front(v.amps, v.n, keep)
-    return DensityMatrix(keep, flat @ flat.conj().T)
+    return flat @ flat.conj().T
+
+
+def _entropy(mat: np.ndarray) -> float:
+    """Von Neumann entropy in bits of an array; eigenvalues under 1e-12 count as 0."""
+    w = np.linalg.eigvalsh(mat)
+    w = w[w > _EIG_CLIP]
+    return float(-(w * np.log2(w)).sum())
+
+
+def reduced_density(v: StateVector, qubits: Iterable[int]) -> DensityMatrix:
+    keep = tuple(sorted(set(int(q) for q in qubits)))
+    return DensityMatrix(keep, _marginal(v, keep))
 
 
 def entropy(dm: DensityMatrix) -> float:
     """Von Neumann entropy in bits; eigenvalues under 1e-12 count as 0."""
-    w = np.linalg.eigvalsh(dm.mat)
-    w = w[w > _EIG_CLIP]
-    return float(-(w * np.log2(w)).sum())
+    return _entropy(dm.mat)
 
 
 def entanglement_entropy(v: StateVector, qubits: Iterable[int]) -> float:
@@ -352,7 +377,7 @@ def entanglement_entropy(v: StateVector, qubits: Iterable[int]) -> float:
         raise ValueError("qubit out of range")
     if 2 * len(region) > v.n:
         region = set(range(v.n)) - region
-    return entropy(reduced_density(v, region))
+    return _entropy(_marginal(v, region))
 
 
 def mutual_information(v: StateVector, a: Iterable[int], b: Iterable[int]) -> float:

@@ -404,3 +404,33 @@ def test_readme_flags_table_matches_the_signatures():
         reads = flags_read(*command.split())
         derived = " ".join(flag if d is None else f"{flag} {d}" for flag, d in reads.items())
         assert documented == derived, command
+
+
+def _help_flags(argv, capsys) -> dict:
+    """Each flag in the command's help, mapped to its lines of help."""
+    with pytest.raises(SystemExit) as done:
+        main([*argv, "--help"])
+    assert done.value.code == 0
+    text = capsys.readouterr().out
+    options = text[text.index("options:"):].splitlines()[1:]
+    flags = {}
+    for line in options:
+        if line.startswith("  -"):
+            last = line.split()[0].rstrip(",")
+            flags[last] = line.strip()
+        elif line.strip():  # help text on its own line, under a long flag
+            flags[last] += " " + line.strip()
+    return flags
+
+
+ACTIONS = [f"{suite} {action}" for suite, table in SUBCOMMANDS.items() for action in table]
+
+
+@pytest.mark.parametrize("command", ["all", *SUITES, *ACTIONS])
+def test_help_lists_exactly_the_flags_read(command, capsys):
+    reads = flags_read(*command.split())
+    shown = _help_flags(command.split(), capsys)
+    assert sorted(shown) == sorted(["-h", *reads])
+    for flag, default in reads.items():
+        if default is not None:
+            assert shown[flag].endswith(f" (default {default})"), shown[flag]

@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,6 +27,8 @@ from magiclab.statevec import (
     Gate,
     StateVector,
     apply_gate,
+    entanglement_entropy,
+    entropy,
     mutual_information,
     pure_overlap,
     reduced_density,
@@ -370,10 +371,74 @@ def test_glue_outputs_bytes_equal_the_separate_check_oracle(sizes):
         assert glue._hermitian_defect(rho) == _row_block_defect(rho) <= 1e-9
 
 
+def _dm_entanglement_entropy(v, qubits):
+    """The DensityMatrix route to S(qubits): entropy of the smaller side's marginal."""
+    region = set(qubits)
+    if 2 * len(region) > v.n:
+        region = set(range(v.n)) - region
+    return entropy(reduced_density(v, region))
+
+
+def _dm_mutual_information(v, a, b):
+    return (
+        _dm_entanglement_entropy(v, a)
+        + _dm_entanglement_entropy(v, b)
+        - _dm_entanglement_entropy(v, set(a) | set(b))
+    )
+
+
+def _dm_deviation(v, w, qubits):
+    return float(np.abs(reduced_density(v, qubits).mat - reduced_density(w, qubits).mat).max())
+
+
+def _dm_premises(inst):
+    """check_premises' residuals, each from validated DensityMatrix marginals."""
+    part, psi, prime = inst.partition, inst.psi, inst.psi_prime
+    d = part.qubits("D")
+    return {
+        "bc_marginal": _dm_deviation(psi, prime, part.qubits("B", "C")),
+        "d_entropy": abs(_dm_entanglement_entropy(psi, d) - _dm_entanglement_entropy(prime, d)),
+        "mi_a_cd": float(_dm_mutual_information(psi, part.qubits("A"), part.qubits("C", "D"))),
+        "mi_ab_d": float(_dm_mutual_information(prime, part.qubits("A", "B"), d)),
+    }
+
+
+def _dm_conclusions(inst, glued):
+    part = inst.partition
+    return {
+        "abc_marginal": _dm_deviation(glued, inst.psi, part.qubits("A", "B", "C")),
+        "bcd_marginal": _dm_deviation(glued, inst.psi_prime, part.qubits("B", "C", "D")),
+        "mi_a_cd": _dm_mutual_information(glued, part.qubits("A"), part.qubits("C", "D")),
+        "mi_ab_d": _dm_mutual_information(glued, part.qubits("A", "B"), part.qubits("D")),
+    }
+
+
+@pytest.mark.parametrize("sizes", [*GLUE_PETZ_SHAPES, ONES])
+def test_kernel_route_bytes_equal_the_density_matrix_route(monkeypatch, sizes):
+    # every entropy, residual and output, against the same formulas on
+    # validated DensityMatrix marginals
+    for seed in range(5):
+        inst = generate_gluable_instance(sizes, seed=seed)
+        psi, part = inst.psi, inst.partition
+        for names in (("A",), ("D",), ("B", "C"), ("A", "B", "C")):
+            region = part.qubits(*names)
+            assert entanglement_entropy(psi, region) == _dm_entanglement_entropy(psi, region)
+        a, cd = part.qubits("A"), part.qubits("C", "D")
+        assert mutual_information(psi, a, cd) == _dm_mutual_information(psi, a, cd)
+        assert inst.residuals == check_premises(inst) == _dm_premises(inst)
+        glued = glue_states(inst)
+        assert conclusions(inst, glued) == _dm_conclusions(inst, glued)
+        rho = petz_glue(inst)
+        with monkeypatch.context() as patch:
+            patch.setattr(glue, "_marginal", lambda v, q: reduced_density(v, q).mat)
+            assert glue_states(inst).amps.tobytes() == glued.amps.tobytes()
+            assert petz_glue(inst).tobytes() == rho.tobytes()
+
+
 @pytest.mark.parametrize(
     "name, side, message",
     [
-        ("reduced_density", "psi_prime", "BC marginals differ by nan"),
+        ("_marginal", "psi_prime", "BC marginals differ by nan"),
         ("entanglement_entropy", "psi_prime", "D entropies differ by nan bits"),
         ("mutual_information", "psi", "first state correlates A with CD: I = nan bits"),
         ("mutual_information", "psi_prime", "second state correlates AB with D: I = nan bits"),
@@ -387,7 +452,7 @@ def test_nan_residual_fails_its_premise(monkeypatch, name, side, message):
         out = real(v, *args)
         if v is not getattr(inst, side):
             return out
-        return SimpleNamespace(mat=np.nan * out.mat) if name == "reduced_density" else np.nan
+        return np.nan * out if name == "_marginal" else np.nan
 
     monkeypatch.setattr(glue, name, poisoned)
     with pytest.raises(PremiseViolation, match=message):

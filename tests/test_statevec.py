@@ -162,6 +162,28 @@ def test_nan_state_and_density_are_rejected():
         sv.DensityMatrix((0,), np.diag([np.nan, 0.0]))
 
 
+def test_norm_is_checked_on_its_square():
+    # norm 1 + 0.9e-8 gives every marginal trace 1 + 1.8e-8, past DensityMatrix's bound
+    with pytest.raises(ValueError, match="state not normalized"):
+        sv.StateVector(2, [1 + 0.9e-8, 0, 0, 0])
+    v = sv.StateVector(2, [1 + 0.4e-8, 0, 0, 0])
+    assert sv.reduced_density(v, [0]).mat[0, 0] == (1 + 0.4e-8) ** 2
+    assert abs(sv.entanglement_entropy(v, [0])) <= 1e-7
+
+
+@pytest.mark.parametrize(
+    "qubits, message",
+    [((0, 13), "qubit out of range"), ((-1,), "qubit out of range"),
+     (range(13), "density matrices capped at 12 qubits")],
+)
+def test_marginal_raises_what_reduced_density_raises(qubits, message):
+    v = sv.StateVector.uniform_plus(13)
+    for kernel in (sv._marginal, sv.reduced_density):
+        with pytest.raises(ValueError) as err:
+            kernel(v, qubits)
+        assert str(err.value) == message
+
+
 def test_hermitian_defect_over_tiles_matches_full_formula():
     rng = np.random.default_rng(8)
     for dim in (1, 127, 128, 129, 300, 512):
