@@ -196,8 +196,7 @@ _COMMON = {
     "--max-n": {"type": int, "help": "override the dense-simulation qubit cap"},
 }
 _OUTPUT = ("--out", "--jsonl", "--max-n")
-_ALL = "Each flag goes to the suites that read it; the others keep their own defaults."
-_DUMP = ("--dump-state", {"dest": "dump_state", "help": "write the state to this path"})
+_DUMP = ("--dump-state", {"dest": "dump_state"})
 
 # Each subcommand: its handler, whose keyword parameters are the computation
 # flags it reads, the output flags it reads, and its own arguments.
@@ -208,17 +207,14 @@ SUBCOMMANDS = {
         "witness-uc": (_zxcat_witness_uc, "--out --max-n"),
         "build": (
             _zxcat_build, "--out --max-n",
-            ("--variant", {
-                "default": "plus", "choices": ("plus", "minus", "i"), "help": "family member",
-            }),
-            _DUMP,
+            ("--variant", {"default": "plus", "choices": ("plus", "minus", "i")}), _DUMP,
         ),
     },
     "agsp": {
         "sweep": (
             _agsp_sweep, "",
-            ("--n-list", {"dest": "n_list", "default": "16,64,256", "help": "comma-separated n"}),
-            ("--m-list", {"dest": "m_list", "default": "1,2,4,8", "help": "comma-separated m"}),
+            ("--n-list", {"dest": "n_list", "default": "16,64,256"}),
+            ("--m-list", {"dest": "m_list", "default": "1,2,4,8"}),
             ("--csv", {"help": "write CSV to this path"}),
         ),
     },
@@ -228,10 +224,7 @@ SUBCOMMANDS = {
         "bell": (_prep_bell, "--out --max-n", _DUMP),
         "mps": (
             _prep_mps, "--out --max-n",
-            ("--boundary", {
-                "default": "open", "choices": ("open", "periodic"), "help": "MPS boundary",
-            }),
-            _DUMP,
+            ("--boundary", {"default": "open", "choices": ("open", "periodic")}), _DUMP,
         ),
     },
     "modular": {
@@ -239,16 +232,10 @@ SUBCOMMANDS = {
             _modular_lpu, "--out",
             ("--data", {"help": "modular data as JSON (default built in)"}),
         ),
-        "verlinde": (
-            _modular_verlinde, "--out",
-            ("--genus", {"type": int, "default": 2, "help": "surface genus"}),
-        ),
+        "verlinde": (_modular_verlinde, "--out", ("--genus", {"type": int, "default": 2})),
     },
     "glue": {
-        "run": (
-            _glue_run, "--out --max-n",
-            ("--dims", {"default": "1,1,1,1,1,1", "help": "block sizes A,B1,B2,C1,C2,D"}),
-        ),
+        "run": (_glue_run, "--out --max-n", ("--dims", {"default": "1,1,1,1,1,1"})),
     },
 }
 
@@ -275,7 +262,7 @@ def flags_read(suite: str, action=None) -> dict:
 def _help(kwargs: dict, default) -> str:
     """A flag's help text, ending in its default when it has one."""
     text = kwargs.get("help", "")
-    return text if default is None else f"{text} (default {default})"
+    return text if default is None else f"{text} (default {default})".lstrip()
 
 
 def _add_flags(parser: argparse.ArgumentParser, reads: dict, own=()) -> None:
@@ -298,9 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     top = parser.add_subparsers(dest="suite", metavar="suite")
     for name in ("all", *SUITES):
-        sub = top.add_parser(
-            name, help=f"run the {name} suite", description=_ALL if name == "all" else None
-        )
+        sub = top.add_parser(name, help=f"run the {name} suite")
         _add_flags(sub, flags_read(name))
         sub.set_defaults(action=None)
         if name not in SUBCOMMANDS:

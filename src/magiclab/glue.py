@@ -23,13 +23,14 @@ from .statevec import (
     Gate,
     StateVector,
     _hermitian_defect,
-    _marginal,
     _sqrt_psd,
     apply_gate,
     entanglement_entropy,
     haar_unitary,
+    marginal,
     max_qubits,
     mutual_information,
+    reduced_density,
 )
 
 _SUB_BLOCKS = ("A", "B1", "B2", "C1", "C2", "D")
@@ -166,12 +167,17 @@ def check_premises(
     informations (`tol` for the equalities, `mi_tol` bits for the MIs).
     A NaN residual fails its premise.  Every GluableInstance runs this
     when it is built, so an instance in hand has passed it.  The BC
-    residual and the entropies are read off statevec's Gram kernel
-    (`_marginal`), not off validated DensityMatrix objects.
+    residual compares validated `reduced_density` marginals; the entropies
+    read statevec's Gram kernel (`marginal`).
     """
     part = inst.partition
     bc = part.qubits("B", "C")
-    bc_dev = float(np.abs(_marginal(inst.psi, bc) - _marginal(inst.psi_prime, bc)).max())
+    bc_dev = float(
+        np.abs(
+            reduced_density(inst.psi, bc).mat
+            - reduced_density(inst.psi_prime, bc).mat
+        ).max()
+    )
     d_block = part.qubits("D")
     d_dev = abs(
         entanglement_entropy(inst.psi, d_block)
@@ -253,7 +259,7 @@ def conclusions(inst: GluableInstance, glued: StateVector) -> dict:
     """Residuals of the four gluing conclusions for a merged state.
 
     The ABC marginal against psi and the BCD marginal against psi'
-    (max-entry deviations of statevec's Gram kernel `_marginal`), plus
+    (max-entry deviations of statevec's Gram kernel `marginal`), plus
     I(A,CD) and I(AB,D) of the merged state in bits; all four vanish for
     a correct merge.
     """
@@ -261,9 +267,9 @@ def conclusions(inst: GluableInstance, glued: StateVector) -> dict:
     abc = part.qubits("A", "B", "C")
     bcd = part.qubits("B", "C", "D")
     return {
-        "abc_marginal": float(np.abs(_marginal(glued, abc) - _marginal(inst.psi, abc)).max()),
+        "abc_marginal": float(np.abs(marginal(glued, abc) - marginal(inst.psi, abc)).max()),
         "bcd_marginal": float(
-            np.abs(_marginal(glued, bcd) - _marginal(inst.psi_prime, bcd)).max()
+            np.abs(marginal(glued, bcd) - marginal(inst.psi_prime, bcd)).max()
         ),
         "mi_a_cd": mutual_information(glued, part.qubits("A"), part.qubits("C", "D")),
         "mi_ab_d": mutual_information(glued, part.qubits("A", "B"), part.qubits("D")),
@@ -308,7 +314,7 @@ def petz_glue(inst: GluableInstance, cutoff: float = 1e-10) -> np.ndarray:
     The map sends an operator rho on BCD to
     S (I_A x rho) S*  with  S = psi_AB^(1/2) psi_B^(-1/2), acting as the
     identity on CD; psi_AB and psi_B come from statevec's Gram kernel
-    `_marginal`.  It is applied in factored form: a pure state's BCD
+    `marginal`.  It is applied in factored form: a pure state's BCD
     marginal is Phi Phi* with Phi = amps.reshape(-1, dim_A), so the lifted
     input is F F* with F = Phi x I_A, and the output is W W* with the
     2^n x dim_A^2 factor W = (I_CD x S) F, one contraction of S with Phi on
@@ -327,8 +333,8 @@ def petz_glue(inst: GluableInstance, cutoff: float = 1e-10) -> np.ndarray:
     part = inst.partition
     dim_a = 2 ** part.sizes[0]
     dim_b = 2 ** (part.sizes[1] + part.sizes[2])
-    rho_ab = _marginal(inst.psi, part.qubits("A", "B"))
-    rho_b = _marginal(inst.psi, part.qubits("B"))
+    rho_ab = marginal(inst.psi, part.qubits("A", "B"))
+    rho_b = marginal(inst.psi, part.qubits("B"))
     lift = _sqrt_psd(rho_ab) @ np.kron(_invsqrt_psd(rho_b, cutoff), np.eye(dim_a))
     # lift[b, a, b', a'] maps (b', a') to (b, a); A is the low-bit block
     lift = lift.reshape(dim_b, dim_a, dim_b, dim_a)

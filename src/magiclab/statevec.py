@@ -13,13 +13,13 @@ of whichever side of the cut has fewer qubits. I(A, CD) on the 9-qubit
 blocks A B C D = 2 2 2 3 of glue, for instance, takes S(ACD) from the
 4x4 marginal of B in place of a 128x128 one.
 
-A pure state's marginal comes from one Gram kernel, `_marginal`: Phi Phi*
+A pure state's marginal comes from one Gram kernel, `marginal`: Phi Phi*
 of the `_front` split, as a bare array. A StateVector is validated when
 it is built (|norm^2 - 1| <= 1e-8, so every marginal's trace is within
-1e-8 of 1), so the entropies and glue's residuals and Petz map read the
-kernel without validating its output again; the public `reduced_density`
-wraps the same array in a validated DensityMatrix. Dense work is capped
-at max_qubits() statevector qubits (MAGICLAB_MAX_N, default 14) and 12
+1e-8 of 1), so the entropies, glue's conclusions and its Petz map read
+the kernel without validating its output again; `reduced_density` wraps
+the same array in a validated DensityMatrix. Dense work is capped at
+max_qubits() statevector qubits (MAGICLAB_MAX_N, default 14) and 12
 density-matrix qubits, the kernel's included.
 """
 
@@ -332,7 +332,7 @@ def random_brickwork(n: int, depth: int, rng) -> LayeredCircuit:
     return LayeredCircuit(n, tuple(layers))
 
 
-def _marginal(v: StateVector, qubits: Iterable[int]) -> np.ndarray:
+def marginal(v: StateVector, qubits: Iterable[int]) -> np.ndarray:
     """Reduced density matrix of `qubits` of v as a bare array.
 
     The Gram matrix Phi Phi* of the `_front` split, with the qubits sorted
@@ -358,7 +358,7 @@ def _entropy(mat: np.ndarray) -> float:
 
 def reduced_density(v: StateVector, qubits: Iterable[int]) -> DensityMatrix:
     keep = tuple(sorted(set(int(q) for q in qubits)))
-    return DensityMatrix(keep, _marginal(v, keep))
+    return DensityMatrix(keep, marginal(v, keep))
 
 
 def entropy(dm: DensityMatrix) -> float:
@@ -377,7 +377,7 @@ def entanglement_entropy(v: StateVector, qubits: Iterable[int]) -> float:
         raise ValueError("qubit out of range")
     if 2 * len(region) > v.n:
         region = set(range(v.n)) - region
-    return _entropy(_marginal(v, region))
+    return _entropy(marginal(v, region))
 
 
 def mutual_information(v: StateVector, a: Iterable[int], b: Iterable[int]) -> float:

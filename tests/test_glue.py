@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -430,7 +431,7 @@ def test_kernel_route_bytes_equal_the_density_matrix_route(monkeypatch, sizes):
         assert conclusions(inst, glued) == _dm_conclusions(inst, glued)
         rho = petz_glue(inst)
         with monkeypatch.context() as patch:
-            patch.setattr(glue, "_marginal", lambda v, q: reduced_density(v, q).mat)
+            patch.setattr(glue, "marginal", lambda v, q: reduced_density(v, q).mat)
             assert glue_states(inst).amps.tobytes() == glued.amps.tobytes()
             assert petz_glue(inst).tobytes() == rho.tobytes()
 
@@ -438,7 +439,7 @@ def test_kernel_route_bytes_equal_the_density_matrix_route(monkeypatch, sizes):
 @pytest.mark.parametrize(
     "name, side, message",
     [
-        ("_marginal", "psi_prime", "BC marginals differ by nan"),
+        ("reduced_density", "psi_prime", "BC marginals differ by nan"),
         ("entanglement_entropy", "psi_prime", "D entropies differ by nan bits"),
         ("mutual_information", "psi", "first state correlates A with CD: I = nan bits"),
         ("mutual_information", "psi_prime", "second state correlates AB with D: I = nan bits"),
@@ -452,7 +453,7 @@ def test_nan_residual_fails_its_premise(monkeypatch, name, side, message):
         out = real(v, *args)
         if v is not getattr(inst, side):
             return out
-        return np.nan * out if name == "_marginal" else np.nan
+        return SimpleNamespace(mat=np.nan * out.mat) if name == "reduced_density" else np.nan
 
     monkeypatch.setattr(glue, name, poisoned)
     with pytest.raises(PremiseViolation, match=message):

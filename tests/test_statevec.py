@@ -178,7 +178,7 @@ def test_norm_is_checked_on_its_square():
 )
 def test_marginal_raises_what_reduced_density_raises(qubits, message):
     v = sv.StateVector.uniform_plus(13)
-    for kernel in (sv._marginal, sv.reduced_density):
+    for kernel in (sv.marginal, sv.reduced_density):
         with pytest.raises(ValueError) as err:
             kernel(v, qubits)
         assert str(err.value) == message
