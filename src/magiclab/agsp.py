@@ -213,19 +213,6 @@ class ComplexityBound:
     bound: float
     alpha: float
     depth_threshold: int
-    note: str
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "d": self.d,
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "bound": self.bound,
-            "alpha": self.alpha,
-            "depth_threshold": self.depth_threshold,
-            "note": self.note,
-        }
 
 
 def complexity_bound(n: int, d, epsilon: float, delta: float) -> ComplexityBound:
@@ -254,7 +241,6 @@ def complexity_bound(n: int, d, epsilon: float, delta: float) -> ComplexityBound
         bound=bound,
         alpha=alpha,
         depth_threshold=t,
-        note="threshold uses unit constant in the exponent (convention)",
     )
 
 
@@ -267,8 +253,8 @@ def select_degree(n: int, d: int, epsilon: float, c: float | None = None) -> int
     """
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
-    if d < 2:
-        raise ValueError("need d >= 2")
+    if not 2 <= d <= n:
+        raise ValueError(f"need 2 <= d <= n, got n={n}, d={d}")
     if c is None:
         kappa = math.acosh((3 * n + 1) / (n - 1)) - math.acosh((n + 1) / (n - 1))
         c = 1.0 / (2.0 * kappa)

@@ -7,9 +7,10 @@ Three independent routes to the same family:
   symbolic Pauli bookkeeping),
 * an ancilla-assisted adaptive protocol (GHZ ancilla + controlled-Hadamard
   fanout + X-basis measurement) that postselects on even outcome parity,
-* a bond-dimension-2 matrix product representation, contracted both with open
-  and periodic boundaries, together with the byproduct push relations that
-  drive a Bell-measurement stitching protocol.
+* a bond-dimension-2 matrix product representation, one read-only (2, 2, 2)
+  site tensor ``MPS_BLOCKS`` with boundary vectors of ones, contracted both
+  with open and periodic boundaries, together with the byproduct push
+  relations that drive a Bell-measurement stitching protocol.
 """
 
 from dataclasses import dataclass
@@ -126,38 +127,27 @@ def verify_global_clifford(n: int) -> bool:
 class AdaptiveRunRecord:
     """One shot of the adaptive protocol.
 
-    ``outcomes`` holds the X-basis ancilla results (0 for +, 1 for -),
-    ``parity`` is +1 for an even number of minuses and -1 otherwise, and
+    ``outcomes`` holds the X-basis ancilla results (0 for +, 1 for -) and
     ``post_state`` is the renormalized data register. Even parity accepts.
     """
 
     outcomes: tuple
-    parity: int
     post_state: StateVector
-    accepted: bool
 
-    def __post_init__(self):
-        if self.parity not in (1, -1):
-            raise ValueError("parity must be +1 or -1")
-        expect = 1 if sum(self.outcomes) % 2 == 0 else -1
-        if self.parity != expect:
-            raise ValueError("parity inconsistent with outcomes")
-        if self.accepted != (self.parity == 1):
-            raise ValueError("acceptance must follow even parity")
+    @property
+    def parity(self) -> int:
+        """+1 for an even number of minuses, -1 otherwise."""
+        return -1 if sum(self.outcomes) % 2 else 1
 
-
-def _controlled_h() -> np.ndarray:
-    """4x4 controlled-Hadamard; control is the low index bit (targets[0])."""
-    m = np.zeros((4, 4), dtype=complex)
-    for ctrl in range(2):
-        op = H2 if ctrl else np.eye(2)
-        for t_out in range(2):
-            for t_in in range(2):
-                m[ctrl + 2 * t_out, ctrl + 2 * t_in] = op[t_out, t_in]
-    return m
+    @property
+    def accepted(self) -> bool:
+        return self.parity == 1
 
 
-CH4 = _controlled_h()
+# controlled-Hadamard, control on the low index bit (targets[0]): the
+# identity, with H2 on the rows and columns whose control bit is 1
+CH4 = np.eye(4, dtype=complex)
+CH4[1::2, 1::2] = H2
 
 
 def adaptive_circuit(n: int) -> LayeredCircuit:
@@ -191,11 +181,8 @@ def _adaptive_records(v: StateVector, n: int, rngs) -> list:
     """One record per generator: X-basis outcomes of ancillas 0..n-1 of v."""
     # peel ancillas from the top so remaining indices stay put
     steps = [((anc,), _X_BRAS) for anc in range(n - 1, -1, -1)]
-    records = []
-    for outcomes, post in measure_shots(v, steps, rngs):
-        parity = 1 if sum(outcomes) % 2 == 0 else -1
-        records.append(AdaptiveRunRecord(outcomes[::-1], parity, post, parity == 1))
-    return records
+    shots = measure_shots(v, steps, rngs)
+    return [AdaptiveRunRecord(outcomes[::-1], post) for outcomes, post in shots]
 
 
 def adaptive_run(n: int, seed: int = 0) -> AdaptiveRunRecord:
@@ -259,80 +246,28 @@ def adaptive_success_probability(n: int) -> float:
 
 # -- matrix product form -----------------------------------------------------
 
-@dataclass(frozen=True)
-class MpsTensor:
-    """Site tensor of the bond-dimension-2 cat representation.
-
-    ``a0``/``a1`` are the physical-leg blocks and ``left``/``right`` the
-    boundary vectors. The canonical values (a0 = diag(1, 1/sqrt2), a1 with
-    a lone 1/sqrt2 in the corner, uniform boundaries) are enforced here.
-    """
-
-    a0: np.ndarray
-    a1: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-
-    def __post_init__(self):
-        a0 = np.asarray(self.a0, dtype=complex)
-        a1 = np.asarray(self.a1, dtype=complex)
-        left = np.asarray(self.left, dtype=complex)
-        right = np.asarray(self.right, dtype=complex)
-        if a0.shape != (2, 2) or a1.shape != (2, 2):
-            raise ValueError("site blocks must be 2x2")
-        if left.shape != (2,) or right.shape != (2,):
-            raise ValueError("boundary vectors must have length 2")
-        s = 1.0 / _SQRT2
-        if not np.allclose(a0, np.diag([1.0, s]), atol=1e-15):
-            raise ValueError("a0 must be diag(1, 1/sqrt2)")
-        want = np.zeros((2, 2))
-        want[1, 1] = s
-        if not np.allclose(a1, want, atol=1e-15):
-            raise ValueError("a1 must have its only entry 1/sqrt2 at (1,1)")
-        if not (np.allclose(left, [1, 1]) and np.allclose(right, [1, 1])):
-            raise ValueError("boundaries must be (1,1)")
-        object.__setattr__(self, "a0", a0)
-        object.__setattr__(self, "a1", a1)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-
-    def blocks(self) -> np.ndarray:
-        """Stacked (2, 2, 2) array indexed by the physical bit."""
-        return np.stack([self.a0, self.a1])
-
-
-def mps_tensors() -> MpsTensor:
-    """The canonical cat site tensor and boundary vectors."""
-    s = 1.0 / _SQRT2
-    a1 = np.zeros((2, 2))
-    a1[1, 1] = s
-    return MpsTensor(
-        a0=np.diag([1.0, s]),
-        a1=a1,
-        left=np.array([1.0, 1.0]),
-        right=np.array([1.0, 1.0]),
-    )
+# MPS_BLOCKS[v] = A^v: A^0 = diag(1, 1/sqrt2), A^1 has a lone 1/sqrt2 at (1, 1)
+MPS_BLOCKS = np.array([[[1, 0], [0, 1 / _SQRT2]], [[0, 0], [0, 1 / _SQRT2]]], dtype=complex)
+MPS_BLOCKS.flags.writeable = False
 
 
 def mps_contract(n: int, boundary: str = "open") -> StateVector:
     """Contract the n-site tensor train into a normalized state vector.
 
     With open boundaries the amplitude of bitstring v is l^T A^{v_1} ...
-    A^{v_n} r; with periodic boundaries it is the trace of the same matrix
-    product. Both land on the plus cat, which is asserted before returning.
+    A^{v_n} r, the sum of the product's entries as l = r = (1, 1); with
+    periodic boundaries it is the trace of the same matrix product. Both land on the plus cat, which is asserted before returning.
     """
     if boundary not in ("open", "periodic"):
         raise ValueError(f"unknown boundary condition: {boundary!r}")
     if not 1 <= n <= max_qubits():
         raise ValueError("n out of range")
-    site = mps_tensors()
-    mats = site.blocks()
     # grow[v] = A^{v_1} ... A^{v_k}, with site k sitting at bit k-1
-    grow = mats.copy()
+    grow = MPS_BLOCKS
     for _ in range(n - 1):
-        grow = np.einsum("vab,jbc->jvac", grow, mats).reshape(-1, 2, 2)
+        grow = np.einsum("vab,jbc->jvac", grow, MPS_BLOCKS).reshape(-1, 2, 2)
     if boundary == "open":
-        amps = np.einsum("a,vab,b->v", site.left, grow, site.right)
+        amps = np.einsum("vab->v", grow)
     else:
         amps = np.einsum("vaa->v", grow)
     norm = float(np.linalg.norm(amps))
@@ -353,13 +288,11 @@ def push_relation_check() -> bool:
     X A^a X (an X passes through the bond at the price of a Hadamard on the
     physical leg). Verified to 1e-12.
     """
-    mats = mps_tensors().blocks()
-    for a in range(2):
-        z_push = Z2 @ mats[a] @ Z2
-        if not np.allclose(z_push, mats[a], atol=1e-12):
+    for a, block in enumerate(MPS_BLOCKS):
+        if not np.allclose(Z2 @ block @ Z2, block, atol=1e-12):
             raise AssertionError(f"Z push fails on block {a}")
-        h_mix = sum(H2[a, b] * mats[b] for b in range(2))
-        x_push = X2 @ mats[a] @ X2
+        h_mix = sum(H2[a, b] * MPS_BLOCKS[b] for b in range(2))
+        x_push = X2 @ block @ X2
         if not np.allclose(h_mix, x_push, atol=1e-12):
             raise AssertionError(f"X push fails on block {a}")
     return True
@@ -384,13 +317,8 @@ _BELL_BRAS = {
 @cache
 def _site_state() -> np.ndarray:
     """Site tensor as a 3-qubit state (physical, left leg, right leg), built once."""
-    mats = mps_tensors().blocks()
-    amps = np.zeros(8, dtype=complex)
-    for a in range(2):
-        for i in range(2):
-            for j in range(2):
-                amps[a + 2 * i + 4 * j] = mats[a][i, j]
-    amps /= np.linalg.norm(amps)
+    amps = MPS_BLOCKS.T.reshape(8)  # amps[a + 2i + 4j] = A^a[i, j]
+    amps = amps / np.linalg.norm(amps)
     amps.flags.writeable = False
     return amps
 

@@ -1,5 +1,7 @@
 """Dense statevector simulation, light cones, and information quantities.
 
+A light cone is a frozenset of qubits; a seed outside 0..n-1 raises.
+
 Amplitude indexing: qubit q is bit q of the index (qubit 0 = least
 significant), so axis n-1-q of the reshaped (2,)*n tensor belongs to
 qubit q. Multi-qubit gate matrices pack their targets the same way:
@@ -51,7 +53,6 @@ S2 = np.array([[1, 0], [0, 1j]], dtype=complex)
 CX4 = np.array(
     [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex
 )
-CZ4 = np.diag([1, 1, 1, -1]).astype(complex)
 _I_POWERS = np.array([1, 1j, -1, -1j])
 
 
@@ -93,17 +94,16 @@ class StateVector:
         object.__setattr__(self, "amps", amps)
 
     @classmethod
-    def from_amplitudes(cls, amps, normalize: bool = True) -> "StateVector":
+    def from_amplitudes(cls, amps) -> "StateVector":
+        """The state of `amps` divided by their norm."""
         amps = np.asarray(amps, dtype=complex)
         n = int(amps.size - 1).bit_length()
         if amps.size != 2**n:
             raise ValueError("length is not a power of two")
-        if normalize:
-            norm = np.linalg.norm(amps)
-            if norm < 1e-12:
-                raise ValueError("cannot normalize the zero vector")
-            amps = amps / norm
-        return cls(n, amps)
+        norm = np.linalg.norm(amps)
+        if norm < 1e-12:
+            raise ValueError("cannot normalize the zero vector")
+        return cls(n, amps / norm)
 
     @classmethod
     def basis_state(cls, n: int, index: int) -> "StateVector":
@@ -214,20 +214,6 @@ class LayeredCircuit:
         return LayeredCircuit(self.n, layers)
 
 
-@dataclass(frozen=True)
-class LightCone:
-    """Set of qubits reachable from a seed set through a circuit."""
-
-    qubits: frozenset[int]
-
-    @property
-    def sorted(self) -> tuple[int, ...]:
-        return tuple(sorted(self.qubits))
-
-    def __len__(self):
-        return len(self.qubits)
-
-
 def _target_perm(n: int, targets: Sequence[int]) -> list:
     """Axes of the (2,)*n tensor, `targets` first with targets[0] (low bit) last."""
     front = []
@@ -272,24 +258,27 @@ def apply_circuit(circ: LayeredCircuit, v: StateVector) -> StateVector:
     return v
 
 
-def forward_cone(circ: LayeredCircuit, seeds: Iterable[int]) -> LightCone:
+def _spread(n: int, layers, seeds: Iterable[int]) -> frozenset:
+    """Qubits reached from `seeds` through `layers` in order, gate by gate."""
+    cone = set(seeds)
+    for q in cone:
+        if not 0 <= q < n:
+            raise ValueError(f"seed {q} out of range for {n} qubits")
+    for layer in layers:
+        for gate in layer:
+            if cone.intersection(gate.targets):
+                cone.update(gate.targets)
+    return frozenset(cone)
+
+
+def forward_cone(circ: LayeredCircuit, seeds: Iterable[int]) -> frozenset:
     """Output qubits that the seed inputs can influence."""
-    cone = set(seeds)
-    for layer in circ.layers:
-        for gate in layer:
-            if cone.intersection(gate.targets):
-                cone.update(gate.targets)
-    return LightCone(frozenset(cone))
+    return _spread(circ.n, circ.layers, seeds)
 
 
-def backward_cone(circ: LayeredCircuit, seeds: Iterable[int]) -> LightCone:
+def backward_cone(circ: LayeredCircuit, seeds: Iterable[int]) -> frozenset:
     """Input qubits that can influence the seed outputs."""
-    cone = set(seeds)
-    for layer in reversed(circ.layers):
-        for gate in layer:
-            if cone.intersection(gate.targets):
-                cone.update(gate.targets)
-    return LightCone(frozenset(cone))
+    return _spread(circ.n, reversed(circ.layers), seeds)
 
 
 def haar_unitary(dim: int, rng) -> np.ndarray:

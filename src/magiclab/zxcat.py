@@ -1,10 +1,11 @@
 """Cat states over conjugate Pauli bases and shallow-circuit diagnostics.
 
-The family lives on n qubits.  The ``plus`` member (|0^n> + |+^n>) / sqrt(2a)
-with a = 1 + 2^{-n/2} superposes a Z-basis product state with an X-basis
-product state; the ``minus`` member flips the relative sign (normalizer
-b = 1 - 2^{-n/2}), and the ``i`` member (|0^n> + i|+^n>) / sqrt(2) is exactly
-balanced.  The two branches act like distinct superselection sectors: any
+The family lives on n qubits, and ``build(n, variant)`` computes a member's
+statevector from those two values.  The ``plus`` member
+(|0^n> + |+^n>) / sqrt(2a) with a = 1 + 2^{-n/2} superposes a Z-basis
+product state with an X-basis product state; the ``minus`` member flips the
+relative sign (normalizer b = 1 - 2^{-n/2}), and the ``i`` member
+(|0^n> + i|+^n>) / sqrt(2) is exactly balanced.  The two branches act like distinct superselection sectors: any
 nonempty Z-word and X-word each hold expectation near 1/2, yet their
 correlations do not factorize, and the branch reductions onto small regions
 stay far apart.  The witnesses below turn those facts into finite-size
@@ -28,7 +29,6 @@ scalar observed value against one bound, with the details in params.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,59 +38,30 @@ from . import symplectic as sp
 from .reports import CheckReport
 
 _VARIANTS = ("plus", "minus", "i")
-
-
-def _canonical_variant(variant) -> str:
-    v = str(variant).lower()
-    if v in ("i-phase", "iphase", "imag"):
-        v = "i"
-    if v not in _VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; choose from {_VARIANTS}")
-    return v
-
-
-@dataclass(frozen=True)
-class ZxFamily:
-    """Descriptor of one member of the two-branch cat family."""
-
-    n: int
-    variant: str = "plus"
-
-    def __post_init__(self):
-        if not 1 <= self.n <= sv.max_qubits():
-            raise ValueError(f"n={self.n} outside [1, {sv.max_qubits()}]")
-        object.__setattr__(self, "variant", _canonical_variant(self.variant))
-
-    @property
-    def alpha(self) -> float:
-        """Normalizer of the plus member: 1 + 2^{-n/2}."""
-        return 1.0 + 2.0 ** (-self.n / 2.0)
-
-    @property
-    def beta(self) -> float:
-        """Normalizer of the minus member: 1 - 2^{-n/2}."""
-        return 1.0 - 2.0 ** (-self.n / 2.0)
-
-    def state(self) -> sv.StateVector:
-        n = self.n
-        amps = np.full(1 << n, 2.0 ** (-n / 2.0), dtype=np.complex128)
-        if self.variant == "minus":
-            amps = -amps
-        elif self.variant == "i":
-            amps = 1j * amps
-        amps[0] += 1.0
-        if self.variant == "plus":
-            scale = math.sqrt(2.0 * self.alpha)
-        elif self.variant == "minus":
-            scale = math.sqrt(2.0 * self.beta)
-        else:
-            scale = math.sqrt(2.0)
-        return sv.StateVector(n, amps / scale)
+_ALIASES = {"i-phase": "i", "iphase": "i", "imag": "i"}
 
 
 def build(n: int, variant: str = "plus") -> sv.StateVector:
-    """Normalized statevector of the requested family member."""
-    return ZxFamily(n, variant).state()
+    """Normalized statevector of a family member, 1 <= n <= max_qubits().
+
+    The variant is case-insensitive; "i-phase", "iphase" and "imag" name "i".
+    """
+    if not 1 <= n <= sv.max_qubits():
+        raise ValueError(f"n={n} outside [1, {sv.max_qubits()}]")
+    v = str(variant).lower()
+    v = _ALIASES.get(v, v)
+    if v not in _VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}; choose from {_VARIANTS}")
+    overlap = 2.0 ** (-n / 2.0)  # <0^n|+^n>
+    amps = np.full(1 << n, overlap, dtype=np.complex128)
+    if v == "plus":
+        scale = math.sqrt(2.0 * (1.0 + overlap))
+    elif v == "minus":
+        amps, scale = -amps, math.sqrt(2.0 * (1.0 - overlap))
+    else:
+        amps, scale = 1j * amps, math.sqrt(2.0)
+    amps[0] += 1.0
+    return sv.StateVector(n, amps / scale)
 
 
 def mi_asymptote() -> float:
@@ -256,15 +227,15 @@ def cu_correlation_witness(
     if cmap.n != n or circuit.n != n:
         raise ValueError("size mismatch")
     if qubits is None:
-        cone_0 = sv.forward_cone(circuit, {0}).qubits
-        cones = {j: sv.forward_cone(circuit, {j}).qubits for j in range(n - 1, 0, -1)}
+        cone_0 = sv.forward_cone(circuit, {0})
+        cones = {j: sv.forward_cone(circuit, {j}) for j in range(n - 1, 0, -1)}
         far = [j for j, cone in cones.items() if not cone_0 & cone]
         if not far:
             raise ValueError("no seed pair with disjoint forward cones")
         qubits = (0, far[0])
     i, j = qubits
-    cone_i = sv.forward_cone(circuit, {i}).qubits
-    cone_j = sv.forward_cone(circuit, {j}).qubits
+    cone_i = sv.forward_cone(circuit, {i})
+    cone_j = sv.forward_cone(circuit, {j})
     if cone_i & cone_j:
         raise ValueError("forward cones of the seed qubits overlap")
 
@@ -320,8 +291,8 @@ def uc_sign_witness(
 
     def fb(q):
         if q not in cones:
-            b = sv.backward_cone(circuit, {q}).qubits
-            cones[q] = (b, sv.forward_cone(circuit, b).qubits)
+            b = sv.backward_cone(circuit, {q})
+            cones[q] = (b, sv.forward_cone(circuit, b))
         return cones[q]
 
     pair = None

@@ -170,6 +170,15 @@ def test_select_degree_controls_amplified_error():
         agsp.select_degree(64, 8, 0.0)
 
 
+def test_select_degree_rejects_a_degree_past_the_system():
+    for n, d in ((1, 2), (0, 2), (16, 17), (16, 40)):
+        with pytest.raises(ValueError, match="need 2 <= d <= n"):
+            agsp.select_degree(n, d, 1e-300)
+    m = agsp.select_degree(16, 16, 1e-300)
+    assert m == 15
+    assert agsp.build_polynomial(16, m).m == 15
+
+
 def test_local_indistinguishability_closed_form():
     n = 8
     plus = zxcat.build(n, "plus")

@@ -17,6 +17,19 @@ from magiclab.suites import SUITES, agsp_sweep, run_suite
 from magiclab.zxcat import build
 
 
+def test_package_exports_each_public_name_once():
+    import types
+
+    import magiclab
+
+    public = {
+        name for name, value in vars(magiclab).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert len(magiclab.__all__) == len(set(magiclab.__all__))
+    assert set(magiclab.__all__) == public
+
+
 def test_sanitize_converts_numpy_and_complex():
     raw = {
         "scalar": np.float64(0.5),

@@ -7,6 +7,7 @@ import pytest
 
 from magiclab.prep import (
     CH4,
+    MPS_BLOCKS,
     UZH,
     AdaptiveRunRecord,
     adaptive_circuit,
@@ -16,11 +17,10 @@ from magiclab.prep import (
     bell_protocol_run,
     bell_shots,
     mps_contract,
-    mps_tensors,
-    MpsTensor,
     prepare_sandwich,
     push_relation_check,
     verify_global_clifford,
+    _site_state,
 )
 from magiclab.statevec import (
     H2,
@@ -107,6 +107,14 @@ def test_conjugation_case_split_dense():
 # -- adaptive protocol --------------------------------------------------------
 
 def test_controlled_h_matrix():
+    # the entry-by-entry construction the constant replaced, byte for byte
+    want = np.zeros((4, 4), dtype=complex)
+    for ctrl in range(2):
+        op = H2 if ctrl else np.eye(2)
+        for t_out in range(2):
+            for t_in in range(2):
+                want[ctrl + 2 * t_out, ctrl + 2 * t_in] = op[t_out, t_in]
+    assert CH4.tobytes() == want.tobytes()
     assert np.allclose(CH4 @ CH4.conj().T, np.eye(4), atol=1e-15)
     # control low bit = 0: identity on the target
     assert np.allclose(CH4[np.ix_([0, 2], [0, 2])], np.eye(2), atol=1e-15)
@@ -156,14 +164,11 @@ def test_adaptive_runs_collapse_to_cats():
     assert 45 <= accepted <= 80
 
 
-def test_adaptive_record_validation():
+def test_adaptive_record_parity_follows_outcomes():
     post = StateVector.basis_state(1, 0)
-    with pytest.raises(ValueError):
-        AdaptiveRunRecord(outcomes=(0, 1), parity=2, post_state=post, accepted=True)
-    with pytest.raises(ValueError):
-        AdaptiveRunRecord(outcomes=(0, 1), parity=1, post_state=post, accepted=True)
-    with pytest.raises(ValueError):
-        AdaptiveRunRecord(outcomes=(1, 1), parity=1, post_state=post, accepted=False)
+    for outcomes, parity in (((), 1), ((0, 1), -1), ((1, 1), 1), ((1, 0, 0), -1)):
+        record = AdaptiveRunRecord(outcomes=outcomes, post_state=post)
+        assert (record.parity, record.accepted) == (parity, parity == 1)
 
 
 def test_adaptive_run_respects_dense_cap():
@@ -173,20 +178,43 @@ def test_adaptive_run_respects_dense_cap():
 
 # -- matrix product form ------------------------------------------------------
 
-def test_mps_tensor_invariants():
-    site = mps_tensors()
+def canonical_blocks():
+    """A^0 = diag(1, 1/sqrt2) and A^1 with a lone 1/sqrt2 at (1, 1), stacked."""
     s = 1.0 / SQRT2
-    assert np.allclose(site.a0, np.diag([1.0, s]), atol=1e-15)
-    assert site.a1[1, 1] == pytest.approx(s)
-    assert np.count_nonzero(site.a1) == 1
-    assert site.blocks().shape == (2, 2, 2)
+    a1 = np.zeros((2, 2))
+    a1[1, 1] = s
+    return np.stack([np.diag([1.0, s]), a1]).astype(complex)
+
+
+def test_mps_tensor_invariants():
+    s = 1.0 / SQRT2
+    assert MPS_BLOCKS.tobytes() == canonical_blocks().tobytes()
+    assert np.allclose(MPS_BLOCKS[0], np.diag([1.0, s]), atol=1e-15)
+    assert MPS_BLOCKS[1, 1, 1] == pytest.approx(s)
+    assert np.count_nonzero(MPS_BLOCKS[1]) == 1
     with pytest.raises(ValueError):
-        MpsTensor(
-            a0=np.eye(2),
-            a1=site.a1,
-            left=site.left,
-            right=site.right,
-        )
+        MPS_BLOCKS[0, 0, 0] = 2.0  # one shared constant, read-only
+
+
+def oracle_mps_contract(n, boundary):
+    """Normalized amplitudes of the n-site train with (1, 1) boundaries or a trace."""
+    mats = canonical_blocks()
+    ones = np.ones(2, dtype=complex)
+    grow = mats.copy()
+    for _ in range(n - 1):
+        grow = np.einsum("vab,jbc->jvac", grow, mats).reshape(-1, 2, 2)
+    if boundary == "open":
+        amps = np.einsum("a,vab,b->v", ones, grow, ones)
+    else:
+        amps = np.einsum("vaa->v", grow)
+    return amps / float(np.linalg.norm(amps))
+
+
+def test_mps_contract_is_bit_identical_to_the_block_contraction():
+    for n in range(1, 11):
+        for boundary in ("open", "periodic"):
+            want = oracle_mps_contract(n, boundary)
+            assert mps_contract(n, boundary).amps.tobytes() == want.tobytes()
 
 
 def test_mps_open_two_site_pattern():
@@ -215,18 +243,18 @@ def test_mps_contract_validation():
 
 def test_push_relations():
     assert push_relation_check() is True
-    site = mps_tensors()
+    a0, a1 = MPS_BLOCKS
     s = 1.0 / SQRT2
     # a = 0: (A0 + A1)/sqrt2 = X A0 X = diag(1/sqrt2, 1)
-    mixed0 = (site.a0 + site.a1) / SQRT2
+    mixed0 = (a0 + a1) / SQRT2
     assert np.allclose(mixed0, np.diag([s, 1.0]), atol=1e-12)
     # a = 1: (A0 - A1)/sqrt2 = X A1 X
-    mixed1 = (site.a0 - site.a1) / SQRT2
+    mixed1 = (a0 - a1) / SQRT2
     x = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert np.allclose(mixed1, x @ site.a1 @ x, atol=1e-12)
+    assert np.allclose(mixed1, x @ a1 @ x, atol=1e-12)
     # every entry that appears is one of 0, +-1/sqrt2, +-1
     allowed = np.array([0.0, s, -s, 1.0, -1.0])
-    for block in (site.a0, site.a1, mixed0, mixed1):
+    for block in (a0, a1, mixed0, mixed1):
         for entry in np.asarray(block).ravel():
             assert np.min(np.abs(allowed - entry.real)) < 1e-15
             assert abs(entry.imag) < 1e-15
@@ -346,11 +374,20 @@ def oracle_adaptive(n, seed):
     return tuple(outcomes), v
 
 
+def oracle_site():
+    """The site tensor as a 3-qubit state, entry by entry."""
+    mats = canonical_blocks()
+    site = np.array([mats[a][i, j] for j in range(2) for i in range(2) for a in range(2)])
+    return site / np.linalg.norm(site)  # physical leg on the low bit, then left, right
+
+
+def test_bell_site_state_is_bit_identical_to_the_entrywise_one():
+    assert _site_state().tobytes() == oracle_site().tobytes()
+
+
 def oracle_bell(n, seed, bonds=None, boundaries=None):
     """(accepted, physical register) of one shot, one measure call per step."""
-    mats = mps_tensors().blocks()
-    site = np.array([mats[a][i, j] for j in range(2) for i in range(2) for a in range(2)])
-    site /= np.linalg.norm(site)  # physical leg on the low bit, then left, right
+    site = oracle_site()
     amps = site
     for _ in range(n - 1):
         amps = np.kron(site, amps)

@@ -99,15 +99,24 @@ def test_cones_forward_backward_adjoint():
             fwd = sv.forward_cone(circ, [i])
             for j in range(n):
                 back = sv.backward_cone(circ, [j])
-                assert (j in fwd.qubits) == (i in back.qubits)
+                assert (j in fwd) == (i in back)
 
 
 def test_cone_identity_and_growth():
     circ = sv.LayeredCircuit.identity(6)
-    assert sv.forward_cone(circ, [2]).qubits == {2}
+    assert sv.forward_cone(circ, [2]) == frozenset({2})
     rng = np.random.default_rng(24)
     circ = brickwork(6, 1, rng)
-    assert sv.forward_cone(circ, [0]).qubits == {0, 1}
+    assert sv.forward_cone(circ, [0]) == frozenset({0, 1})
+
+
+def test_cones_reject_seeds_outside_the_register():
+    circ = sv.LayeredCircuit.identity(3)
+    for cone in (sv.forward_cone, sv.backward_cone):
+        for seeds in ([5], [0, 3], [-1]):
+            with pytest.raises(ValueError, match="out of range for 3 qubits"):
+                cone(circ, seeds)
+        assert cone(circ, [0, 2]) == frozenset({0, 2})
 
 
 def test_reduced_density_and_entropy():
@@ -255,7 +264,7 @@ def projector_statevector(s):
     state[b] = 1.0
     for word, sign in zip(s.generators, s.signs):
         state = (state + sign * power_word_action(state, word)) / 2.0
-    return sv.StateVector.from_amplitudes(state, normalize=True)
+    return sv.StateVector.from_amplitudes(state)
 
 
 def power_word_action(amps, p):
@@ -310,7 +319,7 @@ def doubling_statevector(s):
         idx = np.concatenate((idx, idx ^ np.uint64(g.x)))
     state = np.zeros(2**s.n, dtype=complex)
     state[idx] = vals
-    return sv.StateVector.from_amplitudes(state, normalize=True)
+    return sv.StateVector.from_amplitudes(state)
 
 
 def test_to_statevector_equals_the_concatenating_doubling():

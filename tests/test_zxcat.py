@@ -20,8 +20,28 @@ def test_build_small_examples():
     alpha = 1 + 2**-0.5
     want = np.array([1 + 2**-0.5, 2**-0.5]) / math.sqrt(2 * alpha)
     assert np.allclose(one.amps, want, atol=1e-14)
-    assert zxcat.ZxFamily(4).alpha == pytest.approx(1.25, abs=1e-15)
-    assert zxcat.ZxFamily(4, "minus").beta == pytest.approx(0.75, abs=1e-15)
+
+
+def oracle_build(n, variant):
+    """Amplitudes of |0^n> + phase |+^n> over sqrt(2 alpha), sqrt(2 beta) or sqrt(2)."""
+    amps = np.full(1 << n, 2.0 ** (-n / 2.0), dtype=np.complex128)
+    if variant == "minus":
+        amps = -amps
+    elif variant == "i":
+        amps = 1j * amps
+    amps[0] += 1.0
+    alpha, beta = 1.0 + 2.0 ** (-n / 2.0), 1.0 - 2.0 ** (-n / 2.0)
+    scale = {"plus": math.sqrt(2.0 * alpha), "minus": math.sqrt(2.0 * beta)}
+    return amps / scale.get(variant, math.sqrt(2.0))
+
+
+def test_build_is_bit_identical_to_the_closed_form():
+    names = {"plus": "plus", "PLUS": "plus", "minus": "minus", "Minus": "minus",
+             "i": "i", "I": "i", "i-phase": "i", "iphase": "i", "imag": "i"}
+    for n in range(1, 15):
+        for name, variant in names.items():
+            got = zxcat.build(n, name).amps
+            assert got.tobytes() == oracle_build(n, variant).tobytes(), (n, name)
 
 
 def test_norms_and_orthogonality():
@@ -35,11 +55,11 @@ def test_norms_and_orthogonality():
 
 
 def test_variant_and_range_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown variant 'bogus'"):
         zxcat.build(3, "bogus")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"n=0 outside \[1, "):
         zxcat.build(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="outside"):
         zxcat.build(sv.max_qubits() + 1)
     assert np.allclose(
         zxcat.build(3, "i-phase").amps, zxcat.build(3, "i").amps
@@ -194,6 +214,11 @@ def test_cu_witness_overlapping_cones_rejected():
     deep = sv.random_brickwork(n, 4, np.random.default_rng(0))
     with pytest.raises(ValueError):
         zxcat.cu_correlation_witness(n, circuit=deep)
+
+
+def test_cu_witness_rejects_a_seed_qubit_outside_the_register():
+    with pytest.raises(ValueError, match="seed 9 out of range for 6 qubits"):
+        zxcat.cu_correlation_witness(6, qubits=(0, 9))
 
 
 def test_uc_witness_identity_equality():
