@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -215,17 +216,28 @@ class ComplexityBound:
     depth_threshold: int
 
 
-def complexity_bound(n: int, d, epsilon: float, delta: float) -> ComplexityBound:
+def _integer_d(d) -> int:
+    """d as an int; a float or other non-integer d raises ValueError."""
+    try:
+        return operator.index(d)
+    except TypeError:
+        raise ValueError(f"d must be an integer, got {d!r}") from None
+
+
+def complexity_bound(n: int, d: int, epsilon: float, delta: float) -> ComplexityBound:
     """Depth bound log2(d / max{n(delta+epsilon), 1}) plus the projector threshold.
 
     The threshold diagnostic is the smallest integer depth t at which the
     overlap ceiling 1/2 + exp(-n^alpha / 2^t) stops excluding fidelity
     1 - delta, where n^alpha = d / sqrt(n); the hidden constant in the
     exponent is set to 1, which makes the integer convention-dependent.
+    A non-integer d, and a negative or NaN epsilon or delta, raise
+    ValueError.
     """
+    d = _integer_d(d)
     if n < 2 or not 1 <= d <= n:
         raise ValueError("need 2 <= n and 1 <= d <= n")
-    if epsilon < 0 or delta < 0:
+    if not (epsilon >= 0 and delta >= 0):
         raise ValueError("epsilon and delta must be nonnegative")
     bound = math.log2(d / max(n * (delta + epsilon), 1.0))
     alpha = math.log(d) / math.log(n) - 0.5
@@ -235,7 +247,7 @@ def complexity_bound(n: int, d, epsilon: float, delta: float) -> ComplexityBound
         t += 1
     return ComplexityBound(
         n=n,
-        d=int(d),
+        d=d,
         epsilon=float(epsilon),
         delta=float(delta),
         bound=bound,
@@ -249,8 +261,9 @@ def select_degree(n: int, d: int, epsilon: float, c: float | None = None) -> int
 
     The default chooses c = 1/(2 kappa) with kappa the per-degree growth
     rate of |P(-n)|, so that the amplified error |P(-n)| * epsilon stays
-    at or below sqrt(epsilon).
+    at or below sqrt(epsilon).  A non-integer d raises ValueError.
     """
+    d = _integer_d(d)
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
     if not 2 <= d <= n:
@@ -273,12 +286,12 @@ def local_indist_scan(
     ratio stays order one.
     """
     return np.max([
-        _indist_words(n, max_support),
-        _indist_random(n, max_support, random_trials, seed),
+        indist_words(n, max_support),
+        indist_random(n, max_support, random_trials, seed),
     ])
 
 
-def _indist_words(n: int, max_support: int) -> float:
+def indist_words(n: int, max_support: int) -> float:
     """The Pauli-word part of `local_indist_scan`."""
     pair = (zxcat.build(n, "plus"), zxcat.build(n, "minus"))
     ratios = [0.0]
@@ -294,7 +307,7 @@ def _indist_words(n: int, max_support: int) -> float:
     return np.max(ratios)
 
 
-def _indist_random(n: int, max_support: int, trials: int, seed: int) -> float:
+def indist_random(n: int, max_support: int, trials: int, seed: int) -> float:
     """The random-Hermitian part of `local_indist_scan`."""
     plus, minus = zxcat.build(n, "plus"), zxcat.build(n, "minus")
     rng = np.random.default_rng(seed)

@@ -15,14 +15,13 @@ of whichever side of the cut has fewer qubits. I(A, CD) on the 9-qubit
 blocks A B C D = 2 2 2 3 of glue, for instance, takes S(ACD) from the
 4x4 marginal of B in place of a 128x128 one.
 
-A pure state's marginal comes from one Gram kernel, `marginal`: Phi Phi*
-of the `_front` split, as a bare array. A StateVector is validated when
-it is built (|norm^2 - 1| <= 1e-8, so every marginal's trace is within
-1e-8 of 1), so the entropies, glue's conclusions and its Petz map read
-the kernel without validating its output again; `reduced_density` wraps
-the same array in a validated DensityMatrix. Dense work is capped at
-max_qubits() statevector qubits (MAGICLAB_MAX_N, default 14) and 12
-density-matrix qubits, the kernel's included.
+A reduced state is a bare (2^k, 2^k) array from one Gram kernel,
+`reduced_density`: Phi Phi* of the `_front` split. A StateVector is
+validated when it is built (|norm^2 - 1| <= 1e-8, so every reduced
+state's trace is within 1e-8 of 1), so `entropy`, `fidelity` and glue's
+premises, conclusions and Petz map read the kernel's arrays without
+validating them again. Dense work is capped at max_qubits() statevector
+qubits (MAGICLAB_MAX_N, default 14) and 12 density-matrix qubits.
 """
 
 from __future__ import annotations
@@ -86,7 +85,7 @@ class StateVector:
         if amps.shape != (2**self.n,):
             raise ValueError("amplitude length must be 2**n")
         norm = np.linalg.norm(amps)
-        # norm^2 is the trace of every marginal, which so meets DensityMatrix's bound
+        # norm^2 is the trace of every reduced state of the vector
         if not abs(norm * norm - 1.0) <= 1e-8:
             raise ValueError(f"state not normalized (norm {norm})")
         amps = amps.copy()
@@ -131,29 +130,6 @@ def _hermitian_defect(mat: np.ndarray) -> float:
         for k, r in enumerate(tiles)
         for c in tiles[k:]
     ]))
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Mixed state on a labeled subset of qubits."""
-
-    qubits: tuple[int, ...]
-    mat: np.ndarray
-
-    def __post_init__(self):
-        k = len(self.qubits)
-        if k > _DENSITY_MAX_QUBITS:
-            raise ValueError(f"density matrices capped at {_DENSITY_MAX_QUBITS} qubits")
-        mat = np.asarray(self.mat, dtype=complex)
-        if mat.shape != (2**k, 2**k):
-            raise ValueError("matrix shape must be 2^k x 2^k")
-        if not _hermitian_defect(mat) <= 1e-8:
-            raise ValueError("density matrix must be Hermitian")
-        if not abs(np.trace(mat).real - 1.0) <= 1e-8:
-            raise ValueError("density matrix must have unit trace")
-        mat = mat.copy()
-        mat.flags.writeable = False
-        object.__setattr__(self, "mat", mat)
 
 
 @dataclass(frozen=True)
@@ -321,13 +297,12 @@ def random_brickwork(n: int, depth: int, rng) -> LayeredCircuit:
     return LayeredCircuit(n, tuple(layers))
 
 
-def marginal(v: StateVector, qubits: Iterable[int]) -> np.ndarray:
-    """Reduced density matrix of `qubits` of v as a bare array.
+def reduced_density(v: StateVector, qubits: Iterable[int]) -> np.ndarray:
+    """Reduced density matrix of `qubits` of v, a (2^k, 2^k) array.
 
     The Gram matrix Phi Phi* of the `_front` split, with the qubits sorted
     (the lowest is the low index bit).  v was validated when it was built,
-    so the matrix is not checked again; `reduced_density` wraps it in a
-    validated DensityMatrix.
+    so the matrix is not checked again.
     """
     keep = tuple(sorted(set(int(q) for q in qubits)))
     if any(q < 0 or q >= v.n for q in keep):
@@ -338,21 +313,11 @@ def marginal(v: StateVector, qubits: Iterable[int]) -> np.ndarray:
     return flat @ flat.conj().T
 
 
-def _entropy(mat: np.ndarray) -> float:
-    """Von Neumann entropy in bits of an array; eigenvalues under 1e-12 count as 0."""
-    w = np.linalg.eigvalsh(mat)
+def entropy(rho: np.ndarray) -> float:
+    """Von Neumann entropy in bits; eigenvalues under 1e-12 count as 0."""
+    w = np.linalg.eigvalsh(rho)
     w = w[w > _EIG_CLIP]
     return float(-(w * np.log2(w)).sum())
-
-
-def reduced_density(v: StateVector, qubits: Iterable[int]) -> DensityMatrix:
-    keep = tuple(sorted(set(int(q) for q in qubits)))
-    return DensityMatrix(keep, marginal(v, keep))
-
-
-def entropy(dm: DensityMatrix) -> float:
-    """Von Neumann entropy in bits; eigenvalues under 1e-12 count as 0."""
-    return _entropy(dm.mat)
 
 
 def entanglement_entropy(v: StateVector, qubits: Iterable[int]) -> float:
@@ -366,7 +331,7 @@ def entanglement_entropy(v: StateVector, qubits: Iterable[int]) -> float:
         raise ValueError("qubit out of range")
     if 2 * len(region) > v.n:
         region = set(range(v.n)) - region
-    return _entropy(marginal(v, region))
+    return entropy(reduced_density(v, region))
 
 
 def mutual_information(v: StateVector, a: Iterable[int], b: Iterable[int]) -> float:
@@ -387,11 +352,11 @@ def _sqrt_psd(mat: np.ndarray) -> np.ndarray:
     return (u * np.sqrt(w)) @ u.conj().T
 
 
-def fidelity(dm1: DensityMatrix, dm2: DensityMatrix) -> float:
+def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Uhlmann fidelity F = ||sqrt(rho) sqrt(sigma)||_1 (not squared)."""
-    if dm1.mat.shape != dm2.mat.shape:
+    if rho.shape != sigma.shape:
         raise ValueError("dimension mismatch")
-    prod = _sqrt_psd(dm1.mat) @ _sqrt_psd(dm2.mat)
+    prod = _sqrt_psd(rho) @ _sqrt_psd(sigma)
     return float(np.linalg.svd(prod, compute_uv=False).sum())
 
 
@@ -469,18 +434,19 @@ def to_statevector(s: StabilizerState) -> StateVector:
     to the sum of h^m|b> over m in F2^k (the projector product of all n
     generators applied to |b>, up to the factor |D|/2^n); one elimination
     of the x-parts finds both h and D.  The support is filled by doubling:
-    h = s i^|x&z| X^x Z^z sends i^e at idx to i^(e + 1 - s + |x&z| +
-    2 z.idx) at idx ^ x.  Dividing by sqrt(2^k), the norm, is exact.
+    h = i^(phase + |x&z|) X^x Z^z, its sign being i^phase, sends i^e at idx
+    to i^(e + phase + |x&z| + 2 z.idx) at idx ^ x.  Dividing by
+    sqrt(2^k), the norm, is exact.
     """
     n = s.n
     _check_dense(n)
     picked, kernel = _f2.eliminate([g.x for g in s.generators])
     equations = []
     for tag in kernel:
-        word, sign = s.element(tag)
-        if word.x != 0:
+        element = s.element(tag)
+        if element.x != 0:
             raise AssertionError("diagonal subgroup element has X support")
-        equations.append((word.z, 0 if sign == 1 else 1))
+        equations.append((element.z, element.phase >> 1))
     b = _f2.solve(equations)
     if b is None:
         raise AssertionError("inconsistent stabilizer signs")
@@ -494,7 +460,7 @@ def to_statevector(s: StabilizerState) -> StateVector:
         low = idx[:m]
         np.bitwise_xor(low, g.x, out=idx[m : 2 * m])
         # exponents of i wrap mod 256, a multiple of 4
-        e = 1 - s.signs[i] + (g.x & g.z).bit_count()
+        e = g.phase + (g.x & g.z).bit_count()
         phase[m : 2 * m] = phase[:m] + 2 * np.bitwise_count(low & g.z) + e
         m *= 2
     state = np.zeros(2**n, dtype=complex)

@@ -141,10 +141,13 @@ def suite_symplectic(n=6, seed=0, tol=1e-10, trials=40):
         devs.append(abs(sp.stabilizer_overlap(s1, s2) - dense))
     yield CheckReport("overlap-vs-dense", sampled, np.max(devs), tol)
 
+    # s2's Clifford comes from its own stream: with one C for both states,
+    # |<s2|P|s1>| = 2^{-n/2} for every P, and no sign error could show
+    own = np.random.default_rng([seed, 2])
     devs = [0.0]
     for _ in range(trials):
         c = sp.random_clifford(n, rng)
-        s1, s2 = sp.apply_clifford(c, zero), sp.apply_clifford(c, plus)
+        s1, s2 = sp.apply_clifford(c, zero), sp.apply_clifford(sp.random_clifford(n, own), plus)
         p = sp.PauliString.from_text(_random_pauli_text(n, rng))
         v1, v2 = sv.to_statevector(s1), sv.to_statevector(s2)
         dense = abs(np.vdot(v2.amps, sv.apply_pauli(v1, p).amps))
@@ -213,7 +216,7 @@ def suite_agsp(n=16, seed=0, trials=60):
     n_scan = min(10, sv.max_qubits())
     # the word scan runs once; the random check reports what
     # local_indist_scan with random trials would, max(words, random V)
-    word_max = agsp._indist_words(n_scan, 2)
+    word_max = agsp.indist_words(n_scan, 2)
     word_limit = 1.0 / (2.0 * (1.0 - 2.0**-n_scan)) + 1e-9
     params = {"n": n_scan, "max_support": 2}
     yield CheckReport("indist-word-ratio", params, word_max, word_limit)
@@ -221,7 +224,7 @@ def suite_agsp(n=16, seed=0, trials=60):
     # |<V>+ - <V>-| (1 - 2^-n) = |2 Re<0|V|+> - 2^{-n/2}(<0|V|0> + <+|V|+>)|
     # with |<0|V|+>| <= 2^{(a-n)/2}: the ratio to 2^{a-n/2} is at most
     # 2 (2^{-a/2} + 2^{-a}) / (1 - 2^-n), largest at a = 1
-    worst = np.max([word_max, agsp._indist_random(n_scan, 2, trials, seed)])
+    worst = np.max([word_max, agsp.indist_random(n_scan, 2, trials, seed)])
     params = {"n": n_scan, "max_support": 2, "random_trials": trials, "seed": seed}
     bound = (1.0 + 2.0**0.5) / (1.0 - 2.0**-n_scan)
     yield CheckReport("indist-random-hermitian", params, worst, bound)

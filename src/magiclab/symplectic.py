@@ -9,9 +9,10 @@ Conventions used throughout the package:
   strings are exactly those with phase 0 or 2.
 * Qubit 0 is the leftmost character in text form ("-XIZY" puts X on
   qubit 0) and the least significant bit of dense amplitude indices.
-* Stabilizer states store n independent commuting Hermitian words plus
-  a separate sign per generator; overlap magnitudes are returned as
-  floats, global phases are never exposed.
+* Stabilizer states store n independent commuting Hermitian generators,
+  each carrying its sign as its phase (0 for +1, 2 for -1), as in the
+  Aaronson-Gottesman tableau (quant-ph/0406196); overlap magnitudes are
+  returned as floats, global phases are never exposed.
 
 All tableau work is exact integer arithmetic, so results like overlaps
 are powers of sqrt(2) with no rounding; numpy appears only as the random
@@ -22,7 +23,6 @@ Generator that drives ``random_clifford``. Dense cross-checks live in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -159,19 +159,19 @@ def commutes(p: PauliString, q: PauliString) -> bool:
 
 @dataclass(frozen=True)
 class StabilizerState:
-    """Pure stabilizer state given by n signed commuting generators."""
+    """Pure stabilizer state given by n commuting Hermitian generators.
+
+    A generator's phase, 0 or 2, is its sign.
+    """
 
     n: int
     generators: tuple[PauliString, ...]
-    signs: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.generators) != self.n or len(self.signs) != self.n:
-            raise ValueError("need exactly n generators and signs")
-        if any(s not in (1, -1) for s in self.signs):
-            raise ValueError("signs must be +1 or -1")
-        if any(g.phase != 0 for g in self.generators):
-            raise ValueError("generator words must carry phase 0")
+        if len(self.generators) != self.n:
+            raise ValueError("need exactly n generators")
+        if not all(g.is_hermitian for g in self.generators):
+            raise ValueError("stabilizer generators must be Hermitian")
         if any(g.n != self.n for g in self.generators):
             raise ValueError("size mismatch")
         rows = [_symplectic_row(g) for g in self.generators]
@@ -184,42 +184,26 @@ class StabilizerState:
             raise ValueError("generators are not independent")
 
     @classmethod
-    def from_generators(cls, gens: Iterable[PauliString]) -> "StabilizerState":
-        """Fold Hermitian phases (0 or 2) into separate signs."""
-        words, signs = [], []
-        for g in gens:
-            if not g.is_hermitian:
-                raise ValueError("stabilizer generators must be Hermitian")
-            words.append(g.word())
-            signs.append(g.sign)
-        return cls(words[0].n if words else 0, tuple(words), tuple(signs))
-
-    @classmethod
     def zero_state(cls, n: int) -> "StabilizerState":
-        gens = tuple(PauliString.single(n, q, "Z") for q in range(n))
-        return cls(n, gens, (1,) * n)
+        return cls(n, tuple(PauliString.single(n, q, "Z") for q in range(n)))
 
     @classmethod
     def plus_state(cls, n: int) -> "StabilizerState":
-        gens = tuple(PauliString.single(n, q, "X") for q in range(n))
-        return cls(n, gens, (1,) * n)
+        return cls(n, tuple(PauliString.single(n, q, "X") for q in range(n)))
 
-    def element(self, mask: int) -> tuple[PauliString, int]:
-        """Group element selected by generator mask, as (word, sign).
+    def element(self, mask: int) -> PauliString:
+        """Signed group element, the product of the generators in `mask`.
 
         Commuting Hermitian factors always multiply to a Hermitian
-        result, so the accumulated phase is 0 or 2 and folds into the
-        sign.
+        result, so its phase is 0 or 2.
         """
         acc = PauliString.identity(self.n)
-        sign = 1
         for i in range(self.n):
             if mask >> i & 1:
                 acc = pauli_product(acc, self.generators[i])
-                sign *= self.signs[i]
         if not acc.is_hermitian:
             raise AssertionError("non-Hermitian stabilizer element")
-        return acc.word(), sign * acc.sign
+        return acc
 
 
 def stabilizer_overlap(s1: StabilizerState, s2: StabilizerState) -> float:
@@ -238,13 +222,11 @@ def stabilizer_overlap(s1: StabilizerState, s2: StabilizerState) -> float:
     kernel = _f2.left_kernel(rows)
     low = (1 << n) - 1
     for tag in kernel:
-        mask1 = tag & low
-        mask2 = tag >> n
-        word1, sign1 = s1.element(mask1)
-        word2, sign2 = s2.element(mask2)
-        if (word1.x, word1.z) != (word2.x, word2.z):
+        g1 = s1.element(tag & low)
+        g2 = s2.element(tag >> n)
+        if (g1.x, g1.z) != (g2.x, g2.z):
             raise AssertionError("kernel element mismatch")
-        if sign1 != sign2:
+        if g1.phase != g2.phase:
             return 0.0
     return 2.0 ** ((len(kernel) - n) / 2)
 
@@ -253,8 +235,8 @@ def pauli_sandwich(s2: StabilizerState, p: PauliString, s1: StabilizerState) -> 
     """|<eta2| P |eta1>| for a Pauli P and stabilizer states eta1, eta2.
 
     P|eta1> is (up to a global phase, which the magnitude ignores) the
-    stabilizer state whose generator signs flip wherever the generator
-    anticommutes with P, so the value reduces to a stabilizer overlap.
+    stabilizer state whose generators flip their phase by 2 wherever they
+    anticommute with P, so the value reduces to a stabilizer overlap.
     Since P only touches signs, the group-intersection dimension is the
     same as for |<eta2|eta1>|: the result is always either 0 or the same
     power 2^{(k-n)/2}.  In particular, when <eta2|eta1> is nonzero the
@@ -264,10 +246,10 @@ def pauli_sandwich(s2: StabilizerState, p: PauliString, s1: StabilizerState) -> 
     if not (s1.n == s2.n == p.n):
         raise ValueError("size mismatch")
     flipped = tuple(
-        s * (1 if commutes(g, p) else -1)
-        for g, s in zip(s1.generators, s1.signs)
+        g if commutes(g, p) else PauliString(g.n, g.x, g.z, g.phase ^ 2)
+        for g in s1.generators
     )
-    return stabilizer_overlap(s2, StabilizerState(s1.n, s1.generators, flipped))
+    return stabilizer_overlap(s2, StabilizerState(s1.n, flipped))
 
 
 @dataclass(frozen=True)
@@ -386,14 +368,7 @@ def apply_clifford(c: CliffordMap, s: StabilizerState) -> StabilizerState:
     """Stabilizer state C|eta> from the tableau action on generators."""
     if c.n != s.n:
         raise ValueError("size mismatch")
-    words, signs = [], []
-    for g, sign in zip(s.generators, s.signs):
-        x, z, phase = c._conj(g.x, g.z, 0)
-        if phase not in (0, 2):
-            raise ValueError("sign undefined for non-Hermitian phase")
-        words.append(PauliString(s.n, x, z, 0))
-        signs.append(sign if phase == 0 else -sign)
-    return StabilizerState(s.n, tuple(words), tuple(signs))
+    return StabilizerState(s.n, tuple(c.conjugate(g) for g in s.generators))
 
 
 def random_clifford(n: int, rng) -> CliffordMap:

@@ -132,8 +132,8 @@ def crossterm_bound_check(
     for _ in range(trials):
         # C^dag Z_q C and C^dag X_q C stabilize C^dag|0^n> and C^dag|+^n>
         adj = sp.random_clifford(n, rng).adjoint()
-        s1 = sp.StabilizerState.from_generators(adj.z_images)
-        s2 = sp.StabilizerState.from_generators(adj.x_images)
+        s1 = sp.StabilizerState(n, adj.z_images)
+        s2 = sp.StabilizerState(n, adj.x_images)
         v1 = sv.to_statevector(s1)
         v2 = sv.to_statevector(s2)
         overlap_devs.append(abs(abs(np.vdot(v1.amps, v2.amps)) - 2.0 ** (-n / 2.0)))
@@ -188,7 +188,8 @@ def _best_incone_stabilizer(s1, cone, cmap, psi):
         masks = list(basis)
     best = None
     for m in masks:
-        word, sign = s1.element(m)
+        element = s1.element(m)
+        word, sign = element.word(), element.sign
         if word.x == 0 and word.z == 0:
             continue
         val = sign * sv.pauli_expectation(psi, cmap.conjugate(word))

@@ -356,13 +356,9 @@ def test_11_state_gluing():
         bcd = part.qubits("B", "C", "D")
         worst_conclusion = max(
             worst_conclusion,
+            np.abs(sv.reduced_density(glued, abc) - sv.reduced_density(inst.psi, abc)).max(),
             np.abs(
-                sv.reduced_density(glued, abc).mat
-                - sv.reduced_density(inst.psi, abc).mat
-            ).max(),
-            np.abs(
-                sv.reduced_density(glued, bcd).mat
-                - sv.reduced_density(inst.psi_prime, bcd).mat
+                sv.reduced_density(glued, bcd) - sv.reduced_density(inst.psi_prime, bcd)
             ).max(),
             sv.mutual_information(glued, part.qubits("A"), part.qubits("C", "D")),
             sv.mutual_information(glued, part.qubits("A", "B"), part.qubits("D")),

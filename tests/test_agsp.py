@@ -170,6 +170,22 @@ def test_select_degree_controls_amplified_error():
         agsp.select_degree(64, 8, 0.0)
 
 
+def test_non_integer_d_and_nan_errors_are_rejected():
+    # a float d used to be truncated in the record only (complexity_bound)
+    # or returned as the degree (select_degree); a NaN passed `< 0`
+    for d in (2.5, 3.0, np.float64(4.0)):
+        with pytest.raises(ValueError, match="d must be an integer"):
+            agsp.complexity_bound(64, d, 0.0, 0.0)
+    with pytest.raises(ValueError, match="d must be an integer"):
+        agsp.select_degree(64, 3.7, 1e-10)
+    for bad in ((math.nan, 0.0), (0.0, math.nan)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            agsp.complexity_bound(64, 3, *bad)
+    cb = agsp.complexity_bound(64, np.int64(2), 0.0, 0.0)
+    assert type(cb.d) is int and cb.d == 2 and cb.bound == 1.0
+    assert agsp.select_degree(64, np.int64(3), 1e-10) == 2
+
+
 def test_select_degree_rejects_a_degree_past_the_system():
     for n, d in ((1, 2), (0, 2), (16, 17), (16, 40)):
         with pytest.raises(ValueError, match="need 2 <= d <= n"):
@@ -233,9 +249,9 @@ def combined_indist_scan(n, max_support, random_trials=0, seed=0):
 )
 def test_split_indist_scans_equal_the_combined_scan(n, max_support, trials, seed):
     want = combined_indist_scan(n, max_support, trials, seed)
-    words = agsp._indist_words(n, max_support)
+    words = agsp.indist_words(n, max_support)
     assert words == combined_indist_scan(n, max_support)
-    assert max(words, agsp._indist_random(n, max_support, trials, seed)) == want
+    assert max(words, agsp.indist_random(n, max_support, trials, seed)) == want
     assert agsp.local_indist_scan(n, max_support, trials, seed) == want
 
 

@@ -52,6 +52,23 @@ def _phase_slip(real):
     return product
 
 
+def _flipped(p):
+    return sp.PauliString(p.n, p.x, p.z, p.phase ^ 2)
+
+
+def _sign_slip(real):
+    # products of two or more generators come out with the wrong sign
+    return lambda s, mask: _flipped(real(s, mask)) if mask.bit_count() >= 2 else real(s, mask)
+
+
+def _adjoint_sign_slip(real):
+    def adjoint(c):
+        adj = real(c)
+        return sp.CliffordMap(adj.n, (_flipped(adj.x_images[0]), *adj.x_images[1:]), adj.z_images)
+
+    return adjoint
+
+
 # (suite, check, module, attribute, defect built from the original, twin argv)
 DEFECTS = {
     "crossterm-bound": (
@@ -94,6 +111,16 @@ DEFECTS = {
     "mi-numeric": (
         "zxcat", "mi-near-asymptote", zxcat, "mi_numeric",
         lambda real: lambda n: -0.1, ["zxcat", "mi", "--n", "6"],
+    ),
+    "overlap-vs-dense": (
+        "symplectic", "overlap-vs-dense", sp.StabilizerState, "element", _sign_slip, None,
+    ),
+    "sandwich-vs-dense": (
+        "symplectic", "sandwich-vs-dense", sp, "pauli_sandwich",
+        lambda real: lambda s2, p, s1: real(s2, sp.PauliString.identity(p.n), s1), None,
+    ),
+    "clifford-roundtrip": (
+        "symplectic", "clifford-roundtrip", sp.CliffordMap, "adjoint", _adjoint_sign_slip, None,
     ),
     "product-associativity": (
         "symplectic", "product-associativity", sp, "pauli_product", _phase_slip, None,
@@ -191,7 +218,7 @@ def test_crossterm_slack_is_never_looser_than_either_old_rule():
 def test_indist_random_hermitian_bound_is_derived(monkeypatch):
     reports = {r.check: r for r in suites.suite_agsp(seed=0, trials=2)}
     assert reports["indist-random-hermitian"].bound == pytest.approx(2.41657, abs=1e-5)
-    monkeypatch.setattr(agsp, "_indist_random", lambda *args: 2.5)
+    monkeypatch.setattr(agsp, "indist_random", lambda *args: 2.5)
     reports = {r.check: r for r in suites.suite_agsp(seed=0, trials=2)}
     assert not reports["indist-random-hermitian"].passed
 
@@ -216,7 +243,7 @@ NAN_SITES = {
     "overlap-vs-dense": ("symplectic", sp, "stabilizer_overlap", _nan_on_call(3)),
     "sandwich-vs-dense": ("symplectic", sp, "pauli_sandwich", _nan_on_call(2)),
     "clifford-roundtrip": ("symplectic", sv, "pure_overlap", _nan_on_call(2)),
-    "indist-random-hermitian": ("agsp", agsp, "_indist_random", _nan_on_call(1)),
+    "indist-random-hermitian": ("agsp", agsp, "indist_random", _nan_on_call(1)),
     "off-pattern-moduli": ("modular", modular, "offdiag_modulus_scan", _nan_on_call(2)),
 }
 
@@ -232,16 +259,16 @@ def test_a_nan_sample_fails_its_check(check, monkeypatch):
 
 def _word_scan(patch):
     patch.setattr(sv, "_word_expectations", lambda word, pair: (np.nan, np.nan))
-    return agsp._indist_words(4, 2)
+    return agsp.indist_words(4, 2)
 
 
 def _random_scan(patch):
     patch.setattr(sv, "matrix_action", lambda amps, *args: np.full_like(amps, np.nan))
-    return agsp._indist_random(4, 2, 3, 0)
+    return agsp.indist_random(4, 2, 3, 0)
 
 
 def _combined_scan(patch):
-    patch.setattr(agsp, "_indist_random", lambda *args: np.nan)
+    patch.setattr(agsp, "indist_random", lambda *args: np.nan)
     return agsp.local_indist_scan(4, 2, random_trials=2)
 
 

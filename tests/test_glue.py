@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,7 +28,6 @@ from magiclab.statevec import (
     StateVector,
     apply_gate,
     entanglement_entropy,
-    entropy,
     mutual_information,
     pure_overlap,
     reduced_density,
@@ -130,10 +128,7 @@ def test_glue_conclusions_hold():
         glued = glue_states(inst)  # asserts all four conclusions internally
         part = inst.partition
         bcd = part.qubits("B", "C", "D")
-        dev = np.abs(
-            reduced_density(glued, bcd).mat
-            - reduced_density(inst.psi_prime, bcd).mat
-        ).max()
+        dev = np.abs(reduced_density(glued, bcd) - reduced_density(inst.psi_prime, bcd)).max()
         assert dev <= 1e-12  # the unitary never touches BCD
         assert mutual_information(glued, part.qubits("A"), part.qubits("C", "D")) <= 1e-8
         assert mutual_information(glued, part.qubits("A", "B"), part.qubits("D")) <= 1e-8
@@ -167,8 +162,8 @@ def test_petz_product_ab_factorizes():
     inst = generate_gluable_instance(ONES, seed=9, product=True)
     part = inst.partition
     rho = petz_glue(inst)
-    rho_a = reduced_density(inst.psi, part.qubits("A")).mat
-    rho_bcd = reduced_density(inst.psi_prime, part.qubits("B", "C", "D")).mat
+    rho_a = reduced_density(inst.psi, part.qubits("A"))
+    rho_bcd = reduced_density(inst.psi_prime, part.qubits("B", "C", "D"))
     assert np.abs(rho - np.kron(rho_bcd, rho_a)).max() <= 1e-8
 
 
@@ -210,11 +205,11 @@ def _petz_kron_oracle(inst, cutoff=1e-10):
         scaled[w > cutoff] = w[w > cutoff] ** -0.5
         return (u * scaled) @ u.conj().T
 
-    rho_ab = reduced_density(inst.psi, part.qubits("A", "B")).mat
-    rho_b = reduced_density(inst.psi, part.qubits("B")).mat
+    rho_ab = reduced_density(inst.psi, part.qubits("A", "B"))
+    rho_b = reduced_density(inst.psi, part.qubits("B"))
     lift = sqrt(rho_ab) @ np.kron(invsqrt(rho_b), np.eye(dim_a))
     sandwich = np.kron(np.eye(dim_cd), lift)
-    rho_bcd = reduced_density(inst.psi_prime, part.qubits("B", "C", "D")).mat
+    rho_bcd = reduced_density(inst.psi_prime, part.qubits("B", "C", "D"))
     return sandwich @ np.kron(rho_bcd, np.eye(dim_a)) @ sandwich.conj().T
 
 
@@ -372,12 +367,23 @@ def test_glue_outputs_bytes_equal_the_separate_check_oracle(sizes):
         assert glue._hermitian_defect(rho) == _row_block_defect(rho) <= 1e-9
 
 
+def _gram_marginal(v, qubits):
+    """Plain-numpy reduced state: moveaxis the sorted qubits to the rows, then Phi Phi*."""
+    keep = sorted(set(qubits))
+    axes = [v.n - 1 - q for q in reversed(keep)]
+    phi = np.moveaxis(v.amps.reshape((2,) * v.n), axes, range(len(keep)))
+    phi = phi.reshape(2 ** len(keep), -1)
+    return phi @ phi.conj().T
+
+
 def _dm_entanglement_entropy(v, qubits):
-    """The DensityMatrix route to S(qubits): entropy of the smaller side's marginal."""
+    """S(qubits) in bits from the smaller side's plain-numpy marginal."""
     region = set(qubits)
     if 2 * len(region) > v.n:
         region = set(range(v.n)) - region
-    return entropy(reduced_density(v, region))
+    w = np.linalg.eigvalsh(_gram_marginal(v, region))
+    w = w[w > 1e-12]
+    return float(-(w * np.log2(w)).sum())
 
 
 def _dm_mutual_information(v, a, b):
@@ -389,11 +395,11 @@ def _dm_mutual_information(v, a, b):
 
 
 def _dm_deviation(v, w, qubits):
-    return float(np.abs(reduced_density(v, qubits).mat - reduced_density(w, qubits).mat).max())
+    return float(np.abs(_gram_marginal(v, qubits) - _gram_marginal(w, qubits)).max())
 
 
 def _dm_premises(inst):
-    """check_premises' residuals, each from validated DensityMatrix marginals."""
+    """check_premises' residuals, each from plain-numpy marginals."""
     part, psi, prime = inst.partition, inst.psi, inst.psi_prime
     d = part.qubits("D")
     return {
@@ -417,12 +423,13 @@ def _dm_conclusions(inst, glued):
 @pytest.mark.parametrize("sizes", [*GLUE_PETZ_SHAPES, ONES])
 def test_kernel_route_bytes_equal_the_density_matrix_route(monkeypatch, sizes):
     # every entropy, residual and output, against the same formulas on
-    # validated DensityMatrix marginals
+    # plain-numpy Gram marginals
     for seed in range(5):
         inst = generate_gluable_instance(sizes, seed=seed)
         psi, part = inst.psi, inst.partition
         for names in (("A",), ("D",), ("B", "C"), ("A", "B", "C")):
             region = part.qubits(*names)
+            assert reduced_density(psi, region).tobytes() == _gram_marginal(psi, region).tobytes()
             assert entanglement_entropy(psi, region) == _dm_entanglement_entropy(psi, region)
         a, cd = part.qubits("A"), part.qubits("C", "D")
         assert mutual_information(psi, a, cd) == _dm_mutual_information(psi, a, cd)
@@ -431,7 +438,7 @@ def test_kernel_route_bytes_equal_the_density_matrix_route(monkeypatch, sizes):
         assert conclusions(inst, glued) == _dm_conclusions(inst, glued)
         rho = petz_glue(inst)
         with monkeypatch.context() as patch:
-            patch.setattr(glue, "marginal", lambda v, q: reduced_density(v, q).mat)
+            patch.setattr(glue, "reduced_density", _gram_marginal)
             assert glue_states(inst).amps.tobytes() == glued.amps.tobytes()
             assert petz_glue(inst).tobytes() == rho.tobytes()
 
@@ -453,7 +460,7 @@ def test_nan_residual_fails_its_premise(monkeypatch, name, side, message):
         out = real(v, *args)
         if v is not getattr(inst, side):
             return out
-        return SimpleNamespace(mat=np.nan * out.mat) if name == "reduced_density" else np.nan
+        return np.nan * out if name == "reduced_density" else np.nan
 
     monkeypatch.setattr(glue, name, poisoned)
     with pytest.raises(PremiseViolation, match=message):
@@ -520,7 +527,6 @@ def test_nan_fails_loudly_under_optimize_flag():
         "        glue.conclusions = real_conclusions\n"
         "for call in (\n"
         "    lambda: sv.StateVector(1, [np.nan, 0]),\n"
-        "    lambda: sv.DensityMatrix((0,), np.full((2, 2), np.nan)),\n"
         "    nan_mi_patched,\n"
         "    nan_conclusions_patched,\n"
         "):\n"
@@ -540,7 +546,6 @@ def test_nan_fails_loudly_under_optimize_flag():
     )
     assert out.stdout.splitlines() == [
         "False raised state not normalized (norm nan)",
-        "False raised density matrix must be Hermitian",
         "False raised second state correlates AB with D: I = nan bits",
         "False raised merged state misses mi_a_cd by nan",
         "False middle-factor-purity nan False",

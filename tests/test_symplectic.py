@@ -325,12 +325,12 @@ def test_overlap_examples():
     gens = [sp.PauliString(n, (1 << n) - 1, 0, 0)]
     for i in range(n - 1):
         gens.append(sp.PauliString(n, 0, (1 << i) | (1 << (i + 1)), 0))
-    ghz = sp.StabilizerState(n, tuple(gens), (1,) * n)
+    ghz = sp.StabilizerState(n, tuple(gens))
     assert sp.stabilizer_overlap(sp.StabilizerState.zero_state(n), ghz) == (
         pytest.approx(2**-0.5, abs=1e-15)
     )
     # orthogonal: |0> vs |1>
-    one = sp.StabilizerState(1, (sp.PauliString.from_text("Z"),), (-1,))
+    one = sp.StabilizerState(1, (sp.PauliString.from_text("-Z"),))
     assert sp.stabilizer_overlap(sp.StabilizerState.zero_state(1), one) == 0.0
 
 
@@ -374,18 +374,33 @@ def test_sandwich_matches_dense_and_overlap():
     assert both_nonzero > 20
 
 
+def element_from_words_and_signs(s, mask):
+    """Reference group element: the unsigned words' product, the signs apart."""
+    acc, sign = sp.PauliString.identity(s.n), 1
+    for i, g in enumerate(s.generators):
+        if mask >> i & 1:
+            acc, sign = sp.pauli_product(acc, g.word()), sign * g.sign
+    return sp.PauliString(s.n, acc.x, acc.z, 0 if sign * acc.sign == 1 else 2)
+
+
+def test_element_is_the_signed_generator_product():
+    rng = np.random.default_rng(19)
+    for _ in range(60):
+        n = int(rng.integers(1, 7))
+        s = random_stabilizer_state(n, rng)
+        for mask in range(1 << n):
+            assert s.element(mask) == element_from_words_and_signs(s, mask)
+        assert s.element(0) == sp.PauliString.identity(n)
+
+
 def test_stabilizer_state_validation():
     with pytest.raises(ValueError):
         sp.StabilizerState(
-            2,
-            (sp.PauliString.from_text("XI"), sp.PauliString.from_text("ZI")),
-            (1, 1),
+            2, (sp.PauliString.from_text("XI"), sp.PauliString.from_text("ZI"))
         )  # anticommuting
     with pytest.raises(ValueError):
         sp.StabilizerState(
-            2,
-            (sp.PauliString.from_text("ZI"), sp.PauliString.from_text("ZI")),
-            (1, 1),
+            2, (sp.PauliString.from_text("ZI"), sp.PauliString.from_text("ZI"))
         )  # dependent
 
 
@@ -442,9 +457,8 @@ def test_apply_clifford_matches_product_loop():
         c = sp.random_clifford(n, rng)
         s = random_stabilizer_state(n, rng)
         out = sp.apply_clifford(c, s)
-        for g, sign, img, img_sign in zip(s.generators, s.signs, out.generators, out.signs):
-            want = conjugate_by_products(c, g)
-            assert img == want.word() and img_sign == sign * want.sign
+        for g, img in zip(s.generators, out.generators, strict=True):
+            assert img == conjugate_by_products(c, g)
 
 
 def test_adjoint_matches_bitwise_construction_and_inverts():
@@ -498,9 +512,13 @@ def test_validators_keep_their_messages():
         sp.CliffordMap(2, xs, zs)
     gens = tuple(sp.PauliString.from_text(t) for t in ("ZII", "IZI", "XII"))
     with pytest.raises(ValueError, match="generators 0 and 2 anticommute"):
-        sp.StabilizerState(3, gens, (1, 1, 1))
+        sp.StabilizerState(3, gens)
     with pytest.raises(ValueError, match="size mismatch"):
-        sp.StabilizerState(2, tuple(sp.PauliString.from_text(t) for t in ("ZII", "IZI")), (1, 1))
+        sp.StabilizerState(2, tuple(sp.PauliString.from_text(t) for t in ("ZII", "IZI")))
+    with pytest.raises(ValueError, match="generators must be Hermitian"):
+        sp.StabilizerState(1, (sp.PauliString.from_text("iZ"),))
+    with pytest.raises(ValueError, match="need exactly n generators"):
+        sp.StabilizerState(2, (sp.PauliString.from_text("ZI"),))
 
 
 def test_pauli_product_matches_dense_property():

@@ -144,8 +144,8 @@ def test_crossterm_branches_from_the_adjoint_images():
             adj = sp.random_clifford(n, rng).adjoint()
             zero = sp.apply_clifford(adj, sp.StabilizerState.zero_state(n))
             plus = sp.apply_clifford(adj, sp.StabilizerState.plus_state(n))
-            assert sp.StabilizerState.from_generators(adj.z_images) == zero
-            assert sp.StabilizerState.from_generators(adj.x_images) == plus
+            assert sp.StabilizerState(n, adj.z_images) == zero
+            assert sp.StabilizerState(n, adj.x_images) == plus
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
