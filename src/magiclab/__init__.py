@@ -1,163 +1,6 @@
-"""magiclab: stabilizer witnesses, Chebyshev AGSP bounds, and ZX-cat tooling."""
+"""magiclab: stabilizer witnesses, Chebyshev AGSP bounds, and ZX-cat tooling.
+
+Import what you need from its modules, e.g. ``from magiclab.zxcat import build``.
+"""
 
 __version__ = "0.1.0"
-
-from .agsp import (
-    AgspPolynomial,
-    ComplexityBound,
-    agsp_operator_check,
-    build_polynomial,
-    coeff_sum_identity,
-    complexity_bound,
-    local_indist_scan,
-    select_degree,
-    step_error_sup,
-)
-from .glue import (
-    GluableInstance,
-    Partition,
-    PremiseViolation,
-    check_premises,
-    generate_gluable_instance,
-    glue_states,
-    matching_unitary,
-    petz_glue,
-    shared_factor_entropy,
-)
-from .modular import (
-    GoldenNumber,
-    ModularData,
-    MonomialCandidate,
-    dim_preserving_perms,
-    double_fibonacci,
-    lpu_search,
-    monomial_distance,
-    monomial_phase_solution,
-    offdiag_modulus_scan,
-    scalar_rigidity_trial,
-    verlinde_dim,
-)
-from .prep import (
-    MPS_BLOCKS,
-    AdaptiveRunRecord,
-    adaptive_run,
-    adaptive_success_probability,
-    bell_protocol_run,
-    mps_contract,
-    prepare_sandwich,
-    push_relation_check,
-    verify_global_clifford,
-)
-from .reports import CheckReport
-from .suites import SUITES, agsp_sweep, run_suite
-from .symplectic import (
-    CliffordMap,
-    PauliString,
-    StabilizerState,
-    apply_clifford,
-    commutes,
-    pauli_product,
-    pauli_sandwich,
-    random_clifford,
-    stabilizer_overlap,
-)
-from .statevec import (
-    Gate,
-    LayeredCircuit,
-    StateVector,
-    apply_circuit,
-    backward_cone,
-    entanglement_entropy,
-    entropy,
-    fidelity,
-    forward_cone,
-    haar_unitary,
-    mutual_information,
-    pauli_expectation,
-    random_brickwork,
-    reduced_density,
-    to_statevector,
-)
-from .zxcat import (
-    build,
-    crossterm_bound_check,
-    cu_correlation_witness,
-    mi_asymptote,
-    mi_numeric,
-    uc_sign_witness,
-)
-
-__all__ = [
-    "CliffordMap",
-    "PauliString",
-    "StabilizerState",
-    "apply_clifford",
-    "commutes",
-    "pauli_product",
-    "pauli_sandwich",
-    "random_clifford",
-    "stabilizer_overlap",
-    "Gate",
-    "LayeredCircuit",
-    "StateVector",
-    "apply_circuit",
-    "backward_cone",
-    "entanglement_entropy",
-    "entropy",
-    "fidelity",
-    "forward_cone",
-    "mutual_information",
-    "pauli_expectation",
-    "reduced_density",
-    "haar_unitary",
-    "random_brickwork",
-    "to_statevector",
-    "build",
-    "crossterm_bound_check",
-    "cu_correlation_witness",
-    "mi_asymptote",
-    "mi_numeric",
-    "uc_sign_witness",
-    "AgspPolynomial",
-    "ComplexityBound",
-    "agsp_operator_check",
-    "build_polynomial",
-    "coeff_sum_identity",
-    "complexity_bound",
-    "local_indist_scan",
-    "select_degree",
-    "step_error_sup",
-    "MPS_BLOCKS",
-    "AdaptiveRunRecord",
-    "adaptive_run",
-    "adaptive_success_probability",
-    "bell_protocol_run",
-    "mps_contract",
-    "prepare_sandwich",
-    "push_relation_check",
-    "verify_global_clifford",
-    "GoldenNumber",
-    "ModularData",
-    "MonomialCandidate",
-    "dim_preserving_perms",
-    "double_fibonacci",
-    "lpu_search",
-    "monomial_distance",
-    "monomial_phase_solution",
-    "offdiag_modulus_scan",
-    "scalar_rigidity_trial",
-    "verlinde_dim",
-    "GluableInstance",
-    "Partition",
-    "PremiseViolation",
-    "check_premises",
-    "generate_gluable_instance",
-    "glue_states",
-    "matching_unitary",
-    "petz_glue",
-    "shared_factor_entropy",
-    "CheckReport",
-    "SUITES",
-    "agsp_sweep",
-    "run_suite",
-]

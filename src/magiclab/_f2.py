@@ -18,14 +18,6 @@ def rank(rows: list[int]) -> int:
     return len(eliminate(rows)[0])
 
 
-def independent(rows: list[int]) -> list[int]:
-    """Indices of the rows not in the span of the rows before them.
-
-    The selected rows form a basis of the span of all the rows.
-    """
-    return eliminate(rows)[0]
-
-
 def left_kernel(rows: list[int]) -> list[int]:
     """Basis of {c : xor of rows selected by bits of c is 0}.
 
@@ -35,11 +27,12 @@ def left_kernel(rows: list[int]) -> list[int]:
 
 
 def eliminate(rows: list[int]) -> tuple[list[int], list[int]]:
-    """(independent(rows), left_kernel(rows)) from one elimination pass.
+    """(picked, left_kernel(rows)) from one elimination pass.
 
     Row i either finds a new pivot, so it is not in the span of the rows
-    before it, or reduces to zero, and the rows its reduction used give
-    one kernel basis mask.
+    before it and its index goes to `picked`, or reduces to zero, and the
+    rows its reduction used give one kernel basis mask.  The picked rows
+    form a basis of the span of all the rows.
     """
     basis: dict[int, tuple[int, int]] = {}
     picked, kernel = [], []

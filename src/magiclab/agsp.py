@@ -27,9 +27,9 @@ epsilon on every region smaller than d):
   threshold (smallest depth not excluded by the overlap ceiling
   1/2 + exp(-n^alpha / 2^t), with the hidden constant set to 1 — a
   reporting convention, flagged as such).
-* ``local_indist_scan`` — direct verification that the plus/minus cat
-  pair is locally indistinguishable at rate 2^{a - n/2} on supports of
-  size a.
+* ``indist_words`` and ``indist_random`` — direct verification that the
+  plus/minus cat pair is locally indistinguishable at rate 2^{a - n/2} on
+  supports of size a, over every Pauli word and over random Hermitian V.
 """
 
 from __future__ import annotations
@@ -256,43 +256,13 @@ def complexity_bound(n: int, d: int, epsilon: float, delta: float) -> Complexity
     )
 
 
-def select_degree(n: int, d: int, epsilon: float, c: float | None = None) -> int:
-    """Degree rule m = min{d-1, c log(1/epsilon)} with a safe default c.
-
-    The default chooses c = 1/(2 kappa) with kappa the per-degree growth
-    rate of |P(-n)|, so that the amplified error |P(-n)| * epsilon stays
-    at or below sqrt(epsilon).  A non-integer d raises ValueError.
-    """
-    d = _integer_d(d)
-    if not 0 < epsilon < 1:
-        raise ValueError("epsilon must lie in (0, 1)")
-    if not 2 <= d <= n:
-        raise ValueError(f"need 2 <= d <= n, got n={n}, d={d}")
-    if c is None:
-        kappa = math.acosh((3 * n + 1) / (n - 1)) - math.acosh((n + 1) / (n - 1))
-        c = 1.0 / (2.0 * kappa)
-    return max(1, min(d - 1, int(c * math.log(1.0 / epsilon))))
-
-
-def local_indist_scan(
-    n: int, max_support: int, random_trials: int = 0, seed: int = 0
-) -> float:
-    """Largest ratio |<V>_plus - <V>_minus| / 2^{a - n/2} over small supports.
-
-    Scans every Pauli word whose support has size a <= max_support
-    (letters X, Y, Z on each support qubit), plus optional random
-    unit-norm Hermitian V trials on random supports of a <= min(max_support,
-    n) qubits. The plus/minus cat pair is locally indistinguishable, so the
-    ratio stays order one.
-    """
-    return np.max([
-        indist_words(n, max_support),
-        indist_random(n, max_support, random_trials, seed),
-    ])
-
-
 def indist_words(n: int, max_support: int) -> float:
-    """The Pauli-word part of `local_indist_scan`."""
+    """Largest |<V>_plus - <V>_minus| / 2^{a - n/2} over Pauli words V.
+
+    Scans every word whose support has size a <= max_support (letters X,
+    Y, Z on each support qubit). The cat pair is locally
+    indistinguishable, so the ratio stays order one.
+    """
     pair = (zxcat.build(n, "plus"), zxcat.build(n, "minus"))
     ratios = [0.0]
     for a in range(1, max_support + 1):
@@ -308,7 +278,11 @@ def indist_words(n: int, max_support: int) -> float:
 
 
 def indist_random(n: int, max_support: int, trials: int, seed: int) -> float:
-    """The random-Hermitian part of `local_indist_scan`."""
+    """The ratio of `indist_words` over random Hermitian V instead of words.
+
+    Each of `trials` draws a unit-norm Hermitian V on a random support of
+    a <= min(max_support, n) qubits.
+    """
     plus, minus = zxcat.build(n, "plus"), zxcat.build(n, "minus")
     rng = np.random.default_rng(seed)
     ratios = [0.0]

@@ -158,6 +158,10 @@ _ONE = GoldenNumber(1, 0)
 _PHI_G = GoldenNumber.phi()
 
 
+# the fields of ModularData.to_json, all of which from_json reads
+_JSON_FIELDS = ("labels", "dims", "s_prefactor", "s_body", "t_root_order", "t_exponents")
+
+
 @dataclass(frozen=True)
 class ModularData:
     """Label set with exact S matrix and root-of-unity T phases.
@@ -188,9 +192,6 @@ class ModularData:
         if not np.allclose(s @ s.conj().T, np.eye(self.k), atol=1e-12):
             raise ValueError("numerical embedding of S is not unitary")
 
-    def s_exact(self, i: int, j: int) -> GoldenNumber:
-        return self.s_prefactor * self.s_body[i][j]
-
     def s_numeric(self) -> np.ndarray:
         pref = float(self.s_prefactor)
         return np.array([[pref * float(e) for e in row] for row in self.s_body])
@@ -215,7 +216,13 @@ class ModularData:
 
     @classmethod
     def from_json(cls, text: str) -> "ModularData":
+        """Read the `to_json` format; a missing field raises ValueError naming it."""
         raw = json.loads(text)
+        if not isinstance(raw, dict):
+            raise ValueError("modular data must be a JSON object")
+        missing = [name for name in _JSON_FIELDS if name not in raw]
+        if missing:
+            raise ValueError(f"modular data lacks the field(s) {', '.join(missing)}")
         return cls(
             k=int(raw["labels"]),
             dims=tuple(GoldenNumber(*p) for p in raw["dims"]),

@@ -9,8 +9,9 @@ Three independent routes to the same family:
   fanout + X-basis measurement) that postselects on even outcome parity,
 * a bond-dimension-2 matrix product representation, one read-only (2, 2, 2)
   site tensor ``MPS_BLOCKS`` with boundary vectors of ones, contracted both
-  with open and periodic boundaries, together with the byproduct push
-  relations that drive a Bell-measurement stitching protocol.
+  with open and periodic boundaries, and a Bell-measurement stitching
+  protocol whose byproduct pushing rests on the site tensor's push
+  relations Z A^a Z = A^a and sum_b H_{ab} A^b = X A^a X.
 """
 
 from dataclasses import dataclass
@@ -21,8 +22,6 @@ import numpy as np
 from .statevec import (
     CX4,
     H2,
-    X2,
-    Z2,
     Gate,
     StateVector,
     apply_circuit,
@@ -170,51 +169,32 @@ _X_BRAS = (
 )
 
 
-def _premeasurement_state(n: int) -> StateVector:
-    """The 2n-qubit state of `adaptive_circuit` applied to |0^{2n}>."""
-    if 2 * n > max_qubits():
-        raise ValueError("2n exceeds the dense-simulation cap")
-    return apply_circuit(adaptive_circuit(n), StateVector.basis_state(2 * n, 0))
-
-
-def _adaptive_records(v: StateVector, n: int, rngs) -> list:
-    """One record per generator: X-basis outcomes of ancillas 0..n-1 of v."""
-    # peel ancillas from the top so remaining indices stay put
-    steps = [((anc,), _X_BRAS) for anc in range(n - 1, -1, -1)]
-    shots = measure_shots(v, steps, rngs)
-    return [AdaptiveRunRecord(outcomes[::-1], post) for outcomes, post in shots]
-
-
-def adaptive_run(n: int, seed: int = 0) -> AdaptiveRunRecord:
-    """Sample one shot of the adaptive preparation protocol.
-
-    Builds the 2n-qubit pre-measurement state, measures each ancilla in the
-    X basis by Born sampling, and returns the outcome record together with
-    the renormalized data register.
-    """
-    v = _premeasurement_state(n)
-    return _adaptive_records(v, n, [np.random.default_rng(seed)])[0]
-
-
 def adaptive_shots(n: int, trials: int, seed: int = 0) -> list:
     """Shots of the adaptive protocol at seeds seed .. seed + trials - 1.
 
-    Returns (record, overlap) pairs; the overlap is taken against the cat
-    the shot should have collapsed to: plus when accepted, minus otherwise.
-    Shot t gets the record of `adaptive_run(n, seed + t)`: the
+    Shot t measures each ancilla of the 2n-qubit pre-measurement state in
+    the X basis by Born sampling from its own generator default_rng(seed +
+    t), so a shot's record does not depend on `trials`. Returns (record,
+    overlap) pairs; the overlap is taken against the cat the shot should
+    have collapsed to: plus when accepted, minus otherwise. The
     pre-measurement state is built once, and one `measure_shots` walk
-    measures it with a generator per shot, computing each outcome branch
-    once for all the shots that reach it.
+    measures it for all the shots, computing each outcome branch once for
+    all the shots that reach it.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     targets = {True: build(n, "plus"), False: build(n, "minus")}
-    v = _premeasurement_state(n)
+    if 2 * n > max_qubits():
+        raise ValueError("2n exceeds the dense-simulation cap")
+    v = apply_circuit(adaptive_circuit(n), StateVector.basis_state(2 * n, 0))
     rngs = [np.random.default_rng(seed + t) for t in range(trials)]
-    return [
-        (record, pure_overlap(record.post_state, targets[record.accepted]))
-        for record in _adaptive_records(v, n, rngs)
-    ]
+    # peel ancillas from the top so remaining indices stay put
+    steps = [((anc,), _X_BRAS) for anc in range(n - 1, -1, -1)]
+    shots = []
+    for outcomes, post in measure_shots(v, steps, rngs):
+        record = AdaptiveRunRecord(outcomes[::-1], post)
+        shots.append((record, pure_overlap(post, targets[record.accepted])))
+    return shots
 
 
 def adaptive_success_probability(n: int) -> float:
@@ -280,24 +260,6 @@ def mps_contract(n: int, boundary: str = "open") -> StateVector:
     return state
 
 
-def push_relation_check() -> bool:
-    """Verify the byproduct push relations of the cat site tensor.
-
-    Elementwise, for both physical values a: Z A^a Z = A^a (a Z entering a
-    bond leaves through the other side for free), and sum_b H_{ab} A^b =
-    X A^a X (an X passes through the bond at the price of a Hadamard on the
-    physical leg). Verified to 1e-12.
-    """
-    for a, block in enumerate(MPS_BLOCKS):
-        if not np.allclose(Z2 @ block @ Z2, block, atol=1e-12):
-            raise AssertionError(f"Z push fails on block {a}")
-        h_mix = sum(H2[a, b] * MPS_BLOCKS[b] for b in range(2))
-        x_push = X2 @ block @ X2
-        if not np.allclose(h_mix, x_push, atol=1e-12):
-            raise AssertionError(f"X push fails on block {a}")
-    return True
-
-
 # -- Bell-measurement stitching protocol -------------------------------------
 
 BELL_LABELS = "IXYZ"
@@ -323,21 +285,15 @@ def _site_state() -> np.ndarray:
     return amps
 
 
-def _bell_state(n: int) -> StateVector:
-    """The 3n-qubit product of the n site states, site k on qubits 3k..3k+2."""
-    if n < 1:
-        raise ValueError("need at least one site")
-    if 3 * n > max_qubits():
-        raise ValueError("3n exceeds the dense-simulation cap")
-    site = _site_state()
-    amps = site
-    for _ in range(n - 1):
-        amps = np.kron(site, amps)
-    return StateVector(3 * n, amps)
-
-
 def _bell_accepts(left_bit: int, bonds: str, right_bit: int) -> bool:
-    """The byproduct push of `bell_protocol_run`, from its measured outcomes."""
+    """Whether the byproducts of a Bell shot's outcomes cancel.
+
+    Byproducts are pushed left to right: the boundary minuses and each Z
+    (or Y) bond label inject a Z that rides through the bonds for free, and
+    each X (or Y) label leaves a pending X that flags every later site
+    with a Hadamard. The shot is accepted iff no site is flagged and the
+    residual Z is the identity.
+    """
     pending_x, pending_z, flagged = 0, left_bit ^ right_bit, False
     for label in bonds:
         pending_x ^= label in ("X", "Y")  # a pending X flags the next site
@@ -346,11 +302,35 @@ def _bell_accepts(left_bit: int, bonds: str, right_bit: int) -> bool:
     return not flagged and pending_z == 0
 
 
-def _bell_runs(v: StateVector, n: int, rngs, target, forced=None) -> list:
-    """(accepted, state, overlap with `target` or None) per generator.
+def bell_shots(n: int, trials: int, seed: int = 0) -> list:
+    """Shots of the Bell stitching protocol at seeds seed .. seed + trials - 1.
 
-    One `measure_shots` walk over the protocol's measurements of v.
+    Each of the n sites is prepared as a 3-qubit state (physical leg plus
+    two virtual legs); adjacent virtual legs are fused by Bell measurements
+    whose outcome labels the Pauli inserted on that bond, and the two outer
+    legs are measured in the X basis to realize the uniform boundaries.
+    Shot t samples its outcomes from its own generator default_rng(seed +
+    t), and is accepted when its byproducts cancel (`_bell_accepts`); an
+    accepted shot's physical register carries the plus cat exactly
+    (asserted to 1e-10).
+
+    Returns (accepted, state, overlap) triples; the overlap with the plus
+    cat is None for rejected shots. The product of site states is built
+    once, and one `measure_shots` walk measures it for all the shots,
+    computing each outcome branch once for all the shots that reach it.
     """
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    target = build(n, "plus")
+    if 3 * n > max_qubits():
+        raise ValueError("3n exceeds the dense-simulation cap")
+    # the product of the n site states, site k on qubits 3k..3k+2
+    site = _site_state()
+    amps = site
+    for _ in range(n - 1):
+        amps = np.kron(site, amps)
+    v = StateVector(3 * n, amps)
+    rngs = [np.random.default_rng(seed + t) for t in range(trials)]
     # measure from the highest qubit indices down so lower ones stay put:
     # the right boundary leg, each bond's (right leg of k, left leg of k+1)
     # from the right, then the left boundary leg
@@ -358,61 +338,13 @@ def _bell_runs(v: StateVector, n: int, rngs, target, forced=None) -> list:
     steps = [((3 * n - 1,), _X_BRAS)]
     steps += [((3 * k + 2, 3 * (k + 1) + 1), bell_bras) for k in range(n - 2, -1, -1)]
     steps.append(((1,), _X_BRAS))
-    runs = []
-    for (right_bit, *bonds, left_bit), state in measure_shots(v, steps, rngs, forced):
+    shots = []
+    for (right_bit, *bonds, left_bit), state in measure_shots(v, steps, rngs):
         labels = "".join(BELL_LABELS[b] for b in reversed(bonds))
         overlap = None
         if _bell_accepts(left_bit, labels, right_bit):
             overlap = pure_overlap(state, target)
             if not overlap >= 1.0 - 1e-10:
                 raise AssertionError(f"accepted run is off target (overlap {overlap})")
-        runs.append((overlap is not None, state, overlap))
-    return runs
-
-
-def bell_protocol_run(n, seed=0, bonds=None, boundaries=None):
-    """One shot of the Bell-measurement stitching protocol.
-
-    Each of the n sites is prepared as a 3-qubit state (physical leg plus
-    two virtual legs); adjacent virtual legs are fused by Bell measurements
-    whose outcome labels the Pauli inserted on that bond, and the two outer
-    legs are measured in the X basis to realize the uniform boundaries.
-    Byproducts are pushed left to right: Z outcomes ride through bonds for
-    free, X outcomes trade into a Hadamard flag on every physical leg they
-    pass. The run is accepted iff all flags cancel and the residual bond
-    Pauli is the identity, in which case the physical register carries the
-    plus cat exactly (asserted to 1e-10).
-
-    `bonds` (a string over IXYZ of length n-1) and `boundaries` (two bits,
-    1 meaning a minus outcome) force outcomes instead of sampling, which is
-    convenient for exercising specific byproduct patterns.
-
-    Returns ``(accepted, state)``.
-    """
-    v = _bell_state(n)
-    forced = [None] * (n + 1)  # right boundary, bonds n-2 .. 0, left boundary
-    if bonds is not None:
-        bonds = str(bonds).upper()
-        if len(bonds) != n - 1 or any(c not in BELL_LABELS for c in bonds):
-            raise ValueError("bonds must be a length n-1 string over IXYZ")
-        forced[1:n] = [BELL_LABELS.index(c) for c in reversed(bonds)]
-    if boundaries is not None:
-        forced[0], forced[n] = int(boundaries[1]), int(boundaries[0])
-    rngs = [np.random.default_rng(seed)]
-    return _bell_runs(v, n, rngs, build(n, "plus"), forced)[0][:2]
-
-
-def bell_shots(n: int, trials: int, seed: int = 0) -> list:
-    """Shots of the Bell protocol at seeds seed .. seed + trials - 1.
-
-    Returns (accepted, state, overlap) triples; the overlap with the plus
-    cat is None for rejected shots. Shot t gets the run of
-    `bell_protocol_run(n, seed + t)`: the product of site states is built
-    once, and one `measure_shots` walk measures it with a generator per
-    shot, computing each outcome branch once for all the shots that reach it.
-    """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    target = build(n, "plus")
-    rngs = [np.random.default_rng(seed + t) for t in range(trials)]
-    return _bell_runs(_bell_state(n), n, rngs, target)
+        shots.append((overlap is not None, state, overlap))
+    return shots

@@ -73,16 +73,23 @@ class CheckReport:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    """Write text to `path` through a same-directory temp file and rename."""
+    """Write text to `path` through a same-directory temp file and rename.
+
+    An OSError names `path`, never the temp file, and the temp file is
+    removed.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 
@@ -124,9 +131,8 @@ def dump_state(path: str, state) -> None:
 
 
 def load_state(path: str) -> StateVector:
-    """Read a dump_state snapshot; the legacy "amplitudes" key loads too."""
+    """Read a dump_state snapshot back as a StateVector."""
     with open(path) as handle:
         payload = json.load(handle)
-    key = "amps" if "amps" in payload else "amplitudes"
-    flat = np.asarray(payload[key], dtype=float)
+    flat = np.asarray(payload["amps"], dtype=float)
     return StateVector(int(payload["n"]), flat[0::2] + 1j * flat[1::2])

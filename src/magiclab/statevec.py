@@ -93,18 +93,6 @@ class StateVector:
         object.__setattr__(self, "amps", amps)
 
     @classmethod
-    def from_amplitudes(cls, amps) -> "StateVector":
-        """The state of `amps` divided by their norm."""
-        amps = np.asarray(amps, dtype=complex)
-        n = int(amps.size - 1).bit_length()
-        if amps.size != 2**n:
-            raise ValueError("length is not a power of two")
-        norm = np.linalg.norm(amps)
-        if norm < 1e-12:
-            raise ValueError("cannot normalize the zero vector")
-        return cls(n, amps / norm)
-
-    @classmethod
     def basis_state(cls, n: int, index: int) -> "StateVector":
         _check_dense(n)
         amps = np.zeros(2**n, dtype=complex)
@@ -515,27 +503,25 @@ def measure(
     return o, StateVector(v.n - len(targets), posts[o] / np.sqrt(probs[o])), probs[o]
 
 
-def measure_shots(v: StateVector, steps: Sequence, rngs: Sequence, forced=None) -> list:
+def measure_shots(v: StateVector, steps: Sequence, rngs: Sequence) -> list:
     """Run the measurement sequence `steps` on v once per generator in `rngs`.
 
     Step i is a (targets, bras) pair measured on the post-state of step
-    i - 1, with outcome forced[i] when `forced` is given and not None
-    there. Each shot draws from its own rng exactly as a chain of `measure`
+    i - 1. Each shot draws from its own rng exactly as a chain of `measure`
     calls would, so it gets the same outcomes and post-state, and raises
     the same ValueError. The walk is breadth-first: shots that share an
     outcome prefix share one branch computation, and only the current
     level of the outcome tree is kept. Returns (outcomes, post-state) per
     rng, in order; shots with equal outcomes share one post-state.
     """
-    forced = [None] * len(steps) if forced is None else forced
     level = {(): (v, list(range(len(rngs))))}
-    for (targets, bras), fix in zip(steps, forced, strict=True):
+    for targets, bras in steps:
         nxt = {}
         for prefix, (state, shots) in level.items():
             probs, posts = _branches(state, targets, bras)
             groups: dict = {}
             for i in shots:
-                groups.setdefault(_pick(probs, rngs[i], fix), []).append(i)
+                groups.setdefault(_pick(probs, rngs[i], None), []).append(i)
             for o, group in groups.items():
                 post = StateVector(state.n - len(targets), posts[o] / np.sqrt(probs[o]))
                 nxt[prefix + (o,)] = (post, group)

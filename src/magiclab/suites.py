@@ -214,8 +214,8 @@ def suite_agsp(n=16, seed=0, trials=60):
     yield CheckReport("depth-threshold-growth", params, float(violations), 0)
 
     n_scan = min(10, sv.max_qubits())
-    # the word scan runs once; the random check reports what
-    # local_indist_scan with random trials would, max(words, random V)
+    # the word scan runs once; the random check reports the max over both
+    # scans, words and random V
     word_max = agsp.indist_words(n_scan, 2)
     word_limit = 1.0 / (2.0 * (1.0 - 2.0**-n_scan)) + 1e-9
     params = {"n": n_scan, "max_support": 2}
@@ -340,7 +340,11 @@ SUITES = {
 
 
 def agsp_sweep(n_list, m_list):
-    """Rows of the degree sweep: sup error, bound, and coefficient mass."""
+    """Rows of the degree sweep: sup error, bound, and coefficient mass.
+
+    Cells outside 1 <= m < n are skipped; a grid with no cell left raises
+    ValueError naming both lists.
+    """
     rows = []
     for n in n_list:
         for m in m_list:
@@ -358,6 +362,10 @@ def agsp_sweep(n_list, m_list):
                     "p_minus_n": p_minus_n,
                 }
             )
+    if not rows:
+        raise ValueError(
+            f"n_list {list(n_list)} and m_list {list(m_list)} give no cell with 1 <= m < n"
+        )
     return rows
 
 

@@ -104,11 +104,6 @@ class PauliString:
     def weight(self) -> int:
         return (self.x | self.z).bit_count()
 
-    @property
-    def support(self) -> tuple[int, ...]:
-        occ = self.x | self.z
-        return tuple(q for q in range(self.n) if occ >> q & 1)
-
     def word(self) -> "PauliString":
         """Same letters with phase reset to 0."""
         return PauliString(self.n, self.x, self.z, 0)

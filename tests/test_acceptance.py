@@ -205,7 +205,7 @@ def test_08_preparation_protocols():
     plus, minus = zxcat.build(n_run, "plus"), zxcat.build(n_run, "minus")
     collapse_dev = 0.0
     for seed in range(60):
-        record = prep.adaptive_run(n_run, seed=seed)
+        ((record, _),) = prep.adaptive_shots(n_run, 1, seed)
         target = plus if record.accepted else minus
         collapse_dev = max(
             collapse_dev, 1.0 - sv.pure_overlap(record.post_state, target)
@@ -217,12 +217,21 @@ def test_08_preparation_protocols():
         for b in ("open", "periodic")
     )
 
-    push_ok = prep.push_relation_check()
+    # the site tensor's push relations: Z A^a Z = A^a, sum_b H_ab A^b = X A^a X
+    push_ok = all(
+        np.allclose(sv.Z2 @ block @ sv.Z2, block, atol=1e-12)
+        and np.allclose(
+            sum(sv.H2[a, b] * prep.MPS_BLOCKS[b] for b in range(2)),
+            sv.X2 @ block @ sv.X2,
+            atol=1e-12,
+        )
+        for a, block in enumerate(prep.MPS_BLOCKS)
+    )
     bell_dev = 0.0
     bell_accepted = 0
     target4 = zxcat.build(4, "plus")
     for seed in range(40):
-        accepted, state = prep.bell_protocol_run(4, seed=seed)
+        ((accepted, state, _),) = prep.bell_shots(4, 1, seed)
         if accepted:
             bell_accepted += 1
             bell_dev = max(bell_dev, 1.0 - sv.pure_overlap(state, target4))

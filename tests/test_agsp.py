@@ -157,42 +157,16 @@ def test_complexity_bound_cat_instantiation_trend():
     assert all(b > a for a, b in zip(bits, bits[1:]))
 
 
-def test_select_degree_controls_amplified_error():
-    n = 64
-    for eps in (1e-4, 1e-8):
-        m = agsp.select_degree(n, 40, eps)
-        total, _ = agsp.coeff_sum_identity(agsp.build_polynomial(n, m))
-        assert total * eps <= math.sqrt(eps) * (1 + 1e-12)
-    assert agsp.select_degree(64, 3, 1e-12) == 2
-    with pytest.raises(ValueError):
-        agsp.select_degree(64, 1, 1e-4)
-    with pytest.raises(ValueError):
-        agsp.select_degree(64, 8, 0.0)
-
-
 def test_non_integer_d_and_nan_errors_are_rejected():
-    # a float d used to be truncated in the record only (complexity_bound)
-    # or returned as the degree (select_degree); a NaN passed `< 0`
+    # a float d used to be truncated in the record only; a NaN passed `< 0`
     for d in (2.5, 3.0, np.float64(4.0)):
         with pytest.raises(ValueError, match="d must be an integer"):
             agsp.complexity_bound(64, d, 0.0, 0.0)
-    with pytest.raises(ValueError, match="d must be an integer"):
-        agsp.select_degree(64, 3.7, 1e-10)
     for bad in ((math.nan, 0.0), (0.0, math.nan)):
         with pytest.raises(ValueError, match="nonnegative"):
             agsp.complexity_bound(64, 3, *bad)
     cb = agsp.complexity_bound(64, np.int64(2), 0.0, 0.0)
     assert type(cb.d) is int and cb.d == 2 and cb.bound == 1.0
-    assert agsp.select_degree(64, np.int64(3), 1e-10) == 2
-
-
-def test_select_degree_rejects_a_degree_past_the_system():
-    for n, d in ((1, 2), (0, 2), (16, 17), (16, 40)):
-        with pytest.raises(ValueError, match="need 2 <= d <= n"):
-            agsp.select_degree(n, d, 1e-300)
-    m = agsp.select_degree(16, 16, 1e-300)
-    assert m == 15
-    assert agsp.build_polynomial(16, m).m == 15
 
 
 def test_local_indistinguishability_closed_form():
@@ -209,12 +183,13 @@ def test_local_indistinguishability_closed_form():
 
 
 def test_local_indist_scan_ratio_bounded():
-    ratio = agsp.local_indist_scan(12, 3)
+    ratio = agsp.indist_words(12, 3)
     assert 0 < ratio <= 8
-    with_random = agsp.local_indist_scan(8, 2, random_trials=50, seed=1)
-    assert 0 < with_random <= 8
+    assert 0 < agsp.indist_random(8, 2, 50, 1) <= 8
     with pytest.raises(ValueError):
-        agsp.local_indist_scan(sv.max_qubits() + 1, 1)
+        agsp.indist_words(sv.max_qubits() + 1, 1)
+    with pytest.raises(ValueError):
+        agsp.indist_random(sv.max_qubits() + 1, 1, 1, 0)
 
 
 def combined_indist_scan(n, max_support, random_trials=0, seed=0):
@@ -252,7 +227,6 @@ def test_split_indist_scans_equal_the_combined_scan(n, max_support, trials, seed
     words = agsp.indist_words(n, max_support)
     assert words == combined_indist_scan(n, max_support)
     assert max(words, agsp.indist_random(n, max_support, trials, seed)) == want
-    assert agsp.local_indist_scan(n, max_support, trials, seed) == want
 
 
 def test_agsp_suite_reports_the_combined_scans():
@@ -265,9 +239,8 @@ def test_agsp_suite_reports_the_combined_scans():
 def test_local_indist_scan_with_supports_larger_than_n():
     # random supports are capped at n qubits, as the word scan's are
     for n, max_support in ((3, 4), (1, 2), (2, 5)):
-        ratio = agsp.local_indist_scan(n, max_support, random_trials=20, seed=1)
-        assert 0 < ratio <= 8
-        assert ratio >= agsp.local_indist_scan(n, max_support)
+        assert 0 < agsp.indist_words(n, max_support) <= 8
+        assert 0 < agsp.indist_random(n, max_support, 20, 1) <= 8
 
 
 # -- the integer exact layer against the Fraction recurrence ------------------

@@ -31,6 +31,21 @@ def _worse_bell(real):
     ]
 
 
+def _always_accepts(real):
+    def shots(*args, **kwargs):
+        return [
+            (prep.AdaptiveRunRecord((0,) * len(record.outcomes), record.post_state), o)
+            for record, o in real(*args, **kwargs)
+        ]
+
+    return shots
+
+
+def _rate_without_half(real):
+    # |<V>+ - <V>-| measured against the rate 2^{a - n}, not 2^{a - n/2}
+    return lambda n, *rest: real(n, *rest) * 2.0 ** (n / 2.0)
+
+
 def _stray_survivor(real):
     swap = modular.MonomialCandidate((0, 2, 1, 3), (1.0, 1.0, 1.0, 1.0))
     return lambda data: [*real(data), swap]
@@ -96,6 +111,9 @@ DEFECTS = {
         "prep", "adaptive-collapse-fidelity", prep, "adaptive_shots", _worse_shots,
         ["prep", "adaptive", "--n", "4", "--trials", "5"],
     ),
+    "adaptive-sampled-rate": (
+        "prep", "adaptive-sampled-rate", prep, "adaptive_shots", _always_accepts, None,
+    ),
     "bell-accepted-fidelity": (
         "prep", "bell-accepted-fidelity", prep, "bell_shots", _worse_bell,
         ["prep", "bell", "--n", "2", "--trials", "20"],
@@ -128,6 +146,12 @@ DEFECTS = {
     "depth-threshold-growth": (
         "agsp", "depth-threshold-growth", agsp, "complexity_bound",
         lambda real: lambda *a: dataclasses.replace(real(*a), depth_threshold=0), None,
+    ),
+    "indist-word-ratio": (
+        "agsp", "indist-word-ratio", agsp, "indist_words", _rate_without_half, None,
+    ),
+    "indist-random-hermitian": (
+        "agsp", "indist-random-hermitian", agsp, "indist_random", _rate_without_half, None,
     ),
     "scalar-rigidity": (
         "modular", "scalar-rigidity", modular, "scalar_rigidity_trial",
@@ -268,8 +292,10 @@ def _random_scan(patch):
 
 
 def _combined_scan(patch):
+    # the random check reports max(words, random V), and must keep its NaN
     patch.setattr(agsp, "indist_random", lambda *args: np.nan)
-    return agsp.local_indist_scan(4, 2, random_trials=2)
+    reports = {r.check: r for r in suites.suite_agsp(seed=0, trials=2)}
+    return reports["indist-random-hermitian"].observed
 
 
 def _modulus_blocks(patch):

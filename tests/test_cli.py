@@ -17,19 +17,6 @@ from magiclab.suites import SUITES, agsp_sweep, run_suite
 from magiclab.zxcat import build
 
 
-def test_package_exports_each_public_name_once():
-    import types
-
-    import magiclab
-
-    public = {
-        name for name, value in vars(magiclab).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
-    }
-    assert len(magiclab.__all__) == len(set(magiclab.__all__))
-    assert set(magiclab.__all__) == public
-
-
 def test_sanitize_converts_numpy_and_complex():
     raw = {
         "scalar": np.float64(0.5),
@@ -131,6 +118,19 @@ def test_agsp_sweep_rows():
     for row in rows:
         assert row["sup_error"] <= row["bound"]
         assert row["coeff_sum"] == pytest.approx(row["p_minus_n"], rel=1e-9)
+
+
+@pytest.mark.parametrize("n_list, m_list, lists", [
+    ("16", "16,32", "n_list [16] and m_list [16, 32]"),
+    ("1", "1,2,4,8", "n_list [1] and m_list [1, 2, 4, 8]"),
+    ("", "2", "n_list [] and m_list [2]"),
+])
+def test_agsp_sweep_without_a_valid_cell_exits_two(n_list, m_list, lists, capsys):
+    # only the CSV header, and exit 0, used to stand for "nothing to sweep"
+    assert main(["agsp", "sweep", "--n-list", n_list, "--m-list", m_list]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: agsp sweep: {lists} give no cell with 1 <= m < n\n"
 
 
 def test_cli_unknown_suite_exits_two():
@@ -255,6 +255,29 @@ def test_cli_lpu_search_with_data_file(tmp_path, capsys):
     assert main(["modular", "lpu-search", "--data", str(tmp_path / "no.json")]) == 2
 
 
+def test_cli_data_file_names_a_missing_field(tmp_path, capsys):
+    raw = json.loads(double_fibonacci().to_json())
+    del raw["labels"]
+    payload = tmp_path / "partial.json"
+    payload.write_text(json.dumps(raw))
+    assert main(["modular", "lpu-search", "--data", str(payload)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: modular lpu-search: modular data lacks the field(s) labels\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["zxcat", "--out"], ["zxcat", "build", "--out"], ["zxcat", "build", "--dump-state"],
+    ["agsp", "sweep", "--csv"],
+])
+def test_write_errors_name_the_target_path(argv, tmp_path, capsys):
+    # the temp file beside the target used to be the name in the message
+    target = tmp_path / "missing" / "x.json"
+    assert main([*argv, str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(f"No such file or directory: '{target}'\n")
+    assert ".tmp" not in err and not (tmp_path / "missing").exists()
+
+
 def test_cli_agsp_sweep_csv(tmp_path, capsys):
     target = tmp_path / "sweep.csv"
     assert main(["agsp", "sweep", "--n-list", "16", "--m-list", "1,3",
@@ -300,15 +323,6 @@ def test_check_report_optional_runtime_and_construction_record():
     assert list(record) == ["check", "params", "observed", "bound", "pass"]
 
 
-def test_load_state_reads_legacy_amplitudes_key(tmp_path):
-    state = build(3, "plus")
-    flat = np.empty(16)
-    flat[0::2], flat[1::2] = state.amps.real, state.amps.imag
-    path = tmp_path / "legacy.json"
-    path.write_text(json.dumps({"n": 3, "amplitudes": flat.tolist()}))
-    assert np.abs(load_state(str(path)).amps - state.amps).max() <= 1e-15
-
-
 @pytest.mark.parametrize(
     "argv, expected",
     [
@@ -317,9 +331,9 @@ def test_load_state_reads_legacy_amplitudes_key(tmp_path):
         (["prep", "mps", "--n", "5", "--boundary", "periodic"],
          lambda: prep.mps_contract(5, boundary="periodic")),
         (["prep", "adaptive", "--n", "3", "--trials", "4", "--seed", "2"],
-         lambda: prep.adaptive_run(3, seed=5).post_state),
+         lambda: prep.adaptive_shots(3, 1, 5)[0][0].post_state),
         (["prep", "bell", "--n", "2", "--trials", "3", "--seed", "1"],
-         lambda: prep.bell_protocol_run(2, seed=3)[1]),
+         lambda: prep.bell_shots(2, 1, 3)[0][1]),
     ],
 )
 def test_dump_state_loads_back(tmp_path, capsys, argv, expected):

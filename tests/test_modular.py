@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import itertools
+import json
 import math
 import os
 import pickle
@@ -246,8 +247,9 @@ def test_double_fibonacci_shape_and_entries():
     assert data.k == 4
     assert data.dims == (ONE, PHI_G, PHI_G, PHI_G * PHI_G)
     # upper-left S entry is the prefactor itself
-    assert data.s_exact(0, 0) == GoldenNumber(Fraction(3, 5), Fraction(-1, 5))
-    assert float(data.s_exact(0, 0)) == pytest.approx(1.0 / (2.0 + PHI))
+    s00 = data.s_prefactor * data.s_body[0][0]
+    assert s00 == GoldenNumber(Fraction(3, 5), Fraction(-1, 5))
+    assert float(s00) == pytest.approx(1.0 / (2.0 + PHI))
     t = np.diag(data.t_numeric())
     want = [1.0, np.exp(4j * np.pi / 5), np.exp(-4j * np.pi / 5), 1.0]
     assert np.allclose(t, want, atol=1e-12)
@@ -281,6 +283,20 @@ def test_modular_data_json_round_trip():
     clone = ModularData.from_json(data.to_json())
     assert clone == data
     assert np.allclose(clone.s_numeric(), data.s_numeric(), atol=1e-15)
+
+
+@pytest.mark.parametrize("field", ["labels", "dims", "s_prefactor", "s_body",
+                                   "t_root_order", "t_exponents"])
+def test_modular_data_json_names_a_missing_field(field):
+    raw = json.loads(double_fibonacci().to_json())
+    del raw[field]
+    with pytest.raises(ValueError, match=f"lacks the field\\(s\\) {field}$"):
+        ModularData.from_json(json.dumps(raw))
+
+
+def test_modular_data_json_must_be_an_object():
+    with pytest.raises(ValueError, match="must be a JSON object"):
+        ModularData.from_json("[]")
 
 
 def test_modular_data_validation():

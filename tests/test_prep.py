@@ -11,19 +11,18 @@ from magiclab.prep import (
     UZH,
     AdaptiveRunRecord,
     adaptive_circuit,
-    adaptive_run,
     adaptive_shots,
     adaptive_success_probability,
-    bell_protocol_run,
     bell_shots,
     mps_contract,
     prepare_sandwich,
-    push_relation_check,
     verify_global_clifford,
+    _bell_accepts,
     _site_state,
 )
 from magiclab.statevec import (
     H2,
+    X2,
     Z2,
     Gate,
     StateVector,
@@ -151,7 +150,7 @@ def test_adaptive_runs_collapse_to_cats():
     minus = build(n, "minus")
     accepted = 0
     for seed in range(100):
-        rec = adaptive_run(n, seed=seed)
+        ((rec, _),) = adaptive_shots(n, 1, seed)
         assert len(rec.outcomes) == n
         assert rec.accepted == (sum(rec.outcomes) % 2 == 0)
         if rec.accepted:
@@ -173,7 +172,7 @@ def test_adaptive_record_parity_follows_outcomes():
 
 def test_adaptive_run_respects_dense_cap():
     with pytest.raises(ValueError):
-        adaptive_run(8)  # 16 qubits > default cap
+        adaptive_shots(8, 1)  # 16 qubits > default cap
 
 
 # -- matrix product form ------------------------------------------------------
@@ -242,7 +241,13 @@ def test_mps_contract_validation():
 
 
 def test_push_relations():
-    assert push_relation_check() is True
+    # for both physical values a: Z A^a Z = A^a (a Z entering a bond leaves
+    # through the other side for free), and sum_b H_ab A^b = X A^a X (an X
+    # passes through the bond at the price of a Hadamard on the physical leg)
+    for a, block in enumerate(MPS_BLOCKS):
+        assert np.allclose(Z2 @ block @ Z2, block, atol=1e-12)
+        h_mix = sum(H2[a, b] * MPS_BLOCKS[b] for b in range(2))
+        assert np.allclose(h_mix, X2 @ block @ X2, atol=1e-12)
     a0, a1 = MPS_BLOCKS
     s = 1.0 / SQRT2
     # a = 0: (A0 + A1)/sqrt2 = X A0 X = diag(1/sqrt2, 1)
@@ -263,8 +268,8 @@ def test_push_relations():
 # -- Bell stitching protocol --------------------------------------------------
 
 def test_bell_identity_outcomes_accept():
-    accepted, state = bell_protocol_run(3, bonds="II", boundaries=(0, 0))
-    assert accepted
+    accepted, state = oracle_bell(3, 0, "II", (0, 0))
+    assert accepted and _bell_accepts(0, "II", 0)
     assert pure_overlap(state, build(3, "plus")) >= 1.0 - 1e-10
 
 
@@ -273,36 +278,36 @@ def test_bell_z_parity_bookkeeping():
     minus = build(3, "minus")
     # a lone Z flips the right boundary: reject, and the register holds
     # the orthogonal cat
-    accepted, state = bell_protocol_run(3, bonds="IZ", boundaries=(0, 0))
+    accepted, state = oracle_bell(3, 0, "IZ", (0, 0))
     assert not accepted
     assert pure_overlap(state, minus) >= 1.0 - 1e-10
     # two Z byproducts cancel in transit
-    accepted, state = bell_protocol_run(3, bonds="ZZ", boundaries=(0, 0))
+    accepted, state = oracle_bell(3, 0, "ZZ", (0, 0))
     assert accepted
     # boundary minuses inject Z's too, and pair up
-    accepted, _ = bell_protocol_run(3, bonds="II", boundaries=(1, 1))
+    accepted, _ = oracle_bell(3, 0, "II", (1, 1))
     assert accepted
-    accepted, state = bell_protocol_run(3, bonds="II", boundaries=(1, 0))
+    accepted, state = oracle_bell(3, 0, "II", (1, 0))
     assert not accepted
     assert pure_overlap(state, minus) >= 1.0 - 1e-10
     # single site: only the boundary parities matter
-    accepted, state = bell_protocol_run(1, boundaries=(1, 1))
+    accepted, state = oracle_bell(1, 0, None, (1, 1))
     assert accepted
     assert pure_overlap(state, build(1, "plus")) >= 1.0 - 1e-10
-    accepted, _ = bell_protocol_run(1, boundaries=(0, 1))
+    accepted, _ = oracle_bell(1, 0, None, (0, 1))
     assert not accepted
 
 
 def test_bell_x_byproduct_is_hadamard_trail():
     # an X on the first bond converts to a Hadamard on every later site
     plus = build(3, "plus")
-    accepted, state = bell_protocol_run(3, bonds="XI", boundaries=(0, 0))
+    accepted, state = oracle_bell(3, 0, "XI", (0, 0))
     assert not accepted
     want = apply_gate(apply_gate(plus, Gate((1,), H2)), Gate((2,), H2))
     assert pure_overlap(state, want) >= 1.0 - 1e-10
     # two Y outcomes: the X components cancel after one site, the Z
     # components cancel outright, leaving a single Hadamard in between
-    accepted, state = bell_protocol_run(3, bonds="YY", boundaries=(0, 0))
+    accepted, state = oracle_bell(3, 0, "YY", (0, 0))
     assert not accepted
     want = apply_gate(plus, Gate((1,), H2))
     assert pure_overlap(state, want) >= 1.0 - 1e-10
@@ -312,7 +317,7 @@ def test_bell_sampled_runs_are_faithful():
     plus = build(3, "plus")
     accepted_count = 0
     for seed in range(200):
-        accepted, state = bell_protocol_run(3, seed=seed)
+        ((accepted, state, _),) = bell_shots(3, 1, seed)
         if accepted:
             accepted_count += 1
             assert pure_overlap(state, plus) >= 1.0 - 1e-10
@@ -321,15 +326,11 @@ def test_bell_sampled_runs_are_faithful():
 
 def test_bell_validation():
     with pytest.raises(ValueError):
-        bell_protocol_run(5)  # 15 qubits > default cap
+        bell_shots(5, 1)  # 15 qubits > default cap
     with pytest.raises(ValueError):
-        bell_protocol_run(3, bonds="I")  # wrong length
-    with pytest.raises(ValueError):
-        bell_protocol_run(3, bonds="IQ")  # not a Pauli label
-    with pytest.raises(ValueError):
-        bell_protocol_run(0)
-    with pytest.raises(ValueError, match="not one of 2"):
-        bell_protocol_run(2, boundaries=(0, 2))  # not a boundary outcome
+        bell_shots(0, 1)
+    with pytest.raises(ValueError, match="at least one trial"):
+        bell_shots(3, 0)
 
 
 def test_shot_loops_follow_consecutive_seeds():
@@ -337,13 +338,15 @@ def test_shot_loops_follow_consecutive_seeds():
         shots = adaptive_shots(n, trials=trials, seed=seed)
         assert len(shots) == trials
         for t, (record, overlap) in enumerate(shots):
-            single = adaptive_run(n, seed=seed + t)
+            ((single, single_overlap),) = adaptive_shots(n, 1, seed + t)
+            assert overlap == single_overlap
             assert record.outcomes == single.outcomes
             assert (record.parity, record.accepted) == (single.parity, single.accepted)
             assert np.array_equal(record.post_state.amps, single.post_state.amps)
             assert overlap >= 1.0 - 1e-10  # collapsed onto the plus or minus cat
     for t, (accepted, state, overlap) in enumerate(bell_shots(2, trials=6, seed=4)):
-        single_accepted, single_state = bell_protocol_run(2, seed=4 + t)
+        ((single_accepted, single_state, single_overlap),) = bell_shots(2, 1, 4 + t)
+        assert overlap == single_overlap
         assert accepted == single_accepted
         assert np.array_equal(state.amps, single_state.amps)
         assert (overlap is None) == (not accepted)
@@ -401,13 +404,19 @@ def oracle_bell(n, seed, bonds=None, boundaries=None):
         choice, v, _ = measure(v, (3 * k + 2, 3 * k + 4), BELL_BRAS, rng, forced=forced)
         labels[k] = "IXYZ"[choice]
     left, v, _ = measure(v, (1,), X_BRAS, rng, forced=left_fix)
+    return oracle_accepts(left, "".join(labels), right), v
+
+
+def oracle_accepts(left, labels, right):
+    """Site by site: no site flagged by a pending X, and no Z left over."""
+    n = len(labels) + 1
     flags, pending_x, pending_z = [0] * n, 0, left ^ right
     for k in range(n):
         flags[k] = pending_x
         if k < n - 1:
             pending_x ^= labels[k] in "XY"
             pending_z ^= labels[k] in "ZY"
-    return not any(flags) and pending_z == 0, v
+    return not any(flags) and pending_z == 0
 
 
 def test_adaptive_shots_match_per_shot_oracle():
@@ -423,7 +432,7 @@ def test_adaptive_shots_match_per_shot_oracle():
             assert record.parity == (1 if record.accepted else -1)
             assert np.array_equal(record.post_state.amps, state.amps)
             assert overlap == pure_overlap(state, targets[record.accepted])
-        assert adaptive_run(n, seed).outcomes == shots[0][0].outcomes
+        assert adaptive_shots(n, 1, seed)[0][0].outcomes == shots[0][0].outcomes
 
 
 def test_bell_shots_match_per_shot_oracle():
@@ -440,14 +449,19 @@ def test_bell_shots_match_per_shot_oracle():
 
 
 def test_bell_forced_runs_match_per_shot_oracle():
-    for bonds in ("".join(p) for p in itertools.product("IXYZ", repeat=2)):
-        for boundaries in itertools.product((0, 1), repeat=2):
-            got = bell_protocol_run(3, 5, bonds, boundaries)
-            want = oracle_bell(3, 5, bonds, boundaries)
-            assert got[0] == want[0] and np.array_equal(got[1].amps, want[1].amps)
-    # forcing only the bonds, or only the boundaries, samples the rest
-    for seed in range(20):
-        for bonds, boundaries in (("XZY", None), (None, (1, 0))):
-            got = bell_protocol_run(4, seed, bonds, boundaries)
-            want = oracle_bell(4, seed, bonds, boundaries)
-            assert got[0] == want[0] and np.array_equal(got[1].amps, want[1].amps)
+    # every forced bond string and boundary pair at n = 3: the protocol's
+    # acceptance rule passes exactly the outcomes that leave the plus cat
+    plus = build(3, "plus")
+    for bonds in map("".join, itertools.product("IXYZ", repeat=2)):
+        for left, right in itertools.product((0, 1), repeat=2):
+            accepted, state = oracle_bell(3, 5, bonds, (left, right))
+            assert accepted == _bell_accepts(left, bonds, right)
+            assert accepted == (pure_overlap(state, plus) >= 1.0 - 1e-10), (bonds, left, right)
+
+
+def test_bell_accepts_agrees_with_the_oracle_flag_logic():
+    # every bond string and boundary pair, at n = 3 and its neighbours
+    for n in range(1, 6):
+        for bonds in map("".join, itertools.product("IXYZ", repeat=n - 1)):
+            for left, right in itertools.product((0, 1), repeat=2):
+                assert _bell_accepts(left, bonds, right) == oracle_accepts(left, bonds, right)

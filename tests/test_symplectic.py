@@ -67,7 +67,7 @@ def test_commutes_vs_dense():
 def test_weight_and_support():
     p = sp.PauliString.from_text("XIZY")
     assert p.weight == 3
-    assert p.support == (0, 2, 3)
+    assert tuple(q for q in range(p.n) if (p.x | p.z) >> q & 1) == (0, 2, 3)
 
 
 # -- elementary H/S/CX conjugations, the gate-level reference -------------
