@@ -157,15 +157,31 @@ def _modular_lpu(args) -> int:
 
 
 def _modular_verlinde(args) -> int:
+    """Genus-g dimension of double Fibonacci, against its exact conditions.
+
+    Double Fibonacci is Fibonacci times its mirror, so its dimension is the
+    square of Fibonacci's (dims 1, phi): 4, 25, 225, ... are 2^2, 5^2,
+    15^2, ....  The report observes how many of three conditions fail,
+    against 0: b = 0, a is a positive integer, and a equals that square.
+    The value (None beyond float range) and its exact pair go into params.
+    """
     data = modular.double_fibonacci()
     value = modular.verlinde_dim(data.dims, args.genus)
+    single = modular.verlinde_dim((1, modular.GoldenNumber.phi()), args.genus)
+    failed = (
+        value.b != 0,
+        not (value.a.denominator == 1 and value.a > 0),
+        value != single * single,
+    )
     try:
         approx = float(value)
     except OverflowError:  # beyond float range only the exact pair is reported
         approx = None
-    observed = {"value": approx, "golden": {"a": str(value.a), "b": str(value.b)}}
-    params = {"genus": args.genus}
-    return _emit(args, CheckReport("verlinde-dimension", params, observed, None))
+    params = {
+        "genus": args.genus, "value": approx,
+        "golden": {"a": str(value.a), "b": str(value.b)},
+    }
+    return _emit(args, CheckReport("verlinde-dimension", params, float(sum(failed)), 0))
 
 
 def _glue_run(args, seed=0, trials=10) -> int:

@@ -43,9 +43,9 @@ class CheckReport:
     so a report cannot disagree with itself and a NaN observed fails.
     Lower-bounded quantities are therefore reported as violations or
     deviations so that smaller is always better, and whatever else a check
-    wants to show goes into `params`.  A construction (a built state, an
-    exact dimension) has no bound: None, which means no verdict, and its
-    `observed` may be any JSON value.  A None `runtime_ms` is left out of
+    wants to show goes into `params`.  A construction (a built state) has
+    no bound: None, which means no verdict, and its `observed` may be any
+    JSON value.  A None `runtime_ms` is left out of
     the record.
     """
 

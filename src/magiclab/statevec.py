@@ -41,6 +41,7 @@ _EIG_CLIP = 1e-12
 _MIN_PROB = 1e-14  # measurement outcomes below this are impossible
 _DENSITY_MAX_QUBITS = 12
 _TILE = 128  # side of the blocks _hermitian_defect compares: 256 KB of complex128
+BATCH_AMPS = 1 << 14  # amplitudes per to_statevectors batch of a sampled check: 256 KB
 
 I2 = np.eye(2, dtype=complex)
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -412,48 +413,93 @@ def pauli_expectation(v: StateVector, p: PauliString) -> float:
     return _word_expectations(p, (v,))[0]
 
 
-def to_statevector(s: StabilizerState) -> StateVector:
-    """Dense vector of a stabilizer state.
+def to_statevectors(states: Sequence[StabilizerState]) -> list[StateVector]:
+    """Dense vectors of stabilizer states on one register, in input order.
 
-    Seeds with a computational basis state |b> chosen by solving the sign
-    constraints of the diagonal (x = 0) subgroup D over F2, so every
-    element of D fixes |b>.  Generators h_1..h_k with independent x-parts
-    then reach each coset of D exactly once, and the state is proportional
-    to the sum of h^m|b> over m in F2^k (the projector product of all n
-    generators applied to |b>, up to the factor |D|/2^n); one elimination
-    of the x-parts finds both h and D.  The support is filled by doubling:
-    h = i^(phase + |x&z|) X^x Z^z, its sign being i^phase, sends i^e at idx
-    to i^(e + phase + |x&z| + 2 z.idx) at idx ^ x.  Dividing by
-    sqrt(2^k), the norm, is exact.
+    Per state, seeds with a computational basis state |b> chosen by solving
+    the sign constraints of the diagonal (x = 0) subgroup D over F2, so
+    every element of D fixes |b>.  Generators h_1..h_k with independent
+    x-parts then reach each coset of D exactly once, and the state is
+    proportional to the sum of h^m|b> over m in F2^k (the projector product
+    of all n generators applied to |b>, up to the factor |D|/2^n); one
+    elimination of the x-parts finds both h and D.  The support is filled
+    by doubling, once for all the G states of equal k over (2^k, G) index
+    and Z4-phase arrays: h = i^(phase + |x&z|) X^x Z^z, its sign being i^phase,
+    sends i^e at idx to i^(e + phase + |x&z| + 2 z.idx) at idx ^ x.
+    Dividing by sqrt(2^k), the norm, is exact.  Every state must have the
+    same n, within the dense cap; sampled checks keep a batch within
+    BATCH_AMPS amplitudes (see `chunk_sizes`).
     """
-    n = s.n
+    if not states:
+        return []
+    n = states[0].n
+    if any(s.n != n for s in states):
+        raise ValueError("a batch of stabilizer states must share one n")
     _check_dense(n)
-    picked, kernel = _f2.eliminate([g.x for g in s.generators])
-    equations = []
-    for tag in kernel:
-        element = s.element(tag)
-        if element.x != 0:
-            raise AssertionError("diagonal subgroup element has X support")
-        equations.append((element.z, element.phase >> 1))
-    b = _f2.solve(equations)
-    if b is None:
-        raise AssertionError("inconsistent stabilizer signs")
-    size = 1 << len(picked)
-    idx = np.empty(size, dtype=np.uint64)
-    phase = np.empty(size, dtype=np.uint8)
-    idx[0], phase[0] = b, 0
-    m = 1
-    for i in picked:
-        g = s.generators[i]
-        low = idx[:m]
-        np.bitwise_xor(low, g.x, out=idx[m : 2 * m])
-        # exponents of i wrap mod 256, a multiple of 4
-        e = g.phase + (g.x & g.z).bit_count()
-        phase[m : 2 * m] = phase[:m] + 2 * np.bitwise_count(low & g.z) + e
-        m *= 2
-    state = np.zeros(2**n, dtype=complex)
-    state[idx] = (_I_POWERS / np.sqrt(size))[phase & 3]
-    return StateVector(n, state)
+    groups: dict[int, list] = {}  # k -> [(position, b, the k picked generators)]
+    for pos, s in enumerate(states):
+        picked, kernel = _f2.eliminate([g.x for g in s.generators])
+        equations = []
+        for tag in kernel:
+            element = s.element(tag)
+            if element.x != 0:
+                raise AssertionError("diagonal subgroup element has X support")
+            equations.append((element.z, element.phase >> 1))
+        b = _f2.solve(equations)
+        if b is None:
+            raise AssertionError("inconsistent stabilizer signs")
+        groups.setdefault(len(picked), []).append(
+            (pos, b, [s.generators[i] for i in picked])
+        )
+    out: list = [None] * len(states)
+    for k, members in groups.items():
+        rows, size = len(members), 1 << k
+        # (3, k, rows): the x, z and i-exponent of generator j of each state;
+        # the uint8 phases wrap mod 256, a multiple of 4
+        xs, zs, es = np.array(
+            [(g.x, g.z, (g.phase + (g.x & g.z).bit_count()) & 3)
+             for _, _, picked in members for g in picked],
+            dtype=np.uint64,
+        ).reshape(rows, k, 3).transpose(2, 1, 0).copy()
+        es = es.astype(np.uint8)  # a uint64 addend would cast every step
+        # (2^k, rows), state r in column r; its indices carry r above the n
+        # qubit bits, where no x reaches, so one flat scatter fills all rows
+        idx = np.empty((size, rows), dtype=np.uint64)
+        phase = np.empty((size, rows), dtype=np.uint8)
+        masked = np.empty((size // 2, rows), dtype=np.uint64)
+        idx[0] = [row << n | b for row, (_, b, _) in enumerate(members)]
+        phase[0] = 0
+        m = 1
+        for j in range(k):
+            low, high = idx[:m], phase[m : 2 * m]
+            np.bitwise_xor(low, xs[j], out=idx[m : 2 * m])
+            np.bitwise_and(low, zs[j], out=masked[:m])
+            np.bitwise_count(masked[:m], out=high)
+            high <<= 1
+            high += phase[:m]
+            high += es[j]
+            m *= 2
+        dense = np.zeros((rows, 2**n), dtype=complex)
+        dense.reshape(-1)[idx.reshape(-1)] = (_I_POWERS / np.sqrt(size))[phase.reshape(-1) & 3]
+        for row, (pos, _, _) in enumerate(members):
+            out[pos] = StateVector(n, dense[row])
+    return out
+
+
+def to_statevector(s: StabilizerState) -> StateVector:
+    """Dense vector of one stabilizer state: a batch of one."""
+    return to_statevectors([s])[0]
+
+
+def chunk_sizes(count: int, per_item: int) -> list[int]:
+    """Sizes of successive chunks of `count` items of `per_item` amplitudes each.
+
+    A chunk holds at most BATCH_AMPS amplitudes, or one item when an item
+    alone is larger, so a sampled check converts a chunk's stabilizer states
+    in one `to_statevectors` call without holding every trial at once.
+    """
+    step = max(1, BATCH_AMPS // per_item)
+    return [min(step, count - start) for start in range(0, count, step)]
 
 
 def _branches(v: StateVector, targets: Sequence[int], bras: Sequence) -> tuple[list, list]:

@@ -130,6 +130,10 @@ DEFECTS = {
         "zxcat", "mi-near-asymptote", zxcat, "mi_numeric",
         lambda real: lambda n: -0.1, ["zxcat", "mi", "--n", "6"],
     ),
+    "zero-plus-overlap": (
+        "symplectic", "zero-plus-overlap", sp, "stabilizer_overlap",
+        lambda real: lambda s1, s2: real(s1, s2) * (1 + 1e-6), None,
+    ),
     "overlap-vs-dense": (
         "symplectic", "overlap-vs-dense", sp.StabilizerState, "element", _sign_slip, None,
     ),
@@ -184,6 +188,17 @@ def test_planted_defect_fails_suite_and_subcommand(rule, monkeypatch):
         assert code == 1 and record["pass"] is False
         if rule != "mi-numeric":
             assert record["check"] == check
+
+
+def test_verlinde_off_by_one_fails(monkeypatch):
+    assert _run(["modular", "verlinde", "--genus", "3"])[0] == 0
+    real = modular.verlinde_dim
+    monkeypatch.setattr(modular, "verlinde_dim", lambda dims, genus: real(dims, genus) + 1)
+    code, out = _run(["modular", "verlinde", "--genus", "3"])
+    record = json.loads(out)
+    assert code == 1 and record["pass"] is False
+    # 226 is a positive integer, but not the square of 15 + 1
+    assert record["observed"] == 1 and record["params"]["golden"] == {"a": "226", "b": "0"}
 
 
 def test_planted_defect_fails_under_optimize_flag():

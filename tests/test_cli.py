@@ -220,7 +220,7 @@ def test_cli_suite_and_subcommands(tmp_path, capsys):
 
     assert main(["modular", "verlinde", "--genus", "3"]) == 0
     record = json.loads(capsys.readouterr().out)
-    assert record["observed"]["value"] == pytest.approx(225.0)
+    assert record["params"]["value"] == pytest.approx(225.0)
 
     assert main(["prep", "mps", "--n", "5", "--boundary", "periodic"]) == 0
     record = json.loads(capsys.readouterr().out)
@@ -386,8 +386,8 @@ def test_premise_violation_in_a_check_exits_one(monkeypatch, capsys):
 def test_cli_verlinde_beyond_float_range(capsys):
     assert main(["modular", "verlinde", "--genus", "377"]) == 0
     record = json.loads(capsys.readouterr().out)
-    golden = record["observed"]["golden"]
-    assert record["observed"]["value"] is None and record["pass"] is True
+    golden = record["params"]["golden"]
+    assert record["params"]["value"] is None and record["pass"] is True
     # dims 1, phi, phi, phi^2 give 5^(g-1) L_(g-1)^2 at odd g (L = Lucas numbers)
     lucas = [2, 1]
     while len(lucas) <= 376:

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from magiclab import reports
+from magiclab import _f2, reports
 from magiclab import statevec as sv
 from magiclab import symplectic as sp
 
@@ -334,6 +334,79 @@ def test_to_statevector_equals_the_concatenating_doubling():
                 s = sp.apply_clifford(c, base)
                 got = sv.to_statevector(s).amps
                 assert np.array_equal(got, doubling_statevector(s).amps), n
+
+
+def single_doubling(s):
+    """The single-state stabilizer->dense doubling that the batched kernel replaced."""
+    picked, kernel = _f2.eliminate([g.x for g in s.generators])
+    equations = []
+    for tag in kernel:
+        element = s.element(tag)
+        assert element.x == 0
+        equations.append((element.z, element.phase >> 1))
+    b = _f2.solve(equations)
+    size = 1 << len(picked)
+    idx = np.empty(size, dtype=np.uint64)
+    phase = np.empty(size, dtype=np.uint8)
+    idx[0], phase[0] = b, 0
+    m = 1
+    for i in picked:
+        g = s.generators[i]
+        low = idx[:m]
+        np.bitwise_xor(low, g.x, out=idx[m : 2 * m])
+        e = g.phase + (g.x & g.z).bit_count()
+        phase[m : 2 * m] = phase[:m] + 2 * np.bitwise_count(low & g.z) + e
+        m *= 2
+    state = np.zeros(2**s.n, dtype=complex)
+    state[idx] = (np.array([1, 1j, -1, -1j]) / np.sqrt(size))[phase & 3]
+    return state
+
+
+def mixed_k_batch(n, rng, draws):
+    """Zero and plus states, and the Z and X images of C and of C^dag."""
+    states = [sp.StabilizerState.zero_state(n), sp.StabilizerState.plus_state(n)]
+    for _ in range(draws):
+        c = sp.random_clifford(n, rng)
+        for cmap in (c, c.adjoint()):
+            states += [sp.StabilizerState(n, cmap.z_images), sp.StabilizerState(n, cmap.x_images)]
+    return states
+
+
+def test_to_statevectors_bytes_equal_the_single_state_doubling():
+    rng = np.random.default_rng(43)
+    for n in range(1, 13):
+        states = mixed_k_batch(n, rng, 4 if n <= 8 else 2)
+        ks = {_f2.rank([g.x for g in s.generators]) for s in states}
+        assert {0, n} <= ks, n  # the batch mixes values of k
+        want = [single_doubling(s).tobytes() for s in states]
+        got = sv.to_statevectors(states)
+        assert [v.amps.tobytes() for v in got] == want, n
+        order = rng.permutation(len(states))
+        shuffled = sv.to_statevectors([states[i] for i in order])
+        assert [v.amps.tobytes() for v in shuffled] == [want[i] for i in order], n
+        for i in (0, len(states) // 2, len(states) - 1):
+            alone = sv.to_statevectors([states[i]])
+            assert [v.amps.tobytes() for v in alone] == [want[i]]
+            assert sv.to_statevector(states[i]).amps.tobytes() == want[i]
+
+
+def test_to_statevectors_edge_batches(monkeypatch):
+    assert sv.to_statevectors([]) == []
+    mixed = [sp.StabilizerState.zero_state(3), sp.StabilizerState.plus_state(4)]
+    with pytest.raises(ValueError, match="share one n"):
+        sv.to_statevectors(mixed)
+    monkeypatch.setenv("MAGICLAB_MAX_N", "5")
+    with pytest.raises(ValueError, match="dense cap of 5"):
+        sv.to_statevectors([sp.StabilizerState.zero_state(6)] * 2)
+    assert sv.to_statevectors([sp.StabilizerState.plus_state(5)])[0].n == 5
+
+
+def test_chunk_sizes_stay_within_the_batch_budget():
+    assert sv.BATCH_AMPS == 2**14
+    assert sv.chunk_sizes(150, 2 << 10) == [8] * 18 + [6]
+    assert sv.chunk_sizes(40, 2 << 6) == [40]
+    assert sv.chunk_sizes(3, 2 << 14) == [1, 1, 1]  # one item past the budget
+    assert sv.chunk_sizes(1, 1) == [1]
 
 
 def moveaxis_front(amps, n, targets):

@@ -136,16 +136,68 @@ def test_crossterm_bound_report():
             zxcat.crossterm_bound_check(n=4, trials=3, max_support=max_support)
 
 
-def test_crossterm_branches_from_the_adjoint_images():
-    # C^dag|0^n> and C^dag|+^n> read off the adjoint tableau's Z and X images
+def test_crossterm_branches_from_the_drawn_images():
+    # C|0^n> and C|+^n> read off the drawn tableau's own Z and X images
     rng = np.random.default_rng(31)
     for n in range(1, 13):
         for _ in range(6):
-            adj = sp.random_clifford(n, rng).adjoint()
-            zero = sp.apply_clifford(adj, sp.StabilizerState.zero_state(n))
-            plus = sp.apply_clifford(adj, sp.StabilizerState.plus_state(n))
-            assert sp.StabilizerState(n, adj.z_images) == zero
-            assert sp.StabilizerState(n, adj.x_images) == plus
+            c = sp.random_clifford(n, rng)
+            zero = sp.apply_clifford(c, sp.StabilizerState.zero_state(n))
+            plus = sp.apply_clifford(c, sp.StabilizerState.plus_state(n))
+            assert sp.StabilizerState(n, c.z_images) == zero
+            assert sp.StabilizerState(n, c.x_images) == plus
+
+
+def one_pass_crossterm(n, seed, trials, max_support=4):
+    """The cross-term check one trial at a time: (worst ratio, violations, overlap dev)."""
+    top = min(max_support, n)
+    bound = 1.0 + 1e-9 * min(1.0, 2.0 ** (n / 2.0 - top))
+    rng = np.random.default_rng(seed)
+    ratios, overlap_devs = [], []
+    for _ in range(trials):
+        c = sp.random_clifford(n, rng)
+        v1 = sv.to_statevector(sp.StabilizerState(n, c.z_images))
+        v2 = sv.to_statevector(sp.StabilizerState(n, c.x_images))
+        overlap_devs.append(abs(abs(np.vdot(v1.amps, v2.amps)) - 2.0 ** (-n / 2.0)))
+        a = int(rng.integers(1, top + 1))
+        support = tuple(sorted(int(q) for q in rng.choice(n, size=a, replace=False)))
+        v_op = zxcat._random_bounded_hermitian(1 << a, rng)
+        moved = sv.matrix_action(v2.amps, n, support, v_op)
+        ratios.append(abs(np.vdot(v1.amps, moved)) / 2.0 ** (a - n / 2.0))
+    violations = sum(not ratio <= bound for ratio in ratios)
+    return float(np.max(ratios)), violations, float(np.max(overlap_devs))
+
+
+@pytest.mark.parametrize("n", [2, 10])
+def test_two_pass_crossterm_equals_the_one_pass_oracle(n):
+    # 1, 7, 8, 9 and 150 trials sit on both sides of the 8-trial chunk at n = 10
+    for seed in range(3):
+        for trials in (1, 7, 8, 9, 150):
+            rep = zxcat.crossterm_bound_check(n=n, seed=seed, trials=trials)
+            got = (rep.observed, rep.params["violations"], rep.params["identity_overlap_dev"])
+            assert got == one_pass_crossterm(n, seed, trials), (seed, trials)
+
+
+def test_zxcat_suite_work_is_pinned(monkeypatch):
+    # call counts, not times: host noise cannot move them
+    from magiclab import suites
+
+    calls = {"adjoint": 0, "to_statevectors": 0}
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(sp.CliffordMap, "adjoint", counted("adjoint", sp.CliffordMap.adjoint))
+    monkeypatch.setattr(sv, "to_statevectors", counted("to_statevectors", sv.to_statevectors))
+    reports = suites.suite_zxcat(seed=0)
+    assert all(r.passed for r in reports)
+    # the cu witness's one adjoint; the cross-term check draws C itself,
+    # and converts its 150 trials in ceil(150 / 8) batches
+    assert calls == {"adjoint": 1, "to_statevectors": math.ceil(150 / 8)}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
