@@ -471,13 +471,13 @@ def to_statevectors(states: Sequence[StabilizerState]) -> list[StateVector]:
         phase[0] = 0
         m = 1
         for j in range(k):
-            low, high = idx[:m], phase[m : 2 * m]
+            low, reached = idx[:m], phase[m : 2 * m]
             np.bitwise_xor(low, xs[j], out=idx[m : 2 * m])
             np.bitwise_and(low, zs[j], out=masked[:m])
-            np.bitwise_count(masked[:m], out=high)
-            high <<= 1
-            high += phase[:m]
-            high += es[j]
+            np.bitwise_count(masked[:m], out=reached)
+            reached <<= 1
+            reached += phase[:m]
+            reached += es[j]
             m *= 2
         dense = np.zeros((rows, 2**n), dtype=complex)
         dense.reshape(-1)[idx.reshape(-1)] = (_I_POWERS / np.sqrt(size))[phase.reshape(-1) & 3]
