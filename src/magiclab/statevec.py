@@ -424,8 +424,8 @@ def to_statevectors(states: Sequence[StabilizerState]) -> list[StateVector]:
     of all n generators applied to |b>, up to the factor |D|/2^n); one
     elimination of the x-parts finds both h and D.  The support is filled
     by doubling, once for all the G states of equal k over (2^k, G) index
-    and Z4-phase arrays: h = i^(phase + |x&z|) X^x Z^z, its sign being i^phase,
-    sends i^e at idx to i^(e + phase + |x&z| + 2 z.idx) at idx ^ x.
+    and Z4-phase arrays: h = i^(2s + |x&z|) X^x Z^z, its sign being (-1)^s,
+    sends i^e at idx to i^(e + 2s + |x&z| + 2 z.idx) at idx ^ x.
     Dividing by sqrt(2^k), the norm, is exact.  Every state must have the
     same n, within the dense cap; sampled checks keep a batch within
     BATCH_AMPS amplitudes (see `chunk_sizes`).
@@ -436,20 +436,21 @@ def to_statevectors(states: Sequence[StabilizerState]) -> list[StateVector]:
     if any(s.n != n for s in states):
         raise ValueError("a batch of stabilizer states must share one n")
     _check_dense(n)
-    groups: dict[int, list] = {}  # k -> [(position, b, the k picked generators)]
+    xpart = (1 << n) - 1  # the x half of a packed row
+    groups: dict[int, list] = {}  # k -> [(position, b, the k picked (row, sign))]
     for pos, s in enumerate(states):
-        picked, kernel = _f2.eliminate([g.x for g in s.generators])
+        picked, kernel = _f2.eliminate([row & xpart for row in s.rows])
         equations = []
         for tag in kernel:
-            element = s.element(tag)
-            if element.x != 0:
+            x, z, phase = s.element(tag)
+            if x:
                 raise AssertionError("diagonal subgroup element has X support")
-            equations.append((element.z, element.phase >> 1))
+            equations.append((z, phase >> 1))
         b = _f2.solve(equations)
         if b is None:
             raise AssertionError("inconsistent stabilizer signs")
         groups.setdefault(len(picked), []).append(
-            (pos, b, [s.generators[i] for i in picked])
+            (pos, b, [(s.rows[i], s.signs >> i & 1) for i in picked])
         )
     out: list = [None] * len(states)
     for k, members in groups.items():
@@ -457,8 +458,8 @@ def to_statevectors(states: Sequence[StabilizerState]) -> list[StateVector]:
         # (3, k, rows): the x, z and i-exponent of generator j of each state;
         # the uint8 phases wrap mod 256, a multiple of 4
         xs, zs, es = np.array(
-            [(g.x, g.z, (g.phase + (g.x & g.z).bit_count()) & 3)
-             for _, _, picked in members for g in picked],
+            [(row & xpart, row >> n, (2 * sign + (row & row >> n).bit_count()) & 3)
+             for _, _, picked in members for row, sign in picked],
             dtype=np.uint64,
         ).reshape(rows, k, 3).transpose(2, 1, 0).copy()
         es = es.astype(np.uint8)  # a uint64 addend would cast every step

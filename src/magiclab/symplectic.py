@@ -9,10 +9,15 @@ Conventions used throughout the package:
   strings are exactly those with phase 0 or 2.
 * Qubit 0 is the leftmost character in text form ("-XIZY" puts X on
   qubit 0) and the least significant bit of dense amplitude indices.
-* Stabilizer states store n independent commuting Hermitian generators,
-  each carrying its sign as its phase (0 for +1, 2 for -1), as in the
-  Aaronson-Gottesman tableau (quant-ph/0406196); overlap magnitudes are
-  returned as floats, global phases are never exposed.
+* A tableau is stored once, as in the Aaronson-Gottesman form
+  (quant-ph/0406196): a tuple of packed rows x | z << n and one int sign
+  mask whose bit r set negates row r.  A ``StabilizerState`` holds its n
+  generators that way and a ``CliffordMap`` the images of X_0..X_{n-1}
+  and then of Z_0..Z_{n-1}.  One private kernel, ``_product``, multiplies
+  picked rows with exact phase: it gives a state's group elements and a
+  Clifford's conjugation alike.  ``PauliString`` is for single operators
+  and text only.  Overlap magnitudes are returned as floats, global
+  phases are never exposed.
 
 All tableau work is exact integer arithmetic, so results like overlaps
 are powers of sqrt(2) with no rounding; numpy appears only as the random
@@ -22,7 +27,7 @@ Generator that drives ``random_clifford``. Dense cross-checks live in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,10 +55,6 @@ class PauliString:
             raise ValueError("x/z bits outside the register")
         if not 0 <= self.phase < 4:
             object.__setattr__(self, "phase", self.phase % 4)
-
-    @classmethod
-    def identity(cls, n: int) -> "PauliString":
-        return cls(n, 0, 0, 0)
 
     @classmethod
     def single(cls, n: int, qubit: int, letter: str) -> "PauliString":
@@ -141,64 +142,83 @@ def _swap(row: int, n: int) -> int:
     return row >> n | (row & ((1 << n) - 1)) << n
 
 
-def _symplectic_row(p: PauliString) -> int:
-    return p.x | (p.z << p.n)
-
-
 def commutes(p: PauliString, q: PauliString) -> bool:
     """True iff p and q commute (symplectic form vanishes)."""
     if p.n != q.n:
         raise ValueError("size mismatch")
-    return not _f2.dot(_symplectic_row(p), q.z | q.x << q.n)
+    return not _f2.dot(p.x | p.z << p.n, q.z | q.x << q.n)
+
+
+def _check_bits(n: int, rows: tuple[int, ...], signs: int) -> None:
+    """Every row within 2n bits and `signs` within one bit per row."""
+    if not (all(0 <= row < 1 << 2 * n for row in rows) and 0 <= signs < 1 << len(rows)):
+        raise ValueError("tableau bits outside 2n-bit rows or one sign per row")
+
+
+def _product(n: int, rows, signs: int, mask: int, e: int) -> tuple[int, int, int]:
+    """Product of the signed rows picked by `mask`, in index order, times i^e.
+
+    Row r is (-1)^(bit r of signs) W(x, z) = i^(2 s + |x & z|) X^x Z^z with
+    x | z << n = rows[r].  In the X^a Z^b form a product only picks up the
+    sign (-1)^|b & a'| of moving Z^b past X^a'.  Returns (x, z, phase) of
+    the result i^phase W(x, z).
+    """
+    e += 2 * (signs & mask).bit_count()
+    acc = 0
+    while mask:
+        low = mask & -mask
+        row = rows[low.bit_length() - 1]
+        # row & row >> n is x & z; acc >> n & row is z_acc & x
+        e += (row & row >> n).bit_count() + 2 * (acc >> n & row).bit_count()
+        acc ^= row
+        mask ^= low
+    x, z = acc & ((1 << n) - 1), acc >> n
+    return x, z, (e - (x & z).bit_count()) % 4
 
 
 @dataclass(frozen=True)
 class StabilizerState:
-    """Pure stabilizer state given by n commuting Hermitian generators.
+    """Pure stabilizer state given by n commuting independent signed rows.
 
-    A generator's phase, 0 or 2, is its sign.
+    Row r packs generator r as x | z << n, and bit r of `signs` set makes
+    it -W(x, z) instead of +W(x, z).
     """
 
     n: int
-    generators: tuple[PauliString, ...]
+    rows: tuple[int, ...]
+    signs: int
 
     def __post_init__(self):
-        if len(self.generators) != self.n:
+        n, rows = self.n, self.rows
+        if len(rows) != n:
             raise ValueError("need exactly n generators")
-        if not all(g.is_hermitian for g in self.generators):
-            raise ValueError("stabilizer generators must be Hermitian")
-        if any(g.n != self.n for g in self.generators):
-            raise ValueError("size mismatch")
-        rows = [_symplectic_row(g) for g in self.generators]
-        swapped = [_swap(row, self.n) for row in rows]
+        _check_bits(n, rows, self.signs)
+        swapped = [_swap(row, n) for row in rows]
         for i, row in enumerate(rows):
-            for j in range(i + 1, self.n):
+            for j in range(i + 1, n):
                 if (row & swapped[j]).bit_count() & 1:
                     raise ValueError(f"generators {i} and {j} anticommute")
-        if _f2.rank(rows) != self.n:
+        if _f2.rank(rows) != n:
             raise ValueError("generators are not independent")
 
     @classmethod
     def zero_state(cls, n: int) -> "StabilizerState":
-        return cls(n, tuple(PauliString.single(n, q, "Z") for q in range(n)))
+        return cls(n, tuple(1 << n + q for q in range(n)), 0)
 
     @classmethod
     def plus_state(cls, n: int) -> "StabilizerState":
-        return cls(n, tuple(PauliString.single(n, q, "X") for q in range(n)))
+        return cls(n, tuple(1 << q for q in range(n)), 0)
 
-    def element(self, mask: int) -> PauliString:
+    def element(self, mask: int) -> tuple[int, int, int]:
         """Signed group element, the product of the generators in `mask`.
 
-        Commuting Hermitian factors always multiply to a Hermitian
-        result, so its phase is 0 or 2.
+        Returned as (x, z, phase) for i^phase W(x, z).  Commuting Hermitian
+        factors always multiply to a Hermitian result, so its phase is 0 or 2.
         """
-        acc = PauliString.identity(self.n)
-        for i in range(self.n):
-            if mask >> i & 1:
-                acc = pauli_product(acc, self.generators[i])
-        if not acc.is_hermitian:
+        x, z, phase = _product(self.n, self.rows, self.signs, mask, 0)
+        if phase & 1:
             raise AssertionError("non-Hermitian stabilizer element")
-        return acc
+        return x, z, phase
 
 
 def stabilizer_overlap(s1: StabilizerState, s2: StabilizerState) -> float:
@@ -212,16 +232,14 @@ def stabilizer_overlap(s1: StabilizerState, s2: StabilizerState) -> float:
     if s1.n != s2.n:
         raise ValueError("size mismatch")
     n = s1.n
-    rows = [_symplectic_row(g) for g in s1.generators]
-    rows += [_symplectic_row(g) for g in s2.generators]
-    kernel = _f2.left_kernel(rows)
+    kernel = _f2.left_kernel(s1.rows + s2.rows)
     low = (1 << n) - 1
     for tag in kernel:
-        g1 = s1.element(tag & low)
-        g2 = s2.element(tag >> n)
-        if (g1.x, g1.z) != (g2.x, g2.z):
+        x1, z1, phase1 = s1.element(tag & low)
+        x2, z2, phase2 = s2.element(tag >> n)
+        if (x1, z1) != (x2, z2):
             raise AssertionError("kernel element mismatch")
-        if g1.phase != g2.phase:
+        if phase1 != phase2:
             return 0.0
     return 2.0 ** ((len(kernel) - n) / 2)
 
@@ -230,7 +248,7 @@ def pauli_sandwich(s2: StabilizerState, p: PauliString, s1: StabilizerState) -> 
     """|<eta2| P |eta1>| for a Pauli P and stabilizer states eta1, eta2.
 
     P|eta1> is (up to a global phase, which the magnitude ignores) the
-    stabilizer state whose generators flip their phase by 2 wherever they
+    stabilizer state whose generators flip their sign wherever they
     anticommute with P, so the value reduces to a stabilizer overlap.
     Since P only touches signs, the group-intersection dimension is the
     same as for |<eta2|eta1>|: the result is always either 0 or the same
@@ -240,42 +258,32 @@ def pauli_sandwich(s2: StabilizerState, p: PauliString, s1: StabilizerState) -> 
     """
     if not (s1.n == s2.n == p.n):
         raise ValueError("size mismatch")
-    flipped = tuple(
-        g if commutes(g, p) else PauliString(g.n, g.x, g.z, g.phase ^ 2)
-        for g in s1.generators
-    )
-    return stabilizer_overlap(s2, StabilizerState(s1.n, flipped))
+    swapped = p.z | p.x << p.n
+    flips = sum(((row & swapped).bit_count() & 1) << r for r, row in enumerate(s1.rows))
+    return stabilizer_overlap(s2, StabilizerState(s1.n, s1.rows, s1.signs ^ flips))
 
 
 @dataclass(frozen=True)
 class CliffordMap:
-    """Clifford unitary given by its conjugation action on X_q and Z_q."""
+    """Clifford unitary C given by its conjugation action on X_q and Z_q.
+
+    Rows 0..n-1 pack the images C X_q C^dagger and rows n..2n-1 the images
+    C Z_q C^dagger, each as x | z << n; bit r of `signs` set negates image r.
+    """
 
     n: int
-    x_images: tuple[PauliString, ...]
-    z_images: tuple[PauliString, ...]
-    # (x, z, e) per image of X_0..X_{n-1}, Z_0..Z_{n-1}, with the image
-    # written as i^e X^x Z^z; derived from the images, so not compared
-    _rows: tuple[tuple[int, int, int], ...] = field(
-        init=False, repr=False, compare=False
-    )
+    rows: tuple[int, ...]
+    signs: int
 
     def __post_init__(self):
         n = self.n
-        if len(self.x_images) != n or len(self.z_images) != n:
+        if len(self.rows) != 2 * n:
             raise ValueError("need n images for X and for Z")
-        images = self.x_images + self.z_images
-        for img in images:
-            if img.n != n:
-                raise ValueError("image size mismatch")
-            if not img.is_hermitian:
-                raise ValueError("images must be Hermitian")
-        xs = [_symplectic_row(img) for img in self.x_images]
-        zs = [_symplectic_row(img) for img in self.z_images]
+        _check_bits(n, self.rows, self.signs)
+        xs, zs = self.rows[:n], self.rows[n:]
         sxs = [_swap(row, n) for row in xs]
         szs = [_swap(row, n) for row in zs]
-        for i in range(n):
-            xi, zi = xs[i], zs[i]
+        for i, (xi, zi) in enumerate(zip(xs, zs)):
             # X-X and Z-Z are symmetric and trivial on the diagonal, so only
             # j > i checks them, in the order a full sweep over j meets them
             for j in range(i):
@@ -290,44 +298,33 @@ class CliffordMap:
                     raise ValueError("Z images must commute pairwise")
                 if (xi & szs[j]).bit_count() & 1:
                     raise ValueError("X/Z image pairing broken")
-        rows = tuple(
-            (img.x, img.z, (img.phase + (img.x & img.z).bit_count()) % 4)
-            for img in images
-        )
-        object.__setattr__(self, "_rows", rows)
 
     @classmethod
     def identity(cls, n: int) -> "CliffordMap":
-        xs = tuple(PauliString.single(n, q, "X") for q in range(n))
-        zs = tuple(PauliString.single(n, q, "Z") for q in range(n))
-        return cls(n, xs, zs)
+        return cls(n, tuple(1 << r for r in range(2 * n)), 0)
 
     def _conj(self, x: int, z: int, phase: int) -> tuple[int, int, int]:
         """Image of i^phase W(x, z) under C . C^dagger, as (x, z, phase).
 
-        i^phase W(x, z) = i^(phase + |x & z|) X^x Z^z, and the images of
-        X^x and Z^z are the ordered products of the images of X_q and Z_q.
-        In the X^a Z^b form a product only picks up the sign (-1)^|b & a'|
-        of moving Z^b past X^a'.
+        i^phase W(x, z) = i^(phase + |x & z|) X^x Z^z, whose image is the
+        ordered product of the images of the X_q in x, then the Z_q in z.
         """
-        rows = self._rows
-        ax = az = 0
         e = phase + (x & z).bit_count()
-        for bits, offset in ((x, 0), (z, self.n)):
-            while bits:
-                low = bits & -bits
-                bx, bz, be = rows[offset + low.bit_length() - 1]
-                e += be + 2 * (az & bx).bit_count()
-                ax ^= bx
-                az ^= bz
-                bits ^= low
-        return ax, az, (e - (ax & az).bit_count()) % 4
+        return _product(self.n, self.rows, self.signs, x | z << self.n, e)
 
     def conjugate(self, p: PauliString) -> PauliString:
         """Image C P C^dagger, with exact phase."""
         if p.n != self.n:
             raise ValueError("size mismatch")
         return PauliString(self.n, *self._conj(p.x, p.z, p.phase))
+
+    def zero_and_plus(self) -> tuple[StabilizerState, StabilizerState]:
+        """C|0^n> and C|+^n>, stabilized by the images of the Z_q and of the X_q."""
+        n = self.n
+        return (
+            StabilizerState(n, self.rows[n:], self.signs >> n),
+            StabilizerState(n, self.rows[:n], self.signs & ((1 << n) - 1)),
+        )
 
     def adjoint(self) -> "CliffordMap":
         """Tableau of the inverse unitary.
@@ -339,31 +336,35 @@ class CliffordMap:
         C map it back to +X_q or +Z_q.
         """
         n = self.n
-        low = (1 << n) - 1
         cols = [0] * (2 * n)
-        for r, (x, z, _) in enumerate(self._rows):
-            bits = x | z << n
+        for r, bits in enumerate(self.rows):
             while bits:
                 lsb = bits & -bits
                 cols[lsb.bit_length() - 1] |= 1 << r
                 bits ^= lsb
-        images = []
+        rows, signs = [], 0
         for r in range(2 * n):
-            col = cols[(r + n) % (2 * n)]
-            x, z = col >> n, col & low
-            bx, bz, phase = self._conj(x, z, 0)
+            row = _swap(cols[(r + n) % (2 * n)], n)
+            bx, bz, phase = self._conj(row & ((1 << n) - 1), row >> n, 0)
             # packed, X_q is bit q and Z_q is bit n + q
             if bx | bz << n != 1 << r:
                 raise AssertionError("symplectic inversion failed")
-            images.append(PauliString(n, x, z, -phase % 4))
-        return CliffordMap(n, tuple(images[:n]), tuple(images[n:]))
+            rows.append(row)
+            signs |= (phase >> 1) << r
+        return CliffordMap(n, tuple(rows), signs)
 
 
 def apply_clifford(c: CliffordMap, s: StabilizerState) -> StabilizerState:
     """Stabilizer state C|eta> from the tableau action on generators."""
     if c.n != s.n:
         raise ValueError("size mismatch")
-    return StabilizerState(s.n, tuple(c.conjugate(g) for g in s.generators))
+    n, low = s.n, (1 << s.n) - 1
+    rows, signs = [], 0
+    for r, row in enumerate(s.rows):
+        x, z, phase = c._conj(row & low, row >> n, 2 * (s.signs >> r & 1))
+        rows.append(x | z << n)
+        signs |= (phase >> 1) << r
+    return StabilizerState(n, tuple(rows), signs)
 
 
 def random_clifford(n: int, rng) -> CliffordMap:
@@ -387,7 +388,6 @@ def random_clifford(n: int, rng) -> CliffordMap:
         raise ValueError("need at least one qubit")
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    low = (1 << n) - 1
     full = (1 << 2 * n) - 1
     # rng.bytes(k) takes ceil(k / 4) uint32 words for k = ceil(2n / 8) bytes
     shifts = range(0, 32 * ((2 * n + 31) // 32), 32)
@@ -422,10 +422,5 @@ def random_clifford(n: int, rng) -> CliffordMap:
         while not (w & sv).bit_count() & 1:
             w = draw()
         pairs.append((v, w, sv, _swap(w, n)))
-    signs = bits()
-    rows = [v for v, *_ in pairs] + [w for _, w, *_ in pairs]
-    images = [
-        PauliString(n, row & low, row >> n, 2 * (signs >> k & 1))
-        for k, row in enumerate(rows)
-    ]
-    return CliffordMap(n, tuple(images[:n]), tuple(images[n:]))
+    rows = tuple(v for v, *_ in pairs) + tuple(w for _, w, *_ in pairs)
+    return CliffordMap(n, rows, bits())

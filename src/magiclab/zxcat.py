@@ -123,8 +123,9 @@ def crossterm_bound_check(
     report observes the worst ratio against 1 + 1e-9 min(1, 2^{n/2 - top}),
     a slack never looser than 1e-9 in the ratio nor than 1e-9 in the cross
     term itself; `violations` counts the trials past it by the same rule.
-    The identity V reproduces |<phi1|phi2>| = 2^{-n/2} exactly, and its
-    deviation is recorded too.
+    The identity V reproduces |<phi1|phi2>| = 2^{-n/2} exactly: a trial
+    whose branches miss it by more than 1e-12 raises AssertionError, and the
+    worst deviation is recorded.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -137,9 +138,7 @@ def crossterm_bound_check(
     for size in sv.chunk_sizes(trials, 2 << n):
         branches, draws = [], []
         for _ in range(size):
-            # C Z_q C^dag and C X_q C^dag stabilize C|0^n> and C|+^n>
-            c = sp.random_clifford(n, rng)
-            branches += [sp.StabilizerState(n, c.z_images), sp.StabilizerState(n, c.x_images)]
+            branches += sp.random_clifford(n, rng).zero_and_plus()
             a = int(rng.integers(1, top + 1))
             support = tuple(
                 sorted(int(q) for q in rng.choice(n, size=a, replace=False))
@@ -147,7 +146,13 @@ def crossterm_bound_check(
             draws.append((a, support, _random_bounded_hermitian(1 << a, rng)))
         dense = sv.to_statevectors(branches)
         for (a, support, v_op), v1, v2 in zip(draws, dense[::2], dense[1::2]):
-            overlap_devs.append(abs(abs(np.vdot(v1.amps, v2.amps)) - 2.0 ** (-n / 2.0)))
+            dev = abs(abs(np.vdot(v1.amps, v2.amps)) - 2.0 ** (-n / 2.0))
+            if not dev <= 1e-12:
+                raise AssertionError(
+                    f"crossterm-bound trial {len(overlap_devs)}: "
+                    f"||<phi1|phi2>| - 2^(-n/2)| = {dev:.3g} > 1e-12"
+                )
+            overlap_devs.append(dev)
             moved = sv.matrix_action(v2.amps, n, support, v_op)
             ratios.append(abs(np.vdot(v1.amps, moved)) / 2.0 ** (a - n / 2.0))
     # np.max, not max: a NaN ratio must reach the verdict wherever it sits
@@ -162,12 +167,8 @@ def crossterm_bound_check(
 def _incone_subgroup_masks(s1: sp.StabilizerState, cone: frozenset) -> list:
     """Basis of generator masks whose products are supported inside cone."""
     n = s1.n
-    out = 0
-    for q in range(n):
-        if q not in cone:
-            out |= 1 << q
-    rows = [(g.x & out) | ((g.z & out) << n) for g in s1.generators]
-    return _f2.left_kernel(rows)
+    out = sum(1 << q for q in range(n) if q not in cone)
+    return _f2.left_kernel([row & (out | out << n) for row in s1.rows])
 
 
 def _best_incone_stabilizer(s1, cone, cmap, psi):
@@ -194,12 +195,12 @@ def _best_incone_stabilizer(s1, cone, cmap, psi):
         masks = list(basis)
     best = None
     for m in masks:
-        element = s1.element(m)
-        word, sign = element.word(), element.sign
-        if word.x == 0 and word.z == 0:
+        x, z, phase = s1.element(m)
+        if not x | z:
             continue
+        word, sign = sp.PauliString(s1.n, x, z), 1 - phase
         val = sign * sv.pauli_expectation(psi, cmap.conjugate(word))
-        key = (val, -word.weight, -word.x, -word.z)
+        key = (val, -word.weight, -x, -z)
         if best is None or key > best[0]:
             best = (key, word, sign, val)
     if best is None:

@@ -177,7 +177,7 @@ def test_local_indistinguishability_closed_form():
     diff = sv.pauli_expectation(plus, z0) - sv.pauli_expectation(minus, z0)
     s = 2.0 ** (-n / 2)
     assert diff == pytest.approx(s / (1 - s * s), abs=1e-12)
-    ident = sp.PauliString.identity(n)
+    ident = sp.PauliString(n, 0, 0)
     assert sv.pauli_expectation(plus, ident) == pytest.approx(1.0, abs=1e-12)
     assert sv.pauli_expectation(minus, ident) == pytest.approx(1.0, abs=1e-12)
 
@@ -200,7 +200,7 @@ def combined_indist_scan(n, max_support, random_trials=0, seed=0):
         limit = 2.0 ** (a - n / 2.0)
         for support in itertools.combinations(range(n), a):
             for letters in range(3**a):
-                p = sp.PauliString.identity(n)
+                p = sp.PauliString(n, 0, 0)
                 rem = letters
                 for q in support:
                     p = p * sp.PauliString.single(n, q, "XYZ"[rem % 3])

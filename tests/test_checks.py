@@ -3,7 +3,8 @@
 Each planted defect below is a monkeypatched library function.  It must
 make the suite's report read `pass: false` and `magiclab <suite>` exit 1,
 and make the subcommand that reports the same check exit 1 too: both go
-through one rule.  The unread-flag tests cover every suite and subcommand.
+through one rule.  A gate test keeps every check that `magiclab all`
+emits in DEFECTS.  The unread-flag tests cover every suite and subcommand.
 """
 
 import contextlib
@@ -67,21 +68,40 @@ def _phase_slip(real):
     return product
 
 
-def _flipped(p):
-    return sp.PauliString(p.n, p.x, p.z, p.phase ^ 2)
-
-
 def _sign_slip(real):
     # products of two or more generators come out with the wrong sign
-    return lambda s, mask: _flipped(real(s, mask)) if mask.bit_count() >= 2 else real(s, mask)
+    def element(s, mask):
+        x, z, phase = real(s, mask)
+        return x, z, (phase ^ 2 if mask.bit_count() >= 2 else phase)
+
+    return element
 
 
 def _adjoint_sign_slip(real):
+    # the inverse's image of X_0 comes out negated
     def adjoint(c):
         adj = real(c)
-        return sp.CliffordMap(adj.n, (_flipped(adj.x_images[0]), *adj.x_images[1:]), adj.z_images)
+        return dataclasses.replace(adj, signs=adj.signs ^ 1)
 
     return adjoint
+
+
+def _skewed_right_side(real):
+    def identity(poly):
+        total, p_minus_n = real(poly)
+        return total, p_minus_n * (1 + 1e-6)
+
+    return identity
+
+
+def _unitary_times_i(real):
+    # i S (or i T) is still unitary, so the data builds; S^2 and (ST)^3 move
+    return lambda data: 1j * real(data)
+
+
+def _premise_residual(real):
+    # a residual below check_premises' own 1e-8 raise, above the 1e-10 bound
+    return lambda inst, *a, **k: {**real(inst, *a, **k), "mi_a_cd": 1e-9}
 
 
 # (suite, check, module, attribute, defect built from the original, twin argv)
@@ -139,7 +159,7 @@ DEFECTS = {
     ),
     "sandwich-vs-dense": (
         "symplectic", "sandwich-vs-dense", sp, "pauli_sandwich",
-        lambda real: lambda s2, p, s1: real(s2, sp.PauliString.identity(p.n), s1), None,
+        lambda real: lambda s2, p, s1: real(s2, sp.PauliString(p.n, 0, 0), s1), None,
     ),
     "clifford-roundtrip": (
         "symplectic", "clifford-roundtrip", sp.CliffordMap, "adjoint", _adjoint_sign_slip, None,
@@ -160,6 +180,48 @@ DEFECTS = {
     "scalar-rigidity": (
         "modular", "scalar-rigidity", modular, "scalar_rigidity_trial",
         lambda real: lambda *a, **k: None, None,
+    ),
+    "step-error": (
+        "agsp", "step-error", agsp, "step_error_sup",
+        lambda real: lambda poly: real(poly) + poly.error_bound(), None,
+    ),
+    "coefficient-mass-identity": (
+        "agsp", "coefficient-mass-identity", agsp, "coeff_sum_identity", _skewed_right_side, None,
+    ),
+    "operator-vs-step": (
+        "agsp", "operator-vs-step", agsp, "agsp_operator_check",
+        lambda real: lambda n, m: real(n, m) + 1.0, None,
+    ),
+    "global-clifford-certificate": (
+        "prep", "global-clifford-certificate", prep, "verify_global_clifford",
+        lambda real: lambda n: False, None,
+    ),
+    "adaptive-success-probability": (
+        "prep", "adaptive-success-probability", prep, "adaptive_success_probability",
+        lambda real: lambda n: real(n) + 1e-9, None,
+    ),
+    "s-squared-identity": (
+        "modular", "s-squared-identity", modular.ModularData, "s_numeric", _unitary_times_i, None,
+    ),
+    "st-cubed-relation": (
+        "modular", "st-cubed-relation", modular.ModularData, "t_numeric", _unitary_times_i, None,
+    ),
+    "genus-two-dimension": (
+        "modular", "genus-two-dimension", modular, "verlinde_dim",
+        lambda real: lambda dims, genus: real(dims, genus) + 1, None,
+    ),
+    "off-pattern-moduli": (
+        "modular", "off-pattern-moduli", modular, "offdiag_modulus_scan",
+        lambda real: lambda *a, **k: 1.0, None,
+    ),
+    "premises": ("glue", "premises", glue, "check_premises", _premise_residual, None),
+    "middle-factor-purity": (
+        "glue", "middle-factor-purity", glue, "shared_factor_entropy",
+        lambda real: lambda inst: real(inst) + 1e-6, None,
+    ),
+    "petz-matches-unitary": (
+        "glue", "petz-matches-unitary", glue, "petz_glue",
+        lambda real: lambda inst, *a, **k: real(inst, *a, **k) + 1e-6, None,
     ),
 }
 
@@ -188,6 +250,20 @@ def test_planted_defect_fails_suite_and_subcommand(rule, monkeypatch):
         assert code == 1 and record["pass"] is False
         if rule != "mi-numeric":
             assert record["check"] == check
+
+
+# mi-asymptote checks one literal against another: its planted defect
+# waits until the value is computed (ROADMAP item 9)
+WAITING = {"mi-asymptote"}
+
+
+def test_every_emitted_check_has_a_planted_defect():
+    code, out = _run(["all", "--seed", "0"])
+    assert code == 0
+    emitted = {r["check"] for r in json.loads(out)}
+    covered = {check for _, check, *_ in DEFECTS.values()}
+    assert emitted == covered | WAITING
+    assert not covered & WAITING
 
 
 def test_verlinde_off_by_one_fails(monkeypatch):
@@ -232,6 +308,26 @@ def test_crossterm_nan_fails_wherever_it_sits(poisoned_call, monkeypatch):
     rep = zxcat.crossterm_bound_check(n=6, trials=5)
     assert np.isnan(rep.observed) and not rep.passed
     assert rep.params["violations"] == 1
+
+
+def test_crossterm_fails_on_a_branch_off_the_identity_overlap(monkeypatch, capsys):
+    # C|1^n> planted as each trial's X-image branch: the Z-image rows with
+    # every sign flipped, orthogonal to C|0^n>, so the overlap misses 2^{-n/2}
+    real = sp.CliffordMap.zero_and_plus
+
+    def zero_and_one(c):
+        zero, _ = real(c)
+        return zero, sp.StabilizerState(c.n, zero.rows, zero.signs ^ (1 << c.n) - 1)
+
+    monkeypatch.setattr(sp.CliffordMap, "zero_and_plus", zero_and_one)
+    assert main(["zxcat", "--seed", "0"]) == 1
+    captured = capsys.readouterr()
+    # n = 10: the residual is |0 - 2^-5|
+    assert captured.err == (
+        f"check failed: zxcat seed 0: crossterm-bound trial 0: "
+        f"||<phi1|phi2>| - 2^(-n/2)| = {2.0 ** -5:.3g} > 1e-12\n"
+    )
+    assert captured.out == ""
 
 
 def test_witnesses_fail_on_nan(monkeypatch):

@@ -10,6 +10,7 @@ import pytest
 from magiclab import _f2, reports
 from magiclab import statevec as sv
 from magiclab import symplectic as sp
+from tableaux import build, paulis
 
 
 def normalized(amps):
@@ -232,7 +233,7 @@ def test_to_statevector_examples():
     assert np.abs(zero.amps - sv.StateVector.basis_state(3, 0).amps).max() < 1e-12
     plus = sv.to_statevector(sp.StabilizerState.plus_state(3))
     assert np.abs(np.abs(plus.amps) - 2.0**-1.5).max() < 1e-12
-    minus_z = sp.StabilizerState(1, (sp.PauliString.from_text("-Z"),))
+    minus_z = build(sp.StabilizerState, ["-Z"])
     one = sv.to_statevector(minus_z)
     assert abs(one.amps[1]) == pytest.approx(1.0, abs=1e-12)
 
@@ -244,7 +245,7 @@ def test_to_statevector_satisfies_generators():
         c = sp.random_clifford(n, rng)
         s = sp.apply_clifford(c, sp.StabilizerState.zero_state(n))
         v = sv.to_statevector(s)
-        for g in s.generators:
+        for g in paulis(s):
             val = np.vdot(v.amps, sv.pauli_matrix(g.word()) @ v.amps).real
             assert val == pytest.approx(g.sign, abs=1e-10)
 
@@ -254,17 +255,16 @@ def projector_statevector(s):
     """Reference stabilizer->dense route: n projector passes (1 + g)/2 on |b>."""
     from magiclab import _f2
 
-    x_rows = [g.x for g in s.generators]
+    x_rows = [g.x for g in paulis(s)]
     equations = []
     for tag in _f2.left_kernel(x_rows):
-        element = s.element(tag)
-        word, sign = element.word(), element.sign
-        assert word.x == 0
-        equations.append((word.z, 0 if sign == 1 else 1))
+        x, z, phase = s.element(tag)
+        assert x == 0
+        equations.append((z, phase >> 1))
     b = _f2.solve(equations)
     state = np.zeros(2**s.n, dtype=complex)
     state[b] = 1.0
-    for g in s.generators:
+    for g in paulis(s):
         state = (state + g.sign * power_word_action(state, g.word())) / 2.0
     return normalized(state)
 
@@ -306,16 +306,16 @@ def doubling_statevector(s):
     """Stabilizer->dense by two eliminations and concatenating complex doubling."""
     from magiclab import _f2
 
-    x_rows = [g.x for g in s.generators]
+    gens = paulis(s)
+    x_rows = [g.x for g in gens]
     equations = []
     for tag in _f2.left_kernel(x_rows):
-        element = s.element(tag)
-        word, sign = element.word(), element.sign
-        equations.append((word.z, 0 if sign == 1 else 1))
+        _, z, phase = s.element(tag)
+        equations.append((z, phase >> 1))
     idx = np.array([_f2.solve(equations)], dtype=np.uint64)
     vals = np.ones(1, dtype=complex)
     for i in _f2.eliminate(x_rows)[0]:
-        g, sign = s.generators[i].word(), s.generators[i].sign
+        g, sign = gens[i].word(), gens[i].sign
         coeff = sign * (1.0 + 0j, 1j, -1.0 + 0j, -1j)[(g.x & g.z).bit_count() % 4]
         par = np.bitwise_count(idx & np.uint64(g.z)) & 1
         vals = np.concatenate((vals, coeff * (1.0 - 2.0 * par) * vals))
@@ -338,12 +338,13 @@ def test_to_statevector_equals_the_concatenating_doubling():
 
 def single_doubling(s):
     """The single-state stabilizer->dense doubling that the batched kernel replaced."""
-    picked, kernel = _f2.eliminate([g.x for g in s.generators])
+    gens = paulis(s)
+    picked, kernel = _f2.eliminate([g.x for g in gens])
     equations = []
     for tag in kernel:
-        element = s.element(tag)
-        assert element.x == 0
-        equations.append((element.z, element.phase >> 1))
+        x, z, phase = s.element(tag)
+        assert x == 0
+        equations.append((z, phase >> 1))
     b = _f2.solve(equations)
     size = 1 << len(picked)
     idx = np.empty(size, dtype=np.uint64)
@@ -351,7 +352,7 @@ def single_doubling(s):
     idx[0], phase[0] = b, 0
     m = 1
     for i in picked:
-        g = s.generators[i]
+        g = gens[i]
         low = idx[:m]
         np.bitwise_xor(low, g.x, out=idx[m : 2 * m])
         e = g.phase + (g.x & g.z).bit_count()
@@ -368,7 +369,7 @@ def mixed_k_batch(n, rng, draws):
     for _ in range(draws):
         c = sp.random_clifford(n, rng)
         for cmap in (c, c.adjoint()):
-            states += [sp.StabilizerState(n, cmap.z_images), sp.StabilizerState(n, cmap.x_images)]
+            states += cmap.zero_and_plus()
     return states
 
 
@@ -376,7 +377,7 @@ def test_to_statevectors_bytes_equal_the_single_state_doubling():
     rng = np.random.default_rng(43)
     for n in range(1, 13):
         states = mixed_k_batch(n, rng, 4 if n <= 8 else 2)
-        ks = {_f2.rank([g.x for g in s.generators]) for s in states}
+        ks = {_f2.rank([g.x for g in paulis(s)]) for s in states}
         assert {0, n} <= ks, n  # the batch mixes values of k
         want = [single_doubling(s).tobytes() for s in states]
         got = sv.to_statevectors(states)

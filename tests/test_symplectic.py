@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from magiclab import symplectic as sp
-from magiclab.statevec import pauli_matrix, to_statevector
+from magiclab.statevec import pauli_matrix, to_statevector, to_statevectors
+from tableaux import build, paulis
 
 
 def random_pauli(n, rng, hermitian=False):
@@ -175,7 +176,7 @@ def test_single_qubit_cliffords_land_in_the_24_group():
     seen = set()
     for _ in range(300):
         c = sp.random_clifford(1, rng)
-        xi, zi = c.x_images[0], c.z_images[0]
+        xi, zi = paulis(c)
         key = (
             xi.word().to_text(), xi.phase, zi.word().to_text(), zi.phase,
         )
@@ -201,7 +202,7 @@ def test_random_clifford_uniform_over_the_24_single_qubit_classes():
     counts = Counter()
     for _ in range(24_000):
         c = sp.random_clifford(1, rng)
-        counts[c.x_images[0], c.z_images[0]] += 1
+        counts[tuple(paulis(c))] += 1
     stat, critical = chi_square(counts, 24)
     assert stat < critical, (stat, critical)
 
@@ -214,7 +215,7 @@ def test_random_clifford_uniform_over_sp4_with_balanced_signs():
     minus = [0] * 4
     for _ in range(draws):
         c = sp.random_clifford(2, rng)
-        images = c.x_images + c.z_images
+        images = paulis(c)
         counts[tuple((p.x, p.z) for p in images)] += 1
         for k, p in enumerate(images):
             minus[k] += p.phase == 2
@@ -278,7 +279,7 @@ def test_random_clifford_reads_the_rng_bytes_stream(bitgen):
         twin = np.random.Generator(getattr(np.random, bitgen)(n))
         for _ in range(2):
             c = sp.random_clifford(n, rng)
-            got = [(p.x, p.z, p.phase) for p in c.x_images + c.z_images]
+            got = [(p.x, p.z, p.phase) for p in paulis(c)]
             assert got == random_clifford_by_bytes(n, twin), (bitgen, n)
             assert bitgen_state(rng) == bitgen_state(twin), (bitgen, n)
             # an odd word count leaves half a 64-bit output buffered
@@ -325,12 +326,12 @@ def test_overlap_examples():
     gens = [sp.PauliString(n, (1 << n) - 1, 0, 0)]
     for i in range(n - 1):
         gens.append(sp.PauliString(n, 0, (1 << i) | (1 << (i + 1)), 0))
-    ghz = sp.StabilizerState(n, tuple(gens))
+    ghz = build(sp.StabilizerState, gens)
     assert sp.stabilizer_overlap(sp.StabilizerState.zero_state(n), ghz) == (
         pytest.approx(2**-0.5, abs=1e-15)
     )
     # orthogonal: |0> vs |1>
-    one = sp.StabilizerState(1, (sp.PauliString.from_text("-Z"),))
+    one = build(sp.StabilizerState, ["-Z"])
     assert sp.stabilizer_overlap(sp.StabilizerState.zero_state(1), one) == 0.0
 
 
@@ -376,11 +377,11 @@ def test_sandwich_matches_dense_and_overlap():
 
 def element_from_words_and_signs(s, mask):
     """Reference group element: the unsigned words' product, the signs apart."""
-    acc, sign = sp.PauliString.identity(s.n), 1
-    for i, g in enumerate(s.generators):
+    acc, sign = sp.PauliString(s.n, 0, 0), 1
+    for i, g in enumerate(paulis(s)):
         if mask >> i & 1:
             acc, sign = sp.pauli_product(acc, g.word()), sign * g.sign
-    return sp.PauliString(s.n, acc.x, acc.z, 0 if sign * acc.sign == 1 else 2)
+    return acc.x, acc.z, 0 if sign * acc.sign == 1 else 2
 
 
 def test_element_is_the_signed_generator_product():
@@ -390,18 +391,14 @@ def test_element_is_the_signed_generator_product():
         s = random_stabilizer_state(n, rng)
         for mask in range(1 << n):
             assert s.element(mask) == element_from_words_and_signs(s, mask)
-        assert s.element(0) == sp.PauliString.identity(n)
+        assert s.element(0) == (0, 0, 0)
 
 
 def test_stabilizer_state_validation():
     with pytest.raises(ValueError):
-        sp.StabilizerState(
-            2, (sp.PauliString.from_text("XI"), sp.PauliString.from_text("ZI"))
-        )  # anticommuting
+        build(sp.StabilizerState, ["XI", "ZI"])  # anticommuting
     with pytest.raises(ValueError):
-        sp.StabilizerState(
-            2, (sp.PauliString.from_text("ZI"), sp.PauliString.from_text("ZI"))
-        )  # dependent
+        build(sp.StabilizerState, ["ZI", "ZI"])  # dependent
 
 
 # -- int kernels against per-PauliString references ---------------------------
@@ -409,19 +406,20 @@ def test_stabilizer_state_validation():
 def conjugate_by_products(c, p):
     """Reference C P C^dagger: one pauli_product per image of X_q and Z_q."""
     acc = sp.PauliString(c.n, 0, 0, (p.phase + (p.x & p.z).bit_count()) % 4)
+    images = paulis(c)
     for q in range(c.n):
         if p.x >> q & 1:
-            acc = sp.pauli_product(acc, c.x_images[q])
+            acc = sp.pauli_product(acc, images[q])
     for q in range(c.n):
         if p.z >> q & 1:
-            acc = sp.pauli_product(acc, c.z_images[q])
+            acc = sp.pauli_product(acc, images[c.n + q])
     return acc
 
 
 def adjoint_by_bits(c):
     """Reference inverse tableau, entry by entry from M^-1 = Omega M^T Omega."""
     n = c.n
-    rows = [img.x | img.z << n for img in c.x_images + c.z_images]
+    rows = [img.x | img.z << n for img in paulis(c)]
     images = []
     for r in range(2 * n):
         rbar = r + n if r < n else r - n
@@ -435,7 +433,7 @@ def adjoint_by_bits(c):
                     z |= 1 << (col - n)
         back = conjugate_by_products(c, sp.PauliString(n, x, z, 0))
         images.append(sp.PauliString(n, x, z, -back.phase % 4))
-    return sp.CliffordMap(n, tuple(images[:n]), tuple(images[n:]))
+    return build(sp.CliffordMap, images)
 
 
 def test_conj_kernel_matches_product_loop_with_phases():
@@ -457,7 +455,7 @@ def test_apply_clifford_matches_product_loop():
         c = sp.random_clifford(n, rng)
         s = random_stabilizer_state(n, rng)
         out = sp.apply_clifford(c, s)
-        for g, img in zip(s.generators, out.generators, strict=True):
+        for g, img in zip(paulis(s), paulis(out), strict=True):
             assert img == conjugate_by_products(c, g)
 
 
@@ -476,14 +474,14 @@ def test_adjoint_matches_bitwise_construction_and_inverts():
 
 
 def test_adjoint_inversion_check_survives_optimize():
-    # corrupting the packed rows behind the images makes C map the inverse
+    # corrupting the packed rows of the images makes C map the inverse
     # rows elsewhere; the round trip must raise in every interpreter mode
     code = (
         "from magiclab import symplectic as sp\n"
         "c = sp.random_clifford(3, 5)\n"
-        "rows = list(c._rows)\n"
-        "rows[0] = (rows[0][0] ^ 1, rows[0][1], rows[0][2])\n"
-        "object.__setattr__(c, '_rows', tuple(rows))\n"
+        "rows = list(c.rows)\n"
+        "rows[0] ^= 1\n"
+        "object.__setattr__(c, 'rows', tuple(rows))\n"
         "try:\n"
         "    c.adjoint()\n"
         "except AssertionError as exc:\n"
@@ -499,26 +497,23 @@ def test_adjoint_inversion_check_survives_optimize():
 
 
 def test_validators_keep_their_messages():
-    xs = tuple(sp.PauliString.from_text(t) for t in ("XI", "ZI"))
-    zs = tuple(sp.PauliString.from_text(t) for t in ("ZI", "IZ"))
     with pytest.raises(ValueError, match="X images must commute pairwise"):
-        sp.CliffordMap(2, xs, zs)
-    xs = tuple(sp.PauliString.from_text(t) for t in ("XI", "IX"))
-    zs = tuple(sp.PauliString.from_text(t) for t in ("ZI", "XZ"))
+        build(sp.CliffordMap, ["XI", "ZI", "ZI", "IZ"])
     with pytest.raises(ValueError, match="Z images must commute pairwise"):
-        sp.CliffordMap(2, xs, zs)
-    zs = tuple(sp.PauliString.from_text(t) for t in ("IZ", "ZI"))
+        build(sp.CliffordMap, ["XI", "IX", "ZI", "XZ"])
     with pytest.raises(ValueError, match="X/Z image pairing broken"):
-        sp.CliffordMap(2, xs, zs)
-    gens = tuple(sp.PauliString.from_text(t) for t in ("ZII", "IZI", "XII"))
+        build(sp.CliffordMap, ["XI", "IX", "IZ", "ZI"])
     with pytest.raises(ValueError, match="generators 0 and 2 anticommute"):
-        sp.StabilizerState(3, gens)
-    with pytest.raises(ValueError, match="size mismatch"):
-        sp.StabilizerState(2, tuple(sp.PauliString.from_text(t) for t in ("ZII", "IZI")))
-    with pytest.raises(ValueError, match="generators must be Hermitian"):
-        sp.StabilizerState(1, (sp.PauliString.from_text("iZ"),))
+        build(sp.StabilizerState, ["ZII", "IZI", "XII"])
     with pytest.raises(ValueError, match="need exactly n generators"):
-        sp.StabilizerState(2, (sp.PauliString.from_text("ZI"),))
+        sp.StabilizerState(2, (0b0100,), 0)
+    # a row past 2n bits, or a sign past the row count
+    out_of_range = "tableau bits outside 2n-bit rows or one sign per row"
+    for rows, signs in (((0b0100, 0b1_0000), 0), ((0b0100, 0b1000), 0b100), ((-1, 0b1000), 0)):
+        with pytest.raises(ValueError, match=out_of_range):
+            sp.StabilizerState(2, rows, signs)
+    with pytest.raises(ValueError, match=out_of_range):
+        sp.CliffordMap(1, (0b01, 0b10), 0b100)
 
 
 def test_pauli_product_matches_dense_property():
@@ -540,3 +535,90 @@ def test_pauli_product_matches_dense_property():
         assert np.array_equal(pauli_matrix(sp.pauli_product(p, q)), want)
 
     check()
+
+
+def test_tableau_layer_builds_no_pauli_string(monkeypatch):
+    built = []
+    real = sp.PauliString.__post_init__
+
+    def counted(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(sp.PauliString, "__post_init__", counted)
+    p = sp.PauliString.from_text("XYZIXYZIXZ")
+    built.clear()
+    c = sp.random_clifford(10, 0)
+    zero, plus = c.zero_and_plus()
+    s1 = sp.apply_clifford(c.adjoint(), zero)
+    sp.stabilizer_overlap(s1, plus)
+    sp.pauli_sandwich(plus, p, s1)
+    to_statevectors([zero, plus, s1])
+    assert built == []
+
+
+def _form(a, b, n):
+    """Symplectic form of two packed rows, one qubit at a time."""
+    return sum((a >> q & 1) * (b >> n + q & 1) + (a >> n + q & 1) * (b >> q & 1) for q in range(n)) & 1
+
+
+def _span_size(rows):
+    span = {0}
+    for row in rows:
+        span |= {v ^ row for v in span}
+    return len(span)
+
+
+def test_validators_accept_exactly_the_valid_tableaux_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def tableaux(draw):
+        # rows of a drawn Clifford with a few bits flipped, up to one past 2n,
+        # so both verdicts come up; counts off by one and wide signs too
+        n = draw(st.integers(1, 4))
+        c = sp.random_clifford(n, draw(st.integers(0, 2**32 - 1)))
+        count = 2 * n if draw(st.booleans()) else n
+        count += draw(st.sampled_from([0, 0, 0, 0, -1, 1]))
+        start = draw(st.sampled_from([0, n]))
+        rows = [c.rows[(start + i) % (2 * n)] for i in range(max(count, 0))]
+        for _ in range(draw(st.integers(0, 2))):
+            if rows:
+                i = draw(st.integers(0, len(rows) - 1))
+                rows[i] ^= 1 << draw(st.integers(0, 2 * n))
+        signs = draw(st.integers(0, 2 ** len(rows) - 1))
+        signs |= draw(st.sampled_from([0, 0, 0, 1])) << len(rows)
+        return n, tuple(rows), signs
+
+    def accepts(cls, n, rows, signs):
+        try:
+            cls(n, rows, signs)
+        except ValueError:
+            return False
+        return True
+
+    @hyp.settings(max_examples=400, deadline=None)
+    @hyp.given(tableaux())
+    def check(case):
+        n, rows, signs = case
+        in_range = all(row < 1 << 2 * n for row in rows) and signs < 1 << len(rows)
+        isotropic = all(_form(a, b, n) == 0 for a in rows for b in rows)
+        independent = _span_size(rows) == 2 ** len(rows)
+        want = len(rows) == n and in_range and isotropic and independent
+        assert accepts(sp.StabilizerState, n, rows, signs) == want
+        omega = [[int(abs(i - j) == n) for j in range(2 * n)] for i in range(2 * n)]
+        gram = [[_form(a, b, n) for b in rows] for a in rows]
+        want = len(rows) == 2 * n and in_range and gram == omega
+        assert accepts(sp.CliffordMap, n, rows, signs) == want
+
+    check()
+
+
+def test_tableau_text_round_trip():
+    # the test helper packs rows and signs as the tableau types read them
+    for cls, rows in ((sp.StabilizerState, ["-XZ", "ZX"]), (sp.CliffordMap, ["ZI", "-IX", "XX", "-ZY"])):
+        tableau = build(cls, rows)
+        assert [p.to_text() for p in paulis(tableau)] == rows
+    assert sp.StabilizerState.zero_state(2) == build(sp.StabilizerState, ["ZI", "IZ"])
+    assert sp.CliffordMap.identity(2) == build(sp.CliffordMap, ["XI", "IX", "ZI", "IZ"])

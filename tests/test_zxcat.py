@@ -144,8 +144,7 @@ def test_crossterm_branches_from_the_drawn_images():
             c = sp.random_clifford(n, rng)
             zero = sp.apply_clifford(c, sp.StabilizerState.zero_state(n))
             plus = sp.apply_clifford(c, sp.StabilizerState.plus_state(n))
-            assert sp.StabilizerState(n, c.z_images) == zero
-            assert sp.StabilizerState(n, c.x_images) == plus
+            assert c.zero_and_plus() == (zero, plus)
 
 
 def one_pass_crossterm(n, seed, trials, max_support=4):
@@ -156,8 +155,7 @@ def one_pass_crossterm(n, seed, trials, max_support=4):
     ratios, overlap_devs = [], []
     for _ in range(trials):
         c = sp.random_clifford(n, rng)
-        v1 = sv.to_statevector(sp.StabilizerState(n, c.z_images))
-        v2 = sv.to_statevector(sp.StabilizerState(n, c.x_images))
+        v1, v2 = (sv.to_statevector(s) for s in c.zero_and_plus())
         overlap_devs.append(abs(abs(np.vdot(v1.amps, v2.amps)) - 2.0 ** (-n / 2.0)))
         a = int(rng.integers(1, top + 1))
         support = tuple(sorted(int(q) for q in rng.choice(n, size=a, replace=False)))
