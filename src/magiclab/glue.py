@@ -29,6 +29,7 @@ from .statevec import (
     apply_gate,
     entanglement_entropy,
     haar_unitary,
+    kron,
     max_qubits,
     mutual_information,
     reduced_density,
@@ -113,7 +114,7 @@ def _random_factor(qubits: int, rng, product: bool) -> np.ndarray:
         vec = np.ones(1, dtype=complex)
         for _ in range(qubits):
             single = rng.normal(size=2) + 1j * rng.normal(size=2)
-            vec = np.kron(single / np.linalg.norm(single), vec)
+            vec = kron(single / np.linalg.norm(single), vec)
         return vec
     vec = rng.normal(size=2**qubits) + 1j * rng.normal(size=2**qubits)
     return vec / np.linalg.norm(vec)
@@ -140,13 +141,13 @@ def generate_gluable_instance(
     f_c2d = _random_factor(c2 + d, rng, product)
     w_a = haar_unitary(2**a, rng)
     w_d = haar_unitary(2**d, rng)
-    g_ab1 = np.kron(np.eye(2**b1), w_a) @ f_ab1
-    g_c2d = np.kron(w_d, np.eye(2**c2)) @ f_c2d
+    g_ab1 = kron(np.eye(2**b1), w_a) @ f_ab1
+    g_c2d = kron(w_d, np.eye(2**c2)) @ f_c2d
     hide_b = Gate(part.qubits("B"), haar_unitary(2 ** (b1 + b2), rng))
     hide_c = Gate(part.qubits("C"), haar_unitary(2 ** (c1 + c2), rng))
 
     def assemble(left, right):
-        amps = np.kron(right, np.kron(f_mid, left))
+        amps = kron(right, kron(f_mid, left))
         return apply_gate(apply_gate(StateVector(part.n, amps), hide_b), hide_c)
 
     return GluableInstance(
@@ -325,7 +326,8 @@ def petz_glue(inst: GluableInstance, cutoff: float = 1e-10) -> np.ndarray:
     partner marginal yields the merged state, returned as the dense 2^n x
     2^n density matrix W W*; its unit trace and its spectrum are read from
     the dim_A^2-square Gram matrix W* W, which has the same nonzero
-    eigenvalues, and the returned matrix is checked Hermitian tile by tile
+    eigenvalues, and the returned matrix is checked Hermitian over 64 x 64
+    tile pairs, each compared in its own copy so the output is not written
     (statevec's `_hermitian_defect`).  The premises were checked when the
     instance was built.
     """
@@ -334,7 +336,7 @@ def petz_glue(inst: GluableInstance, cutoff: float = 1e-10) -> np.ndarray:
     dim_b = 2 ** (part.sizes[1] + part.sizes[2])
     rho_ab = reduced_density(inst.psi, part.qubits("A", "B"))
     rho_b = reduced_density(inst.psi, part.qubits("B"))
-    lift = _sqrt_psd(rho_ab) @ np.kron(_invsqrt_psd(rho_b, cutoff), np.eye(dim_a))
+    lift = _sqrt_psd(rho_ab) @ kron(_invsqrt_psd(rho_b, cutoff), np.eye(dim_a))
     # lift[b, a, b', a'] maps (b', a') to (b, a); A is the low-bit block
     lift = lift.reshape(dim_b, dim_a, dim_b, dim_a)
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .statevec import haar_unitary
+from .statevec import haar_unitary, kron
 
 _PHI = (1.0 + 5.0 ** 0.5) / 2.0
 _new, _setattr = object.__new__, object.__setattr__
@@ -556,7 +556,7 @@ def scalar_rigidity_trial(
     rng = np.random.default_rng(seed)
     for _ in range(attempts):
         u = haar_unitary(n, rng)
-        w = np.kron(u, u.conj())
+        w = kron(u, u.conj())
         conj = w @ k_matrix @ w.conj().T
         distance, _ = monomial_distance(conj, tol)
         if distance > tol:

@@ -27,6 +27,7 @@ from .statevec import (
     apply_circuit,
     apply_gate,
     LayeredCircuit,
+    kron,
     max_qubits,
     measure_shots,
     pauli_matrix,
@@ -328,7 +329,7 @@ def bell_shots(n: int, trials: int, seed: int = 0) -> list:
     site = _site_state()
     amps = site
     for _ in range(n - 1):
-        amps = np.kron(site, amps)
+        amps = kron(site, amps)
     v = StateVector(3 * n, amps)
     rngs = [np.random.default_rng(seed + t) for t in range(trials)]
     # measure from the highest qubit indices down so lower ones stay put:

@@ -27,6 +27,7 @@ qubits (MAGICLAB_MAX_N, default 14) and 12 density-matrix qubits.
 from __future__ import annotations
 
 import os
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
@@ -40,7 +41,9 @@ from .symplectic import PauliString, StabilizerState
 _EIG_CLIP = 1e-12
 _MIN_PROB = 1e-14  # measurement outcomes below this are impossible
 _DENSITY_MAX_QUBITS = 12
-_TILE = 128  # side of the blocks _hermitian_defect compares: 256 KB of complex128
+# side of the blocks _hermitian_defect compares: a pair's copy (64 KB of
+# complex128) and its |difference| (32 KB) stay in a core's L2 cache
+_TILE = 64
 BATCH_AMPS = 1 << 14  # amplitudes per to_statevectors batch of a sampled check: 256 KB
 
 I2 = np.eye(2, dtype=complex)
@@ -82,14 +85,13 @@ class StateVector:
     amps: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amps, dtype=complex)
+        amps = np.array(self.amps, dtype=complex)  # an owned C-order copy
         if amps.shape != (2**self.n,):
             raise ValueError("amplitude length must be 2**n")
-        norm = np.linalg.norm(amps)
+        norm = _norm(amps)
         # norm^2 is the trace of every reduced state of the vector
         if not abs(norm * norm - 1.0) <= 1e-8:
             raise ValueError(f"state not normalized (norm {norm})")
-        amps = amps.copy()
         amps.flags.writeable = False
         object.__setattr__(self, "amps", amps)
 
@@ -106,19 +108,46 @@ class StateVector:
         return cls(n, np.full(2**n, 2.0 ** (-n / 2), dtype=complex))
 
 
+def _norm(amps: np.ndarray) -> np.float64:
+    """np.linalg.norm of a C-order complex vector, bit for bit, without its wrapper."""
+    re, im = amps.real, amps.imag
+    return np.sqrt(re.dot(re) + im.dot(im))
+
+
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two vectors or two matrices, byte for byte, without its set-up.
+
+    Each entry is the one product a_i b_k that np.kron forms, written once
+    in np.kron's layout.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    if a.ndim == b.ndim == 1:
+        return np.multiply.outer(a, b).reshape(-1)
+    if a.ndim == b.ndim == 2:
+        # out[i, k, j, l] = a[i, j] b[k, l]
+        out = np.multiply(a[:, None, :, None], b[:, None, :])
+        return out.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+    raise ValueError("kron takes two vectors or two matrices")
+
+
 def _hermitian_defect(mat: np.ndarray) -> float:
     """Largest entry of |mat - mat*|, bit for bit, over _TILE-square tiles.
 
     |m_ij - conj m_ji| = |m_ji - conj m_ij|, so only the tile pairs on and
     above the diagonal are compared; a NaN anywhere makes the result NaN.
+    Each pair works in one owned copy of its mirror tile, so `mat` is never
+    written, whatever its memory order.
     """
     tiles = [slice(i, i + _TILE) for i in range(0, mat.shape[0], _TILE)]
+    defects = []
+    for k, r in enumerate(tiles):
+        for c in tiles[k:]:
+            diff = mat[c, r].T.copy()
+            np.conjugate(diff, out=diff)
+            np.subtract(mat[r, c], diff, out=diff)
+            defects.append(np.abs(diff).max())
     # np.maximum, not max: a NaN tile must make the whole defect NaN
-    return float(reduce(np.maximum, [
-        np.abs(mat[r, c] - mat[c, r].conj().T).max()
-        for k, r in enumerate(tiles)
-        for c in tiles[k:]
-    ]))
+    return float(reduce(np.maximum, defects))
 
 
 @dataclass(frozen=True)
@@ -367,7 +396,7 @@ def pauli_matrix(p: PauliString) -> np.ndarray:
     for q in range(p.n - 1, -1, -1):
         xb, zb = p.x >> q & 1, p.z >> q & 1
         letter = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}[(xb, zb)]
-        mat = np.kron(mat, singles[letter])
+        mat = kron(mat, singles[letter])
     return (1j**p.phase) * mat
 
 
@@ -508,28 +537,7 @@ def _branches(v: StateVector, targets: Sequence[int], bras: Sequence) -> tuple[l
     k = len(targets)
     flat = _front(v.amps, v.n, tuple(int(t) for t in targets))
     posts = [np.asarray(bra, dtype=complex).reshape(2**k).conj() @ flat for bra in bras]
-    return [float(np.linalg.norm(post) ** 2) for post in posts], posts
-
-
-def _pick(probs: list, rng, forced) -> int:
-    """The forced or Born-sampled outcome of `measure`; raises if impossible."""
-    if forced is not None:
-        outcome = int(forced)
-        if not 0 <= outcome < len(probs):
-            raise ValueError(f"forced outcome {outcome} is not one of {len(probs)}")
-    elif rng is None:
-        raise ValueError("sampling an outcome needs an rng")
-    else:
-        # an impossible outcome adds 0 and so is never the first sum past x
-        cum = list(accumulate(p if p >= _MIN_PROB else 0.0 for p in probs))
-        x = rng.random() * cum[-1]
-        last = max((i for i, p in enumerate(probs) if p >= _MIN_PROB), default=0)
-        outcome = next((i for i, c in enumerate(cum[:last]) if c > x), last)
-    if probs[outcome] < _MIN_PROB:
-        raise ValueError(
-            f"outcome {outcome} has (near) zero probability ({probs[outcome]:.3g})"
-        )
-    return outcome
+    return [float(_norm(post) ** 2) for post in posts], posts
 
 
 def measure(
@@ -546,7 +554,20 @@ def measure(
     possible outcome to sample, raises ValueError.
     """
     probs, posts = _branches(v, targets, bras)
-    o = _pick(probs, rng, forced)
+    if forced is not None:
+        o = int(forced)
+        if not 0 <= o < len(probs):
+            raise ValueError(f"forced outcome {o} is not one of {len(probs)}")
+    elif rng is None:
+        raise ValueError("sampling an outcome needs an rng")
+    else:
+        # an impossible outcome adds 0 and so is never the first sum past x
+        cum = list(accumulate(p if p >= _MIN_PROB else 0.0 for p in probs))
+        x = rng.random() * cum[-1]
+        last = max((i for i, p in enumerate(probs) if p >= _MIN_PROB), default=0)
+        o = next((i for i, c in enumerate(cum[:last]) if c > x), last)
+    if probs[o] < _MIN_PROB:
+        raise ValueError(f"outcome {o} has (near) zero probability ({probs[o]:.3g})")
     return o, StateVector(v.n - len(targets), posts[o] / np.sqrt(probs[o])), probs[o]
 
 
@@ -566,9 +587,20 @@ def measure_shots(v: StateVector, steps: Sequence, rngs: Sequence) -> list:
         nxt = {}
         for prefix, (state, shots) in level.items():
             probs, posts = _branches(state, targets, bras)
+            # measure's cumulative sums, once per branch; they never fall, so
+            # the first one past a draw is a bisection
+            cum = list(accumulate(p if p >= _MIN_PROB else 0.0 for p in probs))
+            last = max((i for i, p in enumerate(probs) if p >= _MIN_PROB), default=0)
             groups: dict = {}
             for i in shots:
-                groups.setdefault(_pick(probs, rngs[i], None), []).append(i)
+                if rngs[i] is None:
+                    raise ValueError("sampling an outcome needs an rng")
+                o = bisect_right(cum, rngs[i].random() * cum[-1], 0, last)
+                if probs[o] < _MIN_PROB:
+                    raise ValueError(
+                        f"outcome {o} has (near) zero probability ({probs[o]:.3g})"
+                    )
+                groups.setdefault(o, []).append(i)
             for o, group in groups.items():
                 post = StateVector(state.n - len(targets), posts[o] / np.sqrt(probs[o]))
                 nxt[prefix + (o,)] = (post, group)

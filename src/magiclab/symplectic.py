@@ -402,10 +402,9 @@ def random_clifford(n: int, rng) -> CliffordMap:
             u |= next_uint32(state) << shift
         return u & full
 
-    def draw() -> int:
-        # projects onto the complement of the earlier pairs; a linear
-        # surjection, so it maps uniform bits to a uniform vector there
-        u = bits()
+    def project(u: int) -> int:
+        # onto the complement of the earlier pairs; a linear surjection, so
+        # it maps uniform bits to a uniform vector there
         for v, w, sv, sw in pairs:
             if (u & sw).bit_count() & 1:
                 u ^= v
@@ -414,13 +413,17 @@ def random_clifford(n: int, rng) -> CliffordMap:
         return u
 
     for _ in range(n):
-        v = draw()
+        v = project(bits())
         while not v:
-            v = draw()
+            v = project(bits())
         sv = _swap(v, n)
-        w = draw()
-        while not (w & sv).bit_count() & 1:
-            w = draw()
+        # projecting adds only earlier pairs' vectors, all orthogonal to v,
+        # so <u, v> is tested on the raw draw and only the accepted one is
+        # projected
+        u = bits()
+        while not (u & sv).bit_count() & 1:
+            u = bits()
+        w = project(u)
         pairs.append((v, w, sv, _swap(w, n)))
     rows = tuple(v for v, *_ in pairs) + tuple(w for _, w, *_ in pairs)
     return CliffordMap(n, rows, bits())

@@ -406,12 +406,14 @@ def _without_runtime(node):
 
 def test_all_seed0_matches_committed_reports(capsys):
     # A change that moves any report value on purpose (say, a new RNG
-    # stream) regenerates tests/data/all_seed0.json and says why.
-    path = os.path.join(os.path.dirname(__file__), "data", "all_seed0.json")
-    with open(path) as fh:
-        want = json.load(fh)
-    assert main(["all", "--seed", "0"]) == 0
-    assert _without_runtime(json.loads(capsys.readouterr().out)) == want
+    # stream) regenerates tests/data/all_seed<seed>.json and says why. The
+    # second seed checks a bit-identity claim beyond seed 0's draws.
+    for seed in (0, 3):
+        path = os.path.join(os.path.dirname(__file__), "data", f"all_seed{seed}.json")
+        with open(path) as fh:
+            want = json.load(fh)
+        assert main(["all", "--seed", str(seed)]) == 0
+        assert _without_runtime(json.loads(capsys.readouterr().out)) == want, seed
 
 
 def test_readme_flags_table_matches_the_signatures():

@@ -197,16 +197,52 @@ def test_reduced_density_keeps_its_error_messages(qubits, message):
 
 def test_hermitian_defect_over_tiles_matches_full_formula():
     rng = np.random.default_rng(8)
-    for dim in (1, 127, 128, 129, 300, 512):
+    for dim in (1, 63, 64, 65, 127, 128, 129, 300, 512):
         mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         assert sv._hermitian_defect(mat) == np.abs(mat - mat.conj().T).max()
         herm = mat + mat.conj().T
         assert sv._hermitian_defect(herm) == 0.0
         herm[dim - 1, dim // 3] += 1e-9 * (1 - 2j)  # planted below the diagonal
         assert sv._hermitian_defect(herm) == np.abs(herm - herm.conj().T).max() > 0
-        if dim > 128:
+        if dim > sv._TILE:
             herm[dim - 1, 0] = np.nan  # in a tile below the diagonal tiles
             assert np.isnan(sv._hermitian_defect(herm))
+
+
+def test_hermitian_defect_leaves_its_argument_unchanged():
+    # each tile pair works in place on a copy; a view of `mat` (which an
+    # F-ordered mirror tile would give without the copy) must not be written
+    rng = np.random.default_rng(18)
+    base = rng.normal(size=(300, 300)) + 1j * rng.normal(size=(300, 300))
+    layouts = [base[::2, 1::2]]
+    for dim in (40, 150):  # one tile, and several
+        layouts += [base[:dim, :dim].copy(), np.asfortranarray(base[:dim, :dim])]
+    for mat in layouts:
+        before = mat.copy()
+        assert sv._hermitian_defect(mat) == np.abs(mat - mat.conj().T).max()
+        assert mat.tobytes() == before.tobytes()
+
+
+def test_kron_matches_np_kron_byte_for_byte():
+    # .tobytes(), so a signed zero from a real factor counts as a difference
+    rng = np.random.default_rng(21)
+    u = rng.normal(size=8) + 1j * rng.normal(size=8)
+    v = rng.normal(size=4) + 1j * rng.normal(size=4)
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    b = rng.normal(size=(2, 8)) + 1j * rng.normal(size=(2, 8))
+    c = sv.haar_unitary(3, rng)
+    w = rng.normal(size=64) + 1j * rng.normal(size=64)  # long enough for SIMD loops
+    x_real, z_real = sv.X2.real.copy(), sv.Z2.real.copy()
+    pairs = [(u, v), (v, u), (u, u.conj()), (w, w), (w, w.conj()), (w.real.copy(), w),
+             (v, np.ones(1, dtype=complex)), (-np.zeros(2), v),
+             (a, b), (b, a), (c, c.conj()), (np.eye(4), a), (a, np.eye(2)),
+             (x_real, a), (a, z_real), (sv.Y2, a), (a, sv.Y2), (np.eye(2), np.eye(3))]
+    for left, right in pairs:
+        got, want = sv.kron(left, right), np.kron(left, right)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="two vectors or two matrices"):
+        sv.kron(u, a)
 
 
 def test_pauli_expectation_requires_hermitian():
