@@ -184,7 +184,8 @@ def agsp_operator_check(n: int, m: int) -> float:
     G = sum_i |1><1|_i counts excited sites, so P(G) is diagonal with
     entry P(hamming weight); the norm is the largest per-entry deviation
     from the step function, evaluated exactly per weight and materialized
-    across all 2^n entries. Asserts the same 2 exp(-2m/sqrt(n)) bound.
+    across all 2^n entries. The `operator-vs-step` report judges it
+    against the same 2 exp(-2m/sqrt(n)) bound.
     """
     if n > _OPERATOR_MAX_QUBITS:
         raise ValueError(f"operator check capped at {_OPERATOR_MAX_QUBITS} qubits")
@@ -194,13 +195,7 @@ def agsp_operator_check(n: int, m: int) -> float:
     dev[0] -= den
     dev = (np.abs(dev) / den).astype(float)
     weights = np.bitwise_count(np.arange(1 << n, dtype=np.uint64))
-    diag_dev = dev[weights]
-    val = float(diag_dev.max())
-    if not val <= poly.error_bound() + 1e-15:
-        raise AssertionError(
-            f"operator step-error bound violated at n={n}, m={m}: {val:.3e}"
-        )
-    return val
+    return float(dev[weights].max())
 
 
 @dataclass(frozen=True)

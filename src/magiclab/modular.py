@@ -162,6 +162,30 @@ _PHI_G = GoldenNumber.phi()
 _JSON_FIELDS = ("labels", "dims", "s_prefactor", "s_body", "t_root_order", "t_exponents")
 
 
+def _json_int(value, field: str) -> int:
+    """An integral JSON number; anything else raises ValueError naming `field`."""
+    if type(value) is int or type(value) is float and value.is_integer():
+        return int(value)
+    raise ValueError(f"modular data field {field}: {value!r} is not an integer")
+
+
+def _json_golden(value, field: str) -> "GoldenNumber":
+    """A golden number from its [a, b] pair of exact components."""
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ValueError(f"modular data field {field}: {value!r} is not an [a, b] pair")
+    try:
+        return GoldenNumber(*value)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"modular data field {field}: {value!r}: {exc}") from None
+
+
+def _json_tuple(value, field: str, parse) -> tuple:
+    """`parse(entry, field)` of each entry of a JSON list."""
+    if not isinstance(value, list):
+        raise ValueError(f"modular data field {field}: {value!r} is not a list")
+    return tuple(parse(entry, field) for entry in value)
+
+
 @dataclass(frozen=True)
 class ModularData:
     """Label set with exact S matrix and root-of-unity T phases.
@@ -181,6 +205,8 @@ class ModularData:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("need at least one label")
+        if self.t_root_order < 1:
+            raise ValueError("t_root_order must be positive")
         if len(self.dims) != self.k or len(self.t_exponents) != self.k:
             raise ValueError("dims/T length must match the label count")
         if len(self.s_body) != self.k or any(len(r) != self.k for r in self.s_body):
@@ -216,7 +242,7 @@ class ModularData:
 
     @classmethod
     def from_json(cls, text: str) -> "ModularData":
-        """Read the `to_json` format; a missing field raises ValueError naming it."""
+        """Read the `to_json` format; a missing or malformed field raises ValueError naming it."""
         raw = json.loads(text)
         if not isinstance(raw, dict):
             raise ValueError("modular data must be a JSON object")
@@ -224,14 +250,14 @@ class ModularData:
         if missing:
             raise ValueError(f"modular data lacks the field(s) {', '.join(missing)}")
         return cls(
-            k=int(raw["labels"]),
-            dims=tuple(GoldenNumber(*p) for p in raw["dims"]),
-            s_body=tuple(
-                tuple(GoldenNumber(*p) for p in row) for row in raw["s_body"]
+            k=_json_int(raw["labels"], "labels"),
+            dims=_json_tuple(raw["dims"], "dims", _json_golden),
+            s_body=_json_tuple(
+                raw["s_body"], "s_body", lambda row, f: _json_tuple(row, f, _json_golden)
             ),
-            s_prefactor=GoldenNumber(*raw["s_prefactor"]),
-            t_exponents=tuple(int(e) for e in raw["t_exponents"]),
-            t_root_order=int(raw["t_root_order"]),
+            s_prefactor=_json_golden(raw["s_prefactor"], "s_prefactor"),
+            t_exponents=_json_tuple(raw["t_exponents"], "t_exponents", _json_int),
+            t_root_order=_json_int(raw["t_root_order"], "t_root_order"),
         )
 
 
@@ -366,36 +392,22 @@ def min_cost_assignment(cost: np.ndarray) -> np.ndarray:
     return cols
 
 
-def monomial_distance(m: np.ndarray, tol: float = 1e-9):
+def monomial_distance(m: np.ndarray) -> float:
     """Distance of a square matrix from the nearest monomial pattern.
 
     Picks the single-entry-per-row-and-column pattern capturing the most
     squared mass (an assignment problem) and returns the Frobenius norm of
-    everything outside it. When that distance is at most `tol`, also
-    returns the pattern as a MonomialCandidate, with phases normalized to
-    unit modulus and to a unit leading phase (the decomposition is exact
-    only up to overall scale).
+    everything outside it.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("need a square matrix")
     weight = np.abs(m) ** 2
-    rows, cols = np.arange(m.shape[0]), min_cost_assignment(-weight)
+    cols = min_cost_assignment(-weight)
     # Sum the off-pattern mass directly; total-minus-captured would lose
     # everything to cancellation when the matrix is already monomial.
-    off = weight.copy()
-    off[rows, cols] = 0.0
-    distance = float(np.sqrt(off.sum()))
-    if distance > tol:
-        return distance, None
-    perm = tuple(int(c) for c in cols)
-    entries = m[rows, cols]
-    if np.min(np.abs(entries)) < 1e-300:
-        return distance, None  # a vanishing diagonal is not invertible
-    phases_by_col = np.empty(m.shape[0], dtype=complex)
-    phases_by_col[list(perm)] = entries / np.abs(entries)
-    phases_by_col = phases_by_col / phases_by_col[0]
-    return distance, MonomialCandidate(perm, tuple(phases_by_col))
+    weight[np.arange(m.shape[0]), cols] = 0.0
+    return float(np.sqrt(weight.sum()))
 
 
 def _eliminate(rows):
@@ -487,8 +499,8 @@ def lpu_search(data: ModularData, tol: float = 1e-9) -> list:
         phases = (1.0,) + tuple(float(z) for z in solution)
         candidate = MonomialCandidate(perm, phases)
         mat = candidate.matrix()
-        dist_s, _ = monomial_distance(s @ mat @ s.conj().T, tol)
-        dist_st, _ = monomial_distance(st @ mat @ st.conj().T, tol)
+        dist_s = monomial_distance(s @ mat @ s.conj().T)
+        dist_st = monomial_distance(st @ mat @ st.conj().T)
         if dist_s <= tol and dist_st <= tol:
             results.append(candidate)
     return results
@@ -557,8 +569,6 @@ def scalar_rigidity_trial(
     for _ in range(attempts):
         u = haar_unitary(n, rng)
         w = kron(u, u.conj())
-        conj = w @ k_matrix @ w.conj().T
-        distance, _ = monomial_distance(conj, tol)
-        if distance > tol:
+        if monomial_distance(w @ k_matrix @ w.conj().T) > tol:
             return u
     return None

@@ -65,8 +65,8 @@ def prepare_sandwich(n: int) -> StateVector:
 
     Applies ``(U+)^{(x)n}`` to |0^n>, then the diagonal global phase gate
     ``C = (1 + i Z^{(x)n})/sqrt(2)`` in its two-term dense form, then
-    ``U^{(x)n}``, where U = exp(-i pi/8 Y). Asserts the output matches the
-    i-phase cat up to global phase before returning it.
+    ``U^{(x)n}``, where U = exp(-i pi/8 Y). The output is the i-phase cat
+    up to global phase; the `sandwich-overlap` report judges how closely.
     """
     if n < 1:
         raise ValueError("need at least one qubit")
@@ -77,10 +77,6 @@ def prepare_sandwich(n: int) -> StateVector:
     v = StateVector(n, amps)
     for q in range(n):
         v = apply_gate(v, Gate((q,), UZH))
-    target = build(n, "i")
-    overlap = pure_overlap(v, target)
-    if not overlap >= 1.0 - 1e-12:
-        raise AssertionError(f"sandwich output is off target (overlap {overlap})")
     return v
 
 
@@ -92,7 +88,8 @@ def verify_global_clifford(n: int) -> bool:
     one is sent to i Z^{(x)n} P (again a signed Pauli word). This routine
     applies the split symbolically to every generator X_q, Z_q, checks each
     image is a Hermitian Pauli string squaring to the identity, and
-    cross-checks the conjugation densely for n <= 6.
+    cross-checks the conjugation densely for n <= 6. Returns True when every
+    step holds and False at the first that does not.
     """
     if n < 1:
         raise ValueError("need at least one qubit")
@@ -106,18 +103,16 @@ def verify_global_clifford(n: int) -> bool:
             else:
                 prod = pauli_product(zz, p)
                 img = PauliString(n, prod.x, prod.z, (prod.phase + 1) % 4)
-            if not img.is_hermitian:
-                raise AssertionError(f"image of {p} is not Hermitian: {img}")
             square = pauli_product(img, img)
-            if square.x or square.z or square.phase:
-                raise AssertionError(f"image of {p} does not square to 1")
+            if not img.is_hermitian or square.x or square.z or square.phase:
+                return False
             images.append((p, img))
     if n <= 6:
         cmat = np.diag(_phase_layer_diag(n))
         for p, img in images:
             lhs = cmat @ pauli_matrix(p) @ cmat.conj().T
             if not np.allclose(lhs, pauli_matrix(img), atol=1e-12):
-                raise AssertionError(f"dense conjugation disagrees for {p}")
+                return False
     return True
 
 
@@ -204,7 +199,8 @@ def adaptive_success_probability(n: int) -> float:
     Enumerates all 2^n X-basis outcome strings on the ancilla register of
     the pre-measurement state (|0^n>_a |0^n> + |1^n>_a |+^n>)/sqrt(2) and
     accumulates the squared norms of the even-parity branches. The result
-    equals (1 + 2^{-n/2})/2, which is asserted before returning.
+    equals (1 + 2^{-n/2})/2; the `adaptive-success-probability` report
+    judges the agreement.
     """
     if not 1 <= n <= 12:
         raise ValueError("exact enumeration supports 1 <= n <= 12")
@@ -219,9 +215,6 @@ def adaptive_success_probability(n: int) -> float:
         norm_sq = (c0 * c0 + c1 * c1 + 2.0 * c0 * c1 * cross) / 2.0
         if bin(s).count("1") % 2 == 0:
             total += norm_sq
-    closed = (1.0 + cross) / 2.0
-    if abs(total - closed) > 1e-12:
-        raise AssertionError("enumeration disagrees with the closed form")
     return total
 
 
@@ -237,7 +230,8 @@ def mps_contract(n: int, boundary: str = "open") -> StateVector:
 
     With open boundaries the amplitude of bitstring v is l^T A^{v_1} ...
     A^{v_n} r, the sum of the product's entries as l = r = (1, 1); with
-    periodic boundaries it is the trace of the same matrix product. Both land on the plus cat, which is asserted before returning.
+    periodic boundaries it is the trace of the same matrix product. Both
+    land on the plus cat; the `mps-overlap` report judges how closely.
     """
     if boundary not in ("open", "periodic"):
         raise ValueError(f"unknown boundary condition: {boundary!r}")
@@ -254,11 +248,7 @@ def mps_contract(n: int, boundary: str = "open") -> StateVector:
     norm = float(np.linalg.norm(amps))
     if not norm > 0:
         raise AssertionError("contracted state vanished")
-    state = StateVector(n, amps / norm)
-    overlap = pure_overlap(state, build(n, "plus"))
-    if not overlap >= 1.0 - 1e-12:
-        raise AssertionError(f"contraction is off target (overlap {overlap})")
-    return state
+    return StateVector(n, amps / norm)
 
 
 # -- Bell-measurement stitching protocol -------------------------------------
@@ -312,8 +302,8 @@ def bell_shots(n: int, trials: int, seed: int = 0) -> list:
     legs are measured in the X basis to realize the uniform boundaries.
     Shot t samples its outcomes from its own generator default_rng(seed +
     t), and is accepted when its byproducts cancel (`_bell_accepts`); an
-    accepted shot's physical register carries the plus cat exactly
-    (asserted to 1e-10).
+    accepted shot's physical register carries the plus cat exactly, and
+    the `bell-accepted-fidelity` report judges its overlap.
 
     Returns (accepted, state, overlap) triples; the overlap with the plus
     cat is None for rejected shots. The product of site states is built
@@ -342,10 +332,7 @@ def bell_shots(n: int, trials: int, seed: int = 0) -> list:
     shots = []
     for (right_bit, *bonds, left_bit), state in measure_shots(v, steps, rngs):
         labels = "".join(BELL_LABELS[b] for b in reversed(bonds))
-        overlap = None
-        if _bell_accepts(left_bit, labels, right_bit):
-            overlap = pure_overlap(state, target)
-            if not overlap >= 1.0 - 1e-10:
-                raise AssertionError(f"accepted run is off target (overlap {overlap})")
-        shots.append((overlap is not None, state, overlap))
+        accepted = _bell_accepts(left_bit, labels, right_bit)
+        overlap = pure_overlap(state, target) if accepted else None
+        shots.append((accepted, state, overlap))
     return shots

@@ -281,8 +281,8 @@ def test_09_modular_gate_enumeration():
             (0, 2, 1, 3), (1.0,) + tuple(float(z) for z in swap_solution)
         )
         mat = cand.matrix()
-        s_dist, _ = modular.monomial_distance(s @ mat @ s.conj().T)
-        swap_dist, _ = modular.monomial_distance(st @ mat @ st.conj().T)
+        s_dist = modular.monomial_distance(s @ mat @ s.conj().T)
+        swap_dist = modular.monomial_distance(st @ mat @ st.conj().T)
         swap_ok = s_dist <= 1e-9 and swap_dist > 0.1
 
     modulus_max = max(

@@ -294,6 +294,157 @@ def test_planted_defect_fails_under_optimize_flag():
     assert out.stdout.split() == ["False", "1", "1"]
 
 
+# Defects planted inside the library functions whose values a report judges.
+# Each function must return its value under the defect, not raise, so that
+# the report is printed and is the one verdict.
+
+def _phase_ramp(real):
+    # a 1e-4 phase ramp over the basis states on the sandwich's middle layer
+    return lambda n: real(n) * np.exp(1e-4j * np.arange(1 << n))
+
+
+def _heavier_block(real):
+    blocks = real.copy()
+    blocks[1, 1, 1] *= 1 + 1e-3
+    return blocks
+
+
+def _longer_minus_bra(real):
+    return (real[0], real[1] * (1 + 1e-6))
+
+
+def _tilted_bell_bra(real):
+    return {**real, "I": np.array([1, 0, 0, np.exp(1e-3j)]) / np.sqrt(2)}
+
+
+def _squares_to_minus_one(real):
+    def product(p, q):
+        pq = real(p, q)
+        return sp.PauliString(pq.n, pq.x, pq.z, (pq.phase + 2) % 4)
+
+    return product
+
+
+def _tripled_a2_at_degree_3(real):
+    # still a valid polynomial (signs alternate, P(0) = 1); degree 3 only,
+    # so the step-error check's degree-4 polynomial is left as it is
+    def build(n, m):
+        poly = real(n, m)
+        if m != 3:
+            return poly
+        coeffs = list(poly.coeffs)
+        coeffs[2] *= 3
+        return agsp.AgspPolynomial(n, m, tuple(coeffs))
+
+    return build
+
+
+def _miss(variant, *states):
+    """Worst 1 - |<state|cat>| over `states`, as the overlap checks compute it."""
+    target = zxcat.build(states[0].n, variant)
+    return max(1.0 - sv.pure_overlap(state, target) for state in states)
+
+
+def _bell_miss(n, trials):
+    return max(1.0 - o for ok, _, o in prep.bell_shots(n, trials, 0) if ok)
+
+
+# check: (suite, module, attribute, defect, the suite's residual, twin argv,
+# the twin's residual); a residual calls the library under the defect
+INNER_DEFECTS = {
+    "sandwich-overlap": (
+        "prep", prep, "_phase_layer_diag", _phase_ramp,
+        lambda: _miss("i", prep.prepare_sandwich(8)),
+        ["prep", "sandwich"], lambda: _miss("i", prep.prepare_sandwich(8)),
+    ),
+    "mps-overlap": (
+        "prep", prep, "MPS_BLOCKS", _heavier_block,
+        lambda: _miss("plus", *(prep.mps_contract(10, b) for b in ("open", "periodic"))),
+        ["prep", "mps"], lambda: _miss("plus", prep.mps_contract(10)),
+    ),
+    "adaptive-success-probability": (
+        "prep", prep, "_X_BRAS", _longer_minus_bra,
+        lambda: abs(prep.adaptive_success_probability(7) - (1.0 + 2.0**-3.5) / 2.0),
+        None, None,
+    ),
+    "bell-accepted-fidelity": (
+        "prep", prep, "_BELL_BRAS", _tilted_bell_bra, lambda: _bell_miss(4, 120),
+        ["prep", "bell"], lambda: _bell_miss(4, 50),
+    ),
+    "global-clifford-certificate": (
+        "prep", prep, "pauli_product", _squares_to_minus_one,
+        lambda: 0.0 if prep.verify_global_clifford(64) else 1.0, None, None,
+    ),
+    "operator-vs-step": (
+        "agsp", agsp, "build_polynomial", _tripled_a2_at_degree_3,
+        lambda: agsp.agsp_operator_check(10, 3), None, None,
+    ),
+}
+
+
+@pytest.mark.parametrize("check", sorted(INNER_DEFECTS))
+def test_a_defect_inside_the_library_fails_its_report(check, monkeypatch):
+    suite, module, attr, defect, residual, twin, twin_residual = INNER_DEFECTS[check]
+    # the Bell site state is cached: build it from the real MPS_BLOCKS first
+    prep._site_state.cache_clear()
+    prep._site_state()
+    monkeypatch.setattr(module, attr, defect(getattr(module, attr)))
+    code, out = _run([suite, "--seed", "0"])
+    report = {r["check"]: r for r in json.loads(out)}[check]
+    assert code == 1 and report["pass"] is False
+    assert report["observed"] == residual() > report["bound"]
+    if twin is not None:
+        code, out = _run(twin)
+        record = json.loads(out)
+        assert code == 1 and record["pass"] is False and record["check"] == check
+        assert record["observed"] == twin_residual() > record["bound"]
+
+
+def test_verify_global_clifford_returns_false_on_a_bad_image(monkeypatch):
+    assert prep.verify_global_clifford(3) is True
+    monkeypatch.setattr(prep, "pauli_product", _squares_to_minus_one(prep.pauli_product))
+    assert prep.verify_global_clifford(3) is False
+    assert prep.verify_global_clifford(64) is False
+    # a dense-only defect: the symbolic images hold, their dense form does not
+    monkeypatch.undo()
+    monkeypatch.setattr(prep, "_phase_layer_diag", _phase_ramp(prep._phase_layer_diag))
+    assert prep.verify_global_clifford(3) is False
+    assert prep.verify_global_clifford(64) is True
+
+
+def test_sandwich_defect_leaves_every_other_report(monkeypatch):
+    monkeypatch.setattr(prep, "_phase_layer_diag", _phase_ramp(prep._phase_layer_diag))
+    code, out = _run(["all", "--seed", "0"])
+    reports = json.loads(out)
+    assert code == 1 and len(reports) == 33
+    assert [r["check"] for r in reports if not r["pass"]] == ["sandwich-overlap"]
+    # the prep suite's --tol is the one tolerance of its overlap checks
+    assert _run(["prep", "sandwich"])[0] == 1
+    code, out = _run(["prep", "sandwich", "--tol", "1e-4"])
+    assert code == 0 and json.loads(out)["pass"] is True
+
+
+def test_sandwich_defect_fails_by_report_under_optimize_flag():
+    code = (
+        "import contextlib, io, json\n"
+        "import numpy as np\n"
+        "from magiclab import prep\n"
+        "from magiclab.cli import main\n"
+        "real = prep._phase_layer_diag\n"
+        "prep._phase_layer_diag = lambda n: real(n) * np.exp(1e-4j * np.arange(1 << n))\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    code = main(['all', '--seed', '0'])\n"
+        "reports = json.loads(out.getvalue())\n"
+        "print(__debug__, code, len(reports), *(r['check'] for r in reports if not r['pass']))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert out.stdout.split() == ["False", "1", "33", "sandwich-overlap"]
+
+
 @pytest.mark.parametrize("poisoned_call", [1, 2, 5])
 def test_crossterm_nan_fails_wherever_it_sits(poisoned_call, monkeypatch):
     # Python's max(0.0, nan) keeps 0.0; the worst ratio must not drop a NaN

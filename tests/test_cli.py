@@ -265,6 +265,45 @@ def test_cli_data_file_names_a_missing_field(tmp_path, capsys):
     assert captured.err == "error: modular lpu-search: modular data lacks the field(s) labels\n"
 
 
+@pytest.mark.parametrize("field, value, reason", [
+    ("dims", 5, "5 is not a list"),
+    ("s_body", [1, 2, 3, 4], "1 is not a list"),
+    ("t_exponents", "0460", "'0460' is not a list"),
+    ("labels", "4", "'4' is not an integer"),
+    ("labels", True, "True is not an integer"),
+    ("labels", 4.5, "4.5 is not an integer"),
+    ("t_root_order", 10.5, "10.5 is not an integer"),
+    ("t_exponents", [0, 4.9, 6, 0], "4.9 is not an integer"),
+    ("s_prefactor", ["1"], "['1'] is not an [a, b] pair"),
+    ("s_prefactor", "1", "'1' is not an [a, b] pair"),
+    ("dims", [["1", "0"], ["0", "1", "0"], ["0", "1"], ["1", "1"]],
+     "['0', '1', '0'] is not an [a, b] pair"),
+    ("s_prefactor", [0.5, 0], "[0.5, 0]: golden components must be exact (int/Fraction/str)"),
+])
+def test_cli_data_file_names_a_field_of_the_wrong_form(field, value, reason, tmp_path, capsys):
+    raw = json.loads(double_fibonacci().to_json())
+    raw[field] = value
+    payload = tmp_path / "bad.json"
+    payload.write_text(json.dumps(raw))
+    assert main(["modular", "lpu-search", "--data", str(payload)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: modular lpu-search: modular data field {field}: {reason}\n"
+    assert captured.out == ""
+
+
+def test_cli_data_file_takes_integral_floats(tmp_path, capsys):
+    raw = json.loads(double_fibonacci().to_json())
+    raw["labels"], raw["t_exponents"], raw["t_root_order"] = 4.0, [0, 4.0, 6, 0], 10.0
+    payload = tmp_path / "floats.json"
+    payload.write_text(json.dumps(raw))
+    assert main(["modular", "lpu-search", "--data", str(payload)]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"] is True
+    raw["t_root_order"] = 0
+    payload.write_text(json.dumps(raw))
+    assert main(["modular", "lpu-search", "--data", str(payload)]) == 2
+    assert capsys.readouterr().err == "error: modular lpu-search: t_root_order must be positive\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["zxcat", "--out"], ["zxcat", "build", "--out"], ["zxcat", "build", "--dump-state"],
     ["agsp", "sweep", "--csv"],
