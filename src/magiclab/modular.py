@@ -23,6 +23,8 @@ from .statevec import haar_unitary, kron
 
 _PHI = (1.0 + 5.0 ** 0.5) / 2.0
 _new, _setattr = object.__new__, object.__setattr__
+_LPU_TOL = 1e-9  # monomial distance lpu_search allows under both conjugations
+_RIGIDITY_TOL = 1e-9  # monomial distance beyond which a rigidity trial hits
 
 
 def _golden(p: int, q: int, d: int) -> "GoldenNumber":
@@ -478,7 +480,7 @@ def monomial_phase_solution(data: ModularData, perm):
     return _eliminate(rows)
 
 
-def lpu_search(data: ModularData, tol: float = 1e-9) -> list:
+def lpu_search(data: ModularData) -> list:
     """Enumerate monomial gates compatible with both modular conjugations.
 
     For each dimension-preserving permutation, the off-diagonal system of
@@ -501,7 +503,7 @@ def lpu_search(data: ModularData, tol: float = 1e-9) -> list:
         mat = candidate.matrix()
         dist_s = monomial_distance(s @ mat @ s.conj().T)
         dist_st = monomial_distance(st @ mat @ st.conj().T)
-        if dist_s <= tol and dist_st <= tol:
+        if dist_s <= _LPU_TOL and dist_st <= _LPU_TOL:
             results.append(candidate)
     return results
 
@@ -549,8 +551,7 @@ def offdiag_modulus_scan(
 
 
 def scalar_rigidity_trial(
-    n: int, k_matrix: np.ndarray, attempts: int = 1000, seed: int = 0,
-    tol: float = 1e-9,
+    n: int, k_matrix: np.ndarray, attempts: int = 1000, seed: int = 0
 ):
     """Search for a unitary witnessing that K is not scalar.
 
@@ -569,6 +570,6 @@ def scalar_rigidity_trial(
     for _ in range(attempts):
         u = haar_unitary(n, rng)
         w = kron(u, u.conj())
-        if monomial_distance(w @ k_matrix @ w.conj().T) > tol:
+        if monomial_distance(w @ k_matrix @ w.conj().T) > _RIGIDITY_TOL:
             return u
     return None

@@ -29,7 +29,6 @@ from __future__ import annotations
 import os
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import reduce
 from itertools import accumulate
 from typing import Iterable, Sequence
 
@@ -41,9 +40,6 @@ from .symplectic import PauliString, StabilizerState
 _EIG_CLIP = 1e-12
 _MIN_PROB = 1e-14  # measurement outcomes below this are impossible
 _DENSITY_MAX_QUBITS = 12
-# side of the blocks _hermitian_defect compares: a pair's copy (64 KB of
-# complex128) and its |difference| (32 KB) stay in a core's L2 cache
-_TILE = 64
 BATCH_AMPS = 1 << 14  # amplitudes per to_statevectors batch of a sampled check: 256 KB
 
 I2 = np.eye(2, dtype=complex)
@@ -128,26 +124,6 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         out = np.multiply(a[:, None, :, None], b[:, None, :])
         return out.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
     raise ValueError("kron takes two vectors or two matrices")
-
-
-def _hermitian_defect(mat: np.ndarray) -> float:
-    """Largest entry of |mat - mat*|, bit for bit, over _TILE-square tiles.
-
-    |m_ij - conj m_ji| = |m_ji - conj m_ij|, so only the tile pairs on and
-    above the diagonal are compared; a NaN anywhere makes the result NaN.
-    Each pair works in one owned copy of its mirror tile, so `mat` is never
-    written, whatever its memory order.
-    """
-    tiles = [slice(i, i + _TILE) for i in range(0, mat.shape[0], _TILE)]
-    defects = []
-    for k, r in enumerate(tiles):
-        for c in tiles[k:]:
-            diff = mat[c, r].T.copy()
-            np.conjugate(diff, out=diff)
-            np.subtract(mat[r, c], diff, out=diff)
-            defects.append(np.abs(diff).max())
-    # np.maximum, not max: a NaN tile must make the whole defect NaN
-    return float(reduce(np.maximum, defects))
 
 
 @dataclass(frozen=True)

@@ -390,9 +390,10 @@ def run_suite(suite: str, out=None, jsonl: bool = False, **params) -> int:
     others keep their defaults.  Returns 0 when every check passes, 1 when
     any fails (a gluing premise violated inside a check counts as a
     failure), 2 for an unknown suite or invalid parameters; a failure's line
-    names the suite it stopped in (`exit_code`).  Reports go to `out` as
-    JSON (or JSON lines with `jsonl`), atomically; without `out` they print
-    to stdout.
+    names the suite it stopped in (`exit_code`), and the reports of the
+    suites that finished before it are still written.  Reports go to `out`
+    as JSON (or JSON lines with `jsonl`), atomically; without `out` they
+    print to stdout.
     """
     if suite != "all" and suite not in SUITES:
         print(f"error: {suite}: unknown suite", file=sys.stderr)
@@ -404,11 +405,13 @@ def run_suite(suite: str, out=None, jsonl: bool = False, **params) -> int:
         seed = given.get("seed", reads["--seed"])
         code = exit_code(name, seed, lambda: reports.extend(SUITES[name](**given)))
         if code:
-            return code
+            break
+    if code and not reports:
+        return code
     if out:
         write_reports(out, reports, jsonl=jsonl)
         failed = sum(not r.passed for r in reports)
         print(f"{len(reports)} checks, {failed} failed -> {out}")
     else:
         print(render_reports(reports, jsonl=jsonl), end="")
-    return 0 if all(r.passed for r in reports) else 1
+    return code or (0 if all(r.passed for r in reports) else 1)

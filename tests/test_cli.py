@@ -182,6 +182,27 @@ def test_suite_error_lines_name_the_suite_and_seed(monkeypatch, capsys):
     assert capsys.readouterr().err == "check failed: symplectic seed 6: kernel element mismatch\n"
 
 
+def test_all_keeps_the_reports_of_the_suites_before_a_raise(monkeypatch, capsys, tmp_path):
+    # an MI offset past check_premises' raise stops glue, the last suite;
+    # the five suites before it finished, and their 29 reports are kept
+    real = glue.mutual_information
+    monkeypatch.setattr(glue, "mutual_information", lambda *a: real(*a) + 1e-7)
+    path = os.path.join(os.path.dirname(__file__), "data", "all_seed0.json")
+    with open(path) as fh:
+        want = json.load(fh)[:29]
+    line = "check failed: glue seed 0: first state correlates A with CD: I = 1.000e-07 bits\n"
+    assert main(["all", "--seed", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == line
+    reports = json.loads(captured.out)
+    assert all(r["pass"] for r in reports) and _without_runtime(reports) == want
+    out = tmp_path / "all.json"
+    assert run_suite("all", seed=0, out=str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == f"29 checks, 0 failed -> {out}\n" and captured.err == line
+    assert _without_runtime(json.loads(out.read_text())) == want
+
+
 @pytest.mark.parametrize("n", ["2", "3"])
 def test_cli_zxcat_suite_runs_below_four_qubits(n, capsys):
     assert main(["zxcat", "--n", n, "--trials", "20"]) == 0

@@ -260,44 +260,28 @@ def test_petz_source_check_survives_optimize_flag():
     assert out.stdout.startswith("False raised recovery map misses"), out.stdout
 
 
-def test_hermitian_defect_over_blocks_matches_full_formula(monkeypatch):
-    rng = np.random.default_rng(4)
-    monkeypatch.setattr(statevec, "_TILE", 3)  # dims 8 and 13 end in a partial tile
-    for dim in (1, 8, 13):
-        herm = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        herm = herm + herm.conj().T
-        for i, j in ((0, dim - 1), (dim - 1, dim // 2), (dim // 2, 0)):
-            mat = herm.copy()
-            mat[i, j] += 1e-6 * (1 + 1j)
-            want = np.abs(mat - mat.conj().T).max()
-            assert glue._hermitian_defect(mat) == want
-        mat = herm.copy()
-        mat[dim - 1, 0] = np.nan
-        assert np.isnan(glue._hermitian_defect(mat))
+def _swap_in_a_foreign_partner(seed):
+    # product factors leave psi's B marginal pure, so the map keeps only the
+    # part of its input along that B state: another instance's partner,
+    # whose B state differs, comes out with trace below 1
+    inst = generate_gluable_instance((1,) * 6, seed=seed, product=True)
+    other = generate_gluable_instance((1,) * 6, seed=seed + 10, product=True)
+    object.__setattr__(inst, "psi_prime", other.psi_prime)
+    return inst
 
 
-def test_petz_hermitian_check_catches_skewed_output(monkeypatch):
-    inst = glue.generate_gluable_instance((2, 1, 1, 1, 1, 2), seed=3)
-    real = glue._hermitian_defect
-
-    def skewed(mat):
-        mat[0, -1] += 1e-6  # in place, so the returned output is skewed too
-        return real(mat)
-
-    monkeypatch.setattr(glue, "_hermitian_defect", skewed)
-    with pytest.raises(AssertionError, match="must be Hermitian"):
-        petz_glue(inst)
+@pytest.mark.parametrize("seed", range(3))
+def test_petz_normalization_check_catches_a_foreign_partner(seed):
+    with pytest.raises(AssertionError, match="recovered state must be normalized"):
+        petz_glue(_swap_in_a_foreign_partner(seed))
 
 
-def test_petz_hermitian_check_survives_optimize_flag():
+def test_petz_normalization_check_survives_optimize_flag():
     code = (
         "from magiclab import glue\n"
-        "inst = glue.generate_gluable_instance((2, 1, 1, 1, 1, 2), seed=3)\n"
-        "real = glue._hermitian_defect\n"
-        "def skewed(mat):\n"
-        "    mat[0, -1] += 1e-6\n"
-        "    return real(mat)\n"
-        "glue._hermitian_defect = skewed\n"
+        "inst = glue.generate_gluable_instance((1,) * 6, seed=0, product=True)\n"
+        "other = glue.generate_gluable_instance((1,) * 6, seed=10, product=True)\n"
+        "object.__setattr__(inst, 'psi_prime', other.psi_prime)\n"
         "try:\n"
         "    glue.petz_glue(inst)\n"
         "except AssertionError as exc:\n"
@@ -309,7 +293,7 @@ def test_petz_hermitian_check_survives_optimize_flag():
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
-    assert out.stdout.startswith("False raised recovered state must be Hermitian"), out.stdout
+    assert out.stdout.startswith("False raised recovered state must be normalized"), out.stdout
 
 
 def test_premises_checked_once_per_instance(monkeypatch, capsys):
@@ -342,20 +326,10 @@ GLUE_PETZ_SHAPES = (
 )
 
 
-def _row_block_defect(mat, block_entries=1 << 20):
-    """petz_glue's former Hermitian check: |mat - mat*| over blocks of rows."""
-    dim = mat.shape[0]
-    rows = max(1, block_entries // dim)
-    return float(np.max([
-        np.abs(mat[i : i + rows] - mat[:, i : i + rows].conj().T).max()
-        for i in range(0, dim, rows)
-    ]))
-
-
 @pytest.mark.parametrize("sizes", GLUE_PETZ_SHAPES)
 def test_glue_outputs_bytes_equal_the_separate_check_oracle(sizes):
-    # the instance's residuals, the merge without its own premise check, and
-    # the row-block Hermitian defect of the Petz output, compared bit for bit
+    # the instance's residuals and the merge without its own premise check,
+    # compared bit for bit, and the Petz output Hermitian in plain numpy
     for seed in range(2):
         inst = generate_gluable_instance(sizes, seed=seed)
         assert inst.residuals == check_premises(inst)
@@ -364,7 +338,7 @@ def test_glue_outputs_bytes_equal_the_separate_check_oracle(sizes):
         want = apply_gate(inst.psi_prime, Gate(inst.partition.qubits("A"), u_a))
         assert glued.amps.tobytes() == want.amps.tobytes()
         rho = petz_glue(inst)
-        assert glue._hermitian_defect(rho) == _row_block_defect(rho) <= 1e-9
+        assert np.abs(rho - rho.conj().T).max() <= 1e-9
 
 
 def _gram_marginal(v, qubits):

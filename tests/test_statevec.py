@@ -195,34 +195,6 @@ def test_reduced_density_keeps_its_error_messages(qubits, message):
     assert str(err.value) == message
 
 
-def test_hermitian_defect_over_tiles_matches_full_formula():
-    rng = np.random.default_rng(8)
-    for dim in (1, 63, 64, 65, 127, 128, 129, 300, 512):
-        mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        assert sv._hermitian_defect(mat) == np.abs(mat - mat.conj().T).max()
-        herm = mat + mat.conj().T
-        assert sv._hermitian_defect(herm) == 0.0
-        herm[dim - 1, dim // 3] += 1e-9 * (1 - 2j)  # planted below the diagonal
-        assert sv._hermitian_defect(herm) == np.abs(herm - herm.conj().T).max() > 0
-        if dim > sv._TILE:
-            herm[dim - 1, 0] = np.nan  # in a tile below the diagonal tiles
-            assert np.isnan(sv._hermitian_defect(herm))
-
-
-def test_hermitian_defect_leaves_its_argument_unchanged():
-    # each tile pair works in place on a copy; a view of `mat` (which an
-    # F-ordered mirror tile would give without the copy) must not be written
-    rng = np.random.default_rng(18)
-    base = rng.normal(size=(300, 300)) + 1j * rng.normal(size=(300, 300))
-    layouts = [base[::2, 1::2]]
-    for dim in (40, 150):  # one tile, and several
-        layouts += [base[:dim, :dim].copy(), np.asfortranarray(base[:dim, :dim])]
-    for mat in layouts:
-        before = mat.copy()
-        assert sv._hermitian_defect(mat) == np.abs(mat - mat.conj().T).max()
-        assert mat.tobytes() == before.tobytes()
-
-
 def test_kron_matches_np_kron_byte_for_byte():
     # .tobytes(), so a signed zero from a real factor counts as a difference
     rng = np.random.default_rng(21)
