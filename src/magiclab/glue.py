@@ -55,6 +55,8 @@ class Partition:
     """Six contiguous qubit blocks A | B1 | B2 | C1 | C2 | D, low bits first."""
 
     sizes: tuple[int, int, int, int, int, int]
+    # block name -> its sorted qubits, set once from the sizes
+    _spans: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sizes = tuple(int(s) for s in self.sizes)
@@ -63,6 +65,14 @@ class Partition:
         if any(s < 1 for s in sizes):
             raise ValueError("every block needs at least one qubit")
         object.__setattr__(self, "sizes", sizes)
+        spans = {}
+        start = 0
+        for label, size in zip(_SUB_BLOCKS, sizes):
+            spans[label] = tuple(range(start, start + size))
+            start += size
+        spans["B"] = spans["B1"] + spans["B2"]
+        spans["C"] = spans["C1"] + spans["C2"]
+        object.__setattr__(self, "_spans", spans)
 
     @property
     def n(self) -> int:
@@ -74,18 +84,11 @@ class Partition:
         Accepts the six sub-blocks plus the composites "B" = B1 B2 and
         "C" = C1 C2.
         """
-        spans = {}
-        start = 0
-        for label, size in zip(_SUB_BLOCKS, self.sizes):
-            spans[label] = range(start, start + size)
-            start += size
-        spans["B"] = range(spans["B1"].start, spans["B2"].stop)
-        spans["C"] = range(spans["C1"].start, spans["C2"].stop)
         picked = set()
         for name in names:
-            if name not in spans:
+            if name not in self._spans:
                 raise KeyError(f"unknown block {name!r}")
-            picked.update(spans[name])
+            picked.update(self._spans[name])
         return tuple(sorted(picked))
 
 
@@ -321,8 +324,10 @@ def petz_glue(inst: GluableInstance) -> np.ndarray:
     `reduced_density`.  It is applied in factored form: a pure state's BCD
     marginal is Phi Phi* with Phi = amps.reshape(-1, dim_A), so the lifted
     input is F F* with F = Phi x I_A, and the output is W W* with the
-    2^n x dim_A^2 factor W = (I_CD x S) F, one contraction of S with Phi on
-    the AB axes.  No 2^n x 2^n matrix is formed before the returned one.
+    2^n x dim_A^2 factor W = (I_CD x S) F.  W is one batched GEMM: S,
+    reshaped once per call into a (dim_B dim_A^2) x dim_B matrix, times
+    each of Phi's 2^(n-|AB|) slices of shape dim_B x dim_A.  No 2^n x 2^n
+    matrix is formed before the returned one.
 
     Feeding the map psi's own BCD marginal must reproduce |psi><psi|: the
     exact trace norm of W W* - |psi><psi| is checked to 1e-7, from a QR
@@ -342,13 +347,16 @@ def petz_glue(inst: GluableInstance) -> np.ndarray:
     rho_ab = reduced_density(inst.psi, part.qubits("A", "B"))
     rho_b = reduced_density(inst.psi, part.qubits("B"))
     lift = _sqrt_psd(rho_ab) @ kron(_invsqrt_psd(rho_b, _PETZ_CUTOFF), np.eye(dim_a))
-    # lift[b, a, b', a'] maps (b', a') to (b, a); A is the low-bit block
-    lift = lift.reshape(dim_b, dim_a, dim_b, dim_a)
+    # lift[b, a, b', a'] maps (b', a') to (b, a); A is the low-bit block.
+    # As a (b a a') x b' matrix it multiplies each CD slice of Phi, (b', k),
+    # in one batched GEMM
+    lift = lift.reshape(dim_b, dim_a, dim_b, dim_a).transpose(0, 1, 3, 2)
+    lift = lift.reshape(dim_b * dim_a * dim_a, dim_b)
 
     def factor(state: StateVector) -> np.ndarray:
+        # W[(c, b, a), (a', k)]; the column order does not change W W*
         phi = state.amps.reshape(-1, dim_b, dim_a)
-        w = np.einsum("bazx,czk->cbakx", lift, phi)
-        return w.reshape(2**part.n, dim_a * dim_a)
+        return (lift @ phi).reshape(2**part.n, dim_a * dim_a)
 
     # W W* - psi psi* = M J M* with M = [W, psi] = Q R, J = diag(1, .., 1, -1);
     # Q is an isometry, so the trace norm is that of R J R*

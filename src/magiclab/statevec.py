@@ -26,6 +26,7 @@ qubits (MAGICLAB_MAX_N, default 14) and 12 density-matrix qubits.
 
 from __future__ import annotations
 
+import functools
 import os
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -184,14 +185,21 @@ class LayeredCircuit:
         return LayeredCircuit(self.n, layers)
 
 
-def _target_perm(n: int, targets: Sequence[int]) -> list:
-    """Axes of the (2,)*n tensor, `targets` first with targets[0] (low bit) last."""
+@functools.lru_cache(maxsize=1024)
+def _target_perm(n: int, targets: tuple) -> tuple[tuple, tuple]:
+    """(axes, inverse) for the (2,)*n tensor and a tuple of targets.
+
+    `axes` puts `targets` first with targets[0] (low bit) last; `inverse`
+    undoes it.  Cached per (n, targets); an out-of-range target raises
+    ValueError on every call, since lru_cache keeps no exceptions.
+    """
     front = []
     for t in reversed(targets):
         if not 0 <= t < n:
             raise ValueError(f"target {t} out of range for {n} qubits")
         front.append(n - 1 - t)
-    return front + [a for a in range(n) if a not in front]
+    axes = tuple(front + [a for a in range(n) if a not in front])
+    return axes, tuple(sorted(range(n), key=axes.__getitem__))
 
 
 def _front(amps: np.ndarray, n: int, targets: Sequence[int]) -> np.ndarray:
@@ -201,7 +209,7 @@ def _front(amps: np.ndarray, n: int, targets: Sequence[int]) -> np.ndarray:
     other qubits in their original relative order, so a column index is
     already the LSB-consistent index of the remaining qubits.
     """
-    tensor = amps.reshape((2,) * n).transpose(_target_perm(n, targets))
+    tensor = amps.reshape((2,) * n).transpose(_target_perm(n, tuple(targets))[0])
     return tensor.reshape(2 ** len(targets), -1)
 
 
@@ -210,8 +218,7 @@ def matrix_action(
 ) -> np.ndarray:
     """Apply a (not necessarily unitary) matrix on `targets` to raw amplitudes."""
     flat = np.asarray(matrix, dtype=complex) @ _front(amps, n, targets)
-    perm = _target_perm(n, targets)
-    inverse = sorted(range(n), key=perm.__getitem__)
+    inverse = _target_perm(n, tuple(targets))[1]
     return flat.reshape((2,) * n).transpose(inverse).reshape(-1)
 
 
@@ -291,6 +298,22 @@ def random_brickwork(n: int, depth: int, rng) -> LayeredCircuit:
     return LayeredCircuit(n, tuple(layers))
 
 
+def _region(v: StateVector, qubits: Iterable[int]) -> tuple:
+    """`qubits` sorted and without repeats, each checked to be a qubit of v."""
+    keep = tuple(sorted(set(int(q) for q in qubits)))
+    if any(q < 0 or q >= v.n for q in keep):
+        raise ValueError("qubit out of range")
+    return keep
+
+
+def _gram(v: StateVector, keep: tuple) -> np.ndarray:
+    """Phi Phi* of the `_front` split of v on the sorted region `keep`."""
+    if len(keep) > _DENSITY_MAX_QUBITS:
+        raise ValueError(f"density matrices capped at {_DENSITY_MAX_QUBITS} qubits")
+    flat = _front(v.amps, v.n, keep)
+    return flat @ flat.conj().T
+
+
 def reduced_density(v: StateVector, qubits: Iterable[int]) -> np.ndarray:
     """Reduced density matrix of `qubits` of v, a (2^k, 2^k) array.
 
@@ -298,13 +321,7 @@ def reduced_density(v: StateVector, qubits: Iterable[int]) -> np.ndarray:
     (the lowest is the low index bit).  v was validated when it was built,
     so the matrix is not checked again.
     """
-    keep = tuple(sorted(set(int(q) for q in qubits)))
-    if any(q < 0 or q >= v.n for q in keep):
-        raise ValueError("qubit out of range")
-    if len(keep) > _DENSITY_MAX_QUBITS:
-        raise ValueError(f"density matrices capped at {_DENSITY_MAX_QUBITS} qubits")
-    flat = _front(v.amps, v.n, keep)
-    return flat @ flat.conj().T
+    return _gram(v, _region(v, qubits))
 
 
 def entropy(rho: np.ndarray) -> float:
@@ -320,12 +337,10 @@ def entanglement_entropy(v: StateVector, qubits: Iterable[int]) -> float:
     Computed from the smaller of the region and its complement, which
     share their nonzero spectrum.
     """
-    region = set(int(q) for q in qubits)
-    if any(q < 0 or q >= v.n for q in region):
-        raise ValueError("qubit out of range")
+    region = _region(v, qubits)
     if 2 * len(region) > v.n:
-        region = set(range(v.n)) - region
-    return entropy(reduced_density(v, region))
+        region = tuple(q for q in range(v.n) if q not in region)
+    return entropy(_gram(v, region))
 
 
 def mutual_information(v: StateVector, a: Iterable[int], b: Iterable[int]) -> float:

@@ -72,6 +72,8 @@ def _timed(checks):
     difference of whole elapsed milliseconds, so the reports of one suite
     add up to no more than its wall time.  Parameters go through
     check_params first, so bad ones raise ValueError before any check runs.
+    An exception raised inside a check propagates with the reports of the
+    checks before it as its `reports` attribute, for run_suite to keep.
     """
 
     @functools.wraps(checks)
@@ -79,10 +81,14 @@ def _timed(checks):
         check_params(params)
         clock = time.perf_counter
         start, billed, reports = clock(), 0, []
-        for report in checks(**params):
-            elapsed = int((clock() - start) * 1000)
-            reports.append(dataclasses.replace(report, runtime_ms=elapsed - billed))
-            billed = elapsed
+        try:
+            for report in checks(**params):
+                elapsed = int((clock() - start) * 1000)
+                reports.append(dataclasses.replace(report, runtime_ms=elapsed - billed))
+                billed = elapsed
+        except Exception as exc:
+            exc.reports = reports
+            raise
         return reports
 
     return suite
@@ -391,19 +397,27 @@ def run_suite(suite: str, out=None, jsonl: bool = False, **params) -> int:
     any fails (a gluing premise violated inside a check counts as a
     failure), 2 for an unknown suite or invalid parameters; a failure's line
     names the suite it stopped in (`exit_code`), and the reports of the
-    suites that finished before it are still written.  Reports go to `out`
-    as JSON (or JSON lines with `jsonl`), atomically; without `out` they
-    print to stdout.
+    suites that finished before it, and of the checks that finished before
+    it in its own suite, are still written.  Reports go to `out` as JSON (or
+    JSON lines with `jsonl`), atomically; without `out` they print to stdout.
     """
     if suite != "all" and suite not in SUITES:
         print(f"error: {suite}: unknown suite", file=sys.stderr)
         return 2
     reports = []
+
+    def run(name, given):
+        try:
+            reports.extend(SUITES[name](**given))
+        except Exception as exc:
+            reports.extend(getattr(exc, "reports", ()))
+            raise
+
     for name in SUITES if suite == "all" else [suite]:
         reads = flag_defaults(SUITES[name])
         given = {k: v for k, v in params.items() if suite != "all" or "--" + k in reads}
         seed = given.get("seed", reads["--seed"])
-        code = exit_code(name, seed, lambda: reports.extend(SUITES[name](**given)))
+        code = exit_code(name, seed, lambda: run(name, given))
         if code:
             break
     if code and not reports:

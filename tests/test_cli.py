@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from magiclab import glue, prep, symplectic as sp
+from magiclab import glue, prep, symplectic as sp, zxcat
 from magiclab.cli import SUBCOMMANDS, flags_read, main
 from magiclab.modular import double_fibonacci
 from magiclab.reports import CheckReport, dump_state, load_state, sanitize, write_reports
@@ -201,6 +201,23 @@ def test_all_keeps_the_reports_of_the_suites_before_a_raise(monkeypatch, capsys,
     captured = capsys.readouterr()
     assert captured.out == f"29 checks, 0 failed -> {out}\n" and captured.err == line
     assert _without_runtime(json.loads(out.read_text())) == want
+
+
+def test_a_suite_that_raises_keeps_the_reports_it_yielded(monkeypatch, capsys):
+    # crossterm-bound is zxcat's third check: the two before it are printed
+    def broken(**kwargs):
+        raise AssertionError("crossterm-bound trial 0: planted")
+
+    monkeypatch.setattr(zxcat, "crossterm_bound_check", broken)
+    path = os.path.join(os.path.dirname(__file__), "data", "all_seed0.json")
+    with open(path) as fh:
+        want = [r for r in json.load(fh) if r["check"] in ("mi-asymptote", "mi-near-asymptote")]
+    assert main(["zxcat", "--seed", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "check failed: zxcat seed 0: crossterm-bound trial 0: planted\n"
+    reports = json.loads(captured.out)
+    assert [r["check"] for r in reports] == ["mi-asymptote", "mi-near-asymptote"]
+    assert all(r["pass"] for r in reports) and _without_runtime(reports) == want
 
 
 @pytest.mark.parametrize("n", ["2", "3"])

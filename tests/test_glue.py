@@ -1,5 +1,6 @@
 """Tests for state gluing: premises, the matching unitary, the recovery map."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -34,6 +35,12 @@ from magiclab.statevec import (
 )
 
 ONES = (1, 1, 1, 1, 1, 1)
+# the nine partitions of bench/'s glue-petz workload
+GLUE_PETZ_SHAPES = (
+    (2, 1, 1, 1, 1, 2), (1, 2, 1, 1, 2, 1), (2, 2, 1, 1, 1, 1),
+    (1, 1, 2, 2, 1, 1), (1, 1, 1, 1, 2, 2), (3, 1, 1, 1, 1, 1),
+    (2, 1, 1, 1, 1, 3), (1, 2, 1, 2, 1, 2), (2, 1, 2, 1, 2, 1),
+)
 
 
 def test_partition_blocks():
@@ -48,10 +55,27 @@ def test_partition_blocks():
     assert part.qubits("A", "D") == (0, 1, 7, 8)
     with pytest.raises(KeyError):
         part.qubits("E")
+    with pytest.raises(KeyError):
+        part.qubits("A", "BC")
     with pytest.raises(ValueError):
         Partition((1, 1, 1, 1, 1))
     with pytest.raises(ValueError):
         Partition((1, 0, 1, 1, 1, 1))
+
+
+def test_partition_qubits_equal_a_brute_force_span():
+    composites = {"B": ("B1", "B2"), "C": ("C1", "C2")}
+    names = ("A", "B1", "B2", "C1", "C2", "D", "B", "C")
+    for sizes in itertools.product((1, 2, 3), repeat=6):
+        part = Partition(sizes)
+        owner = [label for label, size in zip(names, sizes) for _ in range(size)]
+        for name in names:
+            subs = composites.get(name, (name,))
+            want = tuple(q for q in range(part.n) if owner[q] in subs)
+            assert part.qubits(name) == want, (sizes, name)
+        assert part.qubits("D", "A", "A") == part.qubits("A") + part.qubits("D")
+        assert part.qubits() == ()
+    assert part == Partition((3,) * 6) and hash(part) == hash(Partition((3,) * 6))
 
 
 def test_generated_premises_hold():
@@ -214,17 +238,11 @@ def _petz_kron_oracle(inst, cutoff=1e-10):
 
 
 @pytest.mark.parametrize(
-    "sizes, product",
-    [
-        (ONES, True),
-        ((2, 1, 1, 1, 1, 2), False),
-        ((3, 1, 1, 1, 1, 1), False),
-        ((1, 2, 1, 2, 1, 2), False),
-        ((2, 1, 1, 1, 1, 3), False),
-    ],
+    "sizes, product", [(ONES, True), *((sizes, False) for sizes in GLUE_PETZ_SHAPES)]
 )
 def test_petz_matches_kronecker_oracle(sizes, product):
-    for seed in range(2):
+    # shapes where dim_A, dim_B and dim_CD differ catch a swapped axis in W
+    for seed in range(3):
         inst = generate_gluable_instance(sizes, seed=seed, product=product)
         rho = petz_glue(inst)
         assert rho.shape == (2**inst.partition.n,) * 2
@@ -316,14 +334,6 @@ def test_premises_checked_once_per_instance(monkeypatch, capsys):
     assert main(["glue", "run", "--trials", "3"]) == 0
     capsys.readouterr()
     assert len(calls) == 3
-
-
-# the nine partitions of bench/'s glue-petz workload
-GLUE_PETZ_SHAPES = (
-    (2, 1, 1, 1, 1, 2), (1, 2, 1, 1, 2, 1), (2, 2, 1, 1, 1, 1),
-    (1, 1, 2, 2, 1, 1), (1, 1, 1, 1, 2, 2), (3, 1, 1, 1, 1, 1),
-    (2, 1, 1, 1, 1, 3), (1, 2, 1, 2, 1, 2), (2, 1, 2, 1, 2, 1),
-)
 
 
 @pytest.mark.parametrize("sizes", GLUE_PETZ_SHAPES)

@@ -459,6 +459,18 @@ def test_targets_outside_the_register_raise(bad):
         sv.matrix_action(v.amps, 3, (bad,), sv.Z2)
 
 
+def test_target_perm_cache_keeps_its_errors_and_is_immutable():
+    # lru_cache keeps no exceptions, so a bad target raises on every call
+    for _ in range(2):
+        with pytest.raises(ValueError) as err:
+            sv._target_perm(3, (0, 5))
+        assert str(err.value) == "target 5 out of range for 3 qubits"
+    axes, inverse = sv._target_perm(4, (2, 0))
+    assert axes == (3, 1, 0, 2) and inverse == (2, 1, 3, 0)
+    assert sv._target_perm(4, (2, 0)) is sv._target_perm(4, (2, 0))
+    assert type(axes) is tuple and type(inverse) is tuple
+
+
 def test_word_expectations_bytes_equal_the_power_oracle():
     from magiclab import zxcat
 
