@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from . import glue, modular, prep, zxcat
+from . import glue, modular, prep, statevec as sv, zxcat
 from .reports import CheckReport, dump_state, render_csv, sanitize, write_csv, write_json
 from .suites import (
     PREP_TOL,
@@ -58,8 +58,11 @@ def _emit(args, report, state=None, **extra) -> int:
     return 0 if report.passed else 1
 
 
-def _int_list(text: str) -> list:
-    return [int(part) for part in text.split(",") if part.strip()]
+def _int_list(text: str, flag: str) -> list:
+    try:
+        return [int(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise ValueError(f"{flag} takes comma-separated integers, got {text!r}") from None
 
 
 def _zxcat_mi(args, n=10) -> int:
@@ -86,7 +89,7 @@ def _zxcat_build(args, n=8) -> int:
 
 
 def _agsp_sweep(args) -> int:
-    rows = agsp_sweep(_int_list(args.n_list), _int_list(args.m_list))
+    rows = agsp_sweep(_int_list(args.n_list, "--n-list"), _int_list(args.m_list, "--m-list"))
     fields = ("n", "m", "sup_error", "bound", "coeff_sum", "p_minus_n")
     if args.csv:
         write_csv(args.csv, rows, fields)
@@ -185,7 +188,7 @@ def _modular_verlinde(args) -> int:
 
 
 def _glue_run(args, seed=0, trials=10) -> int:
-    sizes = tuple(_int_list(args.dims))
+    sizes = tuple(_int_list(args.dims, "--dims"))
     records = []
     for t in range(trials):
         inst = glue.generate_gluable_instance(sizes, seed=seed + t)
@@ -330,6 +333,9 @@ def main(argv=None) -> int:
         if unread:
             raise ValueError(f"takes no {', '.join(unread)}; it reads {', '.join(reads)}")
         check_params(params)
+        if given.get("--max-n", 1) < 1:
+            raise ValueError(f"--max-n must be at least 1, got {given['--max-n']}")
+        sv.max_qubits()  # a bad MAGICLAB_MAX_N fails before any check runs
         if args.action is None:
             out, jsonl = given.get("--out"), given.get("--jsonl", False)
             return run_suite(args.suite, out=out, jsonl=jsonl, **params)

@@ -31,11 +31,10 @@ import os
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import _f2
 from .symplectic import PauliString, StabilizerState
 
 _EIG_CLIP = 1e-12
@@ -436,19 +435,13 @@ def pauli_expectation(v: StateVector, p: PauliString) -> float:
 def to_statevectors(states: Sequence[StabilizerState]) -> list[StateVector]:
     """Dense vectors of stabilizer states on one register, in input order.
 
-    Per state, seeds with a computational basis state |b> chosen by solving
-    the sign constraints of the diagonal (x = 0) subgroup D over F2, so
-    every element of D fixes |b>.  Generators h_1..h_k with independent
-    x-parts then reach each coset of D exactly once, and the state is
-    proportional to the sum of h^m|b> over m in F2^k (the projector product
-    of all n generators applied to |b>, up to the factor |D|/2^n); one
-    elimination of the x-parts finds both h and D.  The support is filled
-    by doubling, once for all the G states of equal k over (2^k, G) index
-    and Z4-phase arrays: h = i^(2s + |x&z|) X^x Z^z, its sign being (-1)^s,
-    sends i^e at idx to i^(e + 2s + |x&z| + 2 z.idx) at idx ^ x.
-    Dividing by sqrt(2^k), the norm, is exact.  Every state must have the
-    same n, within the dense cap; sampled checks keep a batch within
-    BATCH_AMPS amplitudes (see `chunk_sizes`).
+    Each state is the normalized sum of h^m|b> over m in F2^k for its
+    `StabilizerState.expansion` (b, h_1..h_k).  The support is filled by
+    doubling, once for all the G states of equal k over (2^k, G) index and
+    Z4-phase arrays: h = i^e X^x Z^z sends i^p at idx to
+    i^(p + e + 2 z.idx) at idx ^ x.  Dividing by sqrt(2^k), the norm, is
+    exact.  Every state must have the same n, within the dense cap; sampled
+    checks keep a batch within BATCH_AMPS amplitudes (see `densified`).
     """
     if not states:
         return []
@@ -456,31 +449,16 @@ def to_statevectors(states: Sequence[StabilizerState]) -> list[StateVector]:
     if any(s.n != n for s in states):
         raise ValueError("a batch of stabilizer states must share one n")
     _check_dense(n)
-    xpart = (1 << n) - 1  # the x half of a packed row
-    groups: dict[int, list] = {}  # k -> [(position, b, the k picked (row, sign))]
-    for pos, s in enumerate(states):
-        picked, kernel = _f2.eliminate([row & xpart for row in s.rows])
-        equations = []
-        for tag in kernel:
-            x, z, phase = s.element(tag)
-            if x:
-                raise AssertionError("diagonal subgroup element has X support")
-            equations.append((z, phase >> 1))
-        b = _f2.solve(equations)
-        if b is None:
-            raise AssertionError("inconsistent stabilizer signs")
-        groups.setdefault(len(picked), []).append(
-            (pos, b, [(s.rows[i], s.signs >> i & 1) for i in picked])
-        )
+    groups: dict[int, list] = {}  # k -> [(position, b, the k (x, z, e))]
+    for pos, (b, gens) in enumerate(s.expansion() for s in states):
+        groups.setdefault(len(gens), []).append((pos, b, gens))
     out: list = [None] * len(states)
     for k, members in groups.items():
         rows, size = len(members), 1 << k
         # (3, k, rows): the x, z and i-exponent of generator j of each state;
         # the uint8 phases wrap mod 256, a multiple of 4
         xs, zs, es = np.array(
-            [(row & xpart, row >> n, (2 * sign + (row & row >> n).bit_count()) & 3)
-             for _, _, picked in members for row, sign in picked],
-            dtype=np.uint64,
+            [gen for _, _, gens in members for gen in gens], dtype=np.uint64
         ).reshape(rows, k, 3).transpose(2, 1, 0).copy()
         es = es.astype(np.uint8)  # a uint64 addend would cast every step
         # (2^k, rows), state r in column r; its indices carry r above the n
@@ -512,15 +490,21 @@ def to_statevector(s: StabilizerState) -> StateVector:
     return to_statevectors([s])[0]
 
 
-def chunk_sizes(count: int, per_item: int) -> list[int]:
-    """Sizes of successive chunks of `count` items of `per_item` amplitudes each.
+def densified(trials: int, per_item: int, draw: Callable) -> Iterator[tuple]:
+    """Yield (rest, dense states) for `trials` calls of `draw`, in order.
 
-    A chunk holds at most BATCH_AMPS amplitudes, or one item when an item
-    alone is larger, so a sampled check converts a chunk's stabilizer states
-    in one `to_statevectors` call without holding every trial at once.
+    `draw()` returns (stabilizer states, rest) for one trial of `per_item`
+    amplitudes in all.  A chunk of at most BATCH_AMPS amplitudes, or one
+    trial when a trial alone is larger, is drawn whole and then made dense
+    in one `to_statevectors` call, so a sampled check keeps its draw order
+    without holding every trial at once.
     """
     step = max(1, BATCH_AMPS // per_item)
-    return [min(step, count - start) for start in range(0, count, step)]
+    for start in range(0, trials, step):
+        drawn = [draw() for _ in range(min(step, trials - start))]
+        dense = iter(to_statevectors([s for states, _ in drawn for s in states]))
+        for states, rest in drawn:
+            yield rest, [next(dense) for _ in states]
 
 
 def _branches(v: StateVector, targets: Sequence[int], bras: Sequence) -> tuple[list, list]:

@@ -139,45 +139,39 @@ def suite_symplectic(n=6, seed=0, tol=1e-10, trials=40):
     dev = abs(sp.stabilizer_overlap(zero, plus) - 2.0 ** (-n / 2.0))
     yield CheckReport("zero-plus-overlap", {"n": n}, dev, 1e-12)
 
-    # each dense cross-check draws a chunk of trials in order, then makes
-    # the chunk's states dense in one batch
+    def overlap_pair():
+        pair = tuple(sp.apply_clifford(sp.random_clifford(n, rng), zero) for _ in range(2))
+        return pair, pair
+
     devs = [0.0]
-    for size in sv.chunk_sizes(trials, 2 << n):
-        pairs = []
-        for _ in range(size):
-            c1, c2 = sp.random_clifford(n, rng), sp.random_clifford(n, rng)
-            pairs.append((sp.apply_clifford(c1, zero), sp.apply_clifford(c2, zero)))
-        dense = sv.to_statevectors([s for pair in pairs for s in pair])
-        for (s1, s2), v1, v2 in zip(pairs, dense[::2], dense[1::2]):
-            overlap = abs(np.vdot(v1.amps, v2.amps))
-            devs.append(abs(sp.stabilizer_overlap(s1, s2) - overlap))
+    for (s1, s2), (v1, v2) in sv.densified(trials, 2 << n, overlap_pair):
+        overlap = abs(np.vdot(v1.amps, v2.amps))
+        devs.append(abs(sp.stabilizer_overlap(s1, s2) - overlap))
     yield CheckReport("overlap-vs-dense", sampled, np.max(devs), tol)
 
     # s2's Clifford comes from its own stream: with one C for both states,
     # |<s2|P|s1>| = 2^{-n/2} for every P, and no sign error could show
     own = np.random.default_rng([seed, 2])
+
+    def sandwich_draw():
+        c = sp.random_clifford(n, rng)
+        s1, s2 = sp.apply_clifford(c, zero), sp.apply_clifford(sp.random_clifford(n, own), plus)
+        return (s1, s2), (s1, s2, sp.PauliString.from_text(_random_pauli_text(n, rng)))
+
     devs = [0.0]
-    for size in sv.chunk_sizes(trials, 2 << n):
-        draws = []
-        for _ in range(size):
-            c = sp.random_clifford(n, rng)
-            s1, s2 = sp.apply_clifford(c, zero), sp.apply_clifford(sp.random_clifford(n, own), plus)
-            draws.append((s1, s2, sp.PauliString.from_text(_random_pauli_text(n, rng))))
-        dense = sv.to_statevectors([s for s1, s2, _ in draws for s in (s1, s2)])
-        for (s1, s2, p), v1, v2 in zip(draws, dense[::2], dense[1::2]):
-            overlap = abs(np.vdot(v2.amps, sv.apply_pauli(v1, p).amps))
-            devs.append(abs(sp.pauli_sandwich(s2, p, s1) - overlap))
+    for (s1, s2, p), (v1, v2) in sv.densified(trials, 2 << n, sandwich_draw):
+        overlap = abs(np.vdot(v2.amps, sv.apply_pauli(v1, p).amps))
+        devs.append(abs(sp.pauli_sandwich(s2, p, s1) - overlap))
     yield CheckReport("sandwich-vs-dense", sampled, np.max(devs), tol)
+
+    def roundtrip():
+        c = sp.random_clifford(n, rng)
+        return (sp.apply_clifford(c.adjoint(), sp.apply_clifford(c, zero)),), None
 
     devs = [0.0]
     ref = sv.to_statevector(zero)
-    for size in sv.chunk_sizes(trials, 1 << n):
-        backs = []
-        for _ in range(size):
-            c = sp.random_clifford(n, rng)
-            backs.append(sp.apply_clifford(c.adjoint(), sp.apply_clifford(c, zero)))
-        for back in sv.to_statevectors(backs):
-            devs.append(1.0 - sv.pure_overlap(back, ref))
+    for _, (back,) in sv.densified(trials, 1 << n, roundtrip):
+        devs.append(1.0 - sv.pure_overlap(back, ref))
     yield CheckReport("clifford-roundtrip", sampled, np.max(devs), tol)
 
     mismatches = 0

@@ -18,6 +18,9 @@ Conventions used throughout the package:
   Clifford's conjugation alike.  ``PauliString`` is for single operators
   and text only.  Overlap magnitudes are returned as floats, global
   phases are never exposed.
+* The packed layout is private to this module: no other package module
+  reads ``rows``, ``signs`` or ``_f2``.  Other layers see a state through
+  ``element``, ``expansion`` (for dense vectors) and ``subgroup_on``.
 
 All tableau work is exact integer arithmetic, so results like overlaps
 are powers of sqrt(2) with no rounding; numpy appears only as the random
@@ -219,6 +222,39 @@ class StabilizerState:
         if phase & 1:
             raise AssertionError("non-Hermitian stabilizer element")
         return x, z, phase
+
+    def expansion(self) -> tuple[int, list[tuple[int, int, int]]]:
+        """(b, [(x, z, e), ...]): the state as a sum over one basis coset.
+
+        b solves the sign constraints of the diagonal (x = 0) subgroup D
+        over F2, so every element of D fixes |b>.  The k generators
+        h = i^e X^x Z^z have independent x-parts, so they reach each coset
+        of D once and k + dim D = n: the state is proportional to the sum
+        of h^m|b> over m in F2^k.  One elimination of the x-parts finds both.
+        """
+        n, low = self.n, (1 << self.n) - 1
+        picked, kernel = _f2.eliminate([row & low for row in self.rows])
+        equations = []
+        for tag in kernel:
+            x, z, phase = self.element(tag)
+            if x:
+                raise AssertionError("diagonal subgroup element has X support")
+            equations.append((z, phase >> 1))
+        b = _f2.solve(equations)
+        if b is None:
+            raise AssertionError("inconsistent stabilizer signs")
+        gens = []
+        for i in picked:
+            x, z = self.rows[i] & low, self.rows[i] >> n
+            # (-1)^s W(x, z) = i^(2s + |x & z|) X^x Z^z
+            gens.append((x, z, (2 * (self.signs >> i & 1) + (x & z).bit_count()) & 3))
+        return b, gens
+
+    def subgroup_on(self, qubits) -> list[int]:
+        """Basis of the generator masks whose products act only on `qubits`."""
+        n = self.n
+        out = sum(1 << q for q in range(n) if q not in qubits)
+        return _f2.left_kernel([row & (out | out << n) for row in self.rows])
 
 
 def stabilizer_overlap(s1: StabilizerState, s2: StabilizerState) -> float:

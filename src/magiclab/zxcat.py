@@ -32,7 +32,6 @@ import math
 
 import numpy as np
 
-from . import _f2
 from . import statevec as sv
 from . import symplectic as sp
 from .reports import CheckReport
@@ -117,12 +116,11 @@ def crossterm_bound_check(
     tableau, draws a random Hermitian V of unit spectral norm on a random
     support of size a <= top = min(max_support, n), and divides the cross
     term by the bound.  C is uniform, so C and C^dag have one distribution
-    and the branches need no adjoint.  The trials run in chunks: one pass
-    draws a chunk's trials in order, then one `to_statevectors` call makes
-    all of its branches dense, within statevec.BATCH_AMPS amplitudes.  The
-    report observes the worst ratio against 1 + 1e-9 min(1, 2^{n/2 - top}),
-    a slack never looser than 1e-9 in the ratio nor than 1e-9 in the cross
-    term itself; `violations` counts the trials past it by the same rule.
+    and the branches need no adjoint.  The trials are drawn in order and
+    made dense in batches by `statevec.densified`.  The report observes
+    the worst ratio against 1 + 1e-9 min(1, 2^{n/2 - top}), a slack never
+    looser than 1e-9 in the ratio nor than 1e-9 in the cross term itself;
+    `violations` counts the trials past it by the same rule.
     The identity V reproduces |<phi1|phi2>| = 2^{-n/2} exactly: a trial
     whose branches miss it by more than 1e-12 raises AssertionError, and the
     worst deviation is recorded.
@@ -134,27 +132,23 @@ def crossterm_bound_check(
     top = min(max_support, n)
     bound = 1.0 + 1e-9 * min(1.0, 2.0 ** (n / 2.0 - top))
     rng = np.random.default_rng(seed)
+
+    def draw():
+        branches = sp.random_clifford(n, rng).zero_and_plus()
+        a = int(rng.integers(1, top + 1))
+        support = tuple(sorted(int(q) for q in rng.choice(n, size=a, replace=False)))
+        return branches, (a, support, _random_bounded_hermitian(1 << a, rng))
+
     ratios, overlap_devs = [], []
-    for size in sv.chunk_sizes(trials, 2 << n):
-        branches, draws = [], []
-        for _ in range(size):
-            branches += sp.random_clifford(n, rng).zero_and_plus()
-            a = int(rng.integers(1, top + 1))
-            support = tuple(
-                sorted(int(q) for q in rng.choice(n, size=a, replace=False))
+    for trial, ((a, support, v_op), (v1, v2)) in enumerate(sv.densified(trials, 2 << n, draw)):
+        dev = abs(abs(np.vdot(v1.amps, v2.amps)) - 2.0 ** (-n / 2.0))
+        if not dev <= 1e-12:
+            raise AssertionError(
+                f"crossterm-bound trial {trial}: ||<phi1|phi2>| - 2^(-n/2)| = {dev:.3g} > 1e-12"
             )
-            draws.append((a, support, _random_bounded_hermitian(1 << a, rng)))
-        dense = sv.to_statevectors(branches)
-        for (a, support, v_op), v1, v2 in zip(draws, dense[::2], dense[1::2]):
-            dev = abs(abs(np.vdot(v1.amps, v2.amps)) - 2.0 ** (-n / 2.0))
-            if not dev <= 1e-12:
-                raise AssertionError(
-                    f"crossterm-bound trial {len(overlap_devs)}: "
-                    f"||<phi1|phi2>| - 2^(-n/2)| = {dev:.3g} > 1e-12"
-                )
-            overlap_devs.append(dev)
-            moved = sv.matrix_action(v2.amps, n, support, v_op)
-            ratios.append(abs(np.vdot(v1.amps, moved)) / 2.0 ** (a - n / 2.0))
+        overlap_devs.append(dev)
+        moved = sv.matrix_action(v2.amps, n, support, v_op)
+        ratios.append(abs(np.vdot(v1.amps, moved)) / 2.0 ** (a - n / 2.0))
     # np.max, not max: a NaN ratio must reach the verdict wherever it sits
     params = {
         "n": n, "seed": seed, "trials": trials, "max_support": max_support,
@@ -162,13 +156,6 @@ def crossterm_bound_check(
         "identity_overlap_dev": float(np.max(overlap_devs)),
     }
     return CheckReport("crossterm-bound", params, float(np.max(ratios)), bound)
-
-
-def _incone_subgroup_masks(s1: sp.StabilizerState, cone: frozenset) -> list:
-    """Basis of generator masks whose products are supported inside cone."""
-    n = s1.n
-    out = sum(1 << q for q in range(n) if q not in cone)
-    return _f2.left_kernel([row & (out | out << n) for row in s1.rows])
 
 
 def _best_incone_stabilizer(s1, cone, cmap, psi):
@@ -180,19 +167,12 @@ def _best_incone_stabilizer(s1, cone, cmap, psi):
     expectation taken after conjugating by cmap, or None when only the
     identity is supported inside the cone.
     """
-    basis = _incone_subgroup_masks(s1, cone)
-    if not basis:
-        return None
+    masks = basis = s1.subgroup_on(cone)
     if len(basis) <= 14:
-        masks = []
-        for combo in range(1, 1 << len(basis)):
-            m = 0
-            for j in range(len(basis)):
-                if (combo >> j) & 1:
-                    m ^= basis[j]
-            masks.append(m)
-    else:
-        masks = list(basis)
+        # doubling: masks[c] picks basis[j] for each bit j of c
+        masks = [0]
+        for mask in basis:
+            masks += [m ^ mask for m in masks]
     best = None
     for m in masks:
         x, z, phase = s1.element(m)
@@ -203,9 +183,7 @@ def _best_incone_stabilizer(s1, cone, cmap, psi):
         key = (val, -word.weight, -x, -z)
         if best is None or key > best[0]:
             best = (key, word, sign, val)
-    if best is None:
-        return None
-    return best[1], best[2], best[3]
+    return None if best is None else best[1:]
 
 
 def cu_correlation_witness(

@@ -246,6 +246,32 @@ def test_cli_bad_max_n_env_exits_two(monkeypatch, capsys, value):
     assert "MAGICLAB_MAX_N" in err and repr(value) in err, err
 
 
+@pytest.mark.parametrize("argv, env, named", [
+    (["all", "--max-n", "0"], None, "--max-n"),
+    (["agsp", "--max-n", "0"], None, "--max-n"),
+    (["all"], "abc", "MAGICLAB_MAX_N"),
+])
+def test_cli_bad_dense_cap_exits_two_before_any_check(monkeypatch, capsys, argv, env, named):
+    if env is None:
+        monkeypatch.delenv("MAGICLAB_MAX_N", raising=False)
+    else:
+        monkeypatch.setenv("MAGICLAB_MAX_N", env)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and named in err, (out, err)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["agsp", "sweep", "--n-list", "16,abc"], "--n-list"),
+    (["agsp", "sweep", "--m-list", "1,2.5"], "--m-list"),
+    (["glue", "run", "--dims", "1,1,1,1,1,x"], "--dims"),
+])
+def test_cli_bad_int_list_names_its_flag(capsys, argv, flag):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and flag in err and "invalid literal" not in err, err
+
+
 def test_cli_suite_and_subcommands(tmp_path, capsys):
     assert main(["glue", "--trials", "3", "--seed", "2"]) == 0
     reports = json.loads(capsys.readouterr().out)

@@ -410,12 +410,75 @@ def test_to_statevectors_edge_batches(monkeypatch):
     assert sv.to_statevectors([sp.StabilizerState.plus_state(5)])[0].n == 5
 
 
-def test_chunk_sizes_stay_within_the_batch_budget():
+def chunk_loop(trials, per_item, draw, convert):
+    """The explicit chunk loop that `densified` replaced, as an oracle.
+
+    Sampled checks ran it inline: `chunk_sizes`, then per chunk its draws
+    in order and one conversion of all their states.
+    """
+    step = max(1, 2**14 // per_item)
+    for size in [min(step, trials - start) for start in range(0, trials, step)]:
+        drawn = [draw() for _ in range(size)]
+        dense = convert([s for states, _ in drawn for s in states])
+        at = 0
+        for states, rest in drawn:
+            yield rest, dense[at : at + len(states)]
+            at += len(states)
+
+
+def logged_run(trials, per_item, through_densified, monkeypatch):
+    """(events, chunk sizes) of one run: draws, conversions and yields in order."""
+    rng = np.random.default_rng([trials, per_item])
+    events, draws = [], []
+
+    def draw():
+        draws.append(len(draws))
+        events.append(("draw",))
+        # one or two states per trial, as the sampled checks draw
+        return sp.random_clifford(3, rng).zero_and_plus()[: 1 + len(draws) % 2], len(draws)
+
+    def convert(states):
+        events.append(("convert", len(states)))
+        return real(states)
+
+    real = sv.to_statevectors
+    with monkeypatch.context() as patch:
+        if through_densified:
+            patch.setattr(sv, "to_statevectors", convert)
+            run = sv.densified(trials, per_item, draw)
+        else:
+            run = chunk_loop(trials, per_item, draw, convert)
+        for rest, dense in run:
+            events.append(("yield", rest, [v.amps.tobytes() for v in dense]))
+    sizes, drawn = [], 0  # the draws before each conversion
+    for event in events:
+        if event[0] == "draw":
+            drawn += 1
+        elif event[0] == "convert":
+            sizes.append(drawn)
+            drawn = 0
+    return events, sizes
+
+
+@pytest.mark.parametrize("trials, per_item", [
+    (150, 2 << 10), (40, 2 << 6), (3, 2 << 14), (1, 1), (17, 2 << 9),
+])
+def test_densified_matches_the_chunk_loop(trials, per_item, monkeypatch):
+    got = logged_run(trials, per_item, True, monkeypatch)
+    assert got == logged_run(trials, per_item, False, monkeypatch)
+    events = got[0]
+    assert sum(e[0] == "draw" for e in events) == sum(e[0] == "yield" for e in events) == trials
+
+
+def test_chunk_sizes_stay_within_the_batch_budget(monkeypatch):
     assert sv.BATCH_AMPS == 2**14
-    assert sv.chunk_sizes(150, 2 << 10) == [8] * 18 + [6]
-    assert sv.chunk_sizes(40, 2 << 6) == [40]
-    assert sv.chunk_sizes(3, 2 << 14) == [1, 1, 1]  # one item past the budget
-    assert sv.chunk_sizes(1, 1) == [1]
+    for trials, per_item, sizes in [
+        (150, 2 << 10, [8] * 18 + [6]),
+        (40, 2 << 6, [40]),
+        (3, 2 << 14, [1, 1, 1]),  # one item past the budget
+        (1, 1, [1]),
+    ]:
+        assert logged_run(trials, per_item, True, monkeypatch)[1] == sizes, (trials, per_item)
 
 
 def moveaxis_front(amps, n, targets):

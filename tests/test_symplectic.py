@@ -394,6 +394,44 @@ def test_element_is_the_signed_generator_product():
         assert s.element(0) == (0, 0, 0)
 
 
+def test_expansion_spans_the_state_at_the_f2_level():
+    from magiclab import _f2
+
+    rng = np.random.default_rng(53)
+    for n in range(1, 11):
+        c = sp.random_clifford(n, rng)
+        zero, plus = sp.StabilizerState.zero_state(n), sp.StabilizerState.plus_state(n)
+        for s in (*c.zero_and_plus(), zero, plus):
+            b, gens = s.expansion()
+            k = len(gens)
+            assert _f2.rank([x for x, _, _ in gens]) == k, n
+            # the diagonal subgroup, enumerated whole from its kernel basis
+            basis = _f2.left_kernel([g.x for g in paulis(s)])
+            assert k + len(basis) == n, n
+            masks = [0]
+            for tag in basis:
+                masks += [m ^ tag for m in masks]
+            for mask in masks:
+                x, z, phase = s.element(mask)
+                assert x == 0 and _f2.dot(z, b) == phase >> 1, (n, mask)
+            for x, z, e in gens:
+                assert sp.PauliString(n, x, z, e - (x & z).bit_count()).is_hermitian
+
+
+def test_subgroup_on_is_every_product_inside_the_qubits():
+    rng = np.random.default_rng(54)
+    for _ in range(40):
+        n = int(rng.integers(1, 7))
+        s = random_stabilizer_state(n, rng)
+        qubits = frozenset(int(q) for q in np.flatnonzero(rng.integers(0, 2, size=n)))
+        outside = sum(1 << q for q in range(n) if q not in qubits)
+        inside = {m for m in range(1 << n) if not (s.element(m)[0] | s.element(m)[1]) & outside}
+        span = {0}
+        for mask in s.subgroup_on(qubits):
+            span |= {m ^ mask for m in span}
+        assert span == inside, (n, sorted(qubits))
+
+
 def test_stabilizer_state_validation():
     with pytest.raises(ValueError):
         build(sp.StabilizerState, ["XI", "ZI"])  # anticommuting
