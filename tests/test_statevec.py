@@ -429,13 +429,13 @@ def chunk_loop(trials, per_item, draw, convert):
 def logged_run(trials, per_item, through_densified, monkeypatch):
     """(events, chunk sizes) of one run: draws, conversions and yields in order."""
     rng = np.random.default_rng([trials, per_item])
-    events, draws = [], []
+    events, numbers = [], iter(range(trials))
 
     def draw():
-        draws.append(len(draws))
+        trial = next(numbers)
         events.append(("draw",))
         # one or two states per trial, as the sampled checks draw
-        return sp.random_clifford(3, rng).zero_and_plus()[: 1 + len(draws) % 2], len(draws)
+        return sp.random_clifford(3, rng).zero_and_plus()[: 1 + trial % 2], trial
 
     def convert(states):
         events.append(("convert", len(states)))
