@@ -13,9 +13,10 @@ has integer coefficients by the recurrence u_0 = 1, u_1 = n+1-2x,
 u_{k+1} = 2(n+1-2x) u_k - (n-1)^2 u_{k-1}, and P = u_m / u_m(0).  The
 polynomial is held as integer numerators over one positive common
 denominator, so an evaluation is Horner on integers with a single division
-at the end, instead of a gcd in every Fraction operation.  The whole
-excited spectrum 1..n is one Horner pass over an object array of Python
-ints: numpy's object ufuncs do the per-point products, still exactly.
+at the end, instead of a gcd in every Fraction operation.  The step-error
+sup over the excited spectrum 1..n is exact too: in the centred variable
+s = 2x - (n+1) the grid is symmetric, so one Horner pass in s^2 over the
+n/2 points s >= 0 yields every grid value, on object arrays of Python ints.
 
 These facts feed two depth diagnostics for states that look like
 approximate code states (orthogonal, yet locally indistinguishable up to
@@ -138,17 +139,61 @@ def build_polynomial(n: int, m: int) -> AgspPolynomial:
     return AgspPolynomial(n, m, tuple(Fraction(c, cur[0]) for c in cur))
 
 
+def _centred_numerators(poly: AgspPolynomial) -> list:
+    """Integer coefficients of 2^m Q((s + n + 1) / 2) in s, lowest first.
+
+    Q has coefficients ``poly.numerators``; numerator k is scaled by
+    2^(m-k) and the result composed with s + n + 1 by Horner, in O(m^2)
+    int operations.
+    """
+    m, shift = poly.m, poly.n + 1
+    cs = []
+    for k in range(m, -1, -1):
+        cs = [shift * a + b for a, b in zip(cs + [0], [0] + cs)]
+        cs[0] += poly.numerators[k] << (m - k)
+    return cs
+
+
+def _horner(coeffs, t):
+    acc = 0
+    for a in reversed(coeffs):
+        acc = acc * t + a
+    return acc
+
+
+def _grid_max(poly: AgspPolynomial) -> int:
+    """max |Q(x)| over x in {1..n}, exactly, on the centred half-grid."""
+    cs = _centred_numerators(poly)
+    even, odd = cs[0::2], cs[1::2]
+    s = np.arange((poly.n - 1) % 2, poly.n, 2, dtype=object)
+    t = s * s
+    if not any(odd):
+        vals = (_horner(even, t),)
+    elif not any(even):
+        vals = (s * _horner(odd, t),)
+    else:
+        e, so = _horner(even, t), s * _horner(odd, t)
+        vals = (e + so, e - so)
+    # every value is 2^m Q(x) with Q(x) an int, so the shift is exact
+    return max(np.abs(v).max() for v in vals) >> poly.m
+
+
 def step_error_sup(poly: AgspPolynomial) -> float:
     """Max |P(x)| over the excited spectrum x in {1..n}.
 
     The affine map sends [1, n] onto [-1, 1] where |T_m| <= 1, so the
     continuous sup over the whole interval is attained at x = 1 and the
-    integer grid already captures it. The grid is one Horner pass over an
-    object array, so |Q| and its max are exact. Asserts the
-    2 exp(-2m/sqrt(n)) bound.
+    integer grid already captures it. The grid is evaluated exactly in the
+    centred variable s = 2x - (n+1), where it is s = +-(n-1), +-(n-3), ...:
+    the centred numerators 2^m Q((s+n+1)/2) split as E(s^2) + s O(s^2), and
+    one Horner pass in s^2 over the points s >= 0 gives 2^m Q at x as
+    E + sO and at n+1-x as E - sO. A half whose coefficients are all zero
+    is exactly the zero polynomial, so skipping it drops no value; T_m has
+    parity, so one half vanishes for a built polynomial. Every grid point
+    is evaluated: |P(x)| = |P(n+1-x)| holds only for correct coefficients
+    and is not assumed. Asserts the 2 exp(-2m/sqrt(n)) bound.
     """
-    worst = np.abs(poly.numerator_at(np.arange(1, poly.n + 1, dtype=object))).max()
-    val = float(Fraction(worst, poly.denominator))
+    val = float(Fraction(_grid_max(poly), poly.denominator))
     if not val <= poly.error_bound() + 1e-15:
         raise AssertionError(
             f"step-error bound violated at n={poly.n}, m={poly.m}: sup {val:.3e}"
@@ -219,6 +264,14 @@ def _integer_d(d) -> int:
         raise ValueError(f"d must be an integer, got {d!r}") from None
 
 
+_DEPTH_SEARCH_CAP = 400
+
+
+def _overlap_ceiling(n: int, d: int, t: int) -> float:
+    """The overlap ceiling 1/2 + exp(-n^alpha / 2^t), n^alpha = d / sqrt(n)."""
+    return 0.5 + math.exp(-d / math.sqrt(n) / 2.0**t)
+
+
 def complexity_bound(n: int, d: int, epsilon: float, delta: float) -> ComplexityBound:
     """Depth bound log2(d / max{n(delta+epsilon), 1}) plus the projector threshold.
 
@@ -236,9 +289,8 @@ def complexity_bound(n: int, d: int, epsilon: float, delta: float) -> Complexity
         raise ValueError("epsilon and delta must be nonnegative")
     bound = math.log2(d / max(n * (delta + epsilon), 1.0))
     alpha = math.log(d) / math.log(n) - 0.5
-    n_alpha = d / math.sqrt(n)
     t = 0
-    while 0.5 + math.exp(-n_alpha / 2.0**t) < 1.0 - delta and t < 400:
+    while _overlap_ceiling(n, d, t) < 1.0 - delta and t < _DEPTH_SEARCH_CAP:
         t += 1
     return ComplexityBound(
         n=n,

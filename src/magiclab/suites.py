@@ -199,6 +199,21 @@ def suite_zxcat(n=10, seed=0, trials=150):
     yield zxcat.uc_sign_witness(n)
 
 
+def _threshold_faults(cb) -> int:
+    """Ways in which cb.depth_threshold is not the smallest unexcluded depth.
+
+    The threshold t is wrong if the overlap ceiling at t still excludes
+    fidelity 1 - delta, if the ceiling at t - 1 already does not, or if the
+    search stopped at its cap.
+    """
+    t, fidelity = cb.depth_threshold, 1.0 - cb.delta
+    return (
+        (agsp._overlap_ceiling(cb.n, cb.d, t) < fidelity)
+        + (t > 0 and not agsp._overlap_ceiling(cb.n, cb.d, t - 1) < fidelity)
+        + (t >= agsp._DEPTH_SEARCH_CAP)
+    )
+
+
 @_timed
 def suite_agsp(n=16, seed=0, trials=60):
     poly = agsp.build_polynomial(n, max(1, round(n**0.5)))
@@ -215,14 +230,15 @@ def suite_agsp(n=16, seed=0, trials=60):
     bound = agsp.build_polynomial(n_op, 3).error_bound()
     yield CheckReport("operator-vs-step", {"n": n_op, "m": 3}, dev, bound)
 
-    table = [
-        agsp.complexity_bound(size, size // 3, 0.0, 0.01).depth_threshold
-        for size in (64, 256, 1024, 4096)
-    ]
-    violations = sum(b < a for a, b in zip(table, table[1:])) + sum(
-        t <= 0 for t in table
+    sizes = [64, 256, 1024, 4096]
+    bounds = [agsp.complexity_bound(size, size // 3, 0.0, 0.01) for size in sizes]
+    table = [cb.depth_threshold for cb in bounds]
+    violations = (
+        sum(b < a for a, b in zip(table, table[1:]))
+        + sum(t <= 0 for t in table)
+        + sum(_threshold_faults(cb) for cb in bounds)
     )
-    params = {"n_list": [64, 256, 1024, 4096], "thresholds": table}
+    params = {"n_list": sizes, "thresholds": table}
     yield CheckReport("depth-threshold-growth", params, float(violations), 0)
 
     n_scan = min(10, sv.max_qubits())

@@ -99,6 +99,28 @@ def test_step_error_check_survives_optimized_mode():
     assert out.stdout.startswith("False raised step-error bound violated"), out.stdout
 
 
+def test_step_error_check_without_parity_survives_optimized_mode():
+    # tripling a_3 instead breaks the parity of the centred coefficients, so
+    # the sup takes the path through both halves; about 179 against 0.27
+    code = (
+        "from magiclab import agsp\n"
+        "poly = agsp.build_polynomial(16, 4)\n"
+        "coeffs = list(poly.coeffs)\n"
+        "coeffs[3] *= 3\n"
+        "try:\n"
+        "    agsp.step_error_sup(agsp.AgspPolynomial(16, 4, tuple(coeffs)))\n"
+        "except AssertionError as exc:\n"
+        "    print(__debug__, 'raised', exc)\n"
+        "else:\n"
+        "    print(__debug__, 'silent')\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert out.stdout.startswith("False raised step-error bound violated"), out.stdout
+
+
 def test_coeff_sum_identity_exact_and_float():
     poly = agsp.build_polynomial(16, 4)
     exact_sum = sum(abs(a) * Fraction(16) ** k for k, a in enumerate(poly.coeffs))
@@ -347,6 +369,38 @@ def test_array_horner_matches_scalar_and_sup_matches_generator(n, m):
     assert got.dtype == object and all(type(v) is int for v in got)
     assert list(got) == [poly.numerator_at(x) for x in range(1, n + 1)]
     assert agsp.step_error_sup(poly) == generator_sup(poly)
+
+
+def random_polynomial(n, m, rng):
+    """P(0) = 1 and alternating signs, but no Chebyshev structure."""
+    coeffs = [Fraction(1)] + [
+        (-1) ** k * Fraction(int(rng.integers(1, 1000)), int(rng.integers(1, 1000)) * n**k)
+        for k in range(1, m + 1)
+    ]
+    return agsp.AgspPolynomial(n, m, tuple(coeffs))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 16, 17, 128, 129])
+def test_centred_grid_max_matches_x_grid_without_parity(n):
+    rng = np.random.default_rng(n)
+    for m in range(1, min(n - 1, 12) + 1):
+        poly = random_polynomial(n, m, rng)
+        cs = agsp._centred_numerators(poly)
+        assert any(cs[0::2]) and any(cs[1::2])
+        want = max(abs(poly.numerator_at(x)) for x in range(1, n + 1))
+        got = agsp._grid_max(poly)
+        assert type(got) is int and got == want
+
+
+@pytest.mark.parametrize(
+    "n,m", SWEEP_CELLS + [(n, m) for n in range(2, 18) for m in range(1, n)]
+)
+def test_centred_coefficients_of_built_polynomial_have_parity(n, m):
+    # T_m(-y) = (-1)^m T_m(y) with y = -s/(n-1): the half of the centred
+    # coefficients whose index parity differs from m's vanishes exactly
+    cs = agsp._centred_numerators(agsp.build_polynomial(n, m))
+    assert len(cs) == m + 1 and cs[m] != 0
+    assert all(c == 0 for k, c in enumerate(cs) if k % 2 != m % 2)
 
 
 def test_array_horner_with_shared_denominator():

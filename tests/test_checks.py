@@ -52,6 +52,15 @@ def _stray_survivor(real):
     return lambda data: [*real(data), swap]
 
 
+def _threshold_plus_one(real):
+    # [2, 3, 4, 5] -> [3, 4, 5, 6] still grows and stays positive
+    def bound(*args):
+        cb = real(*args)
+        return dataclasses.replace(cb, depth_threshold=cb.depth_threshold + 1)
+
+    return bound
+
+
 def _missed_conclusion(real):
     def merge(inst):
         glued, residuals = real(inst)
@@ -170,6 +179,9 @@ DEFECTS = {
     "depth-threshold-growth": (
         "agsp", "depth-threshold-growth", agsp, "complexity_bound",
         lambda real: lambda *a: dataclasses.replace(real(*a), depth_threshold=0), None,
+    ),
+    "depth-threshold-off-by-one": (
+        "agsp", "depth-threshold-growth", agsp, "complexity_bound", _threshold_plus_one, None,
     ),
     "indist-word-ratio": (
         "agsp", "indist-word-ratio", agsp, "indist_words", _rate_without_half, None,
