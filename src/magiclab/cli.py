@@ -1,11 +1,11 @@
 """Command-line interface: `magiclab <suite> [subcommand] [flags]`.
 
 Each module name runs its check suite when given no subcommand and
-serializes CheckReports as JSON; the subcommands expose the individual
-constructions (state builders, witnesses, sweeps, the gate search) with
-machine-readable output.  A subcommand that reports a suite check prints
-that check's record, built by the same function the suite uses; the
-constructions print a record with no bound.  A command reads the
+serializes CheckReports as JSON; the subcommands print what no suite
+report holds (a state, the degree sweep, per-shot and per-instance records,
+the gate search's survivors, an exact dimension).  One that reports a suite
+check (prep adaptive and bell, glue run, modular lpu-search) builds it with
+the suite's function; zxcat build's record has no bound.  A command reads the
 computation flags its signature declares (`flags_read`), and any other
 common flag exits 2; its help lists only the flags it reads, with their
 defaults.  Exit codes: 0 all checks pass, 1 a check failed, 2 unknown
@@ -23,7 +23,6 @@ import numpy as np
 from . import glue, modular, prep, statevec as sv, zxcat
 from .reports import CheckReport, dump_state, render_csv, sanitize, write_csv, write_json
 from .suites import (
-    PREP_TOL,
     SUITES,
     agsp_sweep,
     check_params,
@@ -32,7 +31,6 @@ from .suites import (
     flag_defaults,
     identity_only_check,
     kept_fidelity_check,
-    overlap_check,
     run_suite,
 )
 
@@ -65,22 +63,6 @@ def _int_list(text: str, flag: str) -> list:
         raise ValueError(f"{flag} takes comma-separated integers, got {text!r}") from None
 
 
-def _zxcat_mi(args, n=10) -> int:
-    value = zxcat.mi_numeric(n)
-    params = {"n": n, "mi": value, "asymptote": zxcat.mi_asymptote()}
-    # a violation count: the information must be positive
-    violations = 0.0 if value > 0.0 else 1.0
-    return _emit(args, CheckReport("mi-numeric", params, violations, 0.0))
-
-
-def _zxcat_witness_cu(args, n=10) -> int:
-    return _emit(args, zxcat.cu_correlation_witness(n))
-
-
-def _zxcat_witness_uc(args, n=10) -> int:
-    return _emit(args, zxcat.uc_sign_witness(n))
-
-
 def _zxcat_build(args, n=8) -> int:
     state = zxcat.build(n, args.variant)
     observed = {"norm": float(np.linalg.norm(state.amps))}
@@ -97,19 +79,6 @@ def _agsp_sweep(args) -> int:
     else:
         print(render_csv(rows, fields), end="")
     return 0
-
-
-def _prep_sandwich(args, n=8, tol=PREP_TOL) -> int:
-    state = prep.prepare_sandwich(n)
-    report = overlap_check("sandwich-overlap", {"n": n}, [state], zxcat.build(n, "i"), tol)
-    return _emit(args, report, state)
-
-
-def _prep_mps(args, n=10, tol=PREP_TOL) -> int:
-    state = prep.mps_contract(n, boundary=args.boundary)
-    params = {"n": n, "boundary": args.boundary}
-    report = overlap_check("mps-overlap", params, [state], zxcat.build(n, "plus"), tol)
-    return _emit(args, report, state)
 
 
 def _prep_adaptive(args, n=6, seed=0, trials=50) -> int:
@@ -221,9 +190,6 @@ _DUMP = ("--dump-state", {"dest": "dump_state"})
 # flags it reads, the output flags it reads, and its own arguments.
 SUBCOMMANDS = {
     "zxcat": {
-        "mi": (_zxcat_mi, "--out --max-n"),
-        "witness-cu": (_zxcat_witness_cu, "--out --max-n"),
-        "witness-uc": (_zxcat_witness_uc, "--out --max-n"),
         "build": (
             _zxcat_build, "--out --max-n",
             ("--variant", {"default": "plus", "choices": ("plus", "minus", "i")}), _DUMP,
@@ -238,13 +204,8 @@ SUBCOMMANDS = {
         ),
     },
     "prep": {
-        "sandwich": (_prep_sandwich, "--out --max-n", _DUMP),
         "adaptive": (_prep_adaptive, "--out --max-n", _DUMP),
         "bell": (_prep_bell, "--out --max-n", _DUMP),
-        "mps": (
-            _prep_mps, "--out --max-n",
-            ("--boundary", {"default": "open", "choices": ("open", "periodic")}), _DUMP,
-        ),
     },
     "modular": {
         "lpu-search": (

@@ -1,10 +1,11 @@
 """Every rewritten rule can fail, in its suite and in its subcommand twin.
 
 Each planted defect below is a monkeypatched library function.  It must
-make the suite's report read `pass: false` and `magiclab <suite>` exit 1,
-and make the subcommand that reports the same check exit 1 too: both go
-through one rule.  A gate test keeps every check that `magiclab all`
-emits in DEFECTS.  The unread-flag tests cover every suite and subcommand.
+make the suite's report read `pass: false` and `magiclab <suite>` exit 1.
+Where a subcommand reports the same check (prep adaptive and bell, glue
+run, modular lpu-search), it must exit 1 too: both go through one rule.
+A gate test keeps every check that `magiclab all` emits in DEFECTS.  The
+unread-flag tests cover every suite and subcommand.
 """
 
 import contextlib
@@ -121,20 +122,19 @@ DEFECTS = {
     ),
     "cu-correlation-witness": (
         "zxcat", "cu-correlation-witness", sv, "pauli_expectation",
-        lambda real: lambda v, p: 0.0, ["zxcat", "witness-cu", "--n", "8"],
+        lambda real: lambda v, p: 0.0, None,
     ),
     "uc-sign-witness": (
         "zxcat", "uc-sign-witness", sv, "fidelity",
-        lambda real: lambda a, b: 0.5, ["zxcat", "witness-uc", "--n", "8"],
+        lambda real: lambda a, b: 0.5, None,
     ),
     "sandwich-overlap": (
         "prep", "sandwich-overlap", prep, "prepare_sandwich",
-        lambda real: lambda n: zxcat.build(n, "plus"), ["prep", "sandwich", "--n", "6"],
+        lambda real: lambda n: zxcat.build(n, "plus"), None,
     ),
     "mps-overlap": (
         "prep", "mps-overlap", prep, "mps_contract",
-        lambda real: lambda n, boundary="open": zxcat.build(n, "minus"),
-        ["prep", "mps", "--n", "6"],
+        lambda real: lambda n, boundary="open": zxcat.build(n, "minus"), None,
     ),
     "adaptive-collapse-fidelity": (
         "prep", "adaptive-collapse-fidelity", prep, "adaptive_shots", _worse_shots,
@@ -155,9 +155,8 @@ DEFECTS = {
         "modular", "lpu-search-identity-only", modular, "lpu_search", _stray_survivor,
         ["modular", "lpu-search"],
     ),
-    "mi-numeric": (
-        "zxcat", "mi-near-asymptote", zxcat, "mi_numeric",
-        lambda real: lambda n: -0.1, ["zxcat", "mi", "--n", "6"],
+    "mi-near-asymptote": (
+        "zxcat", "mi-near-asymptote", zxcat, "mi_numeric", lambda real: lambda n: -0.1, None,
     ),
     "zero-plus-overlap": (
         "symplectic", "zero-plus-overlap", sp, "stabilizer_overlap",
@@ -259,9 +258,7 @@ def test_planted_defect_fails_suite_and_subcommand(rule, monkeypatch):
     if twin is not None:
         code, out = _run(twin)
         record = json.loads(out)
-        assert code == 1 and record["pass"] is False
-        if rule != "mi-numeric":
-            assert record["check"] == check
+        assert code == 1 and record["pass"] is False and record["check"] == check
 
 
 # mi-asymptote checks one literal against another: its planted defect
@@ -296,14 +293,14 @@ def test_planted_defect_fails_under_optimize_flag():
         "from magiclab.cli import main\n"
         "sv.fidelity = lambda a, b: 0.5\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    codes = main(['zxcat']), main(['zxcat', 'witness-uc', '--n', '6'])\n"
-        "print(__debug__, *codes)\n"
+        "    code = main(['zxcat'])\n"
+        "print(__debug__, code)\n"
     )
     out = subprocess.run(
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
-    assert out.stdout.split() == ["False", "1", "1"]
+    assert out.stdout.split() == ["False", "1"]
 
 
 # Defects planted inside the library functions whose values a report judges.
@@ -366,13 +363,12 @@ def _bell_miss(n, trials):
 INNER_DEFECTS = {
     "sandwich-overlap": (
         "prep", prep, "_phase_layer_diag", _phase_ramp,
-        lambda: _miss("i", prep.prepare_sandwich(8)),
-        ["prep", "sandwich"], lambda: _miss("i", prep.prepare_sandwich(8)),
+        lambda: _miss("i", prep.prepare_sandwich(8)), None, None,
     ),
     "mps-overlap": (
         "prep", prep, "MPS_BLOCKS", _heavier_block,
         lambda: _miss("plus", *(prep.mps_contract(10, b) for b in ("open", "periodic"))),
-        ["prep", "mps"], lambda: _miss("plus", prep.mps_contract(10)),
+        None, None,
     ),
     "adaptive-success-probability": (
         "prep", prep, "_X_BRAS", _longer_minus_bra,
@@ -431,9 +427,9 @@ def test_sandwich_defect_leaves_every_other_report(monkeypatch):
     assert code == 1 and len(reports) == 33
     assert [r["check"] for r in reports if not r["pass"]] == ["sandwich-overlap"]
     # the prep suite's --tol is the one tolerance of its overlap checks
-    assert _run(["prep", "sandwich"])[0] == 1
-    code, out = _run(["prep", "sandwich", "--tol", "1e-4"])
-    assert code == 0 and json.loads(out)["pass"] is True
+    assert _run(["prep"])[0] == 1
+    code, out = _run(["prep", "--tol", "1e-4"])
+    assert code == 0 and all(r["pass"] for r in json.loads(out))
 
 
 def test_sandwich_defect_fails_by_report_under_optimize_flag():
@@ -652,18 +648,13 @@ def test_all_passes_each_flag_to_the_suites_that_read_it(capsys):
     assert reports["premises"]["params"]["trials"] == 20
 
 
-def test_overlap_subcommands_read_tol(capsys):
-    for suite, action, *rest in (["prep", "sandwich", "--n", "8"],
-                                 ["prep", "mps", "--n", "6"]):
-        assert main([suite, action, *rest]) == 0
-        assert json.loads(capsys.readouterr().out)["bound"] == suites.PREP_TOL
-        # a deviation of 3e-16 misses 1e-300, given before or after the name
-        for argv in ([suite, "--tol", "1e-300", action, *rest],
-                     [suite, action, *rest, "--tol", "1e-300"]):
-            assert main(argv) == 1
-            assert json.loads(capsys.readouterr().out)["bound"] == 1e-300
-        for tol in ("-1", "nan", "inf"):
-            assert main([suite, action, *rest, "--tol", tol]) == 2
-            captured = capsys.readouterr()
-            assert f"need a finite tolerance >= 0, got {float(tol)}" in captured.err
-            assert captured.out == ""
+def test_prep_suite_tol_bounds_both_overlaps(capsys):
+    overlaps = ("sandwich-overlap", "mps-overlap")
+    assert main(["prep", "--n", "8"]) == 0
+    reports = {r["check"]: r for r in json.loads(capsys.readouterr().out)}
+    assert [reports[check]["bound"] for check in overlaps] == [1e-12, 1e-12]
+    # the sandwich's deviation of 3e-16 misses 1e-300
+    assert main(["prep", "--n", "8", "--tol", "1e-300"]) == 1
+    reports = {r["check"]: r for r in json.loads(capsys.readouterr().out)}
+    assert [reports[check]["bound"] for check in overlaps] == [1e-300, 1e-300]
+    assert reports["sandwich-overlap"]["pass"] is False

@@ -140,8 +140,8 @@ def test_cli_unknown_suite_exits_two():
 
 
 def test_cli_invalid_params_exit_two(capsys):
-    assert main(["prep", "sandwich", "--n", "0"]) == 2
-    assert capsys.readouterr().err == "error: prep sandwich: need at least one qubit\n"
+    assert main(["prep", "--n", "0"]) == 2
+    assert capsys.readouterr().err == "error: prep seed 0: need at least one qubit\n"
     assert main(["prep", "adaptive", "--n", "0", "--seed", "4"]) == 2
     assert capsys.readouterr().err == "error: prep adaptive seed 4: n=0 outside [1, 14]\n"
 
@@ -227,6 +227,16 @@ def test_cli_zxcat_suite_runs_below_four_qubits(n, capsys):
     assert len(reports) == 5 and all(r["pass"] for r in reports)
 
 
+def test_mi_near_asymptote_under_a_cap_below_twelve_exits_two(capsys):
+    # the check's 0.02 bound is for n = 12; at n = 8 a correct build drifts
+    # 0.0332, so running it at the cap would fail a correct build
+    assert main(["zxcat", "--n", "8", "--max-n", "8", "--trials", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: zxcat seed 0: n=12 outside [2, 8]\n"
+    reports = json.loads(captured.out)
+    assert [r["check"] for r in reports] == ["mi-asymptote"] and reports[0]["pass"]
+
+
 def test_cli_zxcat_suite_at_one_qubit_has_no_cone_pair(capsys):
     assert main(["zxcat", "--n", "1", "--trials", "20"]) == 2
     assert "no seed pair with disjoint forward cones" in capsys.readouterr().err
@@ -241,7 +251,7 @@ def test_cli_glue_run_rejects_trials_below_one(capsys):
 @pytest.mark.parametrize("value", ["abc", "0"])
 def test_cli_bad_max_n_env_exits_two(monkeypatch, capsys, value):
     monkeypatch.setenv("MAGICLAB_MAX_N", value)
-    assert main(["zxcat", "mi", "--n", "4"]) == 2
+    assert main(["zxcat", "build", "--n", "4"]) == 2
     err = capsys.readouterr().err
     assert "MAGICLAB_MAX_N" in err and repr(value) in err, err
 
@@ -285,11 +295,6 @@ def test_cli_suite_and_subcommands(tmp_path, capsys):
     assert main(["modular", "verlinde", "--genus", "3"]) == 0
     record = json.loads(capsys.readouterr().out)
     assert record["params"]["value"] == pytest.approx(225.0)
-
-    assert main(["prep", "mps", "--n", "5", "--boundary", "periodic"]) == 0
-    record = json.loads(capsys.readouterr().out)
-    assert record["check"] == "mps-overlap" and record["bound"] == 1e-12
-    assert record["observed"] <= 1e-12
 
 
 def test_cli_dump_state_snapshot(tmp_path, capsys):
@@ -430,9 +435,6 @@ def test_check_report_optional_runtime_and_construction_record():
     "argv, expected",
     [
         (["zxcat", "build", "--n", "5", "--variant", "i"], lambda: build(5, "i")),
-        (["prep", "sandwich", "--n", "6"], lambda: prep.prepare_sandwich(6)),
-        (["prep", "mps", "--n", "5", "--boundary", "periodic"],
-         lambda: prep.mps_contract(5, boundary="periodic")),
         (["prep", "adaptive", "--n", "3", "--trials", "4", "--seed", "2"],
          lambda: prep.adaptive_shots(3, 1, 5)[0][0].post_state),
         (["prep", "bell", "--n", "2", "--trials", "3", "--seed", "1"],
@@ -463,13 +465,13 @@ def test_suite_runtimes_add_up_to_at_most_wall_time(tmp_path):
 
 def test_max_n_flag_leaves_environment_as_it_was(monkeypatch, capsys):
     monkeypatch.delenv("MAGICLAB_MAX_N", raising=False)
-    assert main(["zxcat", "mi", "--n", "4", "--max-n", "5"]) == 0
+    assert main(["zxcat", "build", "--n", "4", "--max-n", "5"]) == 0
     assert "MAGICLAB_MAX_N" not in os.environ
     monkeypatch.setenv("MAGICLAB_MAX_N", "9")
-    assert main(["zxcat", "mi", "--n", "4", "--max-n", "5"]) == 0
+    assert main(["zxcat", "build", "--n", "4", "--max-n", "5"]) == 0
     assert os.environ["MAGICLAB_MAX_N"] == "9"
     # an invalid size still restores the caller's value
-    assert main(["zxcat", "mi", "--n", "7", "--max-n", "5"]) == 2
+    assert main(["zxcat", "build", "--n", "7", "--max-n", "5"]) == 2
     assert os.environ["MAGICLAB_MAX_N"] == "9"
 
 
