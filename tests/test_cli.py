@@ -435,6 +435,8 @@ def test_check_report_optional_runtime_and_construction_record():
     "argv, expected",
     [
         (["zxcat", "build", "--n", "5", "--variant", "i"], lambda: build(5, "i")),
+        (["zxcat", "build", "--n", "4"], lambda: build(4, "plus")),
+        (["zxcat", "build", "--n", "6", "--variant", "minus"], lambda: build(6, "minus")),
         (["prep", "adaptive", "--n", "3", "--trials", "4", "--seed", "2"],
          lambda: prep.adaptive_shots(3, 1, 5)[0][0].post_state),
         (["prep", "bell", "--n", "2", "--trials", "3", "--seed", "1"],
