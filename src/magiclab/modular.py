@@ -6,7 +6,8 @@ roots of unity. A locality-preserving logical gate would have to be a
 monomial matrix L = (permutation) x (unimodular diagonal) whose conjugates
 by the modular matrices stay monomial; this module carries out that
 exclusion exactly: golden-field elimination pins the diagonal phases, and a
-numerical monomiality test disposes of the surviving permutation case. A
+numerical monomiality test (the mass outside each row's largest entry)
+disposes of the surviving permutation case. A
 randomized scalar-rigidity trial covers the companion fact that only scalar
 matrices stay monomial under conjugation by every local-unitary pair.
 """
@@ -353,59 +354,25 @@ class MonomialCandidate:
         )
 
 
-def min_cost_assignment(cost: np.ndarray) -> np.ndarray:
-    """Column assigned to each row in a minimum-cost perfect matching.
-
-    The Hungarian method (Kuhn 1955; Munkres 1957) in its O(k^3)
-    shortest-augmenting-path form: rows enter one at a time, and row and
-    column potentials keep every reduced cost nonnegative, so each entering
-    row follows a Dijkstra search over reduced costs to a free column.
-    """
-    a = np.asarray(cost, dtype=float).tolist()
-    k = len(a)
-    u, v = [0.0] * (k + 1), [0.0] * (k + 1)
-    # owner[j] is the 1-based row holding column j; column 0 is the search root
-    owner = [0] * (k + 1)
-    for i in range(1, k + 1):
-        owner[0], j0 = i, 0
-        dist, way, done = [math.inf] * (k + 1), [0] * (k + 1), [False] * (k + 1)
-        while owner[j0]:
-            done[j0] = True
-            i0, row, delta, j1 = owner[j0], a[owner[j0] - 1], math.inf, 0
-            for j in range(1, k + 1):
-                if not done[j]:
-                    reduced = row[j - 1] - u[i0] - v[j]
-                    if reduced < dist[j]:
-                        dist[j], way[j] = reduced, j0
-                    if dist[j] < delta:
-                        delta, j1 = dist[j], j
-            for j in range(k + 1):
-                if done[j]:
-                    u[owner[j]] += delta
-                    v[j] -= delta
-                else:
-                    dist[j] -= delta
-            j0 = j1
-        while j0:  # flip the alternating path back to the root
-            owner[j0], j0 = owner[way[j0]], way[j0]
-    cols = np.empty(k, dtype=int)
-    for j in range(1, k + 1):
-        cols[owner[j] - 1] = j - 1
-    return cols
-
-
 def monomial_distance(m: np.ndarray) -> float:
-    """Distance of a square matrix from the nearest monomial pattern.
+    """Distance of a square matrix from the monomial pattern of its row maxima.
 
-    Picks the single-entry-per-row-and-column pattern capturing the most
-    squared mass (an assignment problem) and returns the Frobenius norm of
-    everything outside it.
+    Takes each row's largest-modulus entry as the pattern and returns the
+    Frobenius norm of everything outside it, or inf when two rows peak in
+    the same column. If some pattern leaves less than half of a unitary's
+    unit row mass outside it, each row's pattern entry is that row's
+    maximum, so the row maxima are the best pattern and the result is the
+    nearest-pattern distance; otherwise the row maxima leave at least the
+    optimum's off-pattern mass, or collide.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("need a square matrix")
     weight = np.abs(m) ** 2
-    cols = min_cost_assignment(-weight)
+    cols = weight.argmax(axis=1)
+    # a set, not np.unique, whose first call imports numpy.ma
+    if len(set(cols.tolist())) < len(cols):
+        return math.inf
     # Sum the off-pattern mass directly; total-minus-captured would lose
     # everything to cancellation when the matrix is already monomial.
     weight[np.arange(m.shape[0]), cols] = 0.0

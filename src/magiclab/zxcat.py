@@ -15,9 +15,10 @@ diagnostics against preparing the plus state as (Clifford o shallow) or
 * ``crossterm_bound_check`` — cross terms <phi1|V|phi2> between the
   Clifford-rotated branches stay below 2^{a - n/2} for any ||V|| = 1
   supported on a qubits.
-* ``cu_correlation_witness`` — branch stabilizers g, g' seeded at two
-  qubits with disjoint forward cones show <gg'> far from <g><g'>, which a
-  product-input shallow circuit could never produce.
+* ``cu_correlation_witness`` — branch stabilizers g, g' inside the forward
+  cones of two seed qubits, whose backward cones are disjoint, show <gg'>
+  far from <g><g'>, which a product-input shallow circuit could never
+  produce.
 * ``uc_sign_witness`` — the branch reductions onto a backward cone keep
   fidelity >= 2^{-|forward cone|/2} by data processing, so they cannot be
   made orthogonal by any shallow disentangler.
@@ -196,8 +197,10 @@ def cu_correlation_witness(
     """Correlation witness against plus = C (shallow circuit) |0^n>.
 
     Writes phi = C^dag psi and looks for stabilizers g, g' of the branch
-    phi1 = C^dag|0^n> supported inside the forward cones of two seed qubits
-    with disjoint cones. If the product form held, <gg'>_phi would equal
+    phi1 = C^dag|0^n> inside the forward cones F(i), F(j) of two seed qubits
+    (0 and the largest j by default) whose backward cones B(F(i)), B(F(j))
+    are disjoint, or raises: then g and g' act on disjoint inputs of
+    U|0^n>, and if the product form held, <gg'>_phi would equal
     <g>_phi <g'>_phi; instead all three expectations sit near 1/2 and the
     factorization gap stays at about 1/4.  The report observes
     max(gap_min - gap, max |<.> - 1/2| - 2^{1 - n/2}) against 0; the words,
@@ -212,18 +215,20 @@ def cu_correlation_witness(
         circuit = sv.LayeredCircuit.identity(n)
     if cmap.n != n or circuit.n != n:
         raise ValueError("size mismatch")
+
+    def reach(q):  # the inputs that an operator on q's forward cone reads
+        return sv.backward_cone(circuit, sv.forward_cone(circuit, {q}))
+
     if qubits is None:
-        cone_0 = sv.forward_cone(circuit, {0})
-        cones = {j: sv.forward_cone(circuit, {j}) for j in range(n - 1, 0, -1)}
-        far = [j for j, cone in cones.items() if not cone_0 & cone]
-        if not far:
-            raise ValueError("no seed pair with disjoint forward cones")
-        qubits = (0, far[0])
+        reach_0 = reach(0)
+        far = (j for j in range(n - 1, 0, -1) if not reach_0 & reach(j))
+        qubits = (0, next(far, None))
+        if qubits[1] is None:
+            raise ValueError("no seed pair whose forward cones have disjoint backward cones")
     i, j = qubits
-    cone_i = sv.forward_cone(circuit, {i})
-    cone_j = sv.forward_cone(circuit, {j})
-    if cone_i & cone_j:
-        raise ValueError("forward cones of the seed qubits overlap")
+    cone_i, cone_j = sv.forward_cone(circuit, {i}), sv.forward_cone(circuit, {j})
+    if sv.backward_cone(circuit, cone_i) & sv.backward_cone(circuit, cone_j):
+        raise ValueError("backward cones of the seed qubits' forward cones overlap")
 
     s1 = sp.apply_clifford(cmap.adjoint(), sp.StabilizerState.zero_state(n))
     gi = _best_incone_stabilizer(s1, cone_i, cmap, psi)

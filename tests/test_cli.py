@@ -239,7 +239,7 @@ def test_mi_near_asymptote_under_a_cap_below_twelve_exits_two(capsys):
 
 def test_cli_zxcat_suite_at_one_qubit_has_no_cone_pair(capsys):
     assert main(["zxcat", "--n", "1", "--trials", "20"]) == 2
-    assert "no seed pair with disjoint forward cones" in capsys.readouterr().err
+    assert "no seed pair whose forward cones have disjoint backward cones" in capsys.readouterr().err
 
 
 def test_cli_glue_run_rejects_trials_below_one(capsys):

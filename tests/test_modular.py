@@ -23,13 +23,13 @@ from magiclab.modular import (
     double_fibonacci,
     identity_only_misses,
     lpu_search,
-    min_cost_assignment,
     monomial_distance,
     offdiag_modulus_scan,
     monomial_phase_solution,
     scalar_rigidity_trial,
     verlinde_dim,
 )
+from magiclab.statevec import haar_unitary
 
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
 ONE = GoldenNumber(1, 0)
@@ -400,41 +400,44 @@ def test_verlinde_positivity_is_exact():
 
 # -- permutations and monomial tests ------------------------------------------
 
-def brute_force_min_cost(cost):
-    k = cost.shape[0]
-    return min(cost[np.arange(k), list(p)].sum() for p in itertools.permutations(range(k)))
+def _near_monomial(k, eps, rng):
+    """Permutation x unimodular phases x exp(i eps H) for a random Hermitian H."""
+    h = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+    vals, vecs = np.linalg.eigh(h + h.conj().T)
+    drift = vecs @ np.diag(np.exp(1j * eps * vals)) @ vecs.conj().T
+    phases = np.exp(2j * np.pi * rng.random(k))
+    return np.eye(k)[rng.permutation(k)] @ np.diag(phases) @ drift
 
 
-def test_min_cost_assignment_matches_brute_force():
-    rng = np.random.default_rng(7)
-    for k in range(1, 8):
-        for trial in range(6):
-            cost = rng.normal(size=(k, k))
-            if trial % 3 == 2:
-                cost = np.round(cost)  # many ties
-            cols = min_cost_assignment(cost)
-            assert sorted(cols.tolist()) == list(range(k))
-            got = cost[np.arange(k), cols].sum()
-            want = brute_force_min_cost(cost)
-            assert abs(got - want) <= 1e-15 * max(abs(want), 1.0)
-
-
-def test_min_cost_assignment_matches_scipy():
+def test_monomial_distance_matches_the_optimal_assignment():
     linear_sum_assignment = pytest.importorskip("scipy.optimize").linear_sum_assignment
+
+    def optimal(m):
+        weight = np.abs(np.asarray(m, dtype=complex)) ** 2
+        rows, cols = linear_sum_assignment(-weight)
+        weight[rows, cols] = 0.0
+        return float(np.sqrt(weight.sum()))
+
     rng = np.random.default_rng(11)
-    for k in range(1, 17):
-        for _ in range(5):
-            m = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
-            m[rng.random((k, k)) < 0.3] = 0.0
-            weight = np.abs(m) ** 2
-            rows, cols = linear_sum_assignment(-weight)
-            want = weight[rows, cols].sum()
-            got = weight[np.arange(k), min_cost_assignment(-weight)].sum()
-            assert abs(got - want) <= 1e-15 * want
-            off = weight.copy()
-            off[rows, cols] = 0.0
-            dist = monomial_distance(m)
-            assert abs(dist - np.sqrt(off.sum())) <= 1e-15 * np.sqrt(off.sum())
+    # near-monomial unitaries: the row maxima are the optimal pattern, so the
+    # off-pattern mass is the same float
+    for k in (2, 3, 4, 6, 9, 16):
+        for eps in np.logspace(-16, -9, 8):
+            for _ in range(4):
+                m = _near_monomial(k, eps, rng)
+                assert monomial_distance(m) == optimal(m)
+    # Haar unitaries are far from monomial under both rules, and the row
+    # maxima never leave less off-pattern mass than the optimum
+    collisions = 0
+    for k in (3, 4, 9):
+        for _ in range(40):
+            m = haar_unitary(k, rng)
+            dist, want = monomial_distance(m), optimal(m)
+            assert dist >= want > 1e-9
+            collisions += dist == math.inf
+    assert collisions > 0
+    # two rows peaking in one column leave no monomial pattern
+    assert monomial_distance(np.array([[1.0, 0.5], [1.0, 0.5]])) == math.inf
 
 
 def test_dim_preserving_perms():

@@ -266,6 +266,28 @@ def test_cu_witness_overlapping_cones_rejected():
         zxcat.cu_correlation_witness(n, circuit=deep)
 
 
+@pytest.mark.parametrize("n, depth", [(8, 3), (10, 3), (12, 4)])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_cu_witness_needs_disjoint_backward_cones(n, depth, seed):
+    # F(0) and F(n-1) are disjoint here, but their backward cones meet, so
+    # operators on them can be correlated on a product input: no premise
+    circ = sv.random_brickwork(n, depth, np.random.default_rng(seed))
+    with pytest.raises(ValueError, match="disjoint backward cones"):
+        zxcat.cu_correlation_witness(n, circuit=circ)
+    qubits = (0, n - 1)
+    assert not sv.forward_cone(circ, {0}) & sv.forward_cone(circ, {n - 1})
+    with pytest.raises(ValueError, match="forward cones overlap"):
+        zxcat.cu_correlation_witness(n, circuit=circ, qubits=qubits)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_cu_witness_backward_cone_pair_at_depth_three(seed):
+    circ = sv.random_brickwork(12, 3, np.random.default_rng(seed))
+    rep = zxcat.cu_correlation_witness(12, circuit=circ)
+    assert rep.params["qubits"] == [0, 11]
+    assert rep.passed
+
+
 def test_cu_witness_rejects_a_seed_qubit_outside_the_register():
     with pytest.raises(ValueError, match="seed 9 out of range for 6 qubits"):
         zxcat.cu_correlation_witness(6, qubits=(0, 9))
