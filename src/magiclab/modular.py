@@ -5,11 +5,13 @@ field (rationals extended by the golden ratio) and a diagonal T of tenth
 roots of unity. A locality-preserving logical gate would have to be a
 monomial matrix L = (permutation) x (unimodular diagonal) whose conjugates
 by the modular matrices stay monomial; this module carries out that
-exclusion exactly: golden-field elimination pins the diagonal phases, and a
-numerical monomiality test (the mass outside each row's largest entry)
-disposes of the surviving permutation case. A
-randomized scalar-rigidity trial covers the companion fact that only scalar
-matrices stay monomial under conjugation by every local-unitary pair.
+exclusion exactly: each entry of S (Pi D) S+ has an exact supremum over
+unimodular phases (a triangle bound in the golden field), the entries whose
+supremum stays below 1 must vanish, golden-field elimination of those
+conditions pins the phases, and a numerical monomiality test (the mass
+outside each row's largest entry) disposes of the surviving permutation
+case. A randomized scalar-rigidity trial covers the companion fact that only
+scalar matrices stay monomial under conjugation by every local-unitary pair.
 """
 
 import itertools
@@ -421,26 +423,53 @@ def conjugate_entry_coefficients(data: ModularData, perm, i: int, j: int):
     return [data.s_body[i][inv[m]] * data.s_body[j][m] for m in range(data.k)]
 
 
+def _modulus_sum(coeffs) -> GoldenNumber:
+    """Exact sum of |c_m| over real golden coefficients, signs by `_positive`.
+
+    It is the supremum of |sum_m c_m d_m| over unimodular d_m, attained by
+    d_m = +-1 with the sign of c_m.
+    """
+    return sum((c if _positive(c) else -c for c in coeffs), _ZERO)
+
+
+def off_pattern_supremum(data: ModularData) -> GoldenNumber:
+    """Exact supremum of the off-pattern moduli of S (Pi D) S+.
+
+    Takes the largest prefactor^2 * sum_m |c_m| over every dimension-
+    preserving permutation pi and every entry (i, j) with j != pi(i), where
+    c_m are the entry's golden coefficients; over unimodular D that is the
+    entry's largest modulus, so below 1 no off-pattern entry of a monomial
+    conjugate can be the unit one.
+    """
+    best = _ZERO
+    for perm in dim_preserving_perms(data.dims):
+        for i in range(data.k):
+            for j in range(data.k):
+                if j != perm[i]:
+                    mass = _modulus_sum(conjugate_entry_coefficients(data, perm, i, j))
+                    if _positive(mass - best):
+                        best = mass
+    return data.s_prefactor ** 2 * best
+
+
 def monomial_phase_solution(data: ModularData, perm):
     """Exact diagonal phases forced by monomiality of S (Pi D) S+.
 
     The conjugate is unitary, and a unitary monomial matrix has every
-    entry either zero or unimodular. Any entry whose triangle bound (the
-    modulus sum of its golden coefficients over |d_m| = 1) stays strictly
-    below 1 can therefore never be the unit entry and must vanish; with
-    the first phase pinned to 1, those vanishing conditions form a linear
-    system over the golden field. For the identity permutation the forced
-    entries are exactly the off-diagonal ones; for the label swap they are
-    the off-pattern entries (the same linear forms, rows permuted).
+    entry either zero or unimodular. An entry whose supremum over phases
+    (the exact triangle bound of `off_pattern_supremum`) is below 1 can
+    never be the unit entry and must vanish; with the first phase pinned to
+    1, those conditions form a linear system over the golden field. For
+    double Fibonacci the forced entries are exactly the off-pattern ones.
     Returns the golden solution (d_1..d_{k-1}) or None when the system is
     inconsistent; raises when the forced entries leave phases free.
     """
-    pref_sq = float(data.s_prefactor) ** 2
+    limit = data.s_prefactor.inverse() ** 2  # mass below 1/prefactor^2 is forced
     rows = []
     for i in range(data.k):
         for j in range(data.k):
             coeffs = conjugate_entry_coefficients(data, perm, i, j)
-            if pref_sq * sum(abs(float(c)) for c in coeffs) < 1.0 - 1e-6:
+            if _positive(limit - _modulus_sum(coeffs)):
                 rows.append((coeffs[1:], -coeffs[0]))
     if not rows:
         raise ValueError("no entry of the conjugate is forced to vanish")
@@ -483,38 +512,6 @@ def identity_only_misses(survivors) -> int:
     """
     stray = sum(not c.is_identity(1e-9) for c in survivors)
     return stray + (not survivors)
-
-
-def offdiag_modulus_scan(
-    data: ModularData, perm, samples: int = 10000, seed: int = 0
-) -> float:
-    """Largest off-diagonal modulus of S (Pi D) S+ over random phases.
-
-    Samples unimodular diagonals uniformly in angle and returns the max
-    off-diagonal modulus encountered; for dimension-preserving
-    permutations of the double-Fibonacci data this stays strictly below 1,
-    which is what forces monomial conjugates to be diagonal. Each block of
-    256 samples takes one draw and one stacked matmul, on the same stream.
-    """
-    if tuple(perm) not in dim_preserving_perms(data.dims):
-        raise ValueError("permutation does not preserve the dimensions")
-    if samples < 1:
-        raise ValueError(f"need at least one sample, got {samples}")
-    s = data.s_numeric()
-    k = data.k
-    rng = np.random.default_rng(seed)
-    mask = ~np.eye(k, dtype=bool)
-    rows, cols = np.arange(k), list(perm)
-    maxima = []
-    for start in range(0, samples, 256):
-        m = min(256, samples - start)
-        diag = np.ones((m, k), dtype=complex)
-        diag[:, 1:] = np.exp(2j * np.pi * rng.random((m, k - 1)))
-        mats = np.zeros((m, k, k), dtype=complex)
-        mats[:, rows, cols] = diag[:, cols]
-        conj = s @ mats @ s.conj().T
-        maxima.append(np.abs(conj[:, mask]).max())
-    return float(np.max(maxima))
 
 
 def scalar_rigidity_trial(

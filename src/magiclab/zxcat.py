@@ -272,7 +272,8 @@ def uc_sign_witness(
     second qubit whose forward-of-backward cone is disjoint (raises when
     the depth makes that impossible).  The report observes the larger
     shortfall bound - fidelity of the two sides against 1e-9; fidelities,
-    cone sizes and bounds of both sides go into params.
+    cone sizes and bounds of both sides go into params.  The check verifies
+    a lemma that holds for every U; the step that uses it is not computed.
     """
     if circuit is None:
         circuit = sv.LayeredCircuit.identity(n)

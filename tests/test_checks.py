@@ -222,8 +222,8 @@ DEFECTS = {
         lambda real: lambda dims, genus: real(dims, genus) + 1, None,
     ),
     "off-pattern-moduli": (
-        "modular", "off-pattern-moduli", modular, "offdiag_modulus_scan",
-        lambda real: lambda *a, **k: 1.0, None,
+        "modular", "off-pattern-moduli", modular, "off_pattern_supremum",
+        lambda real: lambda data: modular.GoldenNumber(1), None,
     ),
     "premises": ("glue", "premises", glue, "check_premises", _premise_residual, None),
     "middle-factor-purity": (
@@ -535,13 +535,13 @@ def _nan_on_call(k):
     return defect
 
 
-# (suite, module, attribute, defect): one sampled value of the check turns NaN
+# (suite, module, attribute, defect): one value the check reads turns NaN
 NAN_SITES = {
     "overlap-vs-dense": ("symplectic", sp, "stabilizer_overlap", _nan_on_call(3)),
     "sandwich-vs-dense": ("symplectic", sp, "pauli_sandwich", _nan_on_call(2)),
     "clifford-roundtrip": ("symplectic", sv, "pure_overlap", _nan_on_call(2)),
     "indist-random-hermitian": ("agsp", agsp, "indist_random", _nan_on_call(1)),
-    "off-pattern-moduli": ("modular", modular, "offdiag_modulus_scan", _nan_on_call(2)),
+    "off-pattern-moduli": ("modular", modular, "off_pattern_supremum", _nan_on_call(1)),
 }
 
 
@@ -571,24 +571,7 @@ def _combined_scan(patch):
     return reports["indist-random-hermitian"].observed
 
 
-def _modulus_blocks(patch):
-    data = modular.double_fibonacci()
-    real_rng = np.random.default_rng
-
-    class SecondBlockNan:  # 300 samples make two blocks of phase draws
-        def __init__(self, seed):
-            self.rng, self.draws = real_rng(seed), 0
-
-        def random(self, shape):
-            self.draws += 1
-            return self.rng.random(shape) * (np.nan if self.draws == 2 else 1.0)
-
-    patch.setattr(np.random, "default_rng", SecondBlockNan)
-    perm = modular.dim_preserving_perms(data.dims)[-1]
-    return modular.offdiag_modulus_scan(data, perm, samples=300)
-
-
-@pytest.mark.parametrize("scan", [_word_scan, _random_scan, _combined_scan, _modulus_blocks])
+@pytest.mark.parametrize("scan", [_word_scan, _random_scan, _combined_scan])
 def test_scans_keep_a_nan(scan, monkeypatch):
     assert np.isnan(scan(monkeypatch))
 

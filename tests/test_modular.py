@@ -15,20 +15,23 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from magiclab import modular
 from magiclab.modular import (
     GoldenNumber,
     ModularData,
     MonomialCandidate,
+    conjugate_entry_coefficients,
     dim_preserving_perms,
     double_fibonacci,
     identity_only_misses,
     lpu_search,
     monomial_distance,
-    offdiag_modulus_scan,
     monomial_phase_solution,
+    off_pattern_supremum,
     scalar_rigidity_trial,
     verlinde_dim,
 )
+from magiclab.reports import CheckReport
 from magiclab.statevec import haar_unitary
 
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
@@ -512,36 +515,82 @@ def test_identity_only_misses():
     assert identity_only_misses([swap, swap]) == 2
 
 
-def test_offdiag_modulus_scan():
-    data = double_fibonacci()
-    worst = offdiag_modulus_scan(data, (0, 1, 2, 3), samples=2000, seed=5)
-    assert 0.0 < worst < 1.0
-    worst_swap = offdiag_modulus_scan(data, (0, 2, 1, 3), samples=500, seed=5)
-    assert worst_swap < 1.0
-    with pytest.raises(ValueError):
-        offdiag_modulus_scan(data, (1, 0, 2, 3))
-    for samples in (0, -3):
-        with pytest.raises(ValueError, match="at least one sample"):
-            offdiag_modulus_scan(data, (0, 1, 2, 3), samples=samples)
+def _entry_bound(data, perm, i, j):
+    """prefactor^2 * sum_m |c_m|, each sign read from the coefficient's float."""
+    coeffs = conjugate_entry_coefficients(data, perm, i, j)
+    mass = sum((c if float(c) >= 0 else -c for c in coeffs), GoldenNumber())
+    return data.s_prefactor * data.s_prefactor * mass
 
 
-def test_offdiag_modulus_scan_matches_per_sample_loop():
-    # the blocked scan draws the same phases as one draw per sample
+def test_off_pattern_supremum_against_sampled_phases(monkeypatch):
+    # the sampled route is the oracle: per entry of S (Pi D) S+, the signs of
+    # c_0 c_m attain the exact bound, and random unimodular D never exceed it
     data = double_fibonacci()
-    s = data.s_numeric()
-    mask = ~np.eye(data.k, dtype=bool)
+    s, k = data.s_numeric(), data.k
+    rng = np.random.default_rng(34)
+    forced, real_eliminate = [], modular._eliminate
+
+    def eliminate(rows):
+        forced.append(rows)
+        return real_eliminate(rows)
+
+    monkeypatch.setattr(modular, "_eliminate", eliminate)
+    off_pattern = []
     for perm in dim_preserving_perms(data.dims):
-        for samples in (1, 255, 256, 257, 1500):
-            rng = np.random.default_rng(samples)
-            worst = 0.0
-            for _ in range(samples):
-                diag = np.concatenate(([1.0], np.exp(2j * np.pi * rng.random(data.k - 1))))
-                mat = np.zeros((data.k, data.k), dtype=complex)
-                for i, p in enumerate(perm):
-                    mat[i, p] = diag[p]
-                conj = s @ mat @ s.conj().T
-                worst = max(worst, float(np.max(np.abs(conj[mask]))))
-            assert offdiag_modulus_scan(data, perm, samples, seed=samples) == worst
+        bounds, pattern_rows = np.zeros((k, k)), []
+        for i, j in itertools.product(range(k), repeat=2):
+            coeffs = conjugate_entry_coefficients(data, perm, i, j)
+            exact = _entry_bound(data, perm, i, j)
+            bounds[i, j] = float(exact)
+            signs = tuple(1.0 if float(coeffs[0] * c) >= 0 else -1.0 for c in coeffs)
+            conj = s @ MonomialCandidate(perm, signs).matrix() @ s.conj().T
+            assert abs(abs(conj[i, j]) - bounds[i, j]) <= 1e-15
+            if j != perm[i]:
+                off_pattern.append(exact)
+                pattern_rows.append((coeffs[1:], -coeffs[0]))
+        draws = np.ones((4096, k), dtype=complex)
+        draws[:, 1:] = np.exp(2j * np.pi * rng.random((4096, k - 1)))
+        mats = np.zeros((4096, k, k), dtype=complex)
+        mats[:, np.arange(k), list(perm)] = draws[:, list(perm)]
+        conj = s @ mats @ s.conj().T
+        assert np.max(np.abs(conj) - bounds) <= 1e-12
+        # the forced entries are exactly the off-pattern ones
+        monomial_phase_solution(data, perm)
+        assert forced.pop() == pattern_rows
+    sup = off_pattern_supremum(data)
+    assert sup == max(off_pattern, key=float)
+    assert sup == GoldenNumber(Fraction(-2, 5), Fraction(4, 5))  # 2/sqrt(5)
+    assert float(sup) == 0.8944271909999161
+    # the swap's on-pattern entries reach 1, so the pattern, not the
+    # diagonal, is what the supremum must leave out
+    swap = (0, 2, 1, 3)
+    assert _entry_bound(data, swap, 1, 2) == _entry_bound(data, swap, 2, 1) == 1
+
+
+def _toric_code():
+    """Toric-code modular data: four abelian anyons 1, e, m, em, all of dimension 1."""
+    signs = ((1, 1, 1, 1), (1, 1, -1, -1), (1, -1, 1, -1), (1, -1, -1, 1))
+    return ModularData(
+        k=4,
+        dims=(GoldenNumber(1),) * 4,
+        s_body=tuple(tuple(GoldenNumber(x) for x in row) for row in signs),
+        s_prefactor=GoldenNumber(Fraction(1, 2)),
+        t_exponents=(0, 0, 0, 1),
+        t_root_order=2,
+    )
+
+
+def test_toric_code_control_fails_the_off_pattern_rule():
+    # abelian data admits nontrivial monomial gates (the e-m swap), so the
+    # supremum must reach 1 and the off-pattern-moduli rule must fail
+    data = _toric_code()
+    sup = off_pattern_supremum(data)
+    assert sup == GoldenNumber(1)
+    assert not CheckReport("off-pattern-moduli", {}, float(sup), 1.0 - 1e-6).passed
+    assert len(dim_preserving_perms(data.dims)) == 24
+    # the open half: with nothing forced, the search has no system to solve
+    with pytest.raises(ValueError, match="no entry of the conjugate is forced to vanish"):
+        lpu_search(data)
 
 
 def test_offdiag_row_expansion_hand_values():

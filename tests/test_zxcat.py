@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -318,10 +319,32 @@ def test_uc_witness_depth_one_sweep():
         assert rep.passed
 
 
+@pytest.mark.parametrize(
+    "n, depth", [(8, 1), (10, 1), (12, 1), (8, 2), (10, 2), (12, 2), (12, 3)]
+)
+def test_uc_witness_lemma_on_seeded_circuits(n, depth):
+    # the data-processing lemma holds for every U: with equality at depth 1
+    # (to a rounding that moves with the BLAS kernel, up to 1.1e-15), and
+    # with a slack of 0.08-0.30 at depth 2 and at (12, 3)
+    for seed in range(4):
+        circ = sv.random_brickwork(n, depth, np.random.default_rng(seed))
+        rep = zxcat.uc_sign_witness(n, circ)
+        assert rep.passed
+        if depth == 1:
+            assert abs(rep.observed) <= 1e-12
+        else:
+            assert 0.08 <= -rep.observed <= 0.30
+
+
 def test_uc_witness_unsatisfiable_depth():
     circ = sv.random_brickwork(2, 1, np.random.default_rng(1))
     with pytest.raises(ValueError):
         zxcat.uc_sign_witness(2, circ)
+    # depth 3 leaves no pair with disjoint cones at 8 and 10 qubits, but one at 12
+    for n, seed in itertools.product((8, 10), range(4)):
+        circ = sv.random_brickwork(n, 3, np.random.default_rng(seed))
+        with pytest.raises(ValueError, match="no qubit pair with disjoint forward-of-backward"):
+            zxcat.uc_sign_witness(n, circ)
 
 
 def test_witness_report_serializes():
