@@ -479,8 +479,8 @@ def monomial_phase_solution(data: ModularData, perm):
 def lpu_search(data: ModularData) -> list:
     """Enumerate monomial gates compatible with both modular conjugations.
 
-    For each dimension-preserving permutation, the off-diagonal system of
-    S L S+ pins the diagonal phases exactly (or proves there are none);
+    For each dimension-preserving permutation, the forced entries of
+    S L S+ pin the diagonal phases exactly (or prove there are none);
     exact solutions that fail unimodularity are discarded, and the
     survivors must additionally keep (ST) L (ST)+ monomial numerically.
     For the double-Fibonacci data the output is exactly the identity gate.
