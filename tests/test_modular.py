@@ -522,41 +522,38 @@ def _entry_bound(data, perm, i, j):
     return data.s_prefactor * data.s_prefactor * mass
 
 
-def test_off_pattern_supremum_against_sampled_phases(monkeypatch):
-    # the sampled route is the oracle: per entry of S (Pi D) S+, the signs of
-    # c_0 c_m attain the exact bound, and random unimodular D never exceed it
+def _off_pattern_bounds(data, perm):
+    """Exact per-entry bounds of S (Pi D) S+ and the off-pattern ones among them."""
+    k = data.k
+    bounds, off_pattern = np.zeros((k, k)), []
+    for i, j in itertools.product(range(k), repeat=2):
+        exact = _entry_bound(data, perm, i, j)
+        bounds[i, j] = float(exact)
+        if j != perm[i]:
+            off_pattern.append(exact)
+    return bounds, off_pattern
+
+
+def test_offdiag_modulus_scan():
+    # the sampled scan the exact supremum replaced: 4,096 seeded unimodular
+    # D per permutation never exceed the exact bound, and stay below 1 off
+    # the pattern
     data = double_fibonacci()
     s, k = data.s_numeric(), data.k
     rng = np.random.default_rng(34)
-    forced, real_eliminate = [], modular._eliminate
-
-    def eliminate(rows):
-        forced.append(rows)
-        return real_eliminate(rows)
-
-    monkeypatch.setattr(modular, "_eliminate", eliminate)
     off_pattern = []
     for perm in dim_preserving_perms(data.dims):
-        bounds, pattern_rows = np.zeros((k, k)), []
-        for i, j in itertools.product(range(k), repeat=2):
-            coeffs = conjugate_entry_coefficients(data, perm, i, j)
-            exact = _entry_bound(data, perm, i, j)
-            bounds[i, j] = float(exact)
-            signs = tuple(1.0 if float(coeffs[0] * c) >= 0 else -1.0 for c in coeffs)
-            conj = s @ MonomialCandidate(perm, signs).matrix() @ s.conj().T
-            assert abs(abs(conj[i, j]) - bounds[i, j]) <= 1e-15
-            if j != perm[i]:
-                off_pattern.append(exact)
-                pattern_rows.append((coeffs[1:], -coeffs[0]))
+        bounds, entries = _off_pattern_bounds(data, perm)
+        off_pattern.extend(entries)
         draws = np.ones((4096, k), dtype=complex)
         draws[:, 1:] = np.exp(2j * np.pi * rng.random((4096, k - 1)))
         mats = np.zeros((4096, k, k), dtype=complex)
         mats[:, np.arange(k), list(perm)] = draws[:, list(perm)]
         conj = s @ mats @ s.conj().T
         assert np.max(np.abs(conj) - bounds) <= 1e-12
-        # the forced entries are exactly the off-pattern ones
-        monomial_phase_solution(data, perm)
-        assert forced.pop() == pattern_rows
+        mask = np.ones((k, k), dtype=bool)
+        mask[np.arange(k), list(perm)] = False
+        assert 0.0 < np.max(np.abs(conj[:, mask])) < 1.0
     sup = off_pattern_supremum(data)
     assert sup == max(off_pattern, key=float)
     assert sup == GoldenNumber(Fraction(-2, 5), Fraction(4, 5))  # 2/sqrt(5)
@@ -565,6 +562,43 @@ def test_off_pattern_supremum_against_sampled_phases(monkeypatch):
     # diagonal, is what the supremum must leave out
     swap = (0, 2, 1, 3)
     assert _entry_bound(data, swap, 1, 2) == _entry_bound(data, swap, 2, 1) == 1
+
+
+def test_offdiag_modulus_scan_matches_per_sample_loop():
+    # one conjugation per entry: the signs of c_0 c_m attain its exact bound
+    data = double_fibonacci()
+    s, k = data.s_numeric(), data.k
+    attained = []
+    for perm in dim_preserving_perms(data.dims):
+        bounds, _ = _off_pattern_bounds(data, perm)
+        for i, j in itertools.product(range(k), repeat=2):
+            coeffs = conjugate_entry_coefficients(data, perm, i, j)
+            signs = tuple(1.0 if float(coeffs[0] * c) >= 0 else -1.0 for c in coeffs)
+            conj = s @ MonomialCandidate(perm, signs).matrix() @ s.conj().T
+            assert abs(abs(conj[i, j]) - bounds[i, j]) <= 1e-15
+            if j != perm[i]:
+                attained.append(abs(conj[i, j]))
+    assert abs(max(attained) - float(off_pattern_supremum(data))) <= 1e-15
+
+
+def test_forced_entries_are_the_off_pattern_ones(monkeypatch):
+    data = double_fibonacci()
+    forced, real_eliminate = [], modular._eliminate
+
+    def eliminate(rows):
+        forced.append(rows)
+        return real_eliminate(rows)
+
+    monkeypatch.setattr(modular, "_eliminate", eliminate)
+    for perm in dim_preserving_perms(data.dims):
+        pattern_rows = [
+            (coeffs[1:], -coeffs[0])
+            for i, j in itertools.product(range(data.k), repeat=2)
+            if j != perm[i]
+            for coeffs in (conjugate_entry_coefficients(data, perm, i, j),)
+        ]
+        monomial_phase_solution(data, perm)
+        assert forced.pop() == pattern_rows
 
 
 def _toric_code():
