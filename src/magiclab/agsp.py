@@ -10,13 +10,13 @@ identity sum_k |a_k| n^k = |P(-n)| holds exactly in rational arithmetic.
 
 The exact layer runs in Python ints.  u_k(x) = (n-1)^k T_k((n+1-2x)/(n-1))
 has integer coefficients by the recurrence u_0 = 1, u_1 = n+1-2x,
-u_{k+1} = 2(n+1-2x) u_k - (n-1)^2 u_{k-1}, and P = u_m / u_m(0).  The
-polynomial is held as integer numerators over one positive common
-denominator, so an evaluation is Horner on integers with a single division
-at the end, instead of a gcd in every Fraction operation.  The step-error
-sup over the excited spectrum 1..n is exact too: in the centred variable
-s = 2x - (n+1) the grid is symmetric, so one Horner pass in s^2 over the
-n/2 points s >= 0 yields every grid value, on object arrays of Python ints.
+u_{k+1} = 2(n+1-2x) u_k - (n-1)^2 u_{k-1}, and P = u_m / u_m(0) is held as
+u_m's coefficients over u_m(0) in lowest terms (``coeffs`` is a Fraction
+view made on demand).  Every evaluation is one homogeneous Horner on ints
+with a single division at the end, not a gcd per Fraction operation.  The
+step-error sup over the excited spectrum 1..n is exact too: in the centred
+variable s = 2x - (n+1) the grid is symmetric, so one Horner pass in s^2
+over the n/2 points s >= 0 yields every grid value, on object arrays.
 
 These facts feed two depth diagnostics for states that look like
 approximate code states (orthogonal, yet locally indistinguishable up to
@@ -27,7 +27,7 @@ epsilon on every region smaller than d):
   state within trace error delta, plus the projector-based integer depth
   threshold (smallest depth not excluded by the overlap ceiling
   1/2 + exp(-n^alpha / 2^t), with the hidden constant set to 1 — a
-  reporting convention, flagged as such).
+  reporting convention, flagged as such), which ``threshold_faults`` checks.
 * ``indist_words`` and ``indist_random`` — direct verification that the
   plus/minus cat pair is locally indistinguishable at rate 2^{a - n/2} on
   supports of size a, over every Pauli word and over random Hermitian V.
@@ -38,7 +38,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -70,48 +70,40 @@ def chebyshev(m: int, x) -> float:
 
 @dataclass(frozen=True)
 class AgspPolynomial:
-    """Step-function approximant; ``coeffs`` equal ``numerators`` / ``denominator``."""
+    """Step-function approximant: ``numerators`` over ``denominator``, in lowest terms."""
 
     n: int
     m: int
-    coeffs: tuple
-    numerators: tuple = field(init=False, repr=False, compare=False)
-    denominator: int = field(init=False, repr=False, compare=False)
+    numerators: tuple
+    denominator: int
 
     def __post_init__(self):
-        coeffs = tuple(Fraction(c) for c in self.coeffs)
-        object.__setattr__(self, "coeffs", coeffs)
-        if len(coeffs) != self.m + 1 or coeffs[-1] == 0:
-            raise ValueError("degree mismatch")
-        if coeffs[0] != 1:
-            raise ValueError("P(0) must equal 1 exactly")
-        for k, a in enumerate(coeffs):
-            if a == 0 or (a > 0) != (k % 2 == 0):
-                raise ValueError("coefficient signs must alternate")
         # Python ints throughout: an object-array Horner over numpy
         # integers would wrap silently
-        den = math.lcm(*(int(a.denominator) for a in coeffs))
-        nums = tuple(int(a.numerator) * (den // int(a.denominator)) for a in coeffs)
-        object.__setattr__(self, "denominator", den)
+        nums = tuple(map(operator.index, self.numerators))
+        den = operator.index(self.denominator)
+        g = (math.gcd(den, *nums) or 1) * (-1 if den < 0 else 1)
+        nums, den = tuple(a // g for a in nums), den // g
         object.__setattr__(self, "numerators", nums)
+        object.__setattr__(self, "denominator", den)
+        if len(nums) != self.m + 1 or nums[-1] == 0:
+            raise ValueError("degree mismatch")
+        if nums[0] != den:
+            raise ValueError("P(0) must equal 1 exactly")
+        for k, a in enumerate(nums):
+            if a == 0 or (a > 0) != (k % 2 == 0):
+                raise ValueError("coefficient signs must alternate")
 
-    def numerator_at(self, p, q: int = 1):
-        """q^m Q(p/q), by homogeneous Horner in integers.
-
-        ``p`` is an int or an object array of Python ints; an array is
-        evaluated elementwise in one pass, exactly, with ``q`` shared.
-        """
-        acc, scale = 0, 1
-        for a in reversed(self.numerators):
-            acc = acc * p + a * scale
-            scale *= q
-        return acc
+    @property
+    def coeffs(self) -> tuple:
+        """The exact coefficients as Fractions, lowest degree first."""
+        return tuple(Fraction(a, self.denominator) for a in self.numerators)
 
     def evaluate(self, x) -> Fraction:
         """Exact value P(x) at a rational point."""
         x = Fraction(x)
         q = x.denominator
-        return Fraction(self.numerator_at(x.numerator, q), self.denominator * q**self.m)
+        return Fraction(_horner(self.numerators, x.numerator, q), self.denominator * q**self.m)
 
     def error_bound(self) -> float:
         """The guaranteed sup bound 2 exp(-2m/sqrt(n)) on [1, n]."""
@@ -135,7 +127,20 @@ def build_polynomial(n: int, m: int) -> AgspPolynomial:
     for _ in range(m - 1):
         nxt = zip(cur + [0], [0] + cur, prev + [0, 0])
         prev, cur = cur, [2 * (n + 1) * a - 4 * b - sq * c for a, b, c in nxt]
-    return AgspPolynomial(n, m, tuple(Fraction(c, cur[0]) for c in cur))
+    return AgspPolynomial(n, m, tuple(cur), cur[0])
+
+
+def _horner(coeffs, p, q=1):
+    """q^d C(p/q) by homogeneous Horner, C of degree d with ``coeffs`` lowest first.
+
+    ``p`` is an int or an object array of Python ints, evaluated exactly
+    and elementwise in one pass with ``q`` shared.
+    """
+    acc, scale = 0, 1
+    for a in reversed(coeffs):
+        acc = acc * p + a * scale
+        scale *= q
+    return acc
 
 
 def _centred_numerators(poly: AgspPolynomial) -> list:
@@ -151,13 +156,6 @@ def _centred_numerators(poly: AgspPolynomial) -> list:
         cs = [shift * a + b for a, b in zip(cs + [0], [0] + cs)]
         cs[0] += poly.numerators[k] << (m - k)
     return cs
-
-
-def _horner(coeffs, t):
-    acc = 0
-    for a in reversed(coeffs):
-        acc = acc * t + a
-    return acc
 
 
 def _grid_max(poly: AgspPolynomial) -> int:
@@ -192,7 +190,7 @@ def step_error_sup(poly: AgspPolynomial) -> float:
     is evaluated: |P(x)| = |P(n+1-x)| holds only for correct coefficients
     and is not assumed. Asserts the 2 exp(-2m/sqrt(n)) bound.
     """
-    val = float(Fraction(_grid_max(poly), poly.denominator))
+    val = _grid_max(poly) / poly.denominator
     if not val <= poly.error_bound() + 1e-15:
         raise AssertionError(
             f"step-error bound violated at n={poly.n}, m={poly.m}: sup {val:.3e}"
@@ -234,7 +232,7 @@ def agsp_operator_check(n: int, m: int) -> float:
     """
     poly = build_polynomial(n, m)
     den = poly.denominator
-    dev = poly.numerator_at(np.arange(n + 1, dtype=object))
+    dev = _horner(poly.numerators, np.arange(n + 1, dtype=object))
     dev[0] -= den
     return float((np.abs(dev) / den).astype(float).max())
 
@@ -296,6 +294,18 @@ def complexity_bound(n: int, d: int, epsilon: float, delta: float) -> Complexity
         bound=bound,
         alpha=alpha,
         depth_threshold=t,
+    )
+
+
+def threshold_faults(cb: ComplexityBound) -> int:
+    """Ways in which cb.depth_threshold t is not the smallest unexcluded depth:
+    the ceiling at t still excludes fidelity 1 - delta, the ceiling at t - 1
+    already does not, or the search stopped at its cap."""
+    t, fidelity = cb.depth_threshold, 1.0 - cb.delta
+    return (
+        (_overlap_ceiling(cb.n, cb.d, t) < fidelity)
+        + (t > 0 and not _overlap_ceiling(cb.n, cb.d, t - 1) < fidelity)
+        + (t >= _DEPTH_SEARCH_CAP)
     )
 
 

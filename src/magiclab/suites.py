@@ -99,8 +99,12 @@ def _timed(checks):
 
 
 def overlap_check(check, params, states, target, tol) -> CheckReport:
-    """Worst 1 - |<state|target>| over `states`, against `tol`."""
-    dev = np.max([1.0 - sv.pure_overlap(state, target) for state in states])
+    """Worst 1 - |<s|t>| / (|s| |t|) over `states` s and the target t, against `tol`.
+
+    Unnormalized, a norm excess that StateVector accepts (up to 1e-8) would hide a deficit.
+    """
+    t = np.linalg.norm(target.amps)
+    dev = np.max([1.0 - sv.pure_overlap(s, target) / (np.linalg.norm(s.amps) * t) for s in states])
     return CheckReport(check, params, dev, tol)
 
 
@@ -197,21 +201,6 @@ def suite_zxcat(n=10, seed=0, trials=150):
     yield zxcat.uc_sign_witness(n)
 
 
-def _threshold_faults(cb) -> int:
-    """Ways in which cb.depth_threshold is not the smallest unexcluded depth.
-
-    The threshold t is wrong if the overlap ceiling at t still excludes
-    fidelity 1 - delta, if the ceiling at t - 1 already does not, or if the
-    search stopped at its cap.
-    """
-    t, fidelity = cb.depth_threshold, 1.0 - cb.delta
-    return (
-        (agsp._overlap_ceiling(cb.n, cb.d, t) < fidelity)
-        + (t > 0 and not agsp._overlap_ceiling(cb.n, cb.d, t - 1) < fidelity)
-        + (t >= agsp._DEPTH_SEARCH_CAP)
-    )
-
-
 @_timed
 def suite_agsp(n=16, seed=0, trials=60):
     poly = agsp.build_polynomial(n, max(1, round(n**0.5)))
@@ -234,7 +223,7 @@ def suite_agsp(n=16, seed=0, trials=60):
     violations = (
         sum(b < a for a, b in zip(table, table[1:]))
         + sum(t <= 0 for t in table)
-        + sum(_threshold_faults(cb) for cb in bounds)
+        + sum(agsp.threshold_faults(cb) for cb in bounds)
     )
     params = {"n_list": sizes, "thresholds": table}
     yield CheckReport("depth-threshold-growth", params, float(violations), 0)

@@ -53,12 +53,18 @@ def test_build_polynomial_invariants():
 
 def test_polynomial_validation_rejects_tampering():
     poly = agsp.build_polynomial(8, 3)
-    with pytest.raises(ValueError):
-        agsp.AgspPolynomial(8, 3, tuple(abs(c) for c in poly.coeffs))
-    with pytest.raises(ValueError):
-        agsp.AgspPolynomial(8, 2, poly.coeffs)
-    with pytest.raises(ValueError):
-        agsp.AgspPolynomial(8, 3, (Fraction(2),) + poly.coeffs[1:])
+    nums, den = poly.numerators, poly.denominator
+    with pytest.raises(ValueError, match="signs must alternate"):
+        agsp.AgspPolynomial(8, 3, tuple(abs(a) for a in nums), den)
+    with pytest.raises(ValueError, match="degree mismatch"):
+        agsp.AgspPolynomial(8, 2, nums, den)
+    with pytest.raises(ValueError, match="P\\(0\\) must equal 1"):
+        agsp.AgspPolynomial(8, 3, (2 * den,) + nums[1:], den)
+    # a zero denominator, or no nonzero integer at all, is rejected too
+    with pytest.raises(ValueError, match="P\\(0\\) must equal 1"):
+        agsp.AgspPolynomial(8, 3, nums, 0)
+    with pytest.raises(ValueError, match="degree mismatch"):
+        agsp.AgspPolynomial(8, 3, (0, 0, 0, 0), 0)
 
 
 def test_evaluation_matches_chebyshev_form():
@@ -83,10 +89,10 @@ def test_step_error_check_survives_optimized_mode():
     code = (
         "from magiclab import agsp\n"
         "poly = agsp.build_polynomial(16, 4)\n"
-        "coeffs = list(poly.coeffs)\n"
-        "coeffs[2] *= 3\n"
+        "nums = list(poly.numerators)\n"
+        "nums[2] *= 3\n"
         "try:\n"
-        "    agsp.step_error_sup(agsp.AgspPolynomial(16, 4, tuple(coeffs)))\n"
+        "    agsp.step_error_sup(agsp.AgspPolynomial(16, 4, tuple(nums), poly.denominator))\n"
         "except AssertionError as exc:\n"
         "    print(__debug__, 'raised', exc)\n"
         "else:\n"
@@ -105,10 +111,10 @@ def test_step_error_check_without_parity_survives_optimized_mode():
     code = (
         "from magiclab import agsp\n"
         "poly = agsp.build_polynomial(16, 4)\n"
-        "coeffs = list(poly.coeffs)\n"
-        "coeffs[3] *= 3\n"
+        "nums = list(poly.numerators)\n"
+        "nums[3] *= 3\n"
         "try:\n"
-        "    agsp.step_error_sup(agsp.AgspPolynomial(16, 4, tuple(coeffs)))\n"
+        "    agsp.step_error_sup(agsp.AgspPolynomial(16, 4, tuple(nums), poly.denominator))\n"
         "except AssertionError as exc:\n"
         "    print(__debug__, 'raised', exc)\n"
         "else:\n"
@@ -325,12 +331,16 @@ def test_evaluate_at_non_integer_rationals():
 
 
 def test_direct_construction_derives_the_integer_form():
-    # the numerators and denominator come from whatever coeffs arrive
-    poly = agsp.AgspPolynomial(4, 2, (1, Fraction(-3, 4), Fraction(1, 6)))
-    assert poly.denominator == 12 and poly.numerators == (12, -9, 2)
-    assert poly.evaluate(Fraction(1, 2)) == 1 - Fraction(3, 8) + Fraction(1, 24)
+    # the constructor reduces the pair to lowest terms over a positive denominator
+    for nums, den in (((24, -18, 4), 24), ((-12, 9, -2), -12)):
+        poly = agsp.AgspPolynomial(4, 2, nums, den)
+        assert poly.denominator == 12 and poly.numerators == (12, -9, 2)
+        assert poly.coeffs == (1, Fraction(-3, 4), Fraction(1, 6))
+        assert poly.evaluate(Fraction(1, 2)) == 1 - Fraction(3, 8) + Fraction(1, 24)
     built = agsp.build_polynomial(16, 4)
-    assert agsp.AgspPolynomial(16, 4, built.coeffs) == built
+    assert agsp.AgspPolynomial(16, 4, built.numerators, built.denominator) == built
+    tripled = agsp.AgspPolynomial(16, 4, tuple(3 * a for a in built.numerators), 3 * built.denominator)
+    assert tripled == built
 
 
 def test_integer_agsp_matches_fractions_property():
@@ -357,7 +367,7 @@ HORNER_CELLS = SWEEP_CELLS + [(4096, 64)] + [(n, m) for n in (2, 3, 5, 16) for m
 
 def generator_sup(poly):
     """step_error_sup's former per-point loop, up to the bound check."""
-    worst = max(abs(poly.numerator_at(x)) for x in range(1, poly.n + 1))
+    worst = max(abs(agsp._horner(poly.numerators, x)) for x in range(1, poly.n + 1))
     return float(Fraction(worst, poly.denominator))
 
 
@@ -365,9 +375,9 @@ def generator_sup(poly):
 def test_array_horner_matches_scalar_and_sup_matches_generator(n, m):
     poly = agsp.build_polynomial(n, m)
     xs = np.arange(1, n + 1, dtype=object)
-    got = poly.numerator_at(xs)
+    got = agsp._horner(poly.numerators, xs)
     assert got.dtype == object and all(type(v) is int for v in got)
-    assert list(got) == [poly.numerator_at(x) for x in range(1, n + 1)]
+    assert list(got) == [agsp._horner(poly.numerators, x) for x in range(1, n + 1)]
     assert agsp.step_error_sup(poly) == generator_sup(poly)
 
 
@@ -377,7 +387,8 @@ def random_polynomial(n, m, rng):
         (-1) ** k * Fraction(int(rng.integers(1, 1000)), int(rng.integers(1, 1000)) * n**k)
         for k in range(1, m + 1)
     ]
-    return agsp.AgspPolynomial(n, m, tuple(coeffs))
+    den = math.lcm(*(a.denominator for a in coeffs))
+    return agsp.AgspPolynomial(n, m, tuple(a.numerator * den // a.denominator for a in coeffs), den)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 16, 17, 128, 129])
@@ -387,7 +398,7 @@ def test_centred_grid_max_matches_x_grid_without_parity(n):
         poly = random_polynomial(n, m, rng)
         cs = agsp._centred_numerators(poly)
         assert any(cs[0::2]) and any(cs[1::2])
-        want = max(abs(poly.numerator_at(x)) for x in range(1, n + 1))
+        want = max(abs(agsp._horner(poly.numerators, x)) for x in range(1, n + 1))
         got = agsp._grid_max(poly)
         assert type(got) is int and got == want
 
@@ -407,19 +418,20 @@ def test_array_horner_with_shared_denominator():
     poly = agsp.build_polynomial(64, 8)
     ps = np.arange(-70, 71, dtype=object)
     for q in (2, 7, 3**40):
-        assert list(poly.numerator_at(ps, q)) == [poly.numerator_at(p, q) for p in range(-70, 71)]
+        vals = agsp._horner(poly.numerators, ps, q)
+        assert list(vals) == [agsp._horner(poly.numerators, p, q) for p in range(-70, 71)]
         assert all(poly.evaluate(Fraction(p, q)) * poly.denominator * q**8 == v
-                   for p, v in zip(range(-70, 71), poly.numerator_at(ps, q)))
+                   for p, v in zip(range(-70, 71), vals))
 
 
 def test_numpy_integer_coefficients_keep_python_ints():
     built = agsp.build_polynomial(16, 4)
-    coeffs = tuple(Fraction(np.int64(a.numerator), np.int64(a.denominator)) for a in built.coeffs)
-    assert isinstance(coeffs[1].numerator, np.integer)
-    poly = agsp.AgspPolynomial(16, 4, coeffs)
+    nums = tuple(np.int64(a) for a in built.numerators)
+    assert isinstance(nums[1], np.integer)
+    poly = agsp.AgspPolynomial(16, 4, nums, np.int64(built.denominator))
     assert type(poly.denominator) is int and all(type(a) is int for a in poly.numerators)
     assert poly.numerators == built.numerators and poly.denominator == built.denominator
     assert agsp.step_error_sup(poly) == agsp.step_error_sup(built)
     # int64 accumulators would wrap far below this point
     big = np.array([2**40], dtype=object)
-    assert poly.numerator_at(big)[0] == fraction_horner(built.coeffs, 2**40) * built.denominator
+    assert agsp._horner(poly.numerators, big)[0] == fraction_horner(built.coeffs, 2**40) * built.denominator

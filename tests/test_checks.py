@@ -341,17 +341,18 @@ def _tripled_a2_at_degree_3(real):
         poly = real(n, m)
         if m != 3:
             return poly
-        coeffs = list(poly.coeffs)
-        coeffs[2] *= 3
-        return agsp.AgspPolynomial(n, m, tuple(coeffs))
+        nums = list(poly.numerators)
+        nums[2] *= 3
+        return agsp.AgspPolynomial(n, m, tuple(nums), poly.denominator)
 
     return build
 
 
 def _miss(variant, *states):
-    """Worst 1 - |<state|cat>| over `states`, as the overlap checks compute it."""
+    """Worst 1 - |<state|cat>| / (|state| |cat|) over `states`, as the overlap checks compute it."""
     target = zxcat.build(states[0].n, variant)
-    return max(1.0 - sv.pure_overlap(state, target) for state in states)
+    t = np.linalg.norm(target.amps)
+    return max(1.0 - sv.pure_overlap(s, target) / (np.linalg.norm(s.amps) * t) for s in states)
 
 
 def _bell_miss(n, trials):
@@ -636,8 +637,22 @@ def test_prep_suite_tol_bounds_both_overlaps(capsys):
     assert main(["prep", "--n", "8"]) == 0
     reports = {r["check"]: r for r in json.loads(capsys.readouterr().out)}
     assert [reports[check]["bound"] for check in overlaps] == [1e-12, 1e-12]
-    # the sandwich's deviation of 3e-16 misses 1e-300
+    # the MPS deviation of 5e-15 misses 1e-300
     assert main(["prep", "--n", "8", "--tol", "1e-300"]) == 1
     reports = {r["check"]: r for r in json.loads(capsys.readouterr().out)}
     assert [reports[check]["bound"] for check in overlaps] == [1e-300, 1e-300]
-    assert reports["sandwich-overlap"]["pass"] is False
+    assert reports["mps-overlap"]["pass"] is False
+
+
+def test_overlap_check_judges_the_normalized_overlap():
+    # s = (1 + 4e-9)(cos θ t + sin θ u) with u ⟂ t and 1 - cos θ = 1e-9:
+    # StateVector accepts |s|^2 - 1 ≈ 8e-9, and the norm excess lifts |<s|t>|
+    # above 1, so the unnormalized 1 - |<s|t>| reads about -3e-9
+    t, u = zxcat.build(4, "plus"), zxcat.build(4, "minus")
+    assert abs(np.vdot(t.amps, u.amps)) < 1e-15
+    cos = 1.0 - 1e-9
+    s = sv.StateVector(4, (1 + 4e-9) * (cos * t.amps + np.sqrt(1.0 - cos * cos) * u.amps))
+    assert 1.0 - sv.pure_overlap(s, t) == pytest.approx(-3e-9, rel=1e-3)
+    report = suites.overlap_check("mps-overlap", {"n": 4}, [t, s], t, 1e-12)
+    assert report.observed == pytest.approx(1e-9, rel=1e-3)
+    assert report.passed is False

@@ -641,11 +641,14 @@ def test_offdiag_row_expansion_hand_values():
 
 
 def test_scan_identity_candidate_is_exact():
+    # with D = I, entry (i, j) of S (Pi D) S+ for the identity Pi is
+    # prefactor^2 times the sum of its golden coefficients: exactly delta_ij
     data = double_fibonacci()
-    s = data.s_numeric()
-    conj = s @ np.eye(4) @ s.conj().T
-    off = conj[~np.eye(4, dtype=bool)]
-    assert np.max(np.abs(off)) < 1e-12
+    identity = tuple(range(data.k))
+    for i, j in itertools.product(range(data.k), repeat=2):
+        coeffs = conjugate_entry_coefficients(data, identity, i, j)
+        entry = data.s_prefactor ** 2 * sum(coeffs, GoldenNumber(0))
+        assert entry == GoldenNumber(int(i == j)), (i, j)
 
 
 # -- scalar rigidity ----------------------------------------------------------

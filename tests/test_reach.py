@@ -16,6 +16,7 @@ import sys
 ALLOWED = {
     "glue.glue_states": "bench/ reads it: the glue-petz workload glues with it",
     "agsp.AgspPolynomial.evaluate": "bench/ reads it: the tracer counts its calls",
+    "agsp.AgspPolynomial.coeffs": "bench/ reads it",
     "statevec.measure": (
         "the README documents it, and it is the per-shot oracle that the "
         "measure_shots tests compare against"

@@ -302,8 +302,15 @@ def test_uc_witness_identity_equality():
 
 
 def test_uc_witness_bound_value_for_four_qubit_cone():
-    # |forward cone| = 4 gives the lower bound 1/4.
-    assert 2.0 ** (-4 / 2.0) == 0.25
+    # one Haar gate on qubits 0-3: qubit 0's forward cone has 4 qubits, so
+    # its bound is 2^{-4/2} = 1/4, which depth one meets with equality
+    gate = sv.Gate((0, 1, 2, 3), sv.haar_unitary(16, 5))
+    rep = zxcat.uc_sign_witness(8, sv.LayeredCircuit(8, ((gate,),)))
+    assert rep.params["qubit_i"] == 0 and rep.params["cone_size_i"] == 4
+    assert rep.params["dpi_i"] == 0.25
+    assert rep.params["fidelity_i"] == pytest.approx(0.25, abs=1e-12)
+    shortfalls = [rep.params[f"dpi_{k}"] - rep.params[f"fidelity_{k}"] for k in "ij"]
+    assert rep.observed == max(shortfalls) and rep.passed
 
 
 def test_uc_witness_depth_one_sweep():
