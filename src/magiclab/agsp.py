@@ -325,7 +325,7 @@ def indist_words(n: int, max_support: int) -> float:
             for letters in itertools.product(_XYZ_BITS, repeat=a):
                 x = sum(xb << q for q, (xb, _) in zip(support, letters))
                 z = sum(zb << q for q, (_, zb) in zip(support, letters))
-                e_plus, e_minus = sv._word_expectations(sp.PauliString(n, x, z), pair)
+                e_plus, e_minus = sv.word_expectations(sp.PauliString(n, x, z), pair)
                 ratios.append(abs(e_plus - e_minus) / limit)
     return np.max(ratios)
 
@@ -342,7 +342,7 @@ def indist_random(n: int, max_support: int, trials: int, seed: int) -> float:
     for _ in range(trials):
         a = int(rng.integers(1, min(max_support, n) + 1))
         support = tuple(sorted(int(q) for q in rng.choice(n, a, replace=False)))
-        herm = zxcat._random_bounded_hermitian(1 << a, rng)
+        herm = zxcat.random_bounded_hermitian(1 << a, rng)
         d1 = np.vdot(plus.amps, sv.matrix_action(plus.amps, n, support, herm))
         d2 = np.vdot(minus.amps, sv.matrix_action(minus.amps, n, support, herm))
         ratios.append(abs((d1 - d2).real) / 2.0 ** (a - n / 2.0))

@@ -24,14 +24,14 @@ import numpy as np
 from .statevec import (
     Gate,
     StateVector,
-    _sqrt_psd,
     apply_gate,
+    check_dense,
     entanglement_entropy,
     haar_unitary,
     kron,
-    max_qubits,
     mutual_information,
     reduced_density,
+    sqrt_psd,
 )
 
 _SUB_BLOCKS = ("A", "B1", "B2", "C1", "C2", "D")
@@ -96,8 +96,6 @@ class Partition:
 class GluableInstance:
     """A pair of states on a common partition, ready to be glued.
 
-    `planted_a` / `planted_d` record the local rotations the generator
-    used to make the two states differ (None for hand-built pairs).
     Building an instance checks the premises: a pair that fails one
     raises PremiseViolation, and `residuals` holds what `check_premises`
     returned for a pair that passes.
@@ -106,8 +104,6 @@ class GluableInstance:
     partition: Partition
     psi: StateVector
     psi_prime: StateVector
-    planted_a: np.ndarray | None = None
-    planted_d: np.ndarray | None = None
     residuals: dict = field(init=False)
 
     def __post_init__(self):
@@ -140,8 +136,7 @@ def generate_gluable_instance(
     factor is itself a product of single-qubit states.
     """
     part = Partition(tuple(sizes))
-    if part.n > max_qubits():
-        raise ValueError(f"{part.n} qubits exceeds the dense cap of {max_qubits()}")
+    check_dense(part.n)
     a, b1, b2, c1, c2, d = part.sizes
     rng = np.random.default_rng(seed)
     f_ab1 = _random_factor(a + b1, rng, product)
@@ -162,8 +157,6 @@ def generate_gluable_instance(
         partition=part,
         psi=assemble(f_ab1, f_c2d),
         psi_prime=assemble(g_ab1, g_c2d),
-        planted_a=w_a,
-        planted_d=w_d,
     )
 
 
@@ -346,7 +339,7 @@ def petz_glue(inst: GluableInstance) -> np.ndarray:
     dim_b = 2 ** (part.sizes[1] + part.sizes[2])
     rho_ab = reduced_density(inst.psi, part.qubits("A", "B"))
     rho_b = reduced_density(inst.psi, part.qubits("B"))
-    lift = _sqrt_psd(rho_ab) @ kron(_invsqrt_psd(rho_b, _PETZ_CUTOFF), np.eye(dim_a))
+    lift = sqrt_psd(rho_ab) @ kron(_invsqrt_psd(rho_b, _PETZ_CUTOFF), np.eye(dim_a))
     # lift[b, a, b', a'] maps (b', a') to (b, a); A is the low-bit block.
     # As a (b a a') x b' matrix it multiplies each CD slice of Phi, (b', k),
     # in one batched GEMM

@@ -27,8 +27,8 @@ from .statevec import (
     apply_circuit,
     apply_gate,
     LayeredCircuit,
+    check_dense,
     kron,
-    max_qubits,
     measure_shots,
     pauli_matrix,
     pure_overlap,
@@ -180,8 +180,6 @@ def adaptive_shots(n: int, trials: int, seed: int = 0) -> list:
     if trials < 1:
         raise ValueError("need at least one trial")
     targets = {True: build(n, "plus"), False: build(n, "minus")}
-    if 2 * n > max_qubits():
-        raise ValueError("2n exceeds the dense-simulation cap")
     v = apply_circuit(adaptive_circuit(n), StateVector.basis_state(2 * n, 0))
     rngs = [np.random.default_rng(seed + t) for t in range(trials)]
     # peel ancillas from the top so remaining indices stay put
@@ -235,8 +233,7 @@ def mps_contract(n: int, boundary: str = "open") -> StateVector:
     """
     if boundary not in ("open", "periodic"):
         raise ValueError(f"unknown boundary condition: {boundary!r}")
-    if not 1 <= n <= max_qubits():
-        raise ValueError("n out of range")
+    check_dense(n)
     # grow[v] = A^{v_1} ... A^{v_k}, with site k sitting at bit k-1
     grow = MPS_BLOCKS
     for _ in range(n - 1):
@@ -313,8 +310,7 @@ def bell_shots(n: int, trials: int, seed: int = 0) -> list:
     if trials < 1:
         raise ValueError("need at least one trial")
     target = build(n, "plus")
-    if 3 * n > max_qubits():
-        raise ValueError("3n exceeds the dense-simulation cap")
+    check_dense(3 * n)
     # the product of the n site states, site k on qubits 3k..3k+2
     site = _site_state()
     amps = site

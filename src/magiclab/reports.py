@@ -1,7 +1,5 @@
 """Check reports and atomic serialization for the command-line suites."""
 
-import csv
-import io
 import json
 import os
 import tempfile
@@ -105,29 +103,13 @@ def write_reports(path: str, reports, jsonl: bool = False) -> None:
     _atomic_write(path, render_reports(reports, jsonl=jsonl))
 
 
-def render_csv(rows, fieldnames) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(fieldnames))
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: sanitize(v) for k, v in row.items()})
-    return buf.getvalue()
-
-
-def write_csv(path: str, rows, fieldnames) -> None:
-    _atomic_write(path, render_csv(rows, fieldnames))
-
-
-def write_json(path: str, payload) -> None:
-    _atomic_write(path, json.dumps(sanitize(payload), indent=2) + "\n")
-
-
 def dump_state(path: str, state) -> None:
     """State snapshot: qubit count plus interleaved real/imag amplitudes."""
     interleaved = np.empty(2 * state.amps.size)
     interleaved[0::2] = state.amps.real
     interleaved[1::2] = state.amps.imag
-    write_json(path, {"n": state.n, "amps": interleaved.tolist()})
+    snapshot = {"n": int(state.n), "amps": interleaved.tolist()}
+    _atomic_write(path, json.dumps(snapshot, indent=2) + "\n")
 
 
 def load_state(path: str) -> StateVector:

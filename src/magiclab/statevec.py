@@ -67,10 +67,11 @@ def max_qubits() -> int:
     return cap
 
 
-def _check_dense(n: int) -> None:
+def check_dense(n: int) -> None:
+    """Raise ValueError unless a dense register of n qubits is within 1..max_qubits()."""
     cap = max_qubits()
-    if n > cap:
-        raise ValueError(f"{n} qubits exceeds the dense cap of {cap}")
+    if not 1 <= n <= cap:
+        raise ValueError(f"{n} qubits outside 1 to the dense cap of {cap}")
 
 
 @dataclass(frozen=True)
@@ -93,14 +94,14 @@ class StateVector:
 
     @classmethod
     def basis_state(cls, n: int, index: int) -> "StateVector":
-        _check_dense(n)
+        check_dense(n)
         amps = np.zeros(2**n, dtype=complex)
         amps[index] = 1.0
         return cls(n, amps)
 
     @classmethod
     def uniform_plus(cls, n: int) -> "StateVector":
-        _check_dense(n)
+        check_dense(n)
         return cls(n, np.full(2**n, 2.0 ** (-n / 2), dtype=complex))
 
 
@@ -354,7 +355,8 @@ def mutual_information(v: StateVector, a: Iterable[int], b: Iterable[int]) -> fl
     )
 
 
-def _sqrt_psd(mat: np.ndarray) -> np.ndarray:
+def sqrt_psd(mat: np.ndarray) -> np.ndarray:
+    """Square root of a Hermitian PSD matrix; eigenvalues rounded below 0 count as 0."""
     w, u = np.linalg.eigh(mat)
     w = np.clip(w, 0.0, None)
     return (u * np.sqrt(w)) @ u.conj().T
@@ -364,7 +366,7 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Uhlmann fidelity F = ||sqrt(rho) sqrt(sigma)||_1 (not squared)."""
     if rho.shape != sigma.shape:
         raise ValueError("dimension mismatch")
-    prod = _sqrt_psd(rho) @ _sqrt_psd(sigma)
+    prod = sqrt_psd(rho) @ sqrt_psd(sigma)
     return float(np.linalg.svd(prod, compute_uv=False).sum())
 
 
@@ -404,7 +406,7 @@ def _word_action(amps: np.ndarray, p: PauliString) -> np.ndarray:
     return signs * amps[src]
 
 
-def _word_expectations(p: PauliString, states: Sequence[StateVector]) -> list:
+def word_expectations(p: PauliString, states: Sequence[StateVector]) -> list:
     """<v|P|v> for each state v (Hermitian P, same n), from one word map."""
     src, signs = _word_map(states[0].amps.size, p)
     out = []
@@ -429,7 +431,7 @@ def pauli_expectation(v: StateVector, p: PauliString) -> float:
         raise ValueError("expectation needs a Hermitian Pauli")
     if p.n != v.n:
         raise ValueError("size mismatch")
-    return _word_expectations(p, (v,))[0]
+    return word_expectations(p, (v,))[0]
 
 
 def to_statevectors(states: Sequence[StabilizerState]) -> list[StateVector]:
@@ -448,7 +450,7 @@ def to_statevectors(states: Sequence[StabilizerState]) -> list[StateVector]:
     n = states[0].n
     if any(s.n != n for s in states):
         raise ValueError("a batch of stabilizer states must share one n")
-    _check_dense(n)
+    check_dense(n)
     groups: dict[int, list] = {}  # k -> [(position, b, the k (x, z, e))]
     for pos, (b, gens) in enumerate(s.expansion() for s in states):
         groups.setdefault(len(gens), []).append((pos, b, gens))

@@ -1,14 +1,15 @@
-"""Deterministic check suites behind the command-line interface.
+"""Deterministic check suites and subcommands behind the command-line interface.
 
-Each suite is a generator of CheckReports, timed by `_timed` into a
-function that returns their list; its parameters declare the flags it
-reads.  run_suite dispatches by name, serializes, and maps the outcome onto
-the exit-code contract (0 all pass, 1 a check failed, 2 bad suite name or
-parameters) through `exit_code`, which the CLI shares.  A check that a CLI
-subcommand also reports is built by one function here, which both call,
-so the two cannot differ in rule or bound.  Every randomized check derives
-its randomness from the `seed` argument, so a rerun with the same
-parameters reproduces the same numbers.
+Each suite, and each CLI subcommand, is a generator of CheckReports, timed
+by `_timed` into a function that returns their list; its parameters declare
+the flags it reads.  run_suite runs one of them (or every suite, for `all`),
+serializes the reports, and maps the outcome onto the exit-code contract
+(0 all pass, 1 a check failed, 2 bad suite name or parameters) through
+`exit_code`, which the CLI shares.  A check that a subcommand also reports
+is built by one function here, which both call, so the two cannot differ
+in rule or bound.  Every randomized check derives its randomness from the
+`seed` argument, so a rerun with the same parameters reproduces the same
+numbers.
 """
 
 import dataclasses
@@ -21,7 +22,7 @@ import time
 import numpy as np
 
 from . import agsp, glue, modular, prep, symplectic as sp, statevec as sv, zxcat
-from .reports import CheckReport, render_reports, write_reports
+from .reports import CheckReport, dump_state, render_reports, write_reports
 
 
 def check_params(params) -> None:
@@ -40,8 +41,8 @@ def check_params(params) -> None:
 def flag_defaults(command) -> dict:
     """{"--name": default} for each parameter of `command` that has a default.
 
-    A suite's or a CLI subcommand handler's signature is the one declaration
-    of the computation flags (--n --seed --tol --trials) it reads.
+    A suite's or a subcommand's signature is the one declaration of the
+    computation flags (--n --seed --tol --trials) it reads.
     """
     params = inspect.signature(command).parameters.values()
     return {"--" + p.name: p.default for p in params if p.default is not p.empty}
@@ -95,7 +96,7 @@ def _timed(checks):
 
 
 # overlap_check serves the prep suite alone; the three after it are shared by a suite
-# and a CLI subcommand, one rule for both.  np.max, not max: a NaN must reach the verdict.
+# and a subcommand, one rule for both.  np.max, not max: a NaN must reach the verdict.
 
 
 def overlap_check(check, params, states, target, tol) -> CheckReport:
@@ -124,6 +125,20 @@ def identity_only_check(params, survivors) -> CheckReport:
     """Survivors of the monomial search other than the identity alone, against 0."""
     misses = modular.identity_only_misses(survivors)
     return CheckReport("lpu-search-identity-only", params, float(misses), 0)
+
+
+def _agsp_cell(n, m):
+    """The step-error and coefficient-mass-identity reports of the degree-m polynomial on n sites.
+
+    The agsp suite yields them at its (n, round(sqrt n)), `agsp sweep` at each cell of its grid.
+    """
+    poly = agsp.build_polynomial(n, m)
+    yield CheckReport("step-error", {"n": n, "m": m}, agsp.step_error_sup(poly), poly.error_bound())
+
+    total, p_minus_n = agsp.coeff_sum_identity(poly)
+    rel = abs(total - p_minus_n) / max(abs(total), 1.0)
+    params = {"n": n, "m": m, "coeff_sum": total, "p_minus_n": p_minus_n}
+    yield CheckReport("coefficient-mass-identity", params, rel, 1e-9)
 
 
 def _random_pauli_text(n, rng) -> str:
@@ -203,14 +218,7 @@ def suite_zxcat(n=10, seed=0, trials=150):
 
 @_timed
 def suite_agsp(n=16, seed=0, trials=60):
-    poly = agsp.build_polynomial(n, max(1, round(n**0.5)))
-    sup = agsp.step_error_sup(poly)
-    yield CheckReport("step-error", {"n": n, "m": poly.m}, sup, poly.error_bound())
-
-    total, p_minus_n = agsp.coeff_sum_identity(poly)
-    rel = abs(total - p_minus_n) / max(abs(total), 1.0)
-    params = {"n": n, "m": poly.m, "coeff_sum": total}
-    yield CheckReport("coefficient-mass-identity", params, rel, 1e-9)
+    yield from _agsp_cell(n, max(1, round(n**0.5)))
 
     n_op = min(10, sv.max_qubits())
     dev = agsp.agsp_operator_check(n_op, 3)
@@ -351,67 +359,181 @@ SUITES = {
 }
 
 
-def agsp_sweep(n_list, m_list):
-    """Rows of the degree sweep: sup error, bound, and coefficient mass.
+# The subcommands: what no suite report holds, as reports of the same kind.
+# A keyword parameter without a default is the subcommand's own argument,
+# which the CLI always passes; those with a default are the computation flags
+# it reads, as for a suite.  Per-item records go into the report's params.
 
-    Cells outside 1 <= m < n are skipped; a grid with no cell left raises
-    ValueError naming both lists.
+
+def _int_list(text: str, flag: str) -> list:
+    try:
+        return [int(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise ValueError(f"{flag} takes comma-separated integers, got {text!r}") from None
+
+
+def _dumped(path, state) -> dict:
+    """{"dumped": path} once `state` is written there; {} when no path is given."""
+    if not path:
+        return {}
+    dump_state(path, state)
+    return {"dumped": path}
+
+
+@_timed
+def zxcat_build(*, variant, dump, n=8):
+    state = zxcat.build(n, variant)
+    params = {"n": n, "variant": variant, **_dumped(dump, state)}
+    yield CheckReport("build", params, {"norm": float(np.linalg.norm(state.amps))}, None)
+
+
+@_timed
+def agsp_sweep(*, n_list, m_list):
+    """The agsp suite's two polynomial checks at each cell of the grid with 1 <= m < n.
+
+    A grid with no such cell raises ValueError naming both lists.
     """
-    rows = []
-    for n in n_list:
-        for m in m_list:
-            if not 1 <= m < n:
-                continue
-            poly = agsp.build_polynomial(n, m)
-            total, p_minus_n = agsp.coeff_sum_identity(poly)
-            rows.append(
-                {
-                    "n": n,
-                    "m": m,
-                    "sup_error": agsp.step_error_sup(poly),
-                    "bound": poly.error_bound(),
-                    "coeff_sum": total,
-                    "p_minus_n": p_minus_n,
-                }
-            )
-    if not rows:
-        raise ValueError(
-            f"n_list {list(n_list)} and m_list {list(m_list)} give no cell with 1 <= m < n"
-        )
-    return rows
+    ns, ms = _int_list(n_list, "--n-list"), _int_list(m_list, "--m-list")
+    cells = [(n, m) for n in ns for m in ms if 1 <= m < n]
+    if not cells:
+        raise ValueError(f"n_list {ns} and m_list {ms} give no cell with 1 <= m < n")
+    for n, m in cells:
+        yield from _agsp_cell(n, m)
 
 
-def run_suite(suite: str, out=None, jsonl: bool = False, **params) -> int:
-    """Run one named suite (or `all`) and serialize its reports.
+@_timed
+def prep_adaptive(*, dump, n=6, seed=0, trials=50):
+    params = {"n": n, "trials": trials, "seed": seed}
+    shots = prep.adaptive_shots(**params)
+    params["accepted"] = sum(record.accepted for record, _ in shots)
+    params["runs"] = [
+        {
+            "outcomes": list(record.outcomes),
+            "parity": record.parity,
+            "accepted": record.accepted,
+            "target_overlap": overlap,
+        }
+        for record, overlap in shots
+    ]
+    params.update(_dumped(dump, shots[-1][0].post_state))
+    overlaps = [overlap for _, overlap in shots]
+    yield kept_fidelity_check("adaptive-collapse-fidelity", params, overlaps)
 
-    `params` are the computation parameters given (n, seed, tol, trials).  A
-    named suite takes them as they are, so one it does not read raises
-    TypeError; `all` passes each only to the suites that read it, and the
-    others keep their defaults.  Returns 0 when every check passes, 1 when
-    any fails (a gluing premise violated inside a check counts as a
-    failure), 2 for an unknown suite or invalid parameters; a failure's line
-    names the suite it stopped in (`exit_code`), and the reports of the
-    suites that finished before it, and of the checks that finished before
-    it in its own suite, are still written.  Reports go to `out` as JSON (or
-    JSON lines with `jsonl`), atomically; without `out` they print to stdout.
+
+@_timed
+def prep_bell(*, dump, n=4, seed=0, trials=50):
+    params = {"n": n, "trials": trials, "seed": seed}
+    shots = prep.bell_shots(**params)
+    overlaps = [overlap for accepted, _, overlap in shots if accepted]
+    params["accepted"] = len(overlaps)
+    params["runs"] = [
+        {"accepted": True, "target_overlap": overlap} if accepted else {"accepted": False}
+        for accepted, _, overlap in shots
+    ]
+    params.update(_dumped(dump, shots[-1][1]))
+    yield kept_fidelity_check("bell-accepted-fidelity", params, overlaps)
+
+
+@_timed
+def modular_lpu_search(*, data):
+    """The suite's identity-only check on the `data` file (double Fibonacci without one).
+
+    Its params list the survivors; the suite's report gives their count.
     """
-    if suite != "all" and suite not in SUITES:
+    if data:
+        with open(data) as handle:
+            modular_data = modular.ModularData.from_json(handle.read())
+    else:
+        modular_data = modular.double_fibonacci()
+    survivors = modular.lpu_search(modular_data)
+    params = {
+        "labels": modular_data.k,
+        "source": data or "double-fibonacci",
+        "survivors": [
+            {"permutation": list(c.permutation), "phases": list(c.phases)} for c in survivors
+        ],
+    }
+    yield identity_only_check(params, survivors)
+
+
+@_timed
+def modular_verlinde(*, genus):
+    """Genus-g dimension of double Fibonacci, against its exact conditions.
+
+    Double Fibonacci is Fibonacci times its mirror, so its dimension is the
+    square of Fibonacci's (dims 1, phi): 4, 25, 225, ... are 2^2, 5^2,
+    15^2, ....  The report observes how many of three conditions fail,
+    against 0: b = 0, a is a positive integer, and a equals that square.
+    The value (None beyond float range) and its exact pair go into params.
+    """
+    data = modular.double_fibonacci()
+    value = modular.verlinde_dim(data.dims, genus)
+    single = modular.verlinde_dim((1, modular.GoldenNumber.phi()), genus)
+    failed = (
+        value.b != 0,
+        not (value.a.denominator == 1 and value.a > 0),
+        value != single * single,
+    )
+    try:
+        approx = float(value)
+    except OverflowError:  # beyond float range only the exact pair is reported
+        approx = None
+    params = {"genus": genus, "value": approx, "golden": {"a": str(value.a), "b": str(value.b)}}
+    yield CheckReport("verlinde-dimension", params, float(sum(failed)), 0)
+
+
+@_timed
+def glue_run(*, dims, seed=0, trials=10):
+    sizes = tuple(_int_list(dims, "--dims"))
+    records = []
+    for t in range(trials):
+        inst = glue.generate_gluable_instance(sizes, seed=seed + t)
+        _, residuals = glue.merge(inst)
+        records.append({"seed": seed + t, "premises": inst.residuals, "conclusions": residuals})
+    params = {"dims": list(sizes), "trials": trials, "seed": seed, "instances": records}
+    yield conclusions_check(params, [r["conclusions"] for r in records])
+
+
+def run_suite(suite: str, out=None, jsonl: bool = False, command=None, **params) -> int:
+    """Run one named suite, `all` or a subcommand, and serialize its reports.
+
+    `command` is a subcommand's report function, and `suite` its label
+    ("prep adaptive"); without one, `suite` names a suite or `all`.
+    `params` are the parameters given: the computation flags (n, seed, tol,
+    trials) and a subcommand's own arguments.  A single command takes them
+    as they are, so one it does not read raises TypeError; `all` passes each
+    only to the suites that read it, and the others keep their defaults.
+    Returns 0 when every check passes, 1 when any fails (a gluing premise
+    violated inside a check counts as a failure), 2 for an unknown suite or
+    invalid parameters; a failure's line names the command it stopped in
+    (`exit_code`), and the reports of the suites that finished before it,
+    and of the checks that finished before it in its own command, are
+    still written.  Reports go to `out` as JSON (or JSON lines with
+    `jsonl`), atomically; without `out` they print to stdout.
+    """
+    if command is not None:
+        commands = {suite: command}
+    elif suite == "all":
+        commands = SUITES
+    elif suite in SUITES:
+        commands = {suite: SUITES[suite]}
+    else:
         print(f"error: {suite}: unknown suite", file=sys.stderr)
         return 2
     reports = []
 
-    def run(name, given):
+    def run(checks, given):
         try:
-            reports.extend(SUITES[name](**given))
+            reports.extend(checks(**given))
         except Exception as exc:
             reports.extend(getattr(exc, "reports", ()))
             raise
 
-    for name in SUITES if suite == "all" else [suite]:
-        reads = flag_defaults(SUITES[name])
+    for name, checks in commands.items():
+        reads = flag_defaults(checks)
         given = {k: v for k, v in params.items() if suite != "all" or "--" + k in reads}
-        seed = given.get("seed", reads["--seed"])
-        code = exit_code(name, seed, lambda: run(name, given))
+        seed = given.get("seed", reads.get("--seed"))
+        code = exit_code(name, seed, lambda: run(checks, given))
         if code:
             break
     if code and not reports:

@@ -100,7 +100,7 @@ def mi_numeric(n: int, pair=None) -> float:
     return val
 
 
-def _random_bounded_hermitian(dim: int, rng) -> np.ndarray:
+def random_bounded_hermitian(dim: int, rng) -> np.ndarray:
     """Gaussian Hermitian matrix rescaled to unit spectral norm."""
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     herm = (a + a.conj().T) / 2.0
@@ -138,7 +138,7 @@ def crossterm_bound_check(
         branches = sp.random_clifford(n, rng).zero_and_plus()
         a = int(rng.integers(1, top + 1))
         support = tuple(sorted(int(q) for q in rng.choice(n, size=a, replace=False)))
-        return branches, (a, support, _random_bounded_hermitian(1 << a, rng))
+        return branches, (a, support, random_bounded_hermitian(1 << a, rng))
 
     ratios, overlap_devs = [], []
     for trial, ((a, support, v_op), (v1, v2)) in enumerate(sv.densified(trials, 2 << n, draw)):

@@ -239,7 +239,7 @@ def combined_indist_scan(n, max_support, random_trials=0, seed=0):
     for _ in range(random_trials):
         a = int(rng.integers(1, max_support + 1))
         support = tuple(sorted(int(q) for q in rng.choice(n, a, replace=False)))
-        herm = zxcat._random_bounded_hermitian(1 << a, rng)
+        herm = zxcat.random_bounded_hermitian(1 << a, rng)
         d1 = np.vdot(plus.amps, sv.matrix_action(plus.amps, n, support, herm))
         d2 = np.vdot(minus.amps, sv.matrix_action(minus.amps, n, support, herm))
         worst = max(worst, abs((d1 - d2).real) / 2.0 ** (a - n / 2.0))

@@ -244,12 +244,18 @@ def _run(argv):
     return code, out.getvalue()
 
 
+def _record(out):
+    """The one report a subcommand prints, in its JSON array."""
+    (record,) = json.loads(out)
+    return record
+
+
 @pytest.mark.parametrize("rule", sorted(DEFECTS))
 def test_planted_defect_fails_suite_and_subcommand(rule, monkeypatch):
     suite, check, module, attr, defect, twin = DEFECTS[rule]
     if twin is not None:
         code, out = _run(twin)
-        assert code == 0 and json.loads(out)["pass"] is True
+        assert code == 0 and _record(out)["pass"] is True
     monkeypatch.setattr(module, attr, defect(getattr(module, attr)))
     code, out = _run([suite, "--seed", "0"])
     assert code == 1
@@ -257,7 +263,7 @@ def test_planted_defect_fails_suite_and_subcommand(rule, monkeypatch):
     assert verdicts[check] is False
     if twin is not None:
         code, out = _run(twin)
-        record = json.loads(out)
+        record = _record(out)
         assert code == 1 and record["pass"] is False and record["check"] == check
 
 
@@ -280,7 +286,7 @@ def test_verlinde_off_by_one_fails(monkeypatch):
     real = modular.verlinde_dim
     monkeypatch.setattr(modular, "verlinde_dim", lambda dims, genus: real(dims, genus) + 1)
     code, out = _run(["modular", "verlinde", "--genus", "3"])
-    record = json.loads(out)
+    record = _record(out)
     assert code == 1 and record["pass"] is False
     # 226 is a positive integer, but not the square of 15 + 1
     assert record["observed"] == 1 and record["params"]["golden"] == {"a": "226", "b": "0"}
@@ -404,7 +410,7 @@ def test_a_defect_inside_the_library_fails_its_report(check, monkeypatch):
     assert report["observed"] == residual() > report["bound"]
     if twin is not None:
         code, out = _run(twin)
-        record = json.loads(out)
+        record = _record(out)
         assert code == 1 and record["pass"] is False and record["check"] == check
         assert record["observed"] == twin_residual() > record["bound"]
 
@@ -556,7 +562,7 @@ def test_a_nan_sample_fails_its_check(check, monkeypatch):
 
 
 def _word_scan(patch):
-    patch.setattr(sv, "_word_expectations", lambda word, pair: (np.nan, np.nan))
+    patch.setattr(sv, "word_expectations", lambda word, pair: (np.nan, np.nan))
     return agsp.indist_words(4, 2)
 
 
@@ -632,12 +638,22 @@ def test_all_passes_each_flag_to_the_suites_that_read_it(capsys):
     assert reports["premises"]["params"]["trials"] == 20
 
 
-def test_prep_suite_tol_bounds_both_overlaps(capsys):
+def _rotated_cat(n, boundary="open"):
+    # the plus cat turned towards its orthogonal partner by 1e-6 rad:
+    # a deficit 1 - cos(1e-6) = 5e-13, far above any rounding of the overlap
+    plus, minus = zxcat.build(n, "plus"), zxcat.build(n, "minus")
+    return sv.StateVector(n, np.cos(1e-6) * plus.amps + np.sin(1e-6) * minus.amps)
+
+
+def test_prep_suite_tol_bounds_both_overlaps(monkeypatch, capsys):
+    # a planted deficit, not the rounding of a correct build, which changes
+    # sign with the BLAS kernel: the same states pass 1e-12 and fail 1e-300
+    monkeypatch.setattr(prep, "mps_contract", _rotated_cat)
     overlaps = ("sandwich-overlap", "mps-overlap")
     assert main(["prep", "--n", "8"]) == 0
     reports = {r["check"]: r for r in json.loads(capsys.readouterr().out)}
     assert [reports[check]["bound"] for check in overlaps] == [1e-12, 1e-12]
-    # the MPS deviation of 5e-15 misses 1e-300
+    assert reports["mps-overlap"]["observed"] == pytest.approx(5e-13, abs=2e-14)
     assert main(["prep", "--n", "8", "--tol", "1e-300"]) == 1
     reports = {r["check"]: r for r in json.loads(capsys.readouterr().out)}
     assert [reports[check]["bound"] for check in overlaps] == [1e-300, 1e-300]

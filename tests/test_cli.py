@@ -13,7 +13,7 @@ from magiclab.cli import SUBCOMMANDS, flags_read, main
 from magiclab.modular import double_fibonacci
 from magiclab.reports import CheckReport, dump_state, load_state, sanitize, write_reports
 from magiclab.statevec import StateVector
-from magiclab.suites import SUITES, agsp_sweep, run_suite
+from magiclab.suites import SUITES, agsp_sweep, run_suite, suite_agsp
 from magiclab.zxcat import build
 
 
@@ -112,12 +112,21 @@ def test_every_suite_is_registered():
 
 
 def test_agsp_sweep_rows():
-    rows = agsp_sweep([16, 64], [2, 4, 70])
-    # the m >= n entry is skipped
-    assert [(r["n"], r["m"]) for r in rows] == [(16, 2), (16, 4), (64, 2), (64, 4)]
-    for row in rows:
-        assert row["sup_error"] <= row["bound"]
-        assert row["coeff_sum"] == pytest.approx(row["p_minus_n"], rel=1e-9)
+    reports = agsp_sweep(n_list="16,64", m_list="2,4,70")
+    # the m >= n entry is skipped; each cell has the suite's two checks
+    cells = [(16, 2), (16, 4), (64, 2), (64, 4)]
+    assert [(r.params["n"], r.params["m"]) for r in reports] == [c for c in cells for _ in "ab"]
+    assert [r.check for r in reports] == ["step-error", "coefficient-mass-identity"] * 4
+    assert all(r.passed and r.runtime_ms is not None for r in reports)
+    for mass in reports[1::2]:
+        assert mass.params["coeff_sum"] == pytest.approx(mass.params["p_minus_n"], rel=1e-9)
+
+
+def test_agsp_sweep_cell_is_the_suites_report():
+    # the suite's n = 16 takes m = round(sqrt 16) = 4
+    suite = [r.to_dict() for r in suite_agsp(n=16, trials=1)[:2]]
+    sweep = [r.to_dict() for r in agsp_sweep(n_list="16", m_list="4")]
+    assert _without_runtime(sweep) == _without_runtime(suite)
 
 
 @pytest.mark.parametrize("n_list, m_list, lists", [
@@ -126,7 +135,7 @@ def test_agsp_sweep_rows():
     ("", "2", "n_list [] and m_list [2]"),
 ])
 def test_agsp_sweep_without_a_valid_cell_exits_two(n_list, m_list, lists, capsys):
-    # only the CSV header, and exit 0, used to stand for "nothing to sweep"
+    # an empty report list, and exit 0, would stand for "nothing to sweep"
     assert main(["agsp", "sweep", "--n-list", n_list, "--m-list", m_list]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -288,12 +297,12 @@ def test_cli_suite_and_subcommands(tmp_path, capsys):
     assert len(reports) == 4 and all(r["pass"] for r in reports)
 
     assert main(["glue", "run", "--dims", "1,1,1,1,1,1", "--trials", "2"]) == 0
-    record = json.loads(capsys.readouterr().out)
-    assert record["pass"] and len(record["instances"]) == 2
-    assert "premises" in record["instances"][0]
+    (record,) = json.loads(capsys.readouterr().out)
+    assert record["pass"] and len(record["params"]["instances"]) == 2
+    assert "premises" in record["params"]["instances"][0]
 
     assert main(["modular", "verlinde", "--genus", "3"]) == 0
-    record = json.loads(capsys.readouterr().out)
+    (record,) = json.loads(capsys.readouterr().out)
     assert record["params"]["value"] == pytest.approx(225.0)
 
 
@@ -314,11 +323,11 @@ def test_cli_lpu_search_with_data_file(tmp_path, capsys):
     payload = tmp_path / "fib.json"
     payload.write_text(double_fibonacci().to_json())
     assert main(["modular", "lpu-search", "--data", str(payload)]) == 0
-    record = json.loads(capsys.readouterr().out)
+    (record,) = json.loads(capsys.readouterr().out)
     assert record["pass"] is True
     assert record["check"] == "lpu-search-identity-only" and record["observed"] == 0.0
-    assert record["params"]["survivors"] == 1
-    assert record["survivors"] == [
+    assert record["params"]["source"] == str(payload)
+    assert record["params"]["survivors"] == [
         {"permutation": [0, 1, 2, 3], "phases": [1.0, 1.0, 1.0, 1.0]}
     ]
     assert main(["modular", "lpu-search", "--data", str(tmp_path / "no.json")]) == 2
@@ -366,7 +375,7 @@ def test_cli_data_file_takes_integral_floats(tmp_path, capsys):
     payload = tmp_path / "floats.json"
     payload.write_text(json.dumps(raw))
     assert main(["modular", "lpu-search", "--data", str(payload)]) == 0
-    assert json.loads(capsys.readouterr().out)["pass"] is True
+    assert [r["pass"] for r in json.loads(capsys.readouterr().out)] == [True]
     raw["t_root_order"] = 0
     payload.write_text(json.dumps(raw))
     assert main(["modular", "lpu-search", "--data", str(payload)]) == 2
@@ -375,7 +384,7 @@ def test_cli_data_file_takes_integral_floats(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["zxcat", "--out"], ["zxcat", "build", "--out"], ["zxcat", "build", "--dump-state"],
-    ["agsp", "sweep", "--csv"],
+    ["agsp", "sweep", "--out"],
 ])
 def test_write_errors_name_the_target_path(argv, tmp_path, capsys):
     # the temp file beside the target used to be the name in the message
@@ -386,29 +395,30 @@ def test_write_errors_name_the_target_path(argv, tmp_path, capsys):
     assert ".tmp" not in err and not (tmp_path / "missing").exists()
 
 
-def test_cli_agsp_sweep_csv(tmp_path, capsys):
-    target = tmp_path / "sweep.csv"
-    assert main(["agsp", "sweep", "--n-list", "16", "--m-list", "1,3",
-                 "--csv", str(target)]) == 0
-    capsys.readouterr()
-    lines = target.read_text().splitlines()
-    assert lines[0] == "n,m,sup_error,bound,coeff_sum,p_minus_n"
-    assert len(lines) == 3
+def test_cli_agsp_sweep_reads_the_output_flags(tmp_path, capsys):
+    grid = ["--n-list", "16", "--m-list", "1,3"]
+    target = tmp_path / "sweep.json"
+    assert main(["agsp", "sweep", *grid, "--out", str(target)]) == 0
+    assert capsys.readouterr().out == f"4 checks, 0 failed -> {target}\n"
+    reports = json.loads(target.read_text())
+    assert [(r["params"]["m"], r["check"]) for r in reports] == [
+        (m, check) for m in (1, 3) for check in ("step-error", "coefficient-mass-identity")
+    ]
+    assert main(["agsp", "sweep", *grid, "--jsonl", "--max-n", "5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert _without_runtime([json.loads(line) for line in lines]) == _without_runtime(reports)
 
 
-@pytest.mark.parametrize("flag", [
-    ["--out", "sweep.csv"], ["--jsonl"], ["--seed", "3"], ["--n", "4"],
-    ["--trials", "2"], ["--tol", "0.1"], ["--max-n", "5"],
-])
+@pytest.mark.parametrize("flag", [["--seed", "3"], ["--n", "4"], ["--trials", "2"], ["--tol", "0.1"]])
 def test_cli_agsp_sweep_rejects_suite_flags(flag, tmp_path, capsys, monkeypatch):
-    # the sweep writes CSV through --csv and uses none of the suite flags,
-    # before or after "sweep"; none may exit 0 and do nothing (or write nothing)
+    # the sweep reads none of the computation flags, before or after
+    # "sweep"; none may exit 0 and do nothing (or write nothing)
     monkeypatch.chdir(tmp_path)
     for argv in (["agsp", "sweep", *flag], ["agsp", *flag, "sweep"]):
         assert main([*argv, "--n-list", "16", "--m-list", "2"]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and flag[0] in captured.err
-        assert "--csv" in captured.err and captured.out == ""
+        assert "--n-list" in captured.err and captured.out == ""
     assert list(tmp_path.iterdir()) == []
 
 
@@ -446,9 +456,9 @@ def test_check_report_optional_runtime_and_construction_record():
 def test_dump_state_loads_back(tmp_path, capsys, argv, expected):
     path = tmp_path / "state.json"
     assert main([*argv, "--dump-state", str(path)]) == 0
-    record = json.loads(capsys.readouterr().out)
-    assert record["dumped"] == str(path)
-    assert "runtime_ms" not in record
+    (record,) = json.loads(capsys.readouterr().out)
+    assert record["params"]["dumped"] == str(path)
+    assert record["runtime_ms"] >= 0
     loaded = load_state(str(path))
     reference = expected()
     assert loaded.n == reference.n
@@ -492,7 +502,7 @@ def test_premise_violation_in_a_check_exits_one(monkeypatch, capsys):
 
 def test_cli_verlinde_beyond_float_range(capsys):
     assert main(["modular", "verlinde", "--genus", "377"]) == 0
-    record = json.loads(capsys.readouterr().out)
+    (record,) = json.loads(capsys.readouterr().out)
     golden = record["params"]["golden"]
     assert record["params"]["value"] is None and record["pass"] is True
     # dims 1, phi, phi, phi^2 give 5^(g-1) L_(g-1)^2 at odd g (L = Lucas numbers)

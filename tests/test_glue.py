@@ -127,7 +127,7 @@ def test_glue_errors_on_bad_premises():
 
 def test_identity_pair_glues_to_itself():
     inst = generate_gluable_instance(ONES, seed=2)
-    same = replace(inst, psi_prime=inst.psi, planted_a=None, planted_d=None)
+    same = replace(inst, psi_prime=inst.psi)
     u_a = matching_unitary(same)
     phase = u_a[0, 0] / abs(u_a[0, 0])
     assert np.abs(u_a - phase * np.eye(2)).max() <= 1e-10
@@ -135,12 +135,21 @@ def test_identity_pair_glues_to_itself():
     assert pure_overlap(glued, inst.psi) >= 1.0 - 1e-12
 
 
+def _planted_rotation_on_a(sizes, seed):
+    """The rotation on A that generate_gluable_instance draws, by replaying its stream."""
+    a, b1, b2, c1, c2, d = sizes
+    rng = np.random.default_rng(seed)
+    for qubits in (a + b1, b2 + c1, c2 + d):
+        glue._random_factor(qubits, rng, False)
+    return statevec.haar_unitary(2**a, rng)
+
+
 def test_planted_rotation_recovered():
     for sizes, seeds in ((ONES, range(5)), ((2, 2, 1, 1, 1, 2), range(2))):
         dim_a = 2 ** sizes[0]
         for seed in seeds:
             inst = generate_gluable_instance(sizes, seed=seed)
-            aligned = matching_unitary(inst) @ inst.planted_a
+            aligned = matching_unitary(inst) @ _planted_rotation_on_a(sizes, seed)
             phase = aligned[0, 0] / abs(aligned[0, 0])
             dev = np.abs(aligned - phase * np.eye(dim_a)).max()
             assert dev <= 1e-8, f"sizes {sizes} seed {seed}: dev {dev:.3e}"

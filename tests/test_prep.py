@@ -352,7 +352,7 @@ def test_shot_loops_follow_consecutive_seeds():
         assert (overlap is None) == (not accepted)
     with pytest.raises(ValueError):
         adaptive_shots(3, trials=0)
-    with pytest.raises(ValueError, match="dense-simulation cap"):
+    with pytest.raises(ValueError, match="dense cap"):
         adaptive_shots(8, trials=2)
 
 

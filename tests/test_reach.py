@@ -2,7 +2,7 @@
 
 One profiled interpreter imports the CLI and runs `magiclab all --seed 0`,
 every subcommand at its defaults, and each output and input flag
-(--out, --jsonl, --dump-state, --csv, --data).  The functions it never
+(--out, --jsonl, --dump-state, --data).  The functions it never
 enters must be exactly the allow-list below: unreached code can neither
 grow back unnoticed nor linger in the list after it is deleted.
 """
@@ -59,7 +59,7 @@ argvs += [[suite, action] for suite, actions in cli.SUBCOMMANDS.items() for acti
 argvs += [
     ["zxcat", "--out", path("zxcat.jsonl"), "--jsonl"],
     ["zxcat", "build", "--out", path("build.json"), "--dump-state", path("state.json")],
-    ["agsp", "sweep", "--csv", path("sweep.csv")],
+    ["agsp", "sweep", "--out", path("sweep.json")],
     ["modular", "lpu-search", "--data", data],
 ]
 sys.setprofile(profile)

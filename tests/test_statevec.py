@@ -543,7 +543,7 @@ def test_word_expectations_bytes_equal_the_power_oracle():
         for _ in range(10):
             x, z = (int(t) for t in rng.integers(0, 2**n, size=2))
             p = sp.PauliString(n, x, z, 2 * int(rng.integers(0, 2)))
-            got = sv._word_expectations(p, states)
+            got = sv.word_expectations(p, states)
             for v, val in zip(states, got, strict=True):
                 want = float(np.vdot(v.amps, power_word_action(v.amps, p)).real)
                 assert np.float64(val).tobytes() == np.float64(want).tobytes()

@@ -160,7 +160,7 @@ def one_pass_crossterm(n, seed, trials, max_support=4):
         overlap_devs.append(abs(abs(np.vdot(v1.amps, v2.amps)) - 2.0 ** (-n / 2.0)))
         a = int(rng.integers(1, top + 1))
         support = tuple(sorted(int(q) for q in rng.choice(n, size=a, replace=False)))
-        v_op = zxcat._random_bounded_hermitian(1 << a, rng)
+        v_op = zxcat.random_bounded_hermitian(1 << a, rng)
         moved = sv.matrix_action(v2.amps, n, support, v_op)
         ratios.append(abs(np.vdot(v1.amps, moved)) / 2.0 ** (a - n / 2.0))
     violations = sum(not ratio <= bound for ratio in ratios)
