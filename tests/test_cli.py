@@ -409,10 +409,14 @@ def test_cli_agsp_sweep_reads_the_output_flags(tmp_path, capsys):
     assert _without_runtime([json.loads(line) for line in lines]) == _without_runtime(reports)
 
 
-@pytest.mark.parametrize("flag", [["--seed", "3"], ["--n", "4"], ["--trials", "2"], ["--tol", "0.1"]])
+@pytest.mark.parametrize("flag", [
+    ["--seed", "3", "--out", "sweep.json"], ["--n", "4", "--jsonl"],
+    ["--seed", "3"], ["--n", "4"], ["--trials", "2"], ["--tol", "0.1"],
+])
 def test_cli_agsp_sweep_rejects_suite_flags(flag, tmp_path, capsys, monkeypatch):
     # the sweep reads none of the computation flags, before or after
-    # "sweep"; none may exit 0 and do nothing (or write nothing)
+    # "sweep", with or without an output flag it does read; none may exit
+    # 0 and do nothing (or write nothing)
     monkeypatch.chdir(tmp_path)
     for argv in (["agsp", "sweep", *flag], ["agsp", *flag, "sweep"]):
         assert main([*argv, "--n-list", "16", "--m-list", "2"]) == 2
